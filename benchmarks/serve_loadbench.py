@@ -17,7 +17,7 @@ asserting every tenant's digest is bit-identical to the single-process
 row's — the router must never trade correctness for throughput.  The
 >= 3x speedup gate is asserted only when the host has enough CPUs to
 make a multi-process speedup physically possible (``host_cpus >=
-workers + 2``, the :mod:`bench_simcore` convention); on smaller hosts
+workers + 2``); on smaller hosts
 the measured rate and the protocol overhead are recorded honestly and
 the 1M events/s trajectory row is labelled a projection.
 

@@ -77,7 +77,7 @@ from repro.placement import (
 )
 from repro.workloads import ProducerConsumerWorkload, SyntheticNpbWorkload, make_npb
 
-__version__ = "1.4.0"
+__version__ = "2.0.0"
 
 __all__ = [
     "CellFailure",

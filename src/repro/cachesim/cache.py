@@ -2,319 +2,30 @@
 
 Stores only *presence* (plus a dirty flag for L3 write-back accounting);
 coherence state lives in the directory (:mod:`repro.cachesim.hierarchy`).
-
-Two implementations share the same behaviour:
-
-* :class:`SetAssocCache` — array-backed, for caches that serve the
-  hierarchy's vectorised batch probes (the L1s in fast mode).  Tags live
-  in a NumPy ``(num_sets, ways)`` matrix with a monotonic age counter per
-  way for LRU and a dirty bit-matrix; a ``line -> flat position`` dict
-  keeps the scalar hot path at dict speed while the matrix enables
-  :meth:`probe_batch` / :meth:`refresh_ways`.
-* :class:`LegacySetAssocCache` — the original ``OrderedDict``-per-set
-  implementation: the reference for differential testing
-  (``REPRO_SLOW_HIERARCHY=1``) and, being the fastest under pure scalar
-  traffic, the implementation of the never-batch-probed L2/L3 levels in
-  both modes (the batched MESI drains touch the L2 through its scalar
-  interface plus an optional residency journal).
-
-Both produce identical hit/miss/eviction sequences: LRU order is total
-(strictly monotonic ages vs. ``OrderedDict`` insertion order), victims are
-the least recently used way, and re-insertion refreshes recency and ORs the
-dirty flag.
+Each set is an ``OrderedDict`` in LRU order (oldest first) whose values
+are the dirty flags: a hit is one ``move_to_end``, a victim one
+``popitem(last=False)``.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
 
-import numpy as np
-
 from repro.machine.cache_params import CacheParams
 
-__all__ = ["SetAssocCache", "LegacySetAssocCache"]
+__all__ = ["SetAssocCache"]
 
 
 class SetAssocCache:
-    """One cache instance (an L1, L2 or L3), array-backed.
+    """One cache instance (an L1, L2 or L3).
 
     Lines are identified by their global line id; the set index is derived
-    from its low bits.  ``_tags[s, w]`` holds the line resident in way *w*
-    of set *s* (-1 when invalid), ``_age[s, w]`` the tick of its last use
-    (higher = more recent), ``_dirty[s, w]`` its dirty flag.  ``_where``
-    maps every resident line to its flat ``s * ways + w`` position so the
-    scalar ops are one dict probe plus one flat array write.
-    """
-
-    __slots__ = (
-        "name",
-        "num_sets",
-        "ways",
-        "_set_mask",
-        "_tags",
-        "_age",
-        "_dirty",
-        "_tags1",
-        "_age1",
-        "_dirty1",
-        "_free",
-        "_where",
-        "_tick",
-        "hits",
-        "misses",
-        "evictions",
-        "journal",
-    )
-
-    def __init__(self, params: CacheParams, name: str | None = None) -> None:
-        self.name = name or params.name
-        self.num_sets = params.num_sets
-        self.ways = params.associativity
-        self._set_mask = self.num_sets - 1
-        self._tags = np.full((self.num_sets, self.ways), -1, dtype=np.int64)
-        self._age = np.zeros((self.num_sets, self.ways), dtype=np.int64)
-        self._dirty = np.zeros((self.num_sets, self.ways), dtype=bool)
-        # flat aliases (shared memory) for cheap scalar element access
-        self._tags1 = self._tags.ravel()
-        self._age1 = self._age.ravel()
-        self._dirty1 = self._dirty.ravel()
-        #: per-set stack of invalid ways (which invalid way a fill takes is
-        #: unobservable, so stack order is fine)
-        self._free: list[list[int]] = [
-            list(range(self.ways - 1, -1, -1)) for _ in range(self.num_sets)
-        ]
-        self._where: dict[int, int] = {}
-        self._tick = 0
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-        #: optional residency journal: when set (the hierarchy's fast path
-        #: attaches one to L1s), every line whose residency or way changes
-        #: is recorded, so a batch probe can tell which of its cached
-        #: classifications went stale without re-probing.
-        self.journal: set[int] | None = None
-
-    def set_index(self, line: int) -> int:
-        """Set holding *line*."""
-        return line & self._set_mask
-
-    # -- scalar path --------------------------------------------------------
-    def lookup(self, line: int) -> bool:
-        """Probe for *line*; refreshes LRU on hit.  Counts hit/miss."""
-        fw = self._where.get(line)
-        if fw is not None:
-            self._age1[fw] = self._tick
-            self._tick += 1
-            self.hits += 1
-            return True
-        self.misses += 1
-        return False
-
-    def contains(self, line: int) -> bool:
-        """Presence check without LRU update or hit/miss accounting."""
-        return line in self._where
-
-    def insert(self, line: int, dirty: bool = False) -> tuple[int, bool] | None:
-        """Install *line*; returns ``(victim_line, victim_dirty)`` if one was
-        evicted, else ``None``.  Re-inserting an existing line refreshes LRU
-        and ORs the dirty flag."""
-        fw = self._where.get(line)
-        if fw is not None:
-            if dirty:
-                self._dirty1[fw] = True
-            self._age1[fw] = self._tick
-            self._tick += 1
-            return None
-        s = line & self._set_mask
-        base = s * self.ways
-        victim: tuple[int, bool] | None = None
-        free = self._free[s]
-        if free:
-            fw = base + free.pop()
-        else:
-            fw = base + int(self._age1[base : base + self.ways].argmin())
-            victim_line = int(self._tags1[fw])
-            victim = (victim_line, bool(self._dirty1[fw]))
-            del self._where[victim_line]
-            self.evictions += 1
-            if self.journal is not None:
-                self.journal.add(victim_line)
-        self._tags1[fw] = line
-        self._dirty1[fw] = dirty
-        self._age1[fw] = self._tick
-        self._tick += 1
-        self._where[line] = fw
-        if self.journal is not None:
-            self.journal.add(line)
-        return victim
-
-    def remove(self, line: int) -> bool:
-        """Invalidate *line* if present; returns its dirty flag (False if absent)."""
-        fw = self._where.pop(line, None)
-        if fw is None:
-            return False
-        dirty = bool(self._dirty1[fw])
-        self._tags1[fw] = -1
-        self._dirty1[fw] = False
-        s, w = divmod(fw, self.ways)
-        self._free[s].append(w)
-        if self.journal is not None:
-            self.journal.add(line)
-        return dirty
-
-    def mark_dirty(self, line: int) -> None:
-        """Set the dirty flag of a resident line (no-op if absent)."""
-        fw = self._where.get(line)
-        if fw is not None:
-            self._dirty1[fw] = True
-
-    def is_dirty(self, line: int) -> bool:
-        """Dirty flag of a resident line (False if absent)."""
-        fw = self._where.get(line)
-        return bool(self._dirty1[fw]) if fw is not None else False
-
-    def clear_dirty(self, line: int) -> None:
-        """Clear the dirty flag of a resident line (no-op if absent)."""
-        fw = self._where.get(line)
-        if fw is not None:
-            self._dirty1[fw] = False
-
-    def flush(self) -> int:
-        """Drop all contents; returns the number of lines dropped."""
-        n = len(self._where)
-        if self.journal is not None:
-            self.journal.update(self._where)
-        self._tags.fill(-1)
-        self._dirty.fill(False)
-        self._free = [list(range(self.ways - 1, -1, -1)) for _ in range(self.num_sets)]
-        self._where.clear()
-        return n
-
-    def insert_batch(self, lines: np.ndarray, dirty: np.ndarray) -> None:
-        """Install *lines* (mapping to pairwise-distinct sets, none resident).
-
-        Equivalent to ``for x: insert(lines[x], dirty[x])`` under those
-        preconditions — the distinct-set requirement makes every victim
-        choice independent, so they are taken in one vectorised argmin
-        sweep; evicted and installed lines are journaled exactly as the
-        scalar path would.  Victims are *not* returned (the hierarchy's
-        only batch-install level is the L1, whose victims need no action).
-        Age ticks are compacted to one per install: relative LRU order
-        within each touched set is unchanged (the installed line becomes
-        strictly newest, everything else keeps its age), which is the only
-        thing the replacement policy observes.
-        """
-        k = lines.size
-        if not k:
-            return
-        sets = lines & self._set_mask
-        fws = np.empty(k, dtype=np.int64)
-        pending: list[int] = []
-        free = self._free
-        ways = self.ways
-        for x, s in enumerate(sets.tolist()):
-            fl = free[s]
-            if fl:
-                fws[x] = s * ways + fl.pop()
-            else:
-                pending.append(x)
-        if pending:
-            ev = np.asarray(pending, dtype=np.int64)
-            es = sets[ev]
-            evfw = es * ways + self._age[es].argmin(axis=1)
-            victims = self._tags1[evfw].tolist()
-            fws[ev] = evfw
-            self.evictions += len(pending)
-            where = self._where
-            for v in victims:
-                del where[v]
-            if self.journal is not None:
-                self.journal.update(victims)
-        self._tags1[fws] = lines
-        self._dirty1[fws] = dirty
-        self._age1[fws] = np.arange(self._tick, self._tick + k)
-        self._tick += k
-        where = self._where
-        for line, fw in zip(lines.tolist(), fws.tolist()):
-            where[line] = fw
-        if self.journal is not None:
-            self.journal.update(lines.tolist())
-
-    # -- vectorised path ----------------------------------------------------
-    def contains_batch(self, lines: np.ndarray) -> np.ndarray:
-        """Presence of each line id in *lines* (no LRU update, no counting)."""
-        sets = lines & self._set_mask
-        return (self._tags[sets] == lines[:, None]).any(axis=1)
-
-    def probe_batch(
-        self, lines: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """One-pass bulk probe: ``(resident, sets, ways, dirty)`` arrays.
-
-        ``ways`` (and ``dirty``) are meaningful only where ``resident``;
-        no LRU update, no hit/miss counting.
-        """
-        sets = lines & self._set_mask
-        eq = self._tags[sets] == lines[:, None]
-        ways = eq.argmax(axis=1)
-        # eq[i, ways[i]] is cheaper than a full any() reduction: argmax of a
-        # bool row is the first True (or 0 when the row is all-False).
-        idx = np.arange(lines.size)
-        resident = eq[idx, ways]
-        dirty = self._dirty[sets, ways] & resident
-        return resident, sets, ways, dirty
-
-    def refresh_batch(self, lines: np.ndarray) -> None:
-        """Refresh LRU recency of *lines* in array order (all must be resident).
-
-        Equivalent to ``for l in lines: <move l to MRU>``: each element
-        consumes one age tick, and for a line occurring several times its
-        last occurrence wins (NumPy fancy assignment stores in iteration
-        order; pinned by a unit test).  Does not count hits — the hierarchy
-        accounts for bulk hits itself.
-        """
-        sets = lines & self._set_mask
-        ways = (self._tags[sets] == lines[:, None]).argmax(axis=1)
-        self.refresh_ways(sets, ways)
-
-    def refresh_ways(self, sets: np.ndarray, ways: np.ndarray) -> None:
-        """LRU refresh of pre-located ``(set, way)`` pairs in array order."""
-        n = sets.size
-        if not n:
-            return
-        self._age[sets, ways] = np.arange(self._tick, self._tick + n)
-        self._tick += n
-
-    # -- inspection ---------------------------------------------------------
-    def resident_lines(self) -> list[int]:
-        """All resident line ids (test/inspection helper)."""
-        return list(self._where)
-
-    def __len__(self) -> int:
-        return len(self._where)
-
-    @property
-    def accesses(self) -> int:
-        """Total probes."""
-        return self.hits + self.misses
-
-    def miss_rate(self) -> float:
-        """Miss ratio over all probes (0 if never probed)."""
-        return self.misses / self.accesses if self.accesses else 0.0
-
-
-class LegacySetAssocCache:
-    """Reference ``OrderedDict``-backed implementation (the original engine).
-
-    Each set is an ``OrderedDict`` in LRU order (oldest first); values are
-    the dirty flag.  ``REPRO_SLOW_HIERARCHY=1`` selects it for every level
-    so the fast engine can be differentially tested against it; the fast
-    engine itself uses it for L2/L3, which see only scalar traffic.
+    from its low bits.
     """
 
     __slots__ = (
         "name", "num_sets", "ways", "_set_mask", "_sets",
-        "hits", "misses", "evictions", "journal",
+        "hits", "misses", "evictions",
     )
 
     def __init__(self, params: CacheParams, name: str | None = None) -> None:
@@ -326,10 +37,6 @@ class LegacySetAssocCache:
         self.hits = 0
         self.misses = 0
         self.evictions = 0
-        #: optional residency journal (see :class:`SetAssocCache`); the
-        #: hierarchy attaches one to the L2s when batched MESI drains are
-        #: on, so cached L2-hit classifications can be staleness-checked.
-        self.journal: "set[int] | None" = None
 
     def set_index(self, line: int) -> int:
         """Set holding *line*."""
@@ -360,24 +67,14 @@ class LegacySetAssocCache:
             return None
         victim: tuple[int, bool] | None = None
         if len(s) >= self.ways:
-            victim_line, victim_dirty = s.popitem(last=False)
-            victim = (victim_line, victim_dirty)
+            victim = s.popitem(last=False)
             self.evictions += 1
-            if self.journal is not None:
-                self.journal.add(victim_line)
         s[line] = dirty
-        if self.journal is not None:
-            self.journal.add(line)
         return victim
 
     def remove(self, line: int) -> bool:
         """Invalidate *line* if present; returns its dirty flag (False if absent)."""
-        s = self._sets[line & self._set_mask]
-        if line not in s:
-            return False
-        if self.journal is not None:
-            self.journal.add(line)
-        return s.pop(line)
+        return self._sets[line & self._set_mask].pop(line, False)
 
     def mark_dirty(self, line: int) -> None:
         """Set the dirty flag of a resident line (no-op if absent)."""
@@ -389,18 +86,10 @@ class LegacySetAssocCache:
         """Dirty flag of a resident line (False if absent)."""
         return self._sets[line & self._set_mask].get(line, False)
 
-    def clear_dirty(self, line: int) -> None:
-        """Clear the dirty flag of a resident line (no-op if absent)."""
-        s = self._sets[line & self._set_mask]
-        if line in s:
-            s[line] = False
-
     def flush(self) -> int:
         """Drop all contents; returns the number of lines dropped."""
         n = len(self)
         for s in self._sets:
-            if self.journal is not None:
-                self.journal.update(s.keys())
             s.clear()
         return n
 

@@ -28,62 +28,12 @@ Invariants (checked by :meth:`CoherentHierarchy.check_invariants`):
 
 from __future__ import annotations
 
-
-import numpy as np
-
-from repro.cachesim.cache import LegacySetAssocCache, SetAssocCache
+from repro.cachesim.cache import SetAssocCache
 from repro.cachesim.line import iter_set_bits
 from repro.cachesim.stats import CacheStats
 from repro.machine.topology import Machine
 
 NO_OWNER = -1
-
-#: maximum number of runs classified per residency probe in the fast path;
-#: bounds the cost of the journal-staleness scans inside one window.
-PROBE_WINDOW = 2048
-
-#: hit spans shorter than this are drained through the scalar reference
-#: path — below this length the vectorised bookkeeping costs more than the
-#: per-access loop it replaces.
-SMALL_SPAN = 16
-
-#: adaptive bypass: when less than BYPASS_NUM/BYPASS_DEN of a batch's
-#: accesses were bulk-counted (miss-heavy phase — streaming or a working
-#: set far beyond L1), the core's L1 is swapped to the dict backing (best
-#: under scalar traffic) and the next BYPASS_BATCHES batches skip the
-#: probe machinery entirely and run the reference loop; the batch after
-#: that swaps back and re-measures, so phase changes are picked up again.
-BYPASS_NUM = 3
-BYPASS_DEN = 8
-BYPASS_BATCHES = 63
-#: batches smaller than this never update the bypass decision
-BYPASS_MIN_BATCH = 64
-
-
-def _slow_hierarchy_requested() -> bool:
-    """True when ``REPRO_SLOW_HIERARCHY`` selects the reference engine.
-
-    Delegates to :class:`repro.engine.settings.RunSettings` — the single
-    home of every ``REPRO_*`` environment read.  (Imported lazily: the
-    engine imports this module.)
-    """
-    from repro.engine.settings import RunSettings
-
-    return RunSettings.from_env().slow_hierarchy
-
-
-def _slow_mesi_requested() -> bool:
-    """True when ``REPRO_SLOW_MESI`` disables the batched MESI drains.
-
-    The batched drains are a layer *on top of* the fast path: with
-    ``REPRO_SLOW_MESI=1`` the fast path still runs (L1 bulk probing and
-    hit counting), but same-level coherence transitions — the L2-hit
-    refill runs — drain through the scalar reference loop instead of the
-    vectorised state/LRU updates.  Also a ``RunSettings`` delegate.
-    """
-    from repro.engine.settings import RunSettings
-
-    return RunSettings.from_env().slow_mesi
 
 
 def _aslist(values) -> list:
@@ -99,34 +49,13 @@ class CoherentHierarchy:
     on); internally coherence operates on the owning core.
     """
 
-    def __init__(
-        self,
-        machine: Machine,
-        fast_path: bool | None = None,
-        batch_mesi: bool | None = None,
-    ) -> None:
+    def __init__(self, machine: Machine) -> None:
         self.machine = machine
-        if fast_path is None:
-            fast_path = not _slow_hierarchy_requested()
-        if batch_mesi is None:
-            batch_mesi = not _slow_mesi_requested()
-        #: whether the vectorised batch path (and array-backed caches) are used
-        self.fast_path = fast_path
-        #: whether same-level MESI transitions (L2-hit refill runs) are
-        #: collected and drained with vectorised state/LRU updates; requires
-        #: the fast path, and REPRO_SLOW_MESI=1 turns it off for
-        #: differential testing against the scalar drain
-        self.batch_mesi = fast_path and batch_mesi
-        # Only L1s are ever batch-probed, so only they pay for the array
-        # backing; L2/L3 see pure scalar traffic, where the dict-backed
-        # implementation is fastest — the batched MESI drains touch the L2
-        # only through its scalar interface plus the residency journal.
-        l1_cls = SetAssocCache if fast_path else LegacySetAssocCache
         n_cores = machine.n_cores
-        self.l1 = [l1_cls(machine.l1_params, f"L1.c{c}") for c in range(n_cores)]
-        self.l2 = [LegacySetAssocCache(machine.l2_params, f"L2.c{c}") for c in range(n_cores)]
+        self.l1 = [SetAssocCache(machine.l1_params, f"L1.c{c}") for c in range(n_cores)]
+        self.l2 = [SetAssocCache(machine.l2_params, f"L2.c{c}") for c in range(n_cores)]
         self.l3 = [
-            LegacySetAssocCache(machine.l3_params, f"L3.s{s}") for s in range(machine.n_sockets)
+            SetAssocCache(machine.l3_params, f"L3.s{s}") for s in range(machine.n_sockets)
         ]
         #: line -> bitmask of cores holding it in L1 or L2
         self._sharers: dict[int, int] = {}
@@ -140,48 +69,11 @@ class CoherentHierarchy:
         self._socket_mask = [0] * machine.n_sockets
         for c in range(n_cores):
             self._socket_mask[self._socket_of_core[c]] |= 1 << c
-        #: per-core countdown of batches running bypassed (reference loop)
-        self._bypass = [0] * n_cores
-        #: accesses bulk-counted by :meth:`_bulk_hits` (bypass heuristic)
-        self._bulk_acc = 0
         self.stats = CacheStats()
 
     # ------------------------------------------------------------------
     # internal helpers (all in core ids)
     # ------------------------------------------------------------------
-    def _l1_to_scalar(self, core: int) -> None:
-        """Swap a core's L1 to the dict backing (entering bypass).
-
-        LRU order (per set, ascending age), dirty flags and counters are
-        carried over exactly; ways are unobservable, so their layout is
-        free to differ after a round-trip.
-        """
-        src = self.l1[core]
-        dst = LegacySetAssocCache(self.machine.l1_params, src.name)
-        order = np.argsort(src._age, axis=1)
-        tags = src._tags
-        dirty = src._dirty
-        for s in range(src.num_sets):
-            row_tags = tags[s]
-            row_dirty = dirty[s]
-            dst_set = dst._sets[s]
-            for w in order[s].tolist():
-                t = int(row_tags[w])
-                if t != -1:
-                    dst_set[t] = bool(row_dirty[w])
-        dst.hits, dst.misses, dst.evictions = src.hits, src.misses, src.evictions
-        self.l1[core] = dst
-
-    def _l1_to_array(self, core: int) -> None:
-        """Swap a core's L1 back to the array backing (leaving bypass)."""
-        src = self.l1[core]
-        dst = SetAssocCache(self.machine.l1_params, src.name)
-        for od in src._sets:
-            for line, d in od.items():
-                dst.insert(line, d)
-        dst.hits, dst.misses, dst.evictions = src.hits, src.misses, src.evictions
-        self.l1[core] = dst
-
     def _evict_from_l2(self, core: int, line: int) -> None:
         """Handle an L2 victim: drop from L1, update directory, write back."""
         self.l1[core].remove(line)
@@ -249,523 +141,15 @@ class CoherentHierarchy:
             access(pu, line, w, h)
 
     def access_batch_pu(self, pu: int, lines, writes, home_nodes) -> None:
-        """Batch variant for one PU (the engine's per-thread hot path).
-
-        With :attr:`fast_path` the batch is pre-classified with NumPy:
-        consecutive same-line accesses are run-length deduplicated, run
-        heads are bulk-probed for L1 residency, and every L1-hit access is
-        bulk-counted; only L1 misses (and hit-writes that need a coherence
-        upgrade) fall into the per-access MESI slow path.  The produced
-        :class:`CacheStats` and cache/directory state are bit-identical to
-        the per-access reference loop (``REPRO_SLOW_HIERARCHY=1``).
-
-        With :attr:`batch_mesi` (the default; ``REPRO_SLOW_MESI=1`` turns
-        it off), same-level coherence transitions are additionally
-        *collected and drained in batch*: run heads that miss L1 are
-        classified against the L2's residency sets, and contiguous
-        read-only L2-hit stretches drain through one batched distinct-set
-        L1 install plus bulk hit/miss counting instead of the per-access
-        loop (the L2's own LRU refresh stays scalar — it is a plain
-        ``move_to_end`` per head either way).
-        """
+        """Batch variant for one PU (the engine's per-thread hot path)."""
         core = self._core_of_pu[pu]
-        if not self.fast_path or self._bypass[core]:
-            if self.fast_path:
-                self._bypass[core] -= 1
-            read = self._read
-            write = self._write
-            for line, w, h in zip(_aslist(lines), _aslist(writes), _aslist(home_nodes)):
-                if w:
-                    write(core, line, h)
-                else:
-                    read(core, line, h)
-            return
-        if type(self.l1[core]) is LegacySetAssocCache:
-            # Bypass just expired: restore the array backing for probing.
-            self._l1_to_array(core)
-        lines = np.asarray(lines, dtype=np.int64)
-        n = lines.size
-        if not n:
-            return
-        writes = np.asarray(writes, dtype=bool)
-        homes = np.asarray(home_nodes, dtype=np.int64)
-        # Plain-list views for the scalar drains (indexing numpy scalars in
-        # a Python loop costs ~3x a list element).
-        lines_l = lines.tolist()
-        writes_l = writes.tolist()
-        homes_l = homes.tolist()
-
-        # Run-length dedup of consecutive same-line accesses: after a run's
-        # head access the line is resident and MRU, so the tail is L1 hits
-        # by construction (plus at most one ownership upgrade on the first
-        # write of the run).
-        change = np.empty(n, dtype=bool)
-        change[0] = True
-        np.not_equal(lines[1:], lines[:-1], out=change[1:])
-        starts = np.flatnonzero(change)
-        ends = np.append(starts[1:], n)
-        first_lines = lines[starts]
-        wcum = np.concatenate(([0], np.cumsum(writes)))
-        run_writes = wcum[ends] - wcum[starts]
-
-        l1 = self.l1[core]
-        journal = l1.journal
-        if journal is None:
-            journal = l1.journal = set()
-        l2 = self.l2[core]
-        batch_mesi = self.batch_mesi
-        if batch_mesi and l2.journal is not journal:
-            # Shared residency journal: slow-path L2 installs/evictions
-            # must invalidate cached L2-hit classifications exactly as L1
-            # changes invalidate hit classifications.  (Re-attached here
-            # because bypass round-trips replace the L1 — and with it the
-            # journal the L2 must share.)
-            l2.journal = journal
-        bulk_before = self._bulk_acc
-        n_runs = starts.size
-        i = 0
-        while i < n_runs:
-            limit = min(n_runs, i + PROBE_WINDOW)
-            # One probe per window: residency (hit classification), way
-            # locations (LRU refresh) and the L1 dirty bits, which the fast
-            # engine maintains as a vectorised "this core owns the line in
-            # M" mirror of the directory (L1/L2 dirty flags are otherwise
-            # unobservable — only L3 victim dirtiness reaches the stats).
-            # Slow-path installs/evictions later in the window make some of
-            # these classifications stale; rather than re-probing, the L1
-            # journals every line whose residency or way changes and stale
-            # heads are filtered out span by span.
-            journal.clear()
-            w = limit - i
-            resident, sets, ways, owned = l1.probe_batch(first_lines[i:limit])
-            use_l2 = False
-            if batch_mesi and w - int(resident.sum()) >= SMALL_SPAN:
-                # Gate: the L2 probe and class segmentation only pay off
-                # when at least one contiguous stretch of drain candidates
-                # (L1-miss heads of read-only runs) is span-sized; windows
-                # without one fall through to the plain hit-gap walk below
-                # at zero extra cost.
-                cand = ~resident & (run_writes[i:limit] == 0)
-                ci = np.flatnonzero(cand)
-                if ci.size >= SMALL_SPAN:
-                    brk = np.flatnonzero(np.diff(ci) > 1)
-                    stretch_start = np.concatenate(([0], brk + 1))
-                    stretch_end = np.append(brk + 1, ci.size)
-                    use_l2 = int((stretch_end - stretch_start).max()) >= SMALL_SPAN
-            if use_l2:
-                # Classify every run head: 0 = L1-resident (bulk hit
-                # span), 1 = L1-miss/L2-hit with a read-only run (batched
-                # refill drain), 2 = everything else (scalar reference).
-                # Contiguous same-class stretches form the drain segments;
-                # class-2 stretches and sub-threshold segments merge into
-                # scalar stretches exactly like the small hit gaps below.
-                cls = np.full(w, 2, dtype=np.int8)
-                cls[resident] = 0
-                l2_sets = l2._sets
-                l2_mask = l2._set_mask
-                cand_lines = first_lines[i:limit][ci]
-                l2res = np.fromiter(
-                    (ln in l2_sets[ln & l2_mask] for ln in cand_lines.tolist()),
-                    dtype=bool,
-                    count=ci.size,
-                )
-                cls[ci[l2res]] = 1
-                seg = np.flatnonzero(cls[1:] != cls[:-1]) + 1
-                seg_start = np.concatenate(([0], seg))
-                seg_end = np.append(seg, w)
-                cursor = 0
-                for si in range(seg_start.size):
-                    ga = int(seg_start[si])
-                    gb = int(seg_end[si])
-                    kind = int(cls[ga])
-                    if kind == 2 or gb - ga < SMALL_SPAN:
-                        continue  # merged into the scalar stretch
-                    if ga > cursor:
-                        self._slow_run(
-                            core, lines_l, writes_l, homes_l,
-                            int(starts[i + cursor]), int(ends[i + ga - 1]),
-                        )
-                    if kind == 0:
-                        self._hit_span(
-                            core, l1, journal, lines_l, writes_l, homes_l,
-                            first_lines, starts, ends, run_writes,
-                            sets, ways, owned, i, ga, gb,
-                        )
-                    else:
-                        self._l2_span(
-                            core, l1, l2, journal, lines_l, writes_l, homes_l,
-                            first_lines, starts, ends, i, ga, gb,
-                        )
-                    cursor = gb
-                if cursor < w:
-                    self._slow_run(
-                        core, lines_l, writes_l, homes_l,
-                        int(starts[i + cursor]), int(ends[i + w - 1]),
-                    )
-                i = limit
-                continue
-            miss_rel = np.flatnonzero(~resident)
-            # Hit gaps are the stretches between probe-time misses; only
-            # gaps long enough for the vector bookkeeping to pay off are
-            # processed in bulk.  Everything else — the miss runs plus any
-            # sub-threshold hit gaps between them — is merged into
-            # contiguous stretches drained through the reference loop in
-            # one call each, so a miss-heavy window costs roughly the
-            # reference loop, not a Python iteration per miss.
-            gap_start = np.concatenate(([0], miss_rel + 1))
-            gap_end = np.append(miss_rel, w)
-            big = np.flatnonzero(gap_end - gap_start >= SMALL_SPAN)
-            cursor = 0
-            for g in big.tolist():
-                ga = int(gap_start[g])
-                gb = int(gap_end[g])
-                if ga > cursor:
-                    self._slow_run(
-                        core, lines_l, writes_l, homes_l,
-                        int(starts[i + cursor]), int(ends[i + ga - 1]),
-                    )
-                self._hit_span(
-                    core, l1, journal, lines_l, writes_l, homes_l,
-                    first_lines, starts, ends, run_writes,
-                    sets, ways, owned, i, ga, gb,
-                )
-                cursor = gb
-            if cursor < w:
-                self._slow_run(
-                    core, lines_l, writes_l, homes_l,
-                    int(starts[i + cursor]), int(ends[i + w - 1]),
-                )
-            i = limit
-        if n >= BYPASS_MIN_BATCH and (self._bulk_acc - bulk_before) * BYPASS_DEN < n * BYPASS_NUM:
-            self._bypass[core] = BYPASS_BATCHES
-            self._l1_to_scalar(core)
-
-    def _hit_span(
-        self,
-        core: int,
-        l1,
-        journal: set[int],
-        lines: list,
-        writes: list,
-        homes: list,
-        first_lines: np.ndarray,
-        starts: np.ndarray,
-        ends: np.ndarray,
-        run_writes: np.ndarray,
-        sets: np.ndarray,
-        ways: np.ndarray,
-        owned: np.ndarray,
-        base: int,
-        a: int,
-        b: int,
-    ) -> None:
-        """Process runs ``base+a .. base+b-1`` whose heads probed L1-resident.
-
-        Probe classifications go stale when slow-path traffic earlier in the
-        window touched a head's line (eviction, or eviction + reinstall in a
-        different way); those lines are exactly the L1's journal entries, so
-        journal-touched heads are re-run through the reference path and only
-        verified-fresh stretches are bulk-counted.  One vectorised scan at
-        span entry flags the heads stale at that point; the stale heads'
-        own re-runs are the only journal writers after it, so from the
-        first growth onward the walk additionally checks each head against
-        the live journal — an O(1) set probe, keeping the span linear even
-        when every head is stale.  Indices *a*/*b* are window-relative;
-        *base* is the window's first run index.
-        """
-        n = b - a
-        if n < SMALL_SPAN:
-            # Too short for the vector bookkeeping to pay off: drain
-            # through the reference loop (exact by construction).
-            self._slow_run(core, lines, writes, homes, int(starts[base + a]), int(ends[base + b - 1]))
-            return
-        span = first_lines[base + a : base + b]
-        if journal:
-            stale_f = np.isin(
-                span, np.fromiter(journal, dtype=np.int64, count=len(journal))
-            ).tolist()
-        else:
-            stale_f = None
-        span_l = span.tolist()
-        jlen = len(journal)
-        grown = False
-        cur = 0
-        for idx in range(n):
-            st = stale_f[idx] if stale_f is not None else False
-            if not st and grown:
-                st = span_l[idx] in journal
-            if not st:
-                continue
-            if idx > cur:
-                self._bulk_hits(
-                    core, l1, first_lines, starts, ends, run_writes,
-                    sets, ways, owned, base, a + cur, a + idx,
-                )
-            # Stale head: its line was evicted (and possibly reinstalled in
-            # another way) since the probe — the reference path re-resolves
-            # it, and may grow the journal.
-            self._slow_run(
-                core, lines, writes, homes,
-                int(starts[base + a + idx]), int(ends[base + a + idx]),
-            )
-            cur = idx + 1
-            if not grown and len(journal) > jlen:
-                grown = True
-        if cur < n:
-            self._bulk_hits(
-                core, l1, first_lines, starts, ends, run_writes,
-                sets, ways, owned, base, a + cur, a + n,
-            )
-
-    def _bulk_hits(
-        self,
-        core: int,
-        l1,
-        first_lines: np.ndarray,
-        starts: np.ndarray,
-        ends: np.ndarray,
-        run_writes: np.ndarray,
-        sets: np.ndarray,
-        ways: np.ndarray,
-        owned: np.ndarray,
-        base: int,
-        a: int,
-        c: int,
-    ) -> None:
-        """Account runs ``base+a .. base+c-1`` — all L1 hits throughout.
-
-        Hits never change residency, so the whole stretch is LRU-refreshed
-        up-front (one tick per run head, in run order — tail accesses of a
-        run keep it MRU, adding no reordering) and bulk-counted.  The only
-        per-access work left is the coherence upgrade on the first write of
-        a run whose line this core does not own; ``_acquire_ownership``
-        touches the directory and remote caches only, never this L1, so the
-        classification and the probed ways stay valid for the whole stretch.
-        """
-        stats = self.stats
-        l1.refresh_ways(sets[a:c], ways[a:c])
-        total = int(ends[base + c - 1] - starts[base + a])
-        upgrades = 0
-        pending = np.flatnonzero((run_writes[base + a : base + c] > 0) & ~owned[a:c])
-        if pending.size:
-            dget = self._dirty_owner.get
-            for j in pending.tolist():
-                line = int(first_lines[base + a + j])
-                # Re-check: an earlier upgrade in this window may have
-                # acquired the line already (probe bits are stale).
-                if dget(line, NO_OWNER) != core:
-                    # L1-hit write needing M: counts as a hit (the
-                    # reference path's lookup), then upgrades; LRU was
-                    # refreshed above.
-                    stats.l1_hits += 1
-                    l1.hits += 1
-                    self._acquire_ownership(core, line)
-                    upgrades += 1
-        stats.l1_hits += total - upgrades
-        l1.hits += total - upgrades
-        self._bulk_acc += total
-
-    def _l2_span(
-        self,
-        core: int,
-        l1,
-        l2,
-        journal: set[int],
-        lines: list,
-        writes: list,
-        homes: list,
-        first_lines: np.ndarray,
-        starts: np.ndarray,
-        ends: np.ndarray,
-        base: int,
-        a: int,
-        b: int,
-    ) -> None:
-        """Drain runs ``base+a .. base+b-1``: heads probed L1-miss/L2-hit,
-        every access a read.
-
-        One upfront pass over the span flags the heads that must re-run
-        through the reference path, then a single walk emits drained
-        chunks between them:
-
-        * *stale heads* — their line is in the journal at span start (its
-          L1 or L2 residency changed between the probe and this span), or
-          it duplicates an earlier in-span line.  Installs and evictions
-          performed *inside* the span — by the drains or by the scalar
-          re-runs themselves — touch only lines of earlier span heads (or
-          their L1 victims, which were probed resident and so live in a
-          different segment), so their future impact lands exactly on the
-          duplicate positions; one upfront scan covers the whole span.
-          The exception is the L2 side: a stale head's re-run can miss L2
-          and its refill can evict an L2 line (directly or through an L3
-          back-invalidation) that a later head was classified against.
-          During the span the L2 journals into a private set, and
-          whenever a re-run grows it, the matching later heads are
-          flagged stale too.
-        * *hazard heads* — their L1 set repeats within the current chunk.
-          A batched install needs pairwise-distinct sets (victim choices
-          couple within one :meth:`SetAssocCache.insert_batch`), so a
-          repeated set starts the next chunk; no scalar run is needed.
-
-        Chunks shorter than :data:`SMALL_SPAN` drain through the scalar
-        reference path — same cutoff, same reasoning as the hit gaps.
-        """
-        n = b - a
-        span = first_lines[base + a : base + b]
-        scalar_f: np.ndarray | list
-        if journal:
-            scalar_f = np.isin(
-                span, np.fromiter(journal, dtype=np.int64, count=len(journal))
-            )
-        else:
-            scalar_f = np.zeros(n, dtype=bool)
-        uniq_first = np.unique(span, return_index=True)[1]
-        if uniq_first.size < n:
-            dup = np.ones(n, dtype=bool)
-            dup[uniq_first] = False
-            scalar_f |= dup
-        # prev[i] = closest earlier in-span position with the same L1 set
-        # (or -1): the hazard cut consults it against the chunk start.
-        sets1 = span & (l1.num_sets - 1)
-        order = np.argsort(sets1, kind="stable")
-        prev = np.full(n, -1, dtype=np.int64)
-        same = sets1[order[1:]] == sets1[order[:-1]]
-        prev[order[1:][same]] = order[:-1][same]
-        scalar_f = scalar_f.tolist()
-        prev_l = prev.tolist()
-        # Private L2 journal for the span (see docstring); merged back at
-        # the end so later segments' staleness checks still see L2 churn.
-        l2_probe: set[int] = set()
-        l2.journal = l2_probe
-        try:
-            cur = 0
-            for idx in range(n):
-                if scalar_f[idx]:
-                    if idx > cur:
-                        self._emit_chunk(
-                            core, l1, l2, lines, writes, homes,
-                            first_lines, starts, ends, base, a + cur, a + idx,
-                        )
-                    self._slow_run(
-                        core, lines, writes, homes,
-                        int(starts[base + idx + a]), int(ends[base + idx + a]),
-                    )
-                    cur = idx + 1
-                    if l2_probe:
-                        for p in np.flatnonzero(
-                            np.isin(
-                                span,
-                                np.fromiter(
-                                    l2_probe, dtype=np.int64, count=len(l2_probe)
-                                ),
-                            )
-                        ).tolist():
-                            if p > idx:
-                                scalar_f[p] = True
-                        journal.update(l2_probe)
-                        l2_probe.clear()
-                elif prev_l[idx] >= cur:
-                    self._emit_chunk(
-                        core, l1, l2, lines, writes, homes,
-                        first_lines, starts, ends, base, a + cur, a + idx,
-                    )
-                    cur = idx
-            if cur < n:
-                self._emit_chunk(
-                    core, l1, l2, lines, writes, homes,
-                    first_lines, starts, ends, base, a + cur, a + n,
-                )
-        finally:
-            journal.update(l2_probe)
-            l2.journal = journal
-
-    def _emit_chunk(
-        self,
-        core: int,
-        l1,
-        l2,
-        lines: list,
-        writes: list,
-        homes: list,
-        first_lines: np.ndarray,
-        starts: np.ndarray,
-        ends: np.ndarray,
-        base: int,
-        a: int,
-        c: int,
-    ) -> None:
-        """Drain runs ``base+a .. base+c-1`` (pairwise-distinct L1 sets,
-        all L2-hit refills) — scalar below :data:`SMALL_SPAN`."""
-        if c - a < SMALL_SPAN:
-            self._slow_run(
-                core, lines, writes, homes, int(starts[base + a]), int(ends[base + c - 1])
-            )
-        else:
-            self._drain_l2_hits(core, l1, l2, first_lines, starts, ends, base, a, c)
-
-    def _drain_l2_hits(
-        self,
-        core: int,
-        l1,
-        l2,
-        first_lines: np.ndarray,
-        starts: np.ndarray,
-        ends: np.ndarray,
-        base: int,
-        a: int,
-        c: int,
-    ) -> None:
-        """Account runs ``base+a .. base+c-1`` — L2-hit refills, read-only.
-
-        The reference path per run: one L1 lookup miss, one L2 lookup hit
-        (LRU refresh), one L1 install carrying the M-ownership mirror in
-        its dirty bit, then pure L1 hits for the tail.  The L2 side stays
-        scalar (a ``move_to_end`` per head, exactly the reference lookup's
-        LRU refresh); the L1 side is vectorised — one batched distinct-set
-        install plus bulk hit/miss counting.  The directory is untouched:
-        an L2-resident core is already a sharer (invariant 2) and a read
-        never moves ownership.
-        """
-        stats = self.stats
-        k = c - a
-        head_lines = first_lines[base + a : base + c]
-        l2_sets = l2._sets
-        l2_mask = l2._set_mask
-        for ln in head_lines.tolist():
-            l2_sets[ln & l2_mask].move_to_end(ln)
-        dget = self._dirty_owner.get
-        dirty = np.fromiter(
-            (dget(line, NO_OWNER) == core for line in head_lines.tolist()),
-            dtype=bool,
-            count=k,
-        )
-        l1.insert_batch(head_lines, dirty)
-        total = int(ends[base + c - 1] - starts[base + a])
-        stats.l1_misses += k
-        l1.misses += k
-        stats.l2_hits += k
-        l2.hits += k
-        stats.l1_hits += total - k
-        l1.hits += total - k
-        self._bulk_acc += total
-
-    def _slow_run(
-        self,
-        core: int,
-        lines: list,
-        writes: list,
-        homes: list,
-        start: int,
-        end: int,
-    ) -> None:
-        """Reference per-access MESI path for accesses ``start .. end-1``."""
         read = self._read
         write = self._write
-        for k in range(start, end):
-            if writes[k]:
-                write(core, lines[k], homes[k])
+        for line, w, h in zip(_aslist(lines), _aslist(writes), _aslist(home_nodes)):
+            if w:
+                write(core, line, h)
             else:
-                read(core, lines[k], homes[k])
+                read(core, line, h)
 
     # ------------------------------------------------------------------
     # protocol (core ids)
@@ -778,9 +162,7 @@ class CoherentHierarchy:
         stats.l1_misses += 1
         if self.l2[core].lookup(line):
             stats.l2_hits += 1
-            # The install carries the fast path's ownership mirror: the L1
-            # dirty bit means "this core owns the line in M".
-            self.l1[core].insert(line, self._dirty_owner.get(line, NO_OWNER) == core)
+            self.l1[core].insert(line)
             return
         stats.l2_misses += 1
 
@@ -793,7 +175,6 @@ class CoherentHierarchy:
                 # the owner is on this socket if our L3 holds the line).
                 stats.c2c_intra += 1
                 del self._dirty_owner[line]
-                self.l1[owner].clear_dirty(line)
                 self.l3[socket].mark_dirty(line)
         else:
             stats.l3_misses += 1
@@ -801,7 +182,6 @@ class CoherentHierarchy:
                 # Dirty on the other socket: off-chip cache-to-cache.
                 stats.c2c_inter += 1
                 del self._dirty_owner[line]
-                self.l1[owner].clear_dirty(line)
                 owner_socket = self._socket_of_core[owner]
                 self.l3[owner_socket].mark_dirty(line)
                 self._install_l3(socket, line)
@@ -838,8 +218,6 @@ class CoherentHierarchy:
             self.l1[core].insert(line)
             if owner != core:
                 self._acquire_ownership(core, line)
-            else:
-                self.l1[core].mark_dirty(line)
             return
         stats.l2_misses += 1
 
@@ -871,7 +249,6 @@ class CoherentHierarchy:
                 self._install_l3(socket, line)
         self._invalidate_other_copies(core, line)
         self._install_private(core, line)
-        self.l1[core].mark_dirty(line)
         self._sharers[line] = 1 << core
         self._dirty_owner[line] = core
         self.l3[socket].mark_dirty(line)
@@ -888,7 +265,6 @@ class CoherentHierarchy:
             stats.silent_upgrades += 1
         else:
             self._invalidate_other_copies(core, line)
-        self.l1[core].mark_dirty(line)
         self._sharers[line] = 1 << core
         self._dirty_owner[line] = core
         self.l3[self._socket_of_core[core]].mark_dirty(line)

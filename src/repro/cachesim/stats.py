@@ -63,13 +63,6 @@ class CacheStats:
         cur = self.snapshot()
         return CacheStats(*(a - b for a, b in zip(cur, snap)))
 
-    def merged(self, other: "CacheStats") -> "CacheStats":
-        """Field-wise sum of two stats objects."""
-        out = CacheStats()
-        for f in fields(CacheStats):
-            setattr(out, f.name, getattr(self, f.name) + getattr(other, f.name))
-        return out
-
     @property
     def c2c_total(self) -> int:
         """All cache-to-cache transactions (paper Fig. 11 metric)."""

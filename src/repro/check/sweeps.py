@@ -1,25 +1,17 @@
 """Shard-count invariance sweeps: digests must not depend on parallelism.
 
-Two subsystems promise that their shard count is a pure performance knob:
+:class:`~repro.serve.session.ShardedShareTable` partitions the sharing
+table's *slot space*, so a :class:`~repro.serve.session.TenantSession`
+must emit identical matrices, digests and mapping updates for every legal
+shard count (the module docstring's bit-identity argument).
 
-* :class:`~repro.serve.session.ShardedShareTable` partitions the sharing
-  table's *slot space*, so a :class:`~repro.serve.session.TenantSession`
-  must emit identical matrices, digests and mapping updates for every
-  legal shard count (the module docstring's bit-identity argument);
-* the core-sharded simulator (``REPRO_SIM_SHARDS``) stripes cache lines
-  across worker processes and merges counters exactly.
-
-:func:`session_shard_trace` and :func:`parsim_result_digest` reduce one
-run of each to a canonical digest so the sweep tests can assert plain
-string equality across every shard count — when the digests diverge, the
-differing count *is* the counterexample.
+:func:`session_shard_trace` reduces one run to a canonical trace so the
+sweep tests can assert plain equality across every shard count — when the
+traces diverge, the differing count *is* the counterexample.
 """
 
 from __future__ import annotations
 
-import dataclasses
-import hashlib
-import json
 from typing import TYPE_CHECKING
 
 from repro.serve.client import synthetic_fault_stream
@@ -29,7 +21,7 @@ from repro.serve.session import SessionConfig, TenantSession
 if TYPE_CHECKING:  # pragma: no cover - annotations only
     from repro.machine.topology import Machine
 
-__all__ = ["parsim_result_digest", "session_shard_trace"]
+__all__ = ["session_shard_trace"]
 
 
 def session_shard_trace(
@@ -72,37 +64,3 @@ def session_shard_trace(
         "updates": updates,
         "mapping": [int(p) for p in session.evaluator.current],
     }
-
-
-#: every scalar a sharded simulator run must reproduce bit-for-bit
-_RESULT_METRICS = (
-    "exec_time_s",
-    "l2_mpki",
-    "l3_mpki",
-    "c2c_transactions",
-    "invalidations",
-    "migrations",
-    "first_touch_faults",
-    "injected_faults",
-)
-
-
-def parsim_result_digest(result: "object") -> str:
-    """Canonical digest of a :class:`SimulationResult` for parity sweeps.
-
-    Covers every :class:`~repro.cachesim.stats.CacheStats` field plus the
-    derived metrics ``tests/test_parsim.py`` pins — the full bit-identity
-    surface, reduced to one comparable string.  Floats are digested via
-    ``repr`` so any bit-level drift shows.
-    """
-    stats = {
-        f.name: getattr(result.stats, f.name)
-        for f in dataclasses.fields(type(result.stats))
-    }
-    metrics = {name: result.metric(name) for name in _RESULT_METRICS}
-    payload = json.dumps(
-        {**{k: repr(v) for k, v in stats.items()},
-         **{k: repr(v) for k, v in metrics.items()}},
-        sort_keys=True,
-    )
-    return hashlib.blake2b(payload.encode(), digest_size=16).hexdigest()

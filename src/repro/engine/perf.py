@@ -20,10 +20,6 @@ class PerfCounters:
     wall_s: float = 0.0
     #: time inside ``CoherentHierarchy.access_batch_pu``
     hierarchy_s: float = 0.0
-    #: time the sharded simulator spends in its per-step coherence round
-    #: trip (broadcast + stripe drains + stats merge); the sharded engine's
-    #: replacement for ``hierarchy_s``, zero in single-process mode
-    coherence_s: float = 0.0
     #: time inside the fault pipeline (classification + handling)
     fault_s: float = 0.0
     #: time inside fault hooks (SPCD detection / data-map recording); a
@@ -54,17 +50,9 @@ class PerfCounters:
         """Wall time attributed to a tracked subsystem.
 
         ``detect_s`` is contained in ``fault_s`` and ``match_s`` in
-        ``spcd_s``, so neither is part of the sum.  ``coherence_s`` and
-        ``hierarchy_s`` are disjoint (one is the sharded engine's bucket,
-        the other the single-process engine's), so both are summed.
+        ``spcd_s``, so neither is part of the sum.
         """
-        return (
-            self.hierarchy_s
-            + self.coherence_s
-            + self.fault_s
-            + self.spcd_s
-            + self.workload_s
-        )
+        return self.hierarchy_s + self.fault_s + self.spcd_s + self.workload_s
 
     @property
     def other_s(self) -> float:

@@ -44,9 +44,6 @@ __all__ = [
     "ENV_SERVE_PORT",
     "ENV_SERVE_SHARDS",
     "ENV_SERVE_WORKERS",
-    "ENV_SIM_SHARDS",
-    "ENV_SLOW_HIERARCHY",
-    "ENV_SLOW_MESI",
     "ENV_SLOW_SPCD",
     "ENV_SPARSE_COMM",
     "ENV_TRACE",
@@ -60,14 +57,8 @@ ENV_GRID_WORKERS = "REPRO_GRID_WORKERS"
 ENV_RESULT_CACHE = "REPRO_RESULT_CACHE"
 #: trace sink: a ``.jsonl`` file or a directory (empty/unset = tracing off)
 ENV_TRACE = "REPRO_TRACE"
-#: select the per-access reference cache hierarchy
-ENV_SLOW_HIERARCHY = "REPRO_SLOW_HIERARCHY"
 #: select the per-fault reference fault/SPCD path
 ENV_SLOW_SPCD = "REPRO_SLOW_SPCD"
-#: select the scalar reference MESI drain (keep Legacy L2s, per-run loops)
-ENV_SLOW_MESI = "REPRO_SLOW_MESI"
-#: coherence-stripe worker processes per simulation (1 = single-process)
-ENV_SIM_SHARDS = "REPRO_SIM_SHARDS"
 #: largest sharing-table touch batch handled by the scalar path
 ENV_BATCH_CUTOVER_TOUCH = "REPRO_BATCH_CUTOVER_TOUCH"
 #: largest fault batch resolved by the scalar path
@@ -175,14 +166,8 @@ class RunSettings:
     cache_dir: "str | None" = None
     #: trace sink (``.jsonl`` file or directory); ``None`` disables tracing
     trace: "str | None" = None
-    #: run the per-access reference cache hierarchy (differential testing)
-    slow_hierarchy: bool = False
     #: run the per-fault reference fault/SPCD path (differential testing)
     slow_spcd: bool = False
-    #: run the scalar reference MESI drain (differential testing)
-    slow_mesi: bool = False
-    #: coherence-stripe worker processes per simulation; 1 = single-process
-    sim_shards: int = 1
     #: batches of at most this many sharing-table touches stay scalar
     batch_cutover_touch: int = 12
     #: fault batches of at most this many faults stay scalar
@@ -250,10 +235,6 @@ class RunSettings:
             raise ConfigurationError("cell_retries must be >= 0")
         if self.retry_backoff_s < 0:
             raise ConfigurationError("retry_backoff_s must be >= 0")
-        if self.sim_shards < 1:
-            raise ConfigurationError("sim_shards must be >= 1")
-        if self.sim_shards & (self.sim_shards - 1):
-            raise ConfigurationError("sim_shards must be a power of two")
         if self.batch_cutover_touch < 0:
             raise ConfigurationError("batch_cutover_touch must be >= 0")
         if self.batch_cutover_resolve < 0:
@@ -309,10 +290,7 @@ class RunSettings:
             workers=workers,
             cache_dir=_get(environ, ENV_RESULT_CACHE) or None,
             trace=_get(environ, ENV_TRACE) or None,
-            slow_hierarchy=_env_bool(environ, ENV_SLOW_HIERARCHY),
             slow_spcd=_env_bool(environ, ENV_SLOW_SPCD),
-            slow_mesi=_env_bool(environ, ENV_SLOW_MESI),
-            sim_shards=_env_int(environ, ENV_SIM_SHARDS, 1),
             batch_cutover_touch=_env_int(environ, ENV_BATCH_CUTOVER_TOUCH, 12),
             batch_cutover_resolve=_env_int(environ, ENV_BATCH_CUTOVER_RESOLVE, 4),
             cell_timeout_s=_env_float(environ, ENV_CELL_TIMEOUT, None),

@@ -209,11 +209,7 @@ class Simulator:
         #: REPRO_SLOW_SPCD=1 keeps the per-fault reference path end to end
         #: (scalar resolution loop + dict detection engine)
         self._batch_faults = not self.settings.slow_spcd
-        self.hierarchy = CoherentHierarchy(
-            self.machine,
-            fast_path=not self.settings.slow_hierarchy,
-            batch_mesi=not self.settings.slow_mesi,
-        )
+        self.hierarchy = CoherentHierarchy(self.machine)
         self.time_model = TimeModel(self.machine, params=self.config.time_params)
         self.energy_model = EnergyModel(self.machine, params=self.config.energy_params)
         self.wheel = TimerWheel()
@@ -260,15 +256,6 @@ class Simulator:
         self._accounted_overhead_ns = 0.0
         self.steps_run = 0
         self.perf = PerfCounters()
-        #: REPRO_SIM_SHARDS>1: merged shard counters, fetched once the
-        #: sharded run finishes (the coordinator's own hierarchy stays idle)
-        self._merged_stats: CacheStats | None = None
-        #: live ShardPool while a sharded run() is in flight (observability)
-        self._pool = None
-
-    def _stats(self) -> CacheStats:
-        """The run's cache counters, whichever engine produced them."""
-        return self._merged_stats if self._merged_stats is not None else self.hierarchy.stats
 
     def _pretouch_serial(self) -> None:
         """Fault in every region page from thread 0 (serial init phase)."""
@@ -330,36 +317,10 @@ class Simulator:
                     )
                 )
         t0 = perf_counter()
-        pool = None
-        try:
-            if self.settings.sim_shards > 1:
-                from repro.engine.parsim import ShardPool
-
-                pool = ShardPool(
-                    self.machine,
-                    self.workload,
-                    seed=self.seed,
-                    n_threads=self.workload.n_threads,
-                    batch_size=cfg.batch_size,
-                    n_shards=self.settings.sim_shards,
-                    fast_path=not self.settings.slow_hierarchy,
-                    batch_mesi=not self.settings.slow_mesi,
-                )
-                pool.start()
-                self._pool = pool
-            for step in range(cfg.steps):
-                if pool is not None:
-                    self._step_sharded(pool)
-                else:
-                    self._step()
-                if step_callback is not None:
-                    step_callback(self, step, self.clock.now_ns)
-            if pool is not None:
-                self._merged_stats = pool.final_stats()
-        finally:
-            if pool is not None:
-                pool.close()
-                self._pool = None
+        for step in range(cfg.steps):
+            self._step()
+            if step_callback is not None:
+                step_callback(self, step, self.clock.now_ns)
         self.perf.wall_s += perf_counter() - t0
         if self.manager is not None:
             self.perf.match_s = self.manager.map_wall_s
@@ -375,6 +336,7 @@ class Simulator:
     def _step(self) -> None:
         cfg = self.config
         workload = self.workload
+        pipeline = self.pipeline
         hierarchy = self.hierarchy
         table = self.address_space.page_table
         now = self.clock.now_ns
@@ -399,7 +361,54 @@ class Simulator:
             if self.trace is not None:
                 self.trace.record(tid, now, vaddrs, writes)
             vpns = vaddrs >> PAGE_SHIFT
-            fault_ns = self._handle_thread_faults(tid, pu, vaddrs, vpns, writes, now)
+
+            t_fault = perf_counter()
+            fault_ns_0 = pipeline.fault_time_ns + pipeline.hook_time_ns
+            hook_wall_0 = pipeline.hook_wall_s
+            fault_mask = pipeline.faulting_mask(vpns)
+            had_faults = bool(fault_mask.any())
+            ft_0 = pipeline.first_touch_faults
+            inj_0 = pipeline.injected_faults
+            if had_faults:
+                if self._batch_faults:
+                    fb = pipeline.handle_fault_batch(
+                        tid,
+                        pu,
+                        vaddrs[fault_mask],
+                        writes[fault_mask],
+                        now_ns=now,
+                    )
+                    perf.faults += fb.n_faults
+                else:
+                    fault_vpns, first_idx = np.unique(
+                        vpns[fault_mask], return_index=True
+                    )
+                    fault_positions = np.flatnonzero(fault_mask)[first_idx]
+                    for pos in fault_positions:
+                        pipeline.handle_fault(
+                            tid,
+                            pu,
+                            int(vaddrs[pos]),
+                            is_write=bool(writes[pos]),
+                            now_ns=now,
+                        )
+                    perf.faults += len(fault_positions)
+            fault_ns = (pipeline.fault_time_ns + pipeline.hook_time_ns) - fault_ns_0
+            perf.detect_s += pipeline.hook_wall_s - hook_wall_0
+            perf.fault_s += perf_counter() - t_fault
+            if had_faults and self.recorder is not None:
+                self.recorder.emit(
+                    FaultBatchSummary(
+                        step=self.steps_run,
+                        now_ns=now,
+                        thread_id=tid,
+                        pu_id=pu,
+                        first_touch=pipeline.first_touch_faults - ft_0,
+                        injected=pipeline.injected_faults - inj_0,
+                        fault_time_ns=pipeline.fault_time_ns,
+                        hook_time_ns=pipeline.hook_time_ns,
+                    )
+                )
 
             homes = table.home_nodes(vpns)
             table.mark_accessed_batch(vpns)
@@ -418,122 +427,6 @@ class Simulator:
             batch_ns += fault_ns
             step_time_ns = max(step_time_ns, batch_ns)
 
-        self._advance_step(step_time_ns)
-
-    def _step_sharded(self, pool) -> None:
-        """One step through the :class:`~repro.engine.parsim.ShardPool`.
-
-        Same semantics as :meth:`_step`, re-ordered around the two parallel
-        phases: workers generate every thread's batch up front, the
-        coordinator resolves faults serially in the step's permutation order
-        (computing each thread's home nodes at its turn, exactly as the
-        serial loop does), then one coherence round trip drains all stripes
-        and returns the per-thread counter deltas the time model needs.
-        """
-        cfg = self.config
-        workload = self.workload
-        table = self.address_space.page_table
-        now = self.clock.now_ns
-        batch = cfg.batch_size
-        scale = cfg.time_scale
-        placement = self.scheduler.placement()
-        perf = self.perf
-
-        t_gen = perf_counter()
-        batches = pool.generate(now)
-        perf.workload_s += perf_counter() - t_gen
-
-        order = [int(t) for t in self._order_rng.permutation(workload.n_threads)]
-        pus = {tid: int(placement[tid]) for tid in order}
-        vaddrs_by: dict = {}
-        writes_by: dict = {}
-        homes_by: dict = {}
-        fault_ns_by: dict = {}
-        for tid in order:
-            vaddrs, writes = batches[tid]
-            if self.trace is not None:
-                self.trace.record(tid, now, vaddrs, writes)
-            vpns = vaddrs >> PAGE_SHIFT
-            fault_ns_by[tid] = self._handle_thread_faults(
-                tid, pus[tid], vaddrs, vpns, writes, now
-            )
-            homes_by[tid] = table.home_nodes(vpns)
-            table.mark_accessed_batch(vpns)
-            vaddrs_by[tid] = vaddrs
-            writes_by[tid] = writes
-
-        t_coh = perf_counter()
-        deltas = pool.coherence(order, pus, vaddrs_by, writes_by, homes_by)
-        perf.coherence_s += perf_counter() - t_coh
-
-        step_time_ns = 0.0
-        for tid, delta_tuple in zip(order, deltas):
-            delta = CacheStats(*delta_tuple)
-            perf.accesses += batch
-            instructions = batch * workload.instructions_per_access
-            self.instructions += instructions
-            self.scheduler.tasks[tid].instructions += int(instructions)
-            batch_ns = scale * self.time_model.batch_time_ns(instructions, delta)
-            batch_ns += fault_ns_by[tid]
-            step_time_ns = max(step_time_ns, batch_ns)
-
-        self._advance_step(step_time_ns)
-
-    def _handle_thread_faults(
-        self, tid: int, pu: int, vaddrs, vpns, writes, now: int
-    ) -> float:
-        """Resolve one thread's faulting accesses; returns the fault charge (ns)."""
-        pipeline = self.pipeline
-        perf = self.perf
-        t_fault = perf_counter()
-        fault_ns_0 = pipeline.fault_time_ns + pipeline.hook_time_ns
-        hook_wall_0 = pipeline.hook_wall_s
-        fault_mask = pipeline.faulting_mask(vpns)
-        had_faults = bool(fault_mask.any())
-        ft_0 = pipeline.first_touch_faults
-        inj_0 = pipeline.injected_faults
-        if had_faults:
-            if self._batch_faults:
-                fb = pipeline.handle_fault_batch(
-                    tid,
-                    pu,
-                    vaddrs[fault_mask],
-                    writes[fault_mask],
-                    now_ns=now,
-                )
-                perf.faults += fb.n_faults
-            else:
-                fault_vpns, first_idx = np.unique(vpns[fault_mask], return_index=True)
-                fault_positions = np.flatnonzero(fault_mask)[first_idx]
-                for pos in fault_positions:
-                    pipeline.handle_fault(
-                        tid,
-                        pu,
-                        int(vaddrs[pos]),
-                        is_write=bool(writes[pos]),
-                        now_ns=now,
-                    )
-                perf.faults += len(fault_positions)
-        fault_ns = (pipeline.fault_time_ns + pipeline.hook_time_ns) - fault_ns_0
-        perf.detect_s += pipeline.hook_wall_s - hook_wall_0
-        perf.fault_s += perf_counter() - t_fault
-        if had_faults and self.recorder is not None:
-            self.recorder.emit(
-                FaultBatchSummary(
-                    step=self.steps_run,
-                    now_ns=now,
-                    thread_id=tid,
-                    pu_id=pu,
-                    first_touch=pipeline.first_touch_faults - ft_0,
-                    injected=pipeline.injected_faults - inj_0,
-                    fault_time_ns=pipeline.fault_time_ns,
-                    hook_time_ns=pipeline.hook_time_ns,
-                )
-            )
-        return fault_ns
-
-    def _advance_step(self, step_time_ns: float) -> None:
-        """Shared step tail: clock advance, kernel threads, SPCD charging."""
         self.clock.advance(step_time_ns)
         # Charge SPCD's asynchronous work (injection walks, mapping,
         # migrations) as it accrues.
@@ -544,7 +437,7 @@ class Simulator:
         overhead_delta = self._spcd_async_overhead_ns() - overhead_now
         if overhead_delta > 0:
             self.clock.advance(overhead_delta)
-        self.perf.spcd_s += perf_counter() - t_spcd
+        perf.spcd_s += perf_counter() - t_spcd
         self.steps_run += 1
 
     def _emit_run_end(self, rec: TraceRecorder, result: SimulationResult) -> None:
@@ -553,7 +446,7 @@ class Simulator:
             CacheEpoch(
                 step=self.steps_run,
                 now_ns=self.clock.now_ns,
-                stats=self._stats().as_dict(),
+                stats=self.hierarchy.stats.as_dict(),
             )
         )
         detection_ns = mapping_ns = replication_ns = 0.0
@@ -590,7 +483,7 @@ class Simulator:
     # ------------------------------------------------------------------
     def _result(self) -> SimulationResult:
         cfg = self.config
-        stats = self._stats()
+        stats = self.hierarchy.stats
         total_ns = float(self.clock.now_ns)
         instructions = self.instructions
         energy = self.energy_model.compute(

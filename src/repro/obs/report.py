@@ -603,7 +603,6 @@ def _format_table(reports: list[RunReport]) -> str:
                 "  host: "
                 f"wall {p.get('wall_s', 0.0):.3f}s | "
                 f"hierarchy {p.get('hierarchy_s', 0.0):.3f} | "
-                f"coherence {p.get('coherence_s', 0.0):.3f} | "
                 f"fault {p.get('fault_s', 0.0):.3f} "
                 f"(detect {p.get('detect_s', 0.0):.3f}) | "
                 f"spcd {p.get('spcd_s', 0.0):.3f} "

@@ -62,6 +62,7 @@ MAX_FRAME_BYTES = 16 * 1024 * 1024
 
 _HEADER = struct.Struct("!IB")
 _EVENTS_HEADER = struct.Struct("!qqI")
+_INT64_MIN, _INT64_MAX = -(1 << 63), (1 << 63) - 1
 
 
 class MsgType(IntEnum):
@@ -197,21 +198,33 @@ def parse_body(type_byte: int, body: bytes) -> Frame:
         return Frame(msg_type, decode_events(body))
     try:
         payload = json.loads(body.decode("utf-8")) if body else {}
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers bad UTF-8, bad JSON and over-long integer
+        # literals; RecursionError a pathologically nested body.
         raise ProtocolError(f"bad JSON body in {msg_type.name} frame: {exc}") from exc
     if not isinstance(payload, dict):
         raise ProtocolError(f"{msg_type.name} body must be a JSON object")
     if msg_type is MsgType.EVENTS_JSON:
-        try:
-            batch = EventBatch(
-                tid=int(payload["tid"]),
-                now_ns=int(payload["now_ns"]),
-                vaddrs=np.asarray(payload["vaddrs"], dtype=np.int64),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ProtocolError(f"bad EVENTS_JSON payload: {exc}") from exc
-        return Frame(MsgType.EVENTS, batch)
+        return Frame(MsgType.EVENTS, _events_from_json(payload))
     return Frame(msg_type, payload)
+
+
+def _events_from_json(payload: "dict[str, Any]") -> EventBatch:
+    """The EVENTS_JSON batch, held to the binary ``!qqI`` header's domain:
+    int64 ``tid`` and ``now_ns``, and a flat list of int64 addresses."""
+    try:
+        tid = int(payload["tid"])
+        now_ns = int(payload["now_ns"])
+        vaddrs = payload["vaddrs"]
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise ProtocolError(f"bad EVENTS_JSON payload: {exc}") from exc
+    if not (_INT64_MIN <= tid <= _INT64_MAX and _INT64_MIN <= now_ns <= _INT64_MAX):
+        raise ProtocolError("bad EVENTS_JSON payload: tid and now_ns must fit in int64")
+    if not isinstance(vaddrs, list) or not all(
+        type(v) is int and _INT64_MIN <= v <= _INT64_MAX for v in vaddrs
+    ):
+        raise ProtocolError("bad EVENTS_JSON payload: vaddrs must be a flat list of int64")
+    return EventBatch(tid=tid, now_ns=now_ns, vaddrs=np.asarray(vaddrs, dtype=np.int64))
 
 
 def _check_length(length: int) -> None:

@@ -1,0 +1,115 @@
+"""Fuzz of the serve wire decoder: a Frame or a ProtocolError, nothing else.
+
+Every byte string a client can send must decode to a
+:class:`~repro.serve.protocol.Frame` or raise
+:class:`~repro.errors.ProtocolError` — both from :func:`parse_body` and
+from :func:`read_frame` over a fed ``StreamReader`` — because any other
+exception escapes the server's read loop and leaks the session.  Inputs
+are any type byte with any body, plus near-valid JSON bodies whose
+fields stray just outside the protocol's domain.
+"""
+
+from __future__ import annotations
+
+import asyncio
+import json
+
+from hypothesis import given
+from hypothesis import strategies as st
+
+from repro.errors import ProtocolError
+from repro.serve import protocol
+from repro.serve.protocol import Frame, MsgType
+
+#: JSON values that sit at or past the edge of an int64 field
+_EDGE_NUMBERS = st.one_of(
+    st.integers(),
+    st.integers(min_value=-(1 << 70), max_value=1 << 70),
+    st.sampled_from([-(1 << 63) - 1, -(1 << 63), (1 << 63) - 1, 1 << 63]),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+_JSON_SCALARS = st.one_of(st.none(), st.booleans(), st.text(max_size=8), _EDGE_NUMBERS)
+_JSON_VALUES = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    ),
+    max_leaves=12,
+)
+
+
+@st.composite
+def _events_json_bodies(draw) -> bytes:
+    """EVENTS_JSON objects with each field valid, odd, missing or extra."""
+    payload = {}
+    for key in ("tid", "now_ns"):
+        if draw(st.booleans()):
+            payload[key] = draw(_JSON_VALUES)
+    if draw(st.booleans()):
+        payload["vaddrs"] = draw(
+            st.one_of(st.lists(_EDGE_NUMBERS, max_size=6), _JSON_VALUES)
+        )
+    payload.update(draw(st.dictionaries(st.text(max_size=6), _JSON_SCALARS, max_size=2)))
+    return json.dumps(payload).encode()
+
+
+_NEAR_VALID_JSON = st.one_of(
+    _events_json_bodies(),
+    _JSON_VALUES.map(lambda value: json.dumps(value).encode()),
+    st.integers(1, 100_000).map(lambda depth: b"[" * depth),
+    st.integers(1, 5_000).map(lambda digits: b'{"tid": 1' + b"0" * digits + b"}"),
+)
+_JSON_TYPES = st.sampled_from([int(t) for t in MsgType if t is not MsgType.EVENTS])
+
+_INPUTS = st.one_of(
+    st.tuples(st.integers(0, 255), st.binary(max_size=256)),
+    st.tuples(_JSON_TYPES, _NEAR_VALID_JSON),
+    st.tuples(st.just(int(MsgType.EVENTS)), st.binary(max_size=64)),
+)
+
+
+def _read_frame_from(data: bytes):
+    async def read():
+        reader = asyncio.StreamReader()
+        reader.feed_data(data)
+        reader.feed_eof()
+        return await protocol.read_frame(reader)
+
+    return asyncio.run(read())
+
+
+@given(_INPUTS)
+def test_parse_body_yields_frame_or_protocol_error(case):
+    type_byte, body = case
+    try:
+        frame = protocol.parse_body(type_byte, body)
+    except ProtocolError:
+        return
+    assert isinstance(frame, Frame)
+
+
+@given(_INPUTS, st.booleans())
+def test_read_frame_yields_frame_or_protocol_error(case, truncate):
+    """A framed input, or the same bytes cut short before the body ends."""
+    type_byte, body = case
+    data = protocol._HEADER.pack(len(body), type_byte) + body
+    if truncate:
+        data = data[: len(data) // 2]
+    try:
+        frame = _read_frame_from(data)
+    except ProtocolError:
+        return
+    if not data:
+        assert frame is None
+    else:
+        assert isinstance(frame, Frame)
+
+
+@given(st.binary(max_size=64))
+def test_read_frame_on_arbitrary_bytes(data):
+    try:
+        frame = _read_frame_from(data)
+    except ProtocolError:
+        return
+    assert frame is None if not data else isinstance(frame, Frame)

@@ -111,7 +111,7 @@ ENGINE_API = {
 
 class TestTopLevel:
     def test_version(self):
-        assert repro.__version__ == "1.4.0"
+        assert repro.__version__ == "2.0.0"
 
     def test_api_surface_snapshot(self):
         assert set(repro.__all__) == TOP_LEVEL_API

@@ -1,9 +1,12 @@
 """Tests for the MESI-coherent cache hierarchy."""
 
+import dataclasses
+
 import pytest
 
 from repro.cachesim.hierarchy import NO_OWNER, CoherentHierarchy
 from repro.cachesim.line import iter_set_bits, lowest_set_bit, popcount
+from repro.cachesim.stats import CacheStats
 from repro.machine.topology import build_machine
 
 
@@ -167,3 +170,13 @@ class TestBatch:
         h = CoherentHierarchy(small_machine)
         h.access_batch(np.array([0, 2]), np.array([9, 9]), np.array([True, True]), np.array([0, 0]))
         assert h.stats.c2c_inter == 1
+
+
+def test_snapshot_matches_dataclass_field_order():
+    """`CacheStats.snapshot` must track the dataclass field order exactly."""
+    stats = CacheStats(**{
+        f.name: i + 1 for i, f in enumerate(dataclasses.fields(CacheStats))
+    })
+    assert stats.snapshot() == tuple(
+        getattr(stats, f.name) for f in dataclasses.fields(CacheStats)
+    )

@@ -80,6 +80,31 @@ class TestProtocol:
         with pytest.raises(ProtocolError):
             protocol.parse_body(int(MsgType.HELLO), b"[1,2]")
 
+    def _events_json(self, body: bytes):
+        return protocol.parse_body(int(MsgType.EVENTS_JSON), body)
+
+    def test_events_json_infinite_tid_rejected(self):
+        with pytest.raises(ProtocolError):
+            self._events_json(b'{"tid": 1e400, "now_ns": 0, "vaddrs": [4096]}')
+
+    def test_events_json_vaddr_beyond_int64_rejected(self):
+        with pytest.raises(ProtocolError):
+            self._events_json(b'{"tid": 1, "now_ns": 0, "vaddrs": [9223372036854775808]}')
+
+    def test_events_json_scalar_vaddrs_rejected(self):
+        with pytest.raises(ProtocolError):
+            self._events_json(b'{"tid": 1, "now_ns": 0, "vaddrs": 7}')
+
+    def test_events_json_nested_vaddrs_rejected(self):
+        with pytest.raises(ProtocolError):
+            self._events_json(
+                b'{"tid": 1, "now_ns": 0, "vaddrs": [[4096, 8192], [4096, 8192]]}'
+            )
+
+    def test_deeply_nested_hello_rejected(self):
+        with pytest.raises(ProtocolError):
+            protocol.parse_body(int(MsgType.HELLO), b"[" * 200_000)
+
     def test_oversized_frame_rejected_at_encode(self):
         with pytest.raises(ProtocolError):
             protocol.encode_events(
@@ -656,6 +681,35 @@ class TestServerE2E:
 
                 await asyncio.get_running_loop().run_in_executor(None, bad_client)
                 # give the server a beat to finish the teardown
+                for _ in range(50):
+                    if not server._connections:
+                        break
+                    await asyncio.sleep(0.02)
+                assert not server._connections
+
+        asyncio.run(scenario())
+
+    def test_malformed_events_json_draws_error_then_eof(self, machine):
+        """An unparseable EVENTS_JSON frame is answered with ERROR, the
+        connection is closed, and the session is released."""
+        from repro.serve import MappingServer
+
+        async def scenario():
+            async with MappingServer(self._config(), machine=machine) as server:
+                reader, writer = await asyncio.open_connection("127.0.0.1", server.port)
+                hello = {"tenant": "bad", "n_threads": 4, "config": {"table_size": 4096}}
+                await protocol.write_frame(writer, protocol.encode(MsgType.HELLO, hello))
+                welcome = await protocol.read_frame(reader)
+                assert welcome.type is MsgType.WELCOME
+                body = b'{"tid": 1e400, "now_ns": 0, "vaddrs": [4096]}'
+                await protocol.write_frame(
+                    writer, protocol._HEADER.pack(len(body), MsgType.EVENTS_JSON) + body
+                )
+                error = await asyncio.wait_for(protocol.read_frame(reader), 5.0)
+                assert error.type is MsgType.ERROR
+                assert error.payload["code"] == "protocol"
+                assert await asyncio.wait_for(protocol.read_frame(reader), 5.0) is None
+                writer.close()
                 for _ in range(50):
                     if not server._connections:
                         break

@@ -49,9 +49,27 @@ class TestBasicRun:
         assert a.exec_time_s != b.exec_time_s
 
     def test_cache_invariants_after_run(self):
-        sim = Simulator(make_npb("CG"), "os", seed=1, config=FAST)
-        sim.run()
-        assert sim.hierarchy.check_invariants() == []
+        """Coherence invariants hold throughout a run whose threads migrate,
+        and every access is counted exactly once per level it reaches."""
+        cfg = EngineConfig(batch_size=192, steps=80)
+        sim = Simulator(
+            make_npb("SP"), "spcd", seed=3, config=cfg,
+            spcd_config=SpcdConfig(filter_min_events=32),
+        )
+        checked = []
+
+        def check(sim, step, now):
+            if step % 10 == 9:
+                assert sim.hierarchy.check_invariants() == [], f"after step {step}"
+                checked.append(step)
+
+        res = sim.run(check)
+        assert len(checked) == cfg.steps // 10
+        assert res.migrations >= 1
+        s = res.stats
+        assert s.l1_hits + s.l1_misses == res.perf.accesses
+        assert s.l1_misses == s.l2_hits + s.l2_misses
+        assert s.l2_misses == s.l3_hits + s.l3_misses
 
     def test_instruction_count_matches_config(self):
         wl = make_npb("BT")
