@@ -28,10 +28,10 @@ import pytest
 
 from repro.engine.cache import ResultCache
 from repro.engine.gridrunner import run_cell, run_grid
-from repro.engine.policies import Policy
 from repro.engine.runner import MetricStats, summarize
 from repro.engine.settings import RunSettings
 from repro.engine.simulator import EngineConfig, SimulationResult, Simulator
+from repro.placement import resolve_policy
 from repro.rng import derive_seed
 from repro.workloads.npb import NPB_SPECS, make_npb
 
@@ -107,7 +107,7 @@ class SuiteCache:
         """
         key = (bench, policy, rep)
         if key not in self._sims:
-            seed = derive_seed(BASE_SEED, "rep", rep, Policy.parse(policy).value)
+            seed = derive_seed(BASE_SEED, "rep", rep, resolve_policy(policy).name)
             sim = Simulator(
                 make_npb(bench), policy, seed=seed, config=engine_config()
             )

@@ -74,9 +74,9 @@ def run_spcd_fault_bench(
     Every batch clears the present bits of ``faults_per_batch`` random pages
     (the injector's effect) and then resolves them — through one
     ``handle_fault_batch`` call on the fast stack, and through the reference
-    per-fault loop (ascending unique VPNs, as ``Simulator._step`` replays
-    them under ``REPRO_SLOW_SPCD=1``) on the slow stack.  Asserts both end
-    states match bit for bit before reporting throughput.
+    per-fault loop (one ``handle_fault`` per unique VPN, ascending — the
+    order ``handle_fault_batch`` resolves in) on the slow stack.  Asserts
+    both end states match bit for bit before reporting throughput.
     """
     rng = np.random.default_rng(seed)
     fast = _build_stack("array", n_threads, n_pages, table_size)

@@ -57,7 +57,6 @@ from repro.engine import (
     CellFailure,
     EngineConfig,
     GridResult,
-    Policy,
     ResultCache,
     RunSettings,
     SimulationResult,
@@ -77,7 +76,7 @@ from repro.placement import (
 )
 from repro.workloads import ProducerConsumerWorkload, SyntheticNpbWorkload, make_npb
 
-__version__ = "2.0.0"
+__version__ = "3.0.0"
 
 __all__ = [
     "CellFailure",
@@ -92,7 +91,6 @@ __all__ = [
     "PartitionPageRankWorkload",
     "PlacementDecision",
     "PlacementPolicy",
-    "Policy",
     "ProducerConsumerWorkload",
     "ResultCache",
     "RunSettings",

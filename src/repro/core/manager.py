@@ -16,16 +16,15 @@ paper's Fig. 16 split into *detection overhead* (fault hook + injection) and
 from __future__ import annotations
 
 import hashlib
-import logging
 import math
 from dataclasses import dataclass
-from time import perf_counter
 
 import numpy as np
 
+from repro.core.decide import RemapGate
 from repro.core.filter import CommunicationFilter
 from repro.core.injector import FaultInjector, InjectorMode
-from repro.core.mapping import make_mapper, mapping_comm_cost
+from repro.core.mapping import make_mapper, select_mapper_algorithm
 from repro.core.spcd import SpcdDetector
 from repro.kernelsim.kthread import TimerWheel
 from repro.kernelsim.migration import MigrationEngine
@@ -39,13 +38,6 @@ from repro.obs.recorder import TraceRecorder
 from repro.placement.decision import PageMigration, PlacementDecision, PlacementView
 from repro.placement.policy import PlacementPolicy, ThreadPlacementPolicy
 from repro.units import MSEC, PAGE_SIZE
-
-_log = logging.getLogger(__name__)
-
-#: standalone-default for the Edmonds -> hierarchical auto-switch; mirrors
-#: ``RunSettings.map_hierarchical_min_n`` (the simulator threads the settings
-#: value through ``SpcdConfig.hierarchical_min_n``)
-DEFAULT_HIERARCHICAL_MIN_N = 128
 
 
 def matrix_digest(matrix) -> str:
@@ -115,21 +107,15 @@ class SpcdConfig:
     mapping_cost_ns_per_n3: float = 30.0
     detect_cost_ns: float = 250.0
     clear_cost_ns: float = 150.0
-    #: detection engine: "array" (vectorised fast engine), "dict" (per-fault
-    #: reference engine), or None to follow ``REPRO_SLOW_SPCD``
-    detector_engine: str | None = None
     #: also perform SPCD-driven *data* mapping (NUMA page migration) — the
     #: extension the paper names in Sec. IV; see repro.core.datamap
     data_mapping: bool = False
     data_scan_period_ns: int = 100 * MSEC
     #: mapping engine: "edmonds", "hierarchical", or None = resolve by
     #: precedence (explicit config > placement policy's ``mapper_algorithm``
-    #: > thread-count auto-switch)
+    #: > thread-count auto-switch; see
+    #: :func:`repro.core.mapping.select_mapper_algorithm`)
     mapper_algorithm: str | None = None
-    #: auto-switch to the hierarchical mapper at this thread count; None
-    #: uses :data:`DEFAULT_HIERARCHICAL_MIN_N` (the simulator threads
-    #: ``REPRO_MAP_HIERARCHICAL_MIN_N`` through here)
-    hierarchical_min_n: int | None = None
     #: store the detection matrix as a
     #: :class:`~repro.graphs.sparse.SparseCommMatrix` (digest-identical;
     #: ``REPRO_SPARSE_COMM``)
@@ -170,7 +156,6 @@ class SpcdManager:
         timer_wheel: TimerWheel | None = None,
         config: SpcdConfig | None = None,
         recorder: TraceRecorder | None = None,
-        scalar_touch_max: "int | None" = None,
         placement: PlacementPolicy | None = None,
     ) -> None:
         self.machine = machine
@@ -192,8 +177,6 @@ class SpcdManager:
             table_size=cfg.table_size,
             detect_cost_ns=cfg.detect_cost_ns,
             pipeline=pipeline,
-            engine=cfg.detector_engine,
-            scalar_touch_max=scalar_touch_max,
             sparse_matrix=cfg.sparse_matrix,
         )
         self.injector = FaultInjector(
@@ -214,13 +197,16 @@ class SpcdManager:
             hysteresis=cfg.filter_hysteresis,
             margin=cfg.filter_margin,
         )
-        self.mapper_algorithm = self._select_mapper_algorithm(cfg)
+        self.mapper_algorithm = select_mapper_algorithm(
+            n_threads, cfg.mapper_algorithm, self.placement
+        )
         self.mapper = make_mapper(
             self.mapper_algorithm,
             machine,
             use_greedy_matching=cfg.use_greedy_matching,
             stickiness=cfg.mapper_stickiness,
         )
+        self.gate = RemapGate(machine, self.mapper, self.filter, cfg)
         self.migrator = MigrationEngine(scheduler, tlbs, recorder=recorder)
         self.data_mapper = None
         if cfg.data_mapping or self.placement.maps_data:
@@ -237,8 +223,6 @@ class SpcdManager:
         #: + layout); harvested into ``PerfCounters.match_s`` at run end
         self.map_wall_s = 0.0
         self._mapping_history: list[tuple[int, np.ndarray]] = []
-        self._events_at_last_trigger = 0.0
-        self._last_migration_ns = -(1 << 62)
         if timer_wheel is not None:
             timer_wheel.register("spcd-injector", cfg.injector_period_ns, self.injector.wake)
             timer_wheel.register("spcd-evaluate", cfg.eval_period_ns, self.evaluate)
@@ -249,36 +233,6 @@ class SpcdManager:
                 timer_wheel.register(
                     "spcd-datamap", cfg.data_scan_period_ns, self.data_mapper.scan
                 )
-
-    def _select_mapper_algorithm(self, cfg: SpcdConfig) -> str:
-        """Resolve the mapping engine for this run.
-
-        Precedence: explicit ``SpcdConfig.mapper_algorithm``, then the
-        placement policy's ``mapper_algorithm`` attribute (the ``spcd-hier``
-        policy), then the thread-count auto-switch — Edmonds stays the
-        default below the threshold, so every paper-scale digest is
-        untouched.
-        """
-        explicit = cfg.mapper_algorithm or getattr(
-            self.placement, "mapper_algorithm", None
-        )
-        if explicit:
-            return str(explicit)
-        min_n = (
-            cfg.hierarchical_min_n
-            if cfg.hierarchical_min_n is not None
-            else DEFAULT_HIERARCHICAL_MIN_N
-        )
-        if self.n_threads >= min_n:
-            _log.info(
-                "mapping: auto-selected the hierarchical mapper "
-                "(n_threads=%d >= REPRO_MAP_HIERARCHICAL_MIN_N=%d); "
-                "Edmonds matching would be O(n^3) here",
-                self.n_threads,
-                min_n,
-            )
-            return "hierarchical"
-        return "edmonds"
 
     # -- periodic evaluation ---------------------------------------------------
     def evaluate(self, now_ns: int) -> bool:
@@ -302,7 +256,7 @@ class SpcdManager:
         # evidence since the previous one; barely-communicating
         # applications (EP) accumulate events so slowly that they remap
         # at most once, as in the paper's Table II.
-        fresh = self.detector.stats.comm_events - self._events_at_last_trigger
+        fresh = self.gate.fresh_events(self.detector.stats.comm_events)
         try:
             decision = self.placement.evaluate(self._view(now_ns, matrix, fresh))
             verdict = decision.verdict
@@ -321,7 +275,7 @@ class SpcdManager:
                         verdict=verdict,
                         fresh_events=float(fresh),
                         partners=[int(p) for p in matrix.partners()],
-                        matrix_digest=self._matrix_digest(matrix),
+                        matrix_digest=matrix_digest(matrix),
                         mapping_ns=self.overheads.mapping_ns,
                     )
                 )
@@ -339,7 +293,7 @@ class SpcdManager:
             table=table,
             node_faults=self.data_mapper,
             pt_replicated=bool(getattr(table, "active", False)),
-            _thread_proposal=lambda: self._propose_thread_mapping(now_ns, matrix, fresh),
+            _thread_proposal=lambda: self._propose_thread_mapping(now_ns, matrix),
             _page_proposal=self._propose_page_migrations,
             current_placement=tuple(
                 int(p) for p in self.migrator.scheduler.placement()
@@ -347,30 +301,26 @@ class SpcdManager:
         )
 
     def _propose_thread_mapping(
-        self, now_ns: int, matrix, fresh: float
+        self, now_ns: int, matrix
     ) -> "tuple[np.ndarray | None, str, float, float]":
-        """Evidence gates + mapper; ``(mapping|None, verdict, cost_now, cost_new)``.
+        """The remap gate plus the simulator's bookkeeping.
 
-        This is the pre-placement evaluation body verbatim: the fresh-
-        evidence quota, the migration cooldown, the communication filter,
-        the mapper call with its virtual cost, the improvement veto and
-        the :class:`MappingDecision` trace event all behave identically
-        regardless of which placement policy asks for the proposal.
+        Returns ``(mapping|None, verdict, cost_now, cost_new)``.  The gate
+        (:class:`~repro.core.decide.RemapGate`) decides; whenever the
+        mapper ran, the manager charges its virtual cost, adds its host
+        time to :attr:`map_wall_s` and traces a :class:`MappingDecision`,
+        whichever placement policy asked for the proposal.
         """
-        if fresh < self.config.filter_min_events:
-            return None, "insufficient-evidence", 0.0, 0.0
-        if now_ns - self._last_migration_ns < self.config.remap_cooldown_ns:
-            return None, "cooldown", 0.0, 0.0
-        if self.config.filter_enabled and not self.filter.should_remap(matrix):
-            return None, "pattern-unchanged", 0.0, 0.0
-        if not self.config.filter_enabled and matrix.total() == 0:
-            return None, "no-communication", 0.0, 0.0
-        self._events_at_last_trigger = self.detector.stats.comm_events
         current = self.migrator.scheduler.placement()
-        t_map = perf_counter()
-        mapping = self.mapper.map(matrix, current=current)
-        decide_wall_s = perf_counter() - t_map
-        self.map_wall_s += decide_wall_s
+        proposal = self.gate.decide(
+            matrix,
+            current,
+            comm_events=self.detector.stats.comm_events,
+            now_ns=now_ns,
+        )
+        if proposal.mapping is None:
+            return None, proposal.verdict, 0.0, 0.0
+        self.map_wall_s += proposal.map_wall_s
         self.overheads.mapper_calls += 1
         n = self.n_threads
         if self.mapper_algorithm == "hierarchical":
@@ -381,30 +331,22 @@ class SpcdManager:
             )
         else:
             self.overheads.mapping_ns += self.config.mapping_cost_ns_per_n3 * n**3
-        cost_now = mapping_comm_cost(matrix.matrix, current, self.machine)
-        cost_new = mapping_comm_cost(matrix.matrix, mapping, self.machine)
-        vetoed = cost_now > 0 and cost_new > self.config.min_improvement * cost_now
         if self.recorder is not None:
             self.recorder.emit(
                 MappingDecision(
                     now_ns=int(now_ns),
                     current=[int(p) for p in current],
-                    proposed=[int(p) for p in mapping],
-                    cost_now=float(cost_now),
-                    cost_new=float(cost_new),
-                    accepted=not vetoed,
+                    proposed=[int(p) for p in proposal.mapping],
+                    cost_now=proposal.cost_now,
+                    cost_new=proposal.cost_new,
+                    accepted=proposal.accepted,
                     algorithm=self.mapper_algorithm,
                     matrix_density=float(matrix.density()),
-                    decide_wall_s=float(decide_wall_s),
+                    decide_wall_s=float(proposal.map_wall_s),
                 )
             )
-        if vetoed:
-            # Vetoed: the filter's snapshot stays updated — the change
-            # was considered and judged not worth a migration.  If the
-            # pattern keeps evolving, partners will drift against the
-            # new snapshot and re-trigger naturally.
-            return None, "vetoed", float(cost_now), float(cost_new)
-        return mapping, "proposed", float(cost_now), float(cost_new)
+        mapping = proposal.mapping if proposal.accepted else None
+        return mapping, proposal.verdict, proposal.cost_now, proposal.cost_new
 
     def _propose_page_migrations(self) -> "tuple[tuple[PageMigration, ...], int]":
         """Scan the node-fault counters; ``(migrations, shared_deferred)``.
@@ -454,7 +396,7 @@ class SpcdManager:
             mapping = np.asarray(decision.thread_mapping, dtype=np.int64)
             moved = self.migrator.apply_mapping(mapping, now_ns)
             if moved:
-                self._last_migration_ns = now_ns
+                self.gate.record_remap(now_ns)
                 self._mapping_history.append((now_ns, mapping.copy()))
         if self.recorder is not None and (
             pages_moved or decision.page_migrations or replicated or decision.shared_deferred
@@ -475,11 +417,6 @@ class SpcdManager:
                 )
             )
         return moved, pages_moved, replicated
-
-    @staticmethod
-    def _matrix_digest(matrix) -> str:
-        """Short content digest of the matrix snapshot (trace audit anchor)."""
-        return matrix_digest(matrix)
 
     # -- reporting ---------------------------------------------------------------
     @property

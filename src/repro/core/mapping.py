@@ -14,6 +14,8 @@ fall back to a greedy affinity packing for that level.
 
 from __future__ import annotations
 
+import logging
+
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
@@ -24,12 +26,16 @@ from repro.errors import MappingError
 from repro.machine.topology import CommDistance, Machine
 
 __all__ = [
+    "AUTO_HIERARCHICAL_THREADS",
     "HierarchicalMapper",
     "MAPPER_ALGORITHMS",
     "lay_out_socket_groups",
     "make_mapper",
     "mapping_comm_cost",
+    "select_mapper_algorithm",
 ]
+
+_log = logging.getLogger(__name__)
 
 #: Relative communication cost per distance class, used only for *evaluating*
 #: mapping quality (tests/oracle comparisons), not by the algorithm itself.
@@ -320,6 +326,38 @@ def mapping_comm_cost(
 #: from :mod:`repro.graphs.hiermap`, which trades exact matchings for
 #: near-linear decision latency at 128+ threads.
 MAPPER_ALGORITHMS = ("edmonds", "hierarchical")
+
+#: thread count from which :func:`select_mapper_algorithm` picks the
+#: hierarchical mapper when nothing names an engine: Edmonds matching is
+#: O(n^3) per grouping level, and every paper-scale run (and its digest)
+#: sits below this
+AUTO_HIERARCHICAL_THREADS = 128
+
+
+def select_mapper_algorithm(
+    n_threads: int, algorithm: "str | None" = None, policy: object = None
+) -> str:
+    """The registered mapping engine for decisions over *n_threads*.
+
+    Precedence: the explicit *algorithm* (``SpcdConfig.mapper_algorithm``),
+    then the *policy*'s ``mapper_algorithm`` attribute (the ``spcd-hier``
+    placement policy), then the thread-count auto-switch at
+    :data:`AUTO_HIERARCHICAL_THREADS` — Edmonds below it, so every
+    paper-scale digest is untouched.  The simulator, serve and the oracle
+    all select their mapper here.
+    """
+    explicit = algorithm or getattr(policy, "mapper_algorithm", None)
+    if explicit:
+        return str(explicit)
+    if n_threads >= AUTO_HIERARCHICAL_THREADS:
+        _log.info(
+            "mapping: auto-selected the hierarchical mapper "
+            "(n_threads=%d >= %d); Edmonds matching would be O(n^3) here",
+            n_threads,
+            AUTO_HIERARCHICAL_THREADS,
+        )
+        return "hierarchical"
+    return "edmonds"
 
 
 def make_mapper(

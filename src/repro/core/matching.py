@@ -50,8 +50,10 @@ __all__ = [
 ]
 
 
-#: below this many vertices the pure-Python loops beat the numpy engine
-_ARRAY_MIN_VERTICES = 48
+#: the smallest vertex count at which the numpy engine beat the pure-Python
+#: one in every round of an alternating timing on complete integer graphs
+#: (n = 48..128; DESIGN.md §7.4); below it the reference engine is faster
+_ARRAY_MIN_VERTICES = 112
 
 
 def max_weight_matching(

@@ -22,9 +22,10 @@ single vectorised pass over an :class:`~repro.core.hashtable.ArrayShareTable`
 and the windowed communication events are scattered into the matrix with
 ``np.add.at``.  The ``"dict"`` engine is the original per-fault
 implementation over the dict-backed
-:class:`~repro.core.hashtable.ShareTable`; it is selected by
-``REPRO_SLOW_SPCD=1`` and serves as the differential-testing reference —
-both engines produce bit-identical matrices, stats and table counters.
+:class:`~repro.core.hashtable.ShareTable`; it is the differential-testing
+reference that ``tests/test_spcd_parity.py`` and
+``benchmarks/spcd_faultbench.py`` construct explicitly — both engines
+produce bit-identical matrices, stats and table counters.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ import numpy as np
 from repro.core.commmatrix import CommunicationMatrix
 from repro.core.hashtable import DEFAULT_TABLE_SIZE, ArrayShareTable, ShareTable
 from repro.errors import ConfigurationError
-from repro.mem.fault import FaultBatch, FaultInfo, FaultPipeline, slow_spcd_requested
+from repro.mem.fault import FaultBatch, FaultInfo, FaultPipeline
 from repro.units import MSEC, PAGE_SIZE
 
 #: fault batches at or below this size take the detector's scalar pass
@@ -74,8 +75,7 @@ class SpcdDetector:
             work (constant-time, Sec. III-C4) — feeds the Fig. 16 overhead
             accounting.
         engine: ``"array"`` (vectorised batch engine, the default) or
-            ``"dict"`` (per-fault reference engine).  ``None`` follows
-            ``REPRO_SLOW_SPCD``.
+            ``"dict"`` (per-fault reference engine, a test oracle).
     """
 
     def __init__(
@@ -87,16 +87,13 @@ class SpcdDetector:
         table_size: int = DEFAULT_TABLE_SIZE,
         detect_cost_ns: float = 250.0,
         pipeline: FaultPipeline | None = None,
-        engine: str | None = None,
-        scalar_touch_max: "int | None" = None,
+        engine: str = "array",
         sparse_matrix: bool = False,
     ) -> None:
         if granularity <= 0:
             raise ConfigurationError("granularity must be positive")
         if window_ns <= 0:
             raise ConfigurationError("temporal window must be positive")
-        if engine is None:
-            engine = "dict" if slow_spcd_requested() else "array"
         if engine not in ("array", "dict"):
             raise ConfigurationError("detector engine must be 'array' or 'dict'")
         self.granularity = granularity
@@ -104,9 +101,7 @@ class SpcdDetector:
         self.detect_cost_ns = detect_cost_ns
         self.engine = engine
         if engine == "array":
-            self.table: ArrayShareTable | ShareTable = ArrayShareTable(
-                table_size, n_threads, scalar_touch_max=scalar_touch_max
-            )
+            self.table: ArrayShareTable | ShareTable = ArrayShareTable(table_size, n_threads)
         else:
             self.table = ShareTable(table_size)
         if sparse_matrix:

@@ -10,7 +10,6 @@ from repro.engine.cache import ResultCache, code_version
 from repro.engine.energy import EnergyModel, EnergyParams
 from repro.engine.gridrunner import CellFailure, GridResult, run_cell, run_grid
 from repro.engine.metrics import TimeModel, TimeParams
-from repro.engine.policies import Policy
 from repro.engine.runner import (
     MetricStats,
     run_replicated,
@@ -27,7 +26,6 @@ __all__ = [
     "EngineConfig",
     "GridResult",
     "MetricStats",
-    "Policy",
     "ResultCache",
     "RunSettings",
     "SimulationResult",

@@ -47,7 +47,6 @@ from repro.core.manager import SpcdConfig
 from repro.engine import cache as _cache_mod
 from repro.engine import checkpoint as _checkpoint
 from repro.engine import pool as _pool
-from repro.engine.policies import Policy
 from repro.engine.runner import (
     REPORT_METRICS,
     ReplicatedResult,
@@ -74,9 +73,6 @@ from repro.workloads.npb import make_npb
 __all__ = [
     "CellFailure",
     "GridResult",
-    "ResultCache",
-    "code_version",
-    "default_workers",
     "run_cell",
     "run_grid",
 ]
@@ -84,37 +80,6 @@ __all__ = [
 #: a workload in a grid: an NPB benchmark name, a zero-arg factory, or an
 #: explicit ``(name, factory)`` pair
 WorkloadSpec = "str | WorkloadFactory | tuple[str, WorkloadFactory]"
-
-#: sentinel distinguishing "not passed" from an explicit ``None``
-_UNSET = object()
-
-# names that moved to repro.engine.cache / repro.engine.settings; served
-# through the module-level __getattr__ deprecation shim below
-_MOVED = {
-    "ResultCache": "repro.engine.cache",
-    "code_version": "repro.engine.cache",
-    "default_workers": "repro.engine.settings (RunSettings.from_env().workers)",
-}
-
-
-def _deprecated_default_workers() -> int:
-    """Former ``REPRO_GRID_WORKERS`` reader; superseded by RunSettings."""
-    return RunSettings.from_env().workers
-
-
-def __getattr__(name: str):
-    if name in _MOVED:
-        warnings.warn(
-            f"repro.engine.gridrunner.{name} moved to {_MOVED[name]}; "
-            "the old import path will be removed in a future release",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        if name == "default_workers":
-            return _deprecated_default_workers
-        return getattr(_cache_mod, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
 
 def _resolve_spec(spec: "WorkloadSpec") -> tuple[str, WorkloadFactory]:
     """Normalise a workload spec to ``(name, factory)``."""
@@ -247,19 +212,6 @@ def _run_cell_job(payload: tuple) -> SimulationResult:
 # ---------------------------------------------------------------------------
 # settings / kwarg resolution
 # ---------------------------------------------------------------------------
-def _normalize_cache_kwarg(cache, cache_dir, func: str):
-    """Fold the deprecated ``cache_dir=`` spelling into ``cache=``."""
-    if cache_dir is not _UNSET:
-        warnings.warn(
-            f"{func}(cache_dir=...) is deprecated; pass cache=<dir or ResultCache>",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        if cache is None:
-            cache = cache_dir
-    return cache
-
-
 def _effective_settings(settings: "RunSettings | None", **overrides) -> RunSettings:
     """Explicit kwargs > explicit ``settings`` > the environment."""
     base = settings if settings is not None else RunSettings.from_env()
@@ -277,7 +229,7 @@ def _resolve_cache(cache, eff: RunSettings) -> "_cache_mod.ResultCache | None":
 
 def run_cell(
     workload: "WorkloadSpec",
-    policy: "PlacementPolicy | str | Policy",
+    policy: "PlacementPolicy | str",
     rep: int = 0,
     *,
     base_seed: int = 42,
@@ -287,7 +239,6 @@ def run_cell(
     cache: "object | None" = None,
     trace: "str | os.PathLike | None" = None,
     settings: "RunSettings | None" = None,
-    cache_dir=_UNSET,
 ) -> tuple[SimulationResult, bool]:
     """One grid cell, through the cache; returns ``(result, was_cached)``.
 
@@ -298,11 +249,7 @@ def run_cell(
     writes its JSONL trace to :func:`repro.obs.recorder.cell_trace_path`;
     cells served from the cache do not re-run and produce no trace.  The
     recorder never participates in the cache key.
-
-    .. deprecated:: 1.1
-       the ``cache_dir=`` keyword; spell it ``cache=``.
     """
-    cache = _normalize_cache_kwarg(cache, cache_dir, "run_cell")
     eff = _effective_settings(
         settings,
         cache_dir=None
@@ -419,7 +366,7 @@ def _resolve_manifest(
 
 def run_grid(
     workloads: Sequence["WorkloadSpec"],
-    policies: Sequence["PlacementPolicy | str | Policy"] = (
+    policies: Sequence["PlacementPolicy | str"] = (
         "os",
         "random",
         "oracle",
@@ -442,7 +389,6 @@ def run_grid(
     retry_backoff_s: "float | None" = None,
     keep_runs: bool = False,
     progress: "Callable[[str], None] | None" = None,
-    cache_dir=_UNSET,
 ) -> GridResult:
     """Run a ``workloads x policies x reps`` grid of simulations.
 
@@ -474,15 +420,11 @@ def run_grid(
     ``grid-*.jsonl`` file for ``python -m repro.obs.report``.  Trace
     configuration is deliberately excluded from the cell cache keys:
     tracing never changes results.
-
-    .. deprecated:: 1.1
-       the ``cache_dir=`` keyword; spell it ``cache=``.
     """
     if reps <= 0:
         raise ConfigurationError("reps must be positive")
     if not workloads or not policies:
         raise ConfigurationError("run_grid needs at least one workload and one policy")
-    cache = _normalize_cache_kwarg(cache, cache_dir, "run_grid")
     eff = _effective_settings(
         settings,
         workers=workers,

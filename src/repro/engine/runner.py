@@ -8,14 +8,12 @@ normalisation against the OS baseline for the figures.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import stats as sps
 
 from repro.core.manager import SpcdConfig
-from repro.engine.policies import Policy
 from repro.engine.settings import RunSettings
 from repro.engine.simulator import EngineConfig, SimulationResult, Simulator
 from repro.errors import ConfigurationError
@@ -27,9 +25,6 @@ from repro.workloads.base import Workload
 from typing import Callable
 
 WorkloadFactory = Callable[[], Workload]
-
-#: sentinel distinguishing "not passed" from an explicit ``None``
-_UNSET = object()
 
 
 @dataclass(frozen=True)
@@ -91,7 +86,7 @@ class ReplicatedResult:
 
 def run_single(
     workload_factory: WorkloadFactory,
-    policy: "PlacementPolicy | str | Policy",
+    policy: "PlacementPolicy | str",
     *,
     machine: Machine | None = None,
     seed: int = 0,
@@ -114,7 +109,7 @@ def run_single(
 
 def run_replicated(
     workload_factory: WorkloadFactory,
-    policy: "PlacementPolicy | str | Policy",
+    policy: "PlacementPolicy | str",
     *,
     machine: Machine | None = None,
     reps: int = 3,
@@ -126,7 +121,6 @@ def run_replicated(
     cache: "object | None" = None,
     trace: "object | None" = None,
     settings: "RunSettings | None" = None,
-    cache_dir=_UNSET,
 ) -> ReplicatedResult:
     """Run *reps* repetitions with derived seeds; summarise every metric.
 
@@ -139,22 +133,10 @@ def run_replicated(
     :func:`repro.engine.gridrunner.run_grid` (same seed protocol, so the
     result is identical to the serial path) and inherits its fault
     tolerance: timeouts, retries and checkpointed resume.
-
-    .. deprecated:: 1.1
-       the ``cache_dir=`` keyword; spell it ``cache=``.
     """
     if reps <= 0:
         raise ConfigurationError("reps must be positive")
     policy = resolve_policy(policy)
-    if cache_dir is not _UNSET:
-        warnings.warn(
-            "run_replicated(cache_dir=...) is deprecated; "
-            "pass cache=<dir or ResultCache>",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        if cache is None:
-            cache = cache_dir
     if trace is not None:
         base = settings if settings is not None else RunSettings.from_env()
         settings = base.with_overrides(trace=str(trace))

@@ -1,6 +1,6 @@
 """Typed run configuration — the single home of every ``REPRO_*`` env read.
 
-Historically the grid runner, the trace recorder and the slow-path
+Historically the grid runner, the trace recorder and the engine
 selectors each read their own environment variable at their own call
 site, so the set of knobs that shaped a run was scattered across four
 modules.  :class:`RunSettings` consolidates them: a frozen dataclass
@@ -22,13 +22,10 @@ from dataclasses import dataclass, fields, replace
 from repro.errors import ConfigurationError
 
 __all__ = [
-    "ENV_BATCH_CUTOVER_RESOLVE",
-    "ENV_BATCH_CUTOVER_TOUCH",
     "ENV_CELL_RETRIES",
     "ENV_CELL_TIMEOUT",
     "ENV_GRID_STRICT",
     "ENV_GRID_WORKERS",
-    "ENV_MAP_HIERARCHICAL_MIN_N",
     "ENV_PLACEMENT_WALK",
     "ENV_PLACEMENT_WALK_LOCAL_NS",
     "ENV_PLACEMENT_WALK_REMOTE_NS",
@@ -44,7 +41,6 @@ __all__ = [
     "ENV_SERVE_PORT",
     "ENV_SERVE_SHARDS",
     "ENV_SERVE_WORKERS",
-    "ENV_SLOW_SPCD",
     "ENV_SPARSE_COMM",
     "ENV_TRACE",
     "RunSettings",
@@ -57,12 +53,6 @@ ENV_GRID_WORKERS = "REPRO_GRID_WORKERS"
 ENV_RESULT_CACHE = "REPRO_RESULT_CACHE"
 #: trace sink: a ``.jsonl`` file or a directory (empty/unset = tracing off)
 ENV_TRACE = "REPRO_TRACE"
-#: select the per-fault reference fault/SPCD path
-ENV_SLOW_SPCD = "REPRO_SLOW_SPCD"
-#: largest sharing-table touch batch handled by the scalar path
-ENV_BATCH_CUTOVER_TOUCH = "REPRO_BATCH_CUTOVER_TOUCH"
-#: largest fault batch resolved by the scalar path
-ENV_BATCH_CUTOVER_RESOLVE = "REPRO_BATCH_CUTOVER_RESOLVE"
 #: per-cell wall-clock timeout in seconds (unset = no timeout)
 ENV_CELL_TIMEOUT = "REPRO_CELL_TIMEOUT_S"
 #: retries after a cell's first failed attempt (default 2)
@@ -99,9 +89,6 @@ ENV_PLACEMENT_WALK_REMOTE_NS = "REPRO_PLACEMENT_WALK_REMOTE_NS"
 ENV_PT_REPLICATE = "REPRO_PT_REPLICATE"
 #: store detection matrices sparsely (dict-of-rows, digest-identical)
 ENV_SPARSE_COMM = "REPRO_SPARSE_COMM"
-#: thread count at which mapping auto-switches from Edmonds matching to
-#: the scalable hierarchical partitioner
-ENV_MAP_HIERARCHICAL_MIN_N = "REPRO_MAP_HIERARCHICAL_MIN_N"
 
 _TRUE = ("1", "true", "yes", "on")
 _FALSE = ("", "0", "false", "no", "off")
@@ -166,12 +153,6 @@ class RunSettings:
     cache_dir: "str | None" = None
     #: trace sink (``.jsonl`` file or directory); ``None`` disables tracing
     trace: "str | None" = None
-    #: run the per-fault reference fault/SPCD path (differential testing)
-    slow_spcd: bool = False
-    #: batches of at most this many sharing-table touches stay scalar
-    batch_cutover_touch: int = 12
-    #: fault batches of at most this many faults stay scalar
-    batch_cutover_resolve: int = 4
     #: per-cell wall-clock timeout in seconds; ``None`` = no timeout
     cell_timeout_s: "float | None" = None
     #: retries after a cell's first failed attempt (0 = fail immediately)
@@ -221,10 +202,6 @@ class RunSettings:
     #: store detection matrices as :class:`~repro.graphs.sparse.SparseCommMatrix`
     #: (bit-identical digests; O(nnz) memory and mapper input at scale)
     sparse_comm: bool = False
-    #: thread count at which the SPCD manager auto-selects the scalable
-    #: hierarchical mapper over Edmonds matching (paper-scale runs — and
-    #: their digests — sit below the default and are untouched)
-    map_hierarchical_min_n: int = 128
 
     def __post_init__(self) -> None:
         if self.workers < 1:
@@ -235,10 +212,6 @@ class RunSettings:
             raise ConfigurationError("cell_retries must be >= 0")
         if self.retry_backoff_s < 0:
             raise ConfigurationError("retry_backoff_s must be >= 0")
-        if self.batch_cutover_touch < 0:
-            raise ConfigurationError("batch_cutover_touch must be >= 0")
-        if self.batch_cutover_resolve < 0:
-            raise ConfigurationError("batch_cutover_resolve must be >= 0")
         if not 0 <= self.serve_port <= 65535:
             raise ConfigurationError("serve_port must be in [0, 65535]")
         if self.serve_metrics_port is not None and not 0 <= self.serve_metrics_port <= 65535:
@@ -259,8 +232,6 @@ class RunSettings:
             raise ConfigurationError("placement_walk_local_ns must be positive (or None)")
         if self.placement_walk_remote_ns is not None and self.placement_walk_remote_ns <= 0:
             raise ConfigurationError("placement_walk_remote_ns must be positive (or None)")
-        if self.map_hierarchical_min_n < 2:
-            raise ConfigurationError("map_hierarchical_min_n must be >= 2")
 
     @classmethod
     def from_env(cls, environ: "dict[str, str] | None" = None) -> "RunSettings":
@@ -290,9 +261,6 @@ class RunSettings:
             workers=workers,
             cache_dir=_get(environ, ENV_RESULT_CACHE) or None,
             trace=_get(environ, ENV_TRACE) or None,
-            slow_spcd=_env_bool(environ, ENV_SLOW_SPCD),
-            batch_cutover_touch=_env_int(environ, ENV_BATCH_CUTOVER_TOUCH, 12),
-            batch_cutover_resolve=_env_int(environ, ENV_BATCH_CUTOVER_RESOLVE, 4),
             cell_timeout_s=_env_float(environ, ENV_CELL_TIMEOUT, None),
             cell_retries=_env_int(environ, ENV_CELL_RETRIES, 2),
             retry_backoff_s=_env_float(environ, ENV_RETRY_BACKOFF, 0.25) or 0.0,
@@ -317,7 +285,6 @@ class RunSettings:
             ),
             pt_replicate=_env_bool(environ, ENV_PT_REPLICATE),
             sparse_comm=_env_bool(environ, ENV_SPARSE_COMM),
-            map_hierarchical_min_n=_env_int(environ, ENV_MAP_HIERARCHICAL_MIN_N, 128),
         )
 
     def with_overrides(self, **overrides: object) -> "RunSettings":

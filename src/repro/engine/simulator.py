@@ -33,7 +33,6 @@ from repro.core.manager import SpcdConfig, SpcdManager
 from repro.engine.energy import EnergyBreakdown, EnergyModel, EnergyParams
 from repro.engine.metrics import TimeModel, TimeParams
 from repro.engine.perf import PerfCounters
-from repro.engine.policies import Policy
 from repro.engine.settings import RunSettings
 from repro.errors import ConfigurationError, SimulationError
 from repro.kernelsim.clock import VirtualClock
@@ -125,7 +124,7 @@ class Simulator:
     def __init__(
         self,
         workload: Workload,
-        policy: "PlacementPolicy | str | Policy",
+        policy: "PlacementPolicy | str",
         *,
         machine: Machine | None = None,
         seed: int = 0,
@@ -135,8 +134,8 @@ class Simulator:
         settings: RunSettings | None = None,
     ) -> None:
         self.workload = workload
-        #: the typed placement policy; ``policy`` accepts an instance, a
-        #: name string, or (deprecated, warns) a legacy ``Policy`` member
+        #: the typed placement policy; ``policy`` accepts an instance or a
+        #: name string
         self.placement: PlacementPolicy = resolve_policy(policy)
         #: the policy's stable name (seed derivation, result rows, traces)
         self.policy: str = self.placement.name
@@ -144,9 +143,9 @@ class Simulator:
         self.config = config or EngineConfig()
         self.seed = seed
         self.rngs = RngFactory(seed)
-        # Execution-environment knobs (slow reference paths, tracing):
-        # an explicit settings object wins; otherwise the environment
-        # (RunSettings.from_env()) decides, exactly as before.
+        # Execution-environment knobs (tracing, placement extras): an
+        # explicit settings object wins; otherwise the environment
+        # (RunSettings.from_env()) decides.
         self.settings = settings if settings is not None else RunSettings.from_env()
         # Tracing: an explicit recorder wins; otherwise the settings' trace
         # base enables a JSONL recorder (a NullRecorder or no trace base
@@ -187,7 +186,6 @@ class Simulator:
             frames,
             self.tlbs,
             node_of_pu=self.machine.numa_node_of,
-            scalar_resolve_max=self.settings.batch_cutover_resolve,
         )
         # NUMA-aware page-table-walk charging (REPRO_PLACEMENT_WALK):
         # enabled before the pretouch so the serial init phase homes the
@@ -206,9 +204,6 @@ class Simulator:
                 else numa.pt_walk_level_ns(local=False)
             )
             self.pipeline.enable_numa_walk(local_ns, remote_ns)
-        #: REPRO_SLOW_SPCD=1 keeps the per-fault reference path end to end
-        #: (scalar resolution loop + dict detection engine)
-        self._batch_faults = not self.settings.slow_spcd
         self.hierarchy = CoherentHierarchy(self.machine)
         self.time_model = TimeModel(self.machine, params=self.config.time_params)
         self.energy_model = EnergyModel(self.machine, params=self.config.energy_params)
@@ -228,13 +223,8 @@ class Simulator:
             # left the knob at its default — an explicit SpcdConfig wins, and
             # default runs keep default semantics (and digests) untouched.
             effective_spcd = spcd_config or SpcdConfig()
-            overrides: dict[str, object] = {}
             if self.settings.sparse_comm and not effective_spcd.sparse_matrix:
-                overrides["sparse_matrix"] = True
-            if effective_spcd.hierarchical_min_n is None:
-                overrides["hierarchical_min_n"] = self.settings.map_hierarchical_min_n
-            if overrides:
-                effective_spcd = dataclasses.replace(effective_spcd, **overrides)
+                effective_spcd = dataclasses.replace(effective_spcd, sparse_matrix=True)
             self.manager = SpcdManager(
                 self.machine,
                 n,
@@ -245,7 +235,6 @@ class Simulator:
                 timer_wheel=self.wheel,
                 config=effective_spcd,
                 recorder=self.recorder,
-                scalar_touch_max=self.settings.batch_cutover_touch,
                 placement=self.placement,
             )
         self.trace = TraceCollector() if self.config.collect_trace else None
@@ -260,30 +249,17 @@ class Simulator:
     def _pretouch_serial(self) -> None:
         """Fault in every region page from thread 0 (serial init phase)."""
         pu0 = int(self.scheduler.pu_of(0))
-        if self._batch_faults:
-            # One bulk first-touch mapping per region: identical page-table
-            # state, frames and counters as the per-VPN reference loop.
-            for region in self.address_space.regions():
-                vpns = region.vpns()
-                if vpns.size == 0:
-                    continue
-                self.pipeline.handle_fault_batch(
-                    0,
-                    pu0,
-                    vpns << PAGE_SHIFT,
-                    np.ones(vpns.size, dtype=bool),
-                    now_ns=self.clock.now_ns,
-                )
-            return
         for region in self.address_space.regions():
-            for vpn in region.vpns():
-                self.pipeline.handle_fault(
-                    0,
-                    pu0,
-                    int(vpn) << PAGE_SHIFT,
-                    is_write=True,
-                    now_ns=self.clock.now_ns,
-                )
+            vpns = region.vpns()
+            if vpns.size == 0:
+                continue
+            self.pipeline.handle_fault_batch(
+                0,
+                pu0,
+                vpns << PAGE_SHIFT,
+                np.ones(vpns.size, dtype=bool),
+                now_ns=self.clock.now_ns,
+            )
 
     # ------------------------------------------------------------------
     def run(self, step_callback: StepCallback | None = None) -> SimulationResult:
@@ -370,29 +346,14 @@ class Simulator:
             ft_0 = pipeline.first_touch_faults
             inj_0 = pipeline.injected_faults
             if had_faults:
-                if self._batch_faults:
-                    fb = pipeline.handle_fault_batch(
-                        tid,
-                        pu,
-                        vaddrs[fault_mask],
-                        writes[fault_mask],
-                        now_ns=now,
-                    )
-                    perf.faults += fb.n_faults
-                else:
-                    fault_vpns, first_idx = np.unique(
-                        vpns[fault_mask], return_index=True
-                    )
-                    fault_positions = np.flatnonzero(fault_mask)[first_idx]
-                    for pos in fault_positions:
-                        pipeline.handle_fault(
-                            tid,
-                            pu,
-                            int(vaddrs[pos]),
-                            is_write=bool(writes[pos]),
-                            now_ns=now,
-                        )
-                    perf.faults += len(fault_positions)
+                fb = pipeline.handle_fault_batch(
+                    tid,
+                    pu,
+                    vaddrs[fault_mask],
+                    writes[fault_mask],
+                    now_ns=now,
+                )
+                perf.faults += fb.n_faults
             fault_ns = (pipeline.fault_time_ns + pipeline.hook_time_ns) - fault_ns_0
             perf.detect_s += pipeline.hook_wall_s - hook_wall_0
             perf.fault_s += perf_counter() - t_fault

@@ -22,7 +22,8 @@ subsystem grows the reproduction toward the ROADMAP's irregular regime:
   Schulz/Woydt-style shared-memory hierarchical process mapping by
   recursive bisection + local search over the machine's topology tree,
   registered beside the Edmonds blossom engine
-  (``REPRO_MAP_HIERARCHICAL_MIN_N`` auto-selects it at scale).
+  (:func:`repro.core.mapping.select_mapper_algorithm` auto-selects it at
+  scale).
 """
 
 from repro.graphs.graph import (

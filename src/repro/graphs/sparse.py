@@ -7,8 +7,8 @@ communication at 128-1024 threads fills well under 10% of the dense matrix,
 so the detection hot path (``add_events``) and the scalable mapper touch
 ``O(nnz)`` cells instead of ``O(n^2)``.
 
-**Bit-parity discipline** (the same contract the REPRO_SLOW_SPCD engine
-follows): every mutation applies the *same float operations in the same
+**Bit-parity discipline** (the same contract the array detection engine
+keeps against the dict reference engine): every mutation applies the *same float operations in the same
 order* as the dense backend — ``add``/``add_events`` accumulate cell by
 cell exactly as ``np.add.at`` does, ``merge`` adds per cell, ``decay``
 multiplies per cell — so fold/merge/digest/CSV results are bit-identical

@@ -6,18 +6,15 @@ restoring a present bit SPCD cleared — and then run registered hooks with the
 full fault information (faulting thread, address, time, kind).  SPCD's
 communication detection registers exactly one such hook.
 
-Two resolution paths exist, mirroring the cache hierarchy's fast/reference
-split:
-
-* :meth:`FaultPipeline.handle_fault` resolves one fault at a time — the
-  reference path, selected end-to-end by ``REPRO_SLOW_SPCD=1``;
-* :meth:`FaultPipeline.handle_fault_batch` resolves every unique faulting
-  VPN of one thread batch in a single vectorised pass (bulk present-bit
-  restore, bulk frame allocation, bulk mapping and TLB refill) and hands the
-  whole fault vector to batch-aware hooks as one :class:`FaultBatch`.
-
-Both paths produce bit-identical page-table state, counters and hook
-observations; ``tests/test_spcd_parity.py`` pins the equivalence.
+:meth:`FaultPipeline.handle_fault_batch` is the fault path: it resolves
+every unique faulting VPN of one thread batch in a single vectorised pass
+(bulk present-bit restore, bulk frame allocation, bulk mapping and TLB
+refill) and hands the whole fault vector to batch-aware hooks as one
+:class:`FaultBatch`.  Batches of at most :data:`_SCALAR_RESOLVE_MAX` faults
+take a scalar resolver with the same contract and results;
+:meth:`FaultPipeline.handle_fault` is that resolver called on one fault,
+the per-fault reference ``tests/test_spcd_parity.py`` checks the
+vectorised pass against.
 """
 
 from __future__ import annotations
@@ -34,18 +31,6 @@ from repro.mem.addresspace import AddressSpace
 from repro.mem.physmem import FrameAllocator
 from repro.mem.tlb import TlbArray
 from repro.units import PAGE_SHIFT
-
-
-def slow_spcd_requested() -> bool:
-    """True when ``REPRO_SLOW_SPCD`` selects the reference fault/SPCD path.
-
-    Delegates to :class:`repro.engine.settings.RunSettings` — the single
-    home of every ``REPRO_*`` environment read.  (Imported lazily: the
-    engine imports this module.)
-    """
-    from repro.engine.settings import RunSettings
-
-    return RunSettings.from_env().slow_spcd
 
 
 class FaultKind(enum.Enum):
@@ -143,7 +128,6 @@ class FaultPipeline:
         node_of_pu: Callable[[int], int],
         first_touch_cost_ns: float = 2500.0,
         injected_cost_ns: float = 900.0,
-        scalar_resolve_max: "int | None" = None,
     ) -> None:
         self.address_space = address_space
         self.frames = frames
@@ -151,11 +135,6 @@ class FaultPipeline:
         self.node_of_pu = node_of_pu
         self.first_touch_cost_ns = first_touch_cost_ns
         self.injected_cost_ns = injected_cost_ns
-        #: batch-size cutover below which handle_fault_batch resolves
-        #: scalarly (``RunSettings.batch_cutover_resolve`` when plumbed)
-        self.scalar_resolve_max = (
-            _SCALAR_RESOLVE_MAX if scalar_resolve_max is None else scalar_resolve_max
-        )
         self._hooks: list[FaultHook] = []
         self._batch_hooks: list[FaultBatchHook] = []
         #: when True, each fault's page-table walk additionally charges
@@ -233,62 +212,14 @@ class FaultPipeline:
         now_ns: int,
     ) -> FaultInfo:
         """Resolve one fault and run the hooks; returns the fault record."""
-        table = self.address_space.page_table
-        vpn = vaddr >> PAGE_SHIFT
-        if table.is_present(vpn):
-            raise PageFaultError(f"vpn {vpn} is present; no fault to handle")
-
-        table.walk(vpn)  # handler performs one page-table walk (Sec. III-C4)
-        if self.numa_walk:
-            self.fault_time_ns += table.charge_walk(vpn, self.node_of_pu(pu_id))
-        if table.is_populated(vpn):
-            kind = FaultKind.INJECTED
-            table.restore_present(vpn)
-            home_node = table.home_node_of(vpn)
-            self.injected_faults += 1
-            self.fault_time_ns += self.injected_cost_ns
-        else:
-            kind = FaultKind.FIRST_TOUCH
-            home_node = self.node_of_pu(pu_id)
-            frame = self.frames.allocate(home_node)
-            home_node = self.frames.node_of_frame(frame)
-            table.map_page(vpn, frame, home_node)
-            self.first_touch_faults += 1
-            self.fault_time_ns += self.first_touch_cost_ns
-
-        table.mark_accessed(vpn, dirty=is_write)
-        if self.tlbs is not None:
-            self.tlbs[pu_id].insert(vpn, table.frame_of(vpn))
-
-        info = FaultInfo(
-            thread_id=thread_id,
-            pu_id=pu_id,
-            vaddr=vaddr,
-            vpn=vpn,
-            now_ns=now_ns,
-            is_write=is_write,
-            kind=kind,
-            home_node=home_node,
+        batch = self._handle_small_batch(
+            thread_id,
+            pu_id,
+            np.array([vaddr], dtype=np.int64),
+            np.array([is_write], dtype=bool),
+            now_ns,
         )
-        if self._hooks or self._batch_hooks:
-            t0 = perf_counter()
-            if self._batch_hooks:
-                batch = FaultBatch(
-                    thread_id=thread_id,
-                    pu_id=pu_id,
-                    now_ns=now_ns,
-                    vaddrs=np.array([vaddr], dtype=np.int64),
-                    vpns=np.array([vpn], dtype=np.int64),
-                    is_write=np.array([is_write], dtype=bool),
-                    injected=np.array([kind is FaultKind.INJECTED], dtype=bool),
-                    home_nodes=np.array([home_node], dtype=np.int64),
-                )
-                for hook in self._batch_hooks:
-                    hook(batch)
-            for hook in self._hooks:
-                hook(info)
-            self.hook_wall_s += perf_counter() - t0
-        return info
+        return batch.infos()[0]
 
     def handle_fault_batch(
         self,
@@ -308,7 +239,7 @@ class FaultPipeline:
         """
         vaddrs = np.asarray(vaddrs, dtype=np.int64)
         is_write = np.asarray(is_write, dtype=bool)
-        if vaddrs.size <= self.scalar_resolve_max:
+        if vaddrs.size <= _SCALAR_RESOLVE_MAX:
             return self._handle_small_batch(thread_id, pu_id, vaddrs, is_write, now_ns)
         all_vpns = vaddrs >> PAGE_SHIFT
         vpns, first = np.unique(all_vpns, return_index=True)

@@ -8,8 +8,9 @@ to the best mapping.  Here the oracle can draw on two equivalent sources:
   what an infinite trace would converge to), or
 * an actual captured trace, analysed page by page.
 
-Both feed the same hierarchical mapper that SPCD uses online, so the
-comparison isolates *detection quality*, exactly as in the paper.
+Both feed the mapper SPCD itself would select for the thread count
+(:func:`repro.core.mapping.select_mapper_algorithm`), so the comparison
+isolates *detection quality*, exactly as in the paper.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.commmatrix import CommunicationMatrix
-from repro.core.mapping import HierarchicalMapper
+from repro.core.mapping import make_mapper, select_mapper_algorithm
 from repro.machine.topology import Machine
 from repro.workloads.base import Workload
 from repro.workloads.trace import TraceCollector
@@ -66,5 +67,5 @@ def oracle_mapping(
         matrix = matrix_from_trace(trace, workload.n_threads)
     else:
         matrix = matrix_from_ground_truth(workload)
-    mapper = HierarchicalMapper(machine)
+    mapper = make_mapper(select_mapper_algorithm(workload.n_threads), machine)
     return mapper.map(matrix)

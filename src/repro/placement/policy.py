@@ -1,4 +1,4 @@
-"""Typed placement policies — the public successor of the ``Policy`` enum.
+"""Typed placement policies.
 
 A :class:`PlacementPolicy` bundles everything one placement strategy
 needs: how threads start (``make_scheduler``), whether the SPCD machinery
@@ -30,24 +30,17 @@ registered mapping engine per
 ``spcd`` reproduces the pre-placement engine bit for bit
 (``tests/test_placement.py`` pins it); the new names compose the
 mechanisms the paper's Sec. IV sketches and Phoenix/Mitosis motivate.
-
-The legacy :class:`repro.engine.policies.Policy` *enum members* resolve
-here with a :class:`DeprecationWarning`; plain strings are the stable
-spelling and never warn.
 """
 
 from __future__ import annotations
 
-import enum
-import warnings
 from typing import TYPE_CHECKING, Protocol, runtime_checkable
 
 import numpy as np
 
-from repro.core.mapping import HierarchicalMapper
 from repro.errors import ConfigurationError
 from repro.kernelsim.scheduler import CfsLikeScheduler, PinnedScheduler, Scheduler
-from repro.oracle.analyzer import matrix_from_ground_truth
+from repro.oracle.analyzer import oracle_mapping
 from repro.placement.decision import PlacementDecision, PlacementView
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -172,8 +165,7 @@ class OraclePolicy(_StaticPolicy):
     ) -> Scheduler:
         """Pin threads by mapping the ground-truth communication matrix."""
         n = _check_fits(machine, workload)
-        matrix = matrix_from_ground_truth(workload)
-        mapping = HierarchicalMapper(machine).map(matrix)
+        mapping = oracle_mapping(workload, machine)
         scheduler = PinnedScheduler(machine, n, [int(p) for p in mapping])
         scheduler.start()
         return scheduler
@@ -239,9 +231,9 @@ class HierThreadPlacementPolicy(ThreadPlacementPolicy):
     Identical pipeline and gates to ``spcd``; only the mapping engine
     differs (:class:`~repro.graphs.hiermap.ScalableHierarchicalMapper`,
     recursive bisection + local search instead of Edmonds matching).  Use
-    it to force the scalable engine below the
-    ``REPRO_MAP_HIERARCHICAL_MIN_N`` auto-switch, e.g. for quality
-    comparisons at paper scale.
+    it to force the scalable engine below the auto-switch
+    (:data:`repro.core.mapping.AUTO_HIERARCHICAL_THREADS`), e.g. for
+    quality comparisons at paper scale.
     """
 
     name = "spcd-hier"
@@ -307,23 +299,12 @@ def canonical_policies() -> "dict[str, PlacementPolicy]":
     }
 
 
-def resolve_policy(policy: "PlacementPolicy | str | enum.Enum") -> PlacementPolicy:
+def resolve_policy(policy: "PlacementPolicy | str") -> PlacementPolicy:
     """Resolve *policy* to a :class:`PlacementPolicy` instance.
 
-    Accepts a policy object (returned as-is), a case-insensitive name
-    string, or — deprecated — a :class:`repro.engine.policies.Policy`
-    enum member, which warns and maps to its canonical instance.
+    Accepts a policy object (returned as-is) or a case-insensitive name
+    string.
     """
-    # Enum check must come first: the legacy Policy is a str-enum, so its
-    # members would otherwise silently take the plain-string path.
-    if isinstance(policy, enum.Enum):
-        warnings.warn(
-            "passing a Policy enum member is deprecated; pass the policy "
-            f"name {policy.value!r} or a PlacementPolicy instance",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        policy = str(policy.value)
     if isinstance(policy, str):
         registry = canonical_policies()
         name = policy.lower()

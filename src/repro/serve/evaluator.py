@@ -1,10 +1,10 @@
 """Periodic mapping evaluation for the serving layer.
 
-:class:`MappingEvaluator` is the service-side mirror of
-:meth:`repro.core.manager.SpcdManager.evaluate`: the same gate sequence
-(fresh-evidence quota, remap cooldown, communication filter), the same
-hierarchical Edmonds mapper and the same improvement veto, reusing
-:mod:`repro.core.filter` / :mod:`repro.core.mapping` unchanged.  The one
+:class:`MappingEvaluator` takes serve's remap decisions through the same
+code as :meth:`repro.core.manager.SpcdManager.evaluate`: the
+:class:`~repro.core.decide.RemapGate` (fresh-evidence quota, remap
+cooldown, communication filter, mapper, improvement veto) over a mapper
+chosen by :func:`~repro.core.mapping.select_mapper_algorithm`.  The one
 structural difference is the trigger: the simulator evaluates on a virtual
 10 ms kernel timer, while a session evaluates every
 ``eval_every_events`` *ingested events* (:class:`EvalCadence`) — a tenant's
@@ -28,9 +28,10 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
+from repro.core.decide import RemapGate
 from repro.core.filter import CommunicationFilter
 from repro.core.manager import matrix_digest
-from repro.core.mapping import HierarchicalMapper, mapping_comm_cost
+from repro.core.mapping import make_mapper, select_mapper_algorithm
 from repro.core.spcd import SpcdDetector
 from repro.errors import ConfigurationError
 from repro.machine.topology import Machine, dual_xeon_e5_2650
@@ -107,7 +108,7 @@ class EvalCadence:
 
 
 class MappingEvaluator:
-    """The filter + mapper + veto pipeline bound to one tenant.
+    """The remap gate bound to one tenant.
 
     Holds the tenant's notion of "current placement" — initially the
     identity mapping (thread *t* on PU *t*), updated on every accepted
@@ -129,16 +130,16 @@ class MappingEvaluator:
             hysteresis=cfg.filter_hysteresis,
             margin=cfg.filter_margin,
         )
-        self.mapper = HierarchicalMapper(
+        self.mapper = make_mapper(
+            select_mapper_algorithm(cfg.n_threads),
             machine,
             use_greedy_matching=cfg.use_greedy_matching,
             stickiness=cfg.mapper_stickiness,
         )
+        self.gate = RemapGate(machine, self.mapper, self.filter, cfg)
         self.current = np.arange(cfg.n_threads, dtype=np.int64)
         self.evaluations = 0
         self.remaps = 0
-        self._events_at_last_trigger = 0.0
-        self._last_remap_ns = -(1 << 62)
 
     def decide(
         self,
@@ -160,36 +161,29 @@ class MappingEvaluator:
         drain evaluation) bypasses the evidence quota and the cooldown but
         still runs the filter and the improvement veto.
         """
-        cfg = self.config
         self.evaluations += 1
-        fresh = comm_events - self._events_at_last_trigger
-        if not force:
-            if fresh < cfg.filter_min_events:
-                return "insufficient-evidence", None
-            if now_ns - self._last_remap_ns < cfg.remap_cooldown_ns:
-                return "cooldown", None
-        if cfg.filter_enabled and not self.filter.should_remap(matrix):
-            return "pattern-unchanged", None
-        if not cfg.filter_enabled and matrix.total() == 0:
-            return "no-communication", None
-        self._events_at_last_trigger = comm_events
-        mapping = self.mapper.map(matrix, current=self.current)
-        cost_now = mapping_comm_cost(matrix.matrix, self.current, self.machine)
-        cost_new = mapping_comm_cost(matrix.matrix, mapping, self.machine)
-        if cost_now > 0 and cost_new > cfg.min_improvement * cost_now:
-            return "vetoed", None
+        proposal = self.gate.decide(
+            matrix,
+            self.current,
+            comm_events=comm_events,
+            now_ns=now_ns,
+            force=force,
+        )
+        if not proposal.accepted:
+            return proposal.verdict, None
+        mapping = proposal.mapping
         if np.array_equal(mapping, self.current):
             return "no-move", None
         self.current = mapping
         self.remaps += 1
-        self._last_remap_ns = now_ns
+        self.gate.record_remap(now_ns)
         return "migrated", MappingUpdate(
             evaluation=self.evaluations,
             events_seen=int(events_seen),
             now_ns=int(now_ns),
             mapping=[int(p) for p in mapping],
-            cost_now=float(cost_now),
-            cost_new=float(cost_new),
+            cost_now=proposal.cost_now,
+            cost_new=proposal.cost_new,
             matrix_digest=digest if digest is not None else matrix_digest(matrix),
         )
 

@@ -23,7 +23,9 @@ merge order — the property the acceptance test pins against
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
+from numbers import Integral
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -62,10 +64,10 @@ def validate_tid(tid: int, n_threads: int) -> None:
             f"thread id {tid} outside the session's {n_threads} threads"
         )
 
-#: HELLO payload keys a client may override (everything else is server policy)
+#: HELLO ``config`` keys a client may override (everything else is server
+#: policy; the thread count travels in the HELLO itself)
 SESSION_OVERRIDE_KEYS = frozenset(
     {
-        "n_threads",
         "granularity",
         "window_ns",
         "table_size",
@@ -82,6 +84,38 @@ SESSION_OVERRIDE_KEYS = frozenset(
         "matrix_decay",
     }
 )
+
+#: SessionConfig fields holding counts, sizes or nanoseconds: ints that fit
+#: the int64 arrays and arithmetic the detection path runs on
+_INT_FIELDS = (
+    "n_threads",
+    "granularity",
+    "window_ns",
+    "table_size",
+    "shards",
+    "eval_every_events",
+    "filter_threshold",
+    "remap_cooldown_ns",
+)
+#: SessionConfig fields holding a tunable real number
+_REAL_FIELDS = (
+    "filter_hysteresis",
+    "filter_margin",
+    "filter_min_events",
+    "min_improvement",
+    "mapper_stickiness",
+    "matrix_decay",
+)
+_BOOL_FIELDS = ("filter_enabled", "use_greedy_matching")
+
+
+def _is_int64(value: object) -> bool:
+    """An integer (not a bool) that fits in 64 bits."""
+    return (
+        isinstance(value, Integral)
+        and not isinstance(value, bool)
+        and -(1 << 63) <= value < (1 << 63)
+    )
 
 
 @dataclass(frozen=True)
@@ -113,6 +147,20 @@ class SessionConfig:
     matrix_decay: float = 1.0
 
     def __post_init__(self) -> None:
+        # Types first: HELLO overrides are arbitrary JSON, and a value of
+        # the wrong type must be refused here, not crash the session later.
+        for name in _INT_FIELDS:
+            value = getattr(self, name)
+            if not _is_int64(value):
+                raise ConfigurationError(f"{name} must be a 64-bit integer, not {value!r}")
+        for name in _REAL_FIELDS:
+            value = getattr(self, name)
+            if not (_is_int64(value) or isinstance(value, float) and math.isfinite(value)):
+                raise ConfigurationError(f"{name} must be a finite number, not {value!r}")
+        for name in _BOOL_FIELDS:
+            value = getattr(self, name)
+            if not isinstance(value, bool):
+                raise ConfigurationError(f"{name} must be true or false, not {value!r}")
         if self.n_threads < 2:
             raise ConfigurationError("a session needs at least 2 threads")
         if self.granularity <= 0:
@@ -125,6 +173,13 @@ class SessionConfig:
             raise ConfigurationError("shards must be positive")
         if self.eval_every_events <= 0:
             raise ConfigurationError("eval_every_events must be positive")
+        # the ranges CommunicationFilter enforces
+        if self.filter_threshold < 1:
+            raise ConfigurationError("filter_threshold must be >= 1")
+        if self.filter_hysteresis < 1.0:
+            raise ConfigurationError("filter_hysteresis must be >= 1")
+        if self.filter_margin < 0.0:
+            raise ConfigurationError("filter_margin must be >= 0")
         if not 0.0 < self.matrix_decay <= 1.0:
             raise ConfigurationError("matrix_decay must be in (0, 1]")
 

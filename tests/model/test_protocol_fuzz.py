@@ -7,6 +7,10 @@ from :func:`read_frame` over a fed ``StreamReader`` — because any other
 exception escapes the server's read loop and leaks the session.  Inputs
 are any type byte with any body, plus near-valid JSON bodies whose
 fields stray just outside the protocol's domain.
+
+The HELLO ``config`` object gets the same treatment one layer up: any
+override dict is refused with a typed error at admission, or yields a
+session that ingests and evaluates without raising.
 """
 
 from __future__ import annotations
@@ -14,12 +18,16 @@ from __future__ import annotations
 import asyncio
 import json
 
+import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.errors import ProtocolError
-from repro.serve import protocol
-from repro.serve.protocol import Frame, MsgType
+from repro.errors import ConfigurationError, ProtocolError
+from repro.machine.topology import dual_xeon_e5_2650
+from repro.serve import SessionConfig, TenantSession, protocol
+from repro.serve.protocol import EventBatch, Frame, MsgType
+from repro.serve.session import SESSION_OVERRIDE_KEYS
+from repro.units import PAGE_SIZE
 
 #: JSON values that sit at or past the edge of an int64 field
 _EDGE_NUMBERS = st.one_of(
@@ -113,3 +121,49 @@ def test_read_frame_on_arbitrary_bytes(data):
     except ProtocolError:
         return
     assert frame is None if not data else isinstance(frame, Frame)
+
+
+#: an in-domain value for every HELLO config override
+_VALID_OVERRIDES = {
+    "granularity": st.sampled_from([1, 64, PAGE_SIZE, 1 << 20]),
+    "window_ns": st.integers(1, 10**12),
+    "table_size": st.integers(1, 1 << 16),
+    "eval_every_events": st.integers(1, 64),
+    "filter_threshold": st.integers(1, 8),
+    "filter_enabled": st.booleans(),
+    "filter_hysteresis": st.floats(1.0, 8.0),
+    "filter_margin": st.floats(0.0, 4.0),
+    "filter_min_events": st.floats(0.0, 256.0),
+    "min_improvement": st.floats(0.0, 2.0),
+    "remap_cooldown_ns": st.integers(0, 10**9),
+    "mapper_stickiness": st.floats(0.0, 2.0),
+    "use_greedy_matching": st.booleans(),
+    "matrix_decay": st.floats(0.0, 1.0, exclude_min=True),
+}
+_HELLO_CONFIGS = st.fixed_dictionaries(
+    {},
+    optional={
+        key: st.one_of(_JSON_VALUES, _VALID_OVERRIDES[key])
+        for key in sorted(SESSION_OVERRIDE_KEYS)
+    },
+)
+#: the server's default per-tenant detection-state cap (64 MiB)
+_ADMISSION_CAP_BYTES = 64 * 1024 * 1024
+_MACHINE = dual_xeon_e5_2650()
+
+
+@given(_HELLO_CONFIGS)
+def test_hello_config_is_refused_or_runs(overrides):
+    """A typed refusal at admission, or a session that runs cleanly."""
+    defaults = SessionConfig(n_threads=4, shards=2, eval_every_events=32)
+    try:
+        config = SessionConfig.from_overrides(defaults, overrides)
+    except (ProtocolError, ConfigurationError):
+        return
+    if config.memory_bytes() > _ADMISSION_CAP_BYTES:
+        return
+    session = TenantSession("fuzz", config, _MACHINE)
+    shared = np.arange(8, dtype=np.int64) * PAGE_SIZE
+    for tid, now_ns in ((0, 1_000), (1, 2_000), (2, 3_000)):
+        session.ingest(EventBatch(tid, now_ns, shared + tid))
+    session.evaluate(force=True)

@@ -1,5 +1,5 @@
 """Public API surface tests: exports resolve, docstrings exist, the curated
-surface stays stable, and the deprecated import paths still work (warning)."""
+surface stays stable, and the canonical import paths never warn."""
 
 import importlib
 import inspect
@@ -56,7 +56,6 @@ TOP_LEVEL_API = {
     "PartitionPageRankWorkload",
     "PlacementDecision",
     "PlacementPolicy",
-    "Policy",
     "ProducerConsumerWorkload",
     "ResultCache",
     "RunSettings",
@@ -93,7 +92,6 @@ ENGINE_API = {
     "EngineConfig",
     "GridResult",
     "MetricStats",
-    "Policy",
     "ResultCache",
     "RunSettings",
     "SimulationResult",
@@ -111,7 +109,7 @@ ENGINE_API = {
 
 class TestTopLevel:
     def test_version(self):
-        assert repro.__version__ == "2.0.0"
+        assert repro.__version__ == "3.0.0"
 
     def test_api_surface_snapshot(self):
         assert set(repro.__all__) == TOP_LEVEL_API
@@ -147,18 +145,7 @@ class TestTopLevel:
 
 
 class TestDeprecationShims:
-    """The pre-1.1 import paths and kwargs keep working, with a warning."""
-
-    def test_gridrunner_module_shims_warn_but_resolve(self):
-        from repro.engine import cache, gridrunner, settings
-
-        with pytest.warns(DeprecationWarning, match="moved to repro.engine.cache"):
-            assert gridrunner.ResultCache is cache.ResultCache
-        with pytest.warns(DeprecationWarning, match="moved to repro.engine.cache"):
-            assert gridrunner.code_version is cache.code_version
-        with pytest.warns(DeprecationWarning, match="moved to"):
-            workers = gridrunner.default_workers()
-        assert workers == settings.RunSettings.from_env().workers
+    """Canonical import paths resolve without warnings; unknown names raise."""
 
     def test_gridrunner_unknown_attribute_still_raises(self):
         from repro.engine import gridrunner
@@ -171,25 +158,6 @@ class TestDeprecationShims:
             warnings.simplefilter("error", DeprecationWarning)
             from repro.engine.cache import ResultCache, code_version  # noqa: F401
             from repro.engine.gridrunner import run_cell, run_grid  # noqa: F401
-
-    def test_cache_dir_kwarg_warns_and_works(self, tmp_path):
-        from functools import partial
-
-        from repro.engine.gridrunner import run_cell, run_grid
-        from repro.engine.runner import run_replicated
-        from repro.engine.simulator import EngineConfig
-        from repro.workloads.npb import make_npb
-
-        cfg = EngineConfig(steps=5, batch_size=32)
-        with pytest.warns(DeprecationWarning, match="cache_dir.*deprecated"):
-            run_cell("CG", "os", 0, base_seed=3, config=cfg, cache_dir=tmp_path)
-        with pytest.warns(DeprecationWarning, match="cache_dir.*deprecated"):
-            grid = run_grid(["CG"], ["os"], 1, base_seed=3, config=cfg,
-                            cache_dir=tmp_path)
-        assert grid.cache_hits == 1  # the deprecated spelling hit the same cache
-        with pytest.warns(DeprecationWarning, match="cache_dir.*deprecated"):
-            run_replicated(partial(make_npb, "CG"), "os", reps=1, base_seed=3,
-                           config=cfg, cache_dir=tmp_path)
 
 
 class TestMesiState:

@@ -10,12 +10,13 @@ import numpy as np
 import pytest
 
 from repro.core.mapping import (
+    AUTO_HIERARCHICAL_THREADS,
     MAPPER_ALGORITHMS,
     HierarchicalMapper,
     make_mapper,
     mapping_comm_cost,
+    select_mapper_algorithm,
 )
-from repro.engine.settings import RunSettings
 from repro.engine.simulator import EngineConfig, Simulator
 from repro.errors import MappingError
 from repro.graphs.hiermap import ScalableHierarchicalMapper
@@ -199,22 +200,53 @@ class TestSelection:
         assert isinstance(sim.manager.mapper, ScalableHierarchicalMapper)
 
     def test_auto_switch_at_threshold(self, caplog):
-        settings = RunSettings(map_hierarchical_min_n=8)
-        with caplog.at_level("INFO", logger="repro.core.manager"):
-            sim = Simulator(make_npb("CG", 8), "spcd", seed=1, config=self.CFG,
-                            settings=settings)
-        assert sim.manager.mapper_algorithm == "hierarchical"
+        assert AUTO_HIERARCHICAL_THREADS == 128
+        with caplog.at_level("INFO", logger="repro.core.mapping"):
+            assert select_mapper_algorithm(127) == "edmonds"
+            assert not caplog.records
+            assert select_mapper_algorithm(128) == "hierarchical"
         assert any("auto-selected the hierarchical mapper" in r.message
                    for r in caplog.records)
 
     def test_explicit_config_beats_auto_switch(self):
         from repro.core.manager import SpcdConfig
+        from repro.placement import resolve_policy
 
-        settings = RunSettings(map_hierarchical_min_n=2)
-        sim = Simulator(make_npb("CG", 8), "spcd", seed=1, config=self.CFG,
-                        settings=settings,
-                        spcd_config=SpcdConfig(mapper_algorithm="edmonds"))
-        assert sim.manager.mapper_algorithm == "edmonds"
+        explicit = SpcdConfig(mapper_algorithm="edmonds").mapper_algorithm
+        assert select_mapper_algorithm(128, explicit) == "edmonds"
+        hier = resolve_policy("spcd-hier")
+        assert select_mapper_algorithm(127, policy=hier) == "hierarchical"
+        assert select_mapper_algorithm(128, explicit, hier) == "edmonds"
+
+    @pytest.mark.parametrize(
+        "n, engine", [(32, HierarchicalMapper), (256, ScalableHierarchicalMapper)]
+    )
+    def test_serve_and_oracle_decide_through_the_selector(self, n, engine, monkeypatch):
+        """Serve's evaluator, ``oracle_mapping`` and the ``oracle`` policy map
+        with the engine the simulator's manager would select for *n*."""
+        from repro.oracle.analyzer import oracle_mapping
+        from repro.placement import resolve_policy
+        from repro.serve import SessionConfig
+        from repro.serve.evaluator import MappingEvaluator
+
+        calls = []
+        for cls in (HierarchicalMapper, ScalableHierarchicalMapper):
+            def spy(self, matrix, current=None, _cls=cls, _map=cls.map):
+                calls.append(_cls)
+                return _map(self, matrix, current=current)
+
+            monkeypatch.setattr(cls, "map", spy)
+        machine = build_machine(4, 32, 2)  # 256 PUs
+        workload = make_npb("CG", n)
+
+        evaluator = MappingEvaluator(machine, SessionConfig(n_threads=n))
+        verdict, _ = evaluator.decide(
+            workload.ground_truth(), comm_events=1, events_seen=1, now_ns=0, force=True
+        )
+        assert verdict != "pattern-unchanged"
+        oracle_mapping(workload, machine)
+        resolve_policy("oracle").make_scheduler(machine, workload, np.random.default_rng(0))
+        assert calls == [engine, engine, engine]
 
     def test_spcd_hier_run_matches_spcd_at_paper_scale(self):
         """Same gates, same veto, near-identical behaviour on NPB inputs."""

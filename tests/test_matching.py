@@ -10,6 +10,8 @@ import numpy as np
 import pytest
 
 from repro.core.matching import (
+    _ARRAY_MIN_VERTICES,
+    _blossom_reference,
     greedy_matching,
     matching_weight,
     max_weight_matching,
@@ -179,3 +181,15 @@ class TestGreedy:
     def test_greedy_rejects_odd(self):
         with pytest.raises(MatchingError):
             greedy_matching(np.zeros((5, 5)))
+
+
+@pytest.mark.parametrize("n", [_ARRAY_MIN_VERTICES - 2, _ARRAY_MIN_VERTICES])
+def test_perfect_matching_agrees_on_both_sides_of_the_engine_cutover(n):
+    """Just below the cutover the reference engine runs, at it the array
+    engine does; both return the reference engine's pairs."""
+    rng = np.random.default_rng(n)
+    m = np.triu(rng.integers(0, 50, size=(n, n)).astype(float), 1)
+    m = m + m.T
+    edges = [(i, j, float(m[i, j])) for i in range(n) for j in range(i + 1, n)]
+    mate = _blossom_reference(edges, True)
+    assert max_weight_perfect_matching(m) == [(v, w) for v, w in enumerate(mate) if w > v]

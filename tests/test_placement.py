@@ -2,10 +2,10 @@
 pre-placement engine, NUMA walk cost, page-table replication, and the
 co-decided data mapping.
 
-The parity tests are the load-bearing part: ``"spcd"`` (string, typed
-instance, or deprecated enum member) and an *inactive* replicated page
-table must reproduce the legacy engine's results bit for bit, and the
-walk-cost charging must stay off unless asked for.
+The parity tests are the load-bearing part: ``"spcd"`` (string or typed
+instance) and an *inactive* replicated page table must reproduce the
+legacy engine's results bit for bit, and the walk-cost charging must stay
+off unless asked for.
 """
 
 import dataclasses
@@ -17,7 +17,6 @@ import pytest
 
 from repro import EngineConfig, RunSettings, Simulator, SpcdConfig, make_npb
 from repro.core.datamap import SpcdDataMapper
-from repro.engine.policies import Policy, make_scheduler
 from repro.errors import AddressError, ConfigurationError
 from repro.machine.topology import dual_xeon_e5_2650
 from repro.mem.address import N_LEVELS
@@ -97,20 +96,11 @@ class TestResolvePolicy:
         with pytest.raises(ConfigurationError):
             resolve_policy(42)
 
-    def test_enum_member_warns_and_resolves(self):
-        with pytest.warns(DeprecationWarning, match="Policy enum member"):
-            assert resolve_policy(Policy.SPCD).name == "spcd"
-
     def test_plain_strings_never_warn(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
             for name in canonical_policies():
                 resolve_policy(name)
-
-    def test_legacy_make_scheduler_shim_still_builds(self, rng):
-        machine = dual_xeon_e5_2650()
-        scheduler = make_scheduler(Policy.OS, machine, make_npb("CG"), rng)
-        assert scheduler.placement().shape == (make_npb("CG").n_threads,)
 
 
 class _InertReplicaPolicy(ThreadPlacementPolicy):
@@ -130,12 +120,10 @@ class TestDigestParity:
     """`spcd` spelled any way — and with an idle replicated table —
     reproduces the legacy engine bit for bit."""
 
-    def test_string_instance_and_enum_agree(self):
+    def test_string_and_instance_agree(self):
         _, by_string = run("spcd")
         _, by_instance = run(ThreadPlacementPolicy())
-        with pytest.warns(DeprecationWarning):
-            _, by_enum = run(Policy.SPCD)
-        assert digest(by_string) == digest(by_instance) == digest(by_enum)
+        assert digest(by_string) == digest(by_instance)
 
     def test_inactive_replicated_table_is_bit_identical(self):
         sim, plain = run("spcd")

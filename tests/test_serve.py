@@ -26,6 +26,19 @@ from repro.units import MSEC, PAGE_SIZE
 
 WINDOW = 250 * MSEC
 
+#: HELLO ``config`` overrides that must be refused at admission: each once
+#: reached the session (or its first evaluation) unchecked and cost the
+#: client its ERROR reply, or was silently misread
+BAD_HELLO_CONFIGS = {
+    "threshold-str": ({"filter_threshold": "abc"}, ConfigurationError),
+    "hysteresis-below-1": ({"filter_hysteresis": -3}, ConfigurationError),
+    "table-size-float": ({"table_size": 1000.0}, ConfigurationError),
+    "n-threads-override": ({"n_threads": 64}, ProtocolError),
+    "min-improvement-str": ({"min_improvement": "x"}, ConfigurationError),
+    "min-events-str": ({"filter_min_events": "1"}, ConfigurationError),
+    "filter-enabled-str": ({"filter_enabled": "no"}, ConfigurationError),
+}
+
 
 # ---------------------------------------------------------------------------
 # protocol framing
@@ -204,6 +217,13 @@ class TestSessionConfig:
         defaults = SessionConfig(n_threads=4)
         with pytest.raises(ProtocolError):
             SessionConfig.from_overrides(defaults, {"not_a_knob": 1})
+
+    @pytest.mark.parametrize(
+        "overrides, error", BAD_HELLO_CONFIGS.values(), ids=BAD_HELLO_CONFIGS.keys()
+    )
+    def test_from_overrides_refuses_bad_values(self, overrides, error):
+        with pytest.raises(error):
+            SessionConfig.from_overrides(SessionConfig(n_threads=4), overrides)
 
     def test_from_overrides_applies(self):
         defaults = SessionConfig(n_threads=4)
@@ -469,6 +489,28 @@ class TestServerE2E:
                     )
                 assert exc.value.code == "bad-hello"
                 assert server.sessions_refused == 6
+
+        asyncio.run(scenario())
+
+    def test_bad_hello_config_is_refused_with_an_error(self, machine):
+        """Ill-typed or out-of-range overrides draw ERROR ``bad-hello``."""
+        from repro.errors import AdmissionError
+        from repro.serve import AsyncServeClient, MappingServer
+
+        async def scenario():
+            async with MappingServer(self._config(), machine=machine) as server:
+                for overrides, _ in BAD_HELLO_CONFIGS.values():
+                    with pytest.raises(AdmissionError) as exc:
+                        await AsyncServeClient.connect(
+                            "127.0.0.1",
+                            server.port,
+                            tenant="t",
+                            n_threads=4,
+                            config={"table_size": 64, **overrides},
+                        )
+                    assert exc.value.code == "bad-hello"
+                assert server.sessions_refused == len(BAD_HELLO_CONFIGS)
+                assert server.sessions_served == 0
 
         asyncio.run(scenario())
 

@@ -3,18 +3,21 @@
 from __future__ import annotations
 
 import dataclasses
+import re
+from pathlib import Path
 
 import pytest
 
+from repro.engine import settings as settings_module
 from repro.engine.settings import (
     ENV_CELL_RETRIES,
     ENV_CELL_TIMEOUT,
     ENV_GRID_STRICT,
     ENV_GRID_WORKERS,
+    ENV_PLACEMENT_WALK,
     ENV_RESULT_CACHE,
     ENV_RETRY_BACKOFF,
     ENV_SERVE_WORKERS,
-    ENV_SLOW_SPCD,
     ENV_SPARSE_COMM,
     ENV_TRACE,
     RunSettings,
@@ -28,7 +31,7 @@ def test_defaults_from_empty_environment():
     assert s == RunSettings()
     assert s.workers == 1
     assert s.cache_dir is None and s.trace is None
-    assert not s.sparse_comm and not s.slow_spcd
+    assert not s.sparse_comm and not s.placement_walk
     assert s.cell_timeout_s is None
     assert s.cell_retries == 2
     assert s.retry_backoff_s == 0.25
@@ -41,7 +44,7 @@ def test_from_env_round_trip():
         ENV_RESULT_CACHE: "/tmp/cache",
         ENV_TRACE: "/tmp/trace",
         ENV_SPARSE_COMM: "yes",
-        ENV_SLOW_SPCD: "on",
+        ENV_PLACEMENT_WALK: "on",
         ENV_CELL_TIMEOUT: "12.5",
         ENV_CELL_RETRIES: "4",
         ENV_RETRY_BACKOFF: "0.5",
@@ -51,7 +54,7 @@ def test_from_env_round_trip():
     assert s.workers == 1
     assert s.cache_dir == "/tmp/cache"
     assert s.trace == "/tmp/trace"
-    assert s.sparse_comm and s.slow_spcd and s.strict
+    assert s.sparse_comm and s.placement_walk and s.strict
     assert s.cell_timeout_s == 12.5
     assert s.cell_retries == 4
     assert s.retry_backoff_s == 0.5
@@ -89,7 +92,7 @@ def test_serve_workers_from_env():
     "env",
     [
         {ENV_GRID_WORKERS: "three"},
-        {ENV_SLOW_SPCD: "maybe"},
+        {ENV_PLACEMENT_WALK: "maybe"},
         {ENV_SPARSE_COMM: "2"},
         {ENV_CELL_TIMEOUT: "soon"},
         {ENV_CELL_RETRIES: "2.5"},
@@ -134,3 +137,33 @@ def test_with_overrides_semantics():
     assert base.workers == 2  # the original is untouched (frozen)
     with pytest.raises(ConfigurationError, match="unknown RunSettings"):
         base.with_overrides(warp_speed=9)
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def _readme_env_table() -> "list[tuple[list[str], list[str]]]":
+    """``(env names, field names)`` per row of README's env-variable table."""
+    lines = README.read_text().splitlines()
+    start = lines.index("| env variable | `RunSettings` field | meaning |")
+    rows = []
+    for line in lines[start + 2 :]:
+        if not line.startswith("|"):
+            break
+        env_cell, field_cell = line.split("|")[1:3]
+        rows.append((re.findall(r"`([^`]+)`", env_cell), re.findall(r"`([^`]+)`", field_cell)))
+    return rows
+
+
+def test_readme_env_table_matches_run_settings():
+    rows = _readme_env_table()
+    env_names = [name for envs, _ in rows for name in envs]
+    field_names = [name for _, fields in rows for name in fields]
+    exported = {
+        getattr(settings_module, name)
+        for name in settings_module.__all__
+        if name.startswith("ENV_")
+    }
+    assert len(env_names) == len(set(env_names))
+    assert set(env_names) == exported
+    assert sorted(field_names) == sorted(f.name for f in dataclasses.fields(RunSettings))

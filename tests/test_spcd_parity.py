@@ -2,9 +2,10 @@
 
 The vectorised fault pipeline (``FaultPipeline.handle_fault_batch``) and the
 array-backed detector engine (:class:`ArrayShareTable`) must be *bit
-identical* to the per-fault reference path selected by ``REPRO_SLOW_SPCD=1``
-— same page-table state, same frame placement, same TLB contents, same
-communication matrices and same counters.  These tests pin that equivalence
+identical* to the per-fault reference path — ``FaultPipeline.handle_fault``
+once per unique faulting VPN, in ascending order, feeding the dict-backed
+detector (``SpcdDetector(engine="dict")``) — with the same page-table state,
+frame placement, TLB contents, communication matrices and counters.  These tests pin that equivalence
 at four levels: the bulk primitives, randomised fault streams through both
 complete stacks, intra-batch collision/duplicate handling, and full
 simulations of the producer/consumer phase-shift workload and a small NPB
@@ -13,16 +14,17 @@ kernel.
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 import pytest
 
 from repro.core.hashtable import ArrayShareTable, ShareTable, hash_64, hash_64_batch
 from repro.core.spcd import SpcdDetector
-from repro.engine.runner import run_single
-from repro.engine.simulator import EngineConfig
+from repro.engine.simulator import EngineConfig, Simulator
 from repro.errors import ConfigurationError
 from repro.mem.addresspace import AddressSpace
-from repro.mem.fault import FaultPipeline
+from repro.mem.fault import FaultBatch, FaultPipeline
 from repro.mem.physmem import FrameAllocator
 from repro.mem.tlb import Tlb, TlbArray
 from repro.units import PAGE_SHIFT, PAGE_SIZE
@@ -195,18 +197,38 @@ def test_one_fault_batches_match_scalar_entry_point():
 # -- engine selection ---------------------------------------------------------
 
 
-def test_engine_selection_follows_env(monkeypatch):
-    monkeypatch.delenv("REPRO_SLOW_SPCD", raising=False)
+def test_engine_selection_follows_env():
     assert isinstance(SpcdDetector(4).table, ArrayShareTable)
-    monkeypatch.setenv("REPRO_SLOW_SPCD", "1")
-    assert isinstance(SpcdDetector(4).table, ShareTable)
-    monkeypatch.delenv("REPRO_SLOW_SPCD", raising=False)
     assert isinstance(SpcdDetector(4, engine="dict").table, ShareTable)
     with pytest.raises(ConfigurationError):
         SpcdDetector(4, engine="bogus")
 
 
 # -- full simulations ---------------------------------------------------------
+
+
+def _per_fault_batch(self, thread_id, pu_id, vaddrs, is_write, *, now_ns):
+    """Reference ``handle_fault_batch``: one ``handle_fault`` per unique
+    faulting VPN, ascending, the first access of each VPN winning."""
+    vaddrs = np.asarray(vaddrs, dtype=np.int64)
+    is_write = np.asarray(is_write, dtype=bool)
+    _, first = np.unique(vaddrs >> PAGE_SHIFT, return_index=True)
+    infos = [
+        self.handle_fault(
+            thread_id, pu_id, int(vaddrs[k]), is_write=bool(is_write[k]), now_ns=now_ns
+        )
+        for k in first
+    ]
+    return FaultBatch(
+        thread_id=thread_id,
+        pu_id=pu_id,
+        now_ns=now_ns,
+        vaddrs=vaddrs[first],
+        vpns=np.array([i.vpn for i in infos], dtype=np.int64),
+        is_write=is_write[first],
+        injected=np.array([i.kind.value == "injected" for i in infos], dtype=bool),
+        home_nodes=np.array([i.home_node for i in infos], dtype=np.int64),
+    )
 
 
 @pytest.mark.parametrize(
@@ -217,12 +239,17 @@ def test_engine_selection_follows_env(monkeypatch):
     ],
 )
 def test_full_simulation_parity(name, factory, monkeypatch):
-    """End-to-end: fast fault/SPCD path vs ``REPRO_SLOW_SPCD=1`` reference."""
+    """End-to-end: the simulator's fault/SPCD path vs the per-fault reference
+    (the fault loop above plus the dict detection engine)."""
     cfg = EngineConfig(steps=30, batch_size=128)
-    monkeypatch.delenv("REPRO_SLOW_SPCD", raising=False)
-    fast = run_single(factory, "spcd", seed=7, config=cfg)
-    monkeypatch.setenv("REPRO_SLOW_SPCD", "1")
-    slow = run_single(factory, "spcd", seed=7, config=cfg)
+    fast = Simulator(factory(), "spcd", seed=7, config=cfg).run()
+    monkeypatch.setattr(FaultPipeline, "handle_fault_batch", _per_fault_batch)
+    monkeypatch.setattr(
+        "repro.core.manager.SpcdDetector", partial(SpcdDetector, engine="dict")
+    )
+    reference = Simulator(factory(), "spcd", seed=7, config=cfg)
+    assert isinstance(reference.manager.detector.table, ShareTable)
+    slow = reference.run()
 
     assert np.array_equal(fast.detected_matrix.matrix, slow.detected_matrix.matrix)
     assert fast.perf.faults == slow.perf.faults
