@@ -9,9 +9,8 @@ Two questions, two sections:
 * **Scale** — decision latency on power-law communication matrices at
   n ∈ {128, 256, 512, 1024} threads (machines sized to match).  The
   Edmonds engine is O(n^3) per grouping level and is timed up to n = 512;
-  the hierarchical engine consumes a :class:`SparseCommMatrix` through its
-  ``row_items`` accessor and must decide the 1024-thread case in under
-  0.5 s wall.
+  the hierarchical engine must decide the 1024-thread case in under 0.5 s
+  wall.  Both engines take the same dense :class:`CommunicationMatrix`.
 
 Emits ``BENCH_mapping.json``.  Standalone on purpose: no pytest/conftest
 imports, so CI can run ``python benchmarks/bench_fig_mapping_scale.py
@@ -31,10 +30,10 @@ if __name__ == "__main__":  # pragma: no cover - CLI convenience
 
 import numpy as np
 
+from repro.core.commmatrix import CommunicationMatrix
 from repro.core.mapping import HierarchicalMapper, mapping_comm_cost
 from repro.graphs.graph import partition_comm_matrix, partition_rows, powerlaw_graph
 from repro.graphs.hiermap import ScalableHierarchicalMapper
-from repro.graphs.sparse import SparseCommMatrix
 from repro.machine.topology import build_machine, dual_xeon_e5_2650
 from repro.workloads.npb import NPB_SPECS, make_npb
 from repro.workloads.patterns import (
@@ -68,11 +67,11 @@ def _quality_matrices() -> "dict[str, np.ndarray]":
     return out
 
 
-def _powerlaw_comm(n: int) -> SparseCommMatrix:
+def _powerlaw_comm(n: int) -> CommunicationMatrix:
     """An irregular thread-level matrix: power-law graph, block-partitioned."""
     graph = powerlaw_graph(16 * n, 8.0, seed=n)
     dense = partition_comm_matrix(graph, partition_rows(16 * n, n), n)
-    return SparseCommMatrix(n, dense)
+    return CommunicationMatrix(n, dense)
 
 
 def run_quality() -> dict:

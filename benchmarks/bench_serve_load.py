@@ -26,13 +26,3 @@ def test_full_loadbench(results_dir):
     acceptance = payload["rows"][-1]
     assert acceptance["tenants"] == 8
     assert acceptance["parity"] == "bit-identical"
-    # the routed sweep pins workers {1,2,4} bit-identical to that row;
-    # run_routed_sweep already asserted the host-gated >= 3x speedup
-    assert [r["workers"] for r in payload["routed_rows"]] == [1, 2, 4]
-    assert all(
-        r["digest_parity_vs_single_process"] for r in payload["routed_rows"]
-    )
-    assert payload["trajectory_1m_events_per_s"]["status"] in (
-        "measured",
-        "projected",
-    )

@@ -9,17 +9,9 @@ at least one MAPPING push arrived — correctness first, then throughput.
 
 Reported per tenant count: aggregate ingest rate (events/s), per-batch
 detection+evaluation latency p50/p99 from the server's own histogram, and
-the remap count.  The acceptance row is 8 tenants x 100k events.
-
-The routed sweep then replays the acceptance configuration through
-:class:`~repro.serve.RoutedMappingServer` for worker counts {1, 2, 4},
-asserting every tenant's digest is bit-identical to the single-process
-row's — the router must never trade correctness for throughput.  The
->= 3x speedup gate is asserted only when the host has enough CPUs to
-make a multi-process speedup physically possible (``host_cpus >=
-workers + 2``); on smaller hosts
-the measured rate and the protocol overhead are recorded honestly and
-the 1M events/s trajectory row is labelled a projection.
+the remap count.  The acceptance row is 8 tenants x 100k events.  The
+client coroutines run on the server's own event loop, so the rate is that
+of one process serving and generating the load together.
 
 Standalone on purpose: no pytest/conftest imports, so the tier-1 smoke
 test can import it and CI can run it directly.  Only needs ``src`` on
@@ -30,7 +22,6 @@ from __future__ import annotations
 
 import asyncio
 import json
-import math
 import os
 import sys
 from pathlib import Path
@@ -44,7 +35,6 @@ from repro.machine.topology import dual_xeon_e5_2650  # noqa: E402
 from repro.serve import (  # noqa: E402
     AsyncServeClient,
     MappingServer,
-    RoutedMappingServer,
     ServeConfig,
     SessionConfig,
     offline_reference,
@@ -85,14 +75,11 @@ def _verify_tenant(machine, stream, summary, pushes) -> int:
     return int(summary["remaps"])
 
 
-async def run_load(n_tenants: int, events_per_thread: int, workers: int = 0) -> dict:
+async def run_load(n_tenants: int, events_per_thread: int) -> dict:
     """One measured round: ``n_tenants`` concurrent sessions, full parity.
 
-    ``workers=0`` runs the single-process server; ``workers>=1`` routes the
-    same load through the multi-process tier.  Either way every tenant is
-    verified bit-identical against the offline replay, and the row carries
-    a per-tenant digest map so routed rows can also be pinned against the
-    single-process row directly.
+    Every tenant is verified bit-identical against the offline replay, and
+    the row carries the per-tenant digest map.
     """
     machine = dual_xeon_e5_2650()
     config = ServeConfig(
@@ -105,13 +92,8 @@ async def run_load(n_tenants: int, events_per_thread: int, workers: int = 0) -> 
         eval_every_events=EVAL_EVERY,
         credit_window=65536,
         drain_grace_s=5.0,
-        workers=max(1, workers),
     )
-    if workers:
-        server = RoutedMappingServer(config, machine=machine)
-    else:
-        server = MappingServer(config, machine=machine)
-    async with server:
+    async with MappingServer(config, machine=machine) as server:
         start = perf_counter()
         results = await asyncio.gather(
             *(
@@ -131,7 +113,7 @@ async def run_load(n_tenants: int, events_per_thread: int, workers: int = 0) -> 
     )
     expected = n_tenants * N_THREADS * events_per_thread
     assert total_events == expected, f"server saw {total_events}, sent {expected}"
-    row = {
+    return {
         "tenants": n_tenants,
         "events_per_thread": events_per_thread,
         "events_total": total_events,
@@ -146,118 +128,23 @@ async def run_load(n_tenants: int, events_per_thread: int, workers: int = 0) -> 
             for i, (_, summary, _) in enumerate(results)
         },
     }
-    if workers:
-        row["workers"] = workers
-    return row
 
 
-def run_routed_sweep(
-    single_row: dict,
-    events_per_thread: int,
-    worker_counts=(1, 2, 4),
-    host_cpus: "int | None" = None,
-) -> "tuple[list[dict], dict]":
-    """The routed acceptance sweep + the 1M events/s trajectory row.
-
-    Every routed row is digest-pinned against *single_row* (same tenants,
-    same seeds), so the comparison is exact, not statistical.  The >= 3x
-    gate only fires when the host could physically show the speedup.
-    """
-    host_cpus = host_cpus if host_cpus is not None else (os.cpu_count() or 1)
-    n_tenants = single_row["tenants"]
-    single_rate = single_row["events_per_s"]
-    routed_rows = []
-    for workers in worker_counts:
-        row = asyncio.run(run_load(n_tenants, events_per_thread, workers=workers))
-        assert row["digests"] == single_row["digests"], (
-            f"routed workers={workers} digests diverged from single-process"
-        )
-        row["digest_parity_vs_single_process"] = True
-        row["speedup_vs_single_process"] = row["events_per_s"] / single_rate
-        gated = host_cpus >= workers + 2
-        if workers >= 3 and gated:
-            assert row["speedup_vs_single_process"] >= 3.0, (
-                f"workers={workers} only reached "
-                f"{row['speedup_vs_single_process']:.2f}x on {host_cpus} cpus"
-            )
-            row["speedup_gate"] = ">=3x asserted"
-        elif workers >= 3:
-            row["speedup_gate"] = (
-                f"skipped: host_cpus={host_cpus} < workers+2={workers + 2} — "
-                "all processes time-share one core, the measured ratio is "
-                "protocol overhead, not scaling"
-            )
-        else:
-            row["speedup_gate"] = "n/a (router overhead row)"
-        routed_rows.append(row)
-    # the 1M events/s trajectory, recorded honestly: measured when this
-    # host actually demonstrated it, otherwise a projection from the
-    # per-worker detection rate with the router cost already included
-    best = max(routed_rows, key=lambda r: r["events_per_s"])
-    one_worker = next(r for r in routed_rows if r["workers"] == 1)
-    per_worker_rate = one_worker["events_per_s"]
-    workers_needed = math.ceil(1_000_000 / per_worker_rate)
-    if best["events_per_s"] >= 1_000_000:
-        trajectory = {
-            "target_events_per_s": 1_000_000,
-            "status": "measured",
-            "workers": best["workers"],
-            "events_per_s": best["events_per_s"],
-            "host_cpus": host_cpus,
-        }
-    else:
-        trajectory = {
-            "target_events_per_s": 1_000_000,
-            "status": "projected",
-            "basis": (
-                "per-worker routed rate (router + ring overhead included), "
-                "assuming linear worker scaling on a host with "
-                "workers + 2 free cpus"
-            ),
-            "per_worker_events_per_s": per_worker_rate,
-            "workers_needed": workers_needed,
-            "best_measured_events_per_s": best["events_per_s"],
-            "best_measured_workers": best["workers"],
-            "host_cpus": host_cpus,
-            "honest_note": (
-                f"this host has {host_cpus} cpu(s); routed workers time-share "
-                "cores with the router, so wall-clock scaling cannot appear "
-                "here — digest parity is asserted, throughput is projected"
-            )
-            if host_cpus < 6
-            else "host had enough cpus but the target was not reached",
-        }
-    return routed_rows, trajectory
-
-
-def run_bench(
-    events_per_thread: int = 100_000,
-    tenant_counts=(1, 4, 8),
-    worker_counts=(1, 2, 4),
-) -> dict:
-    """The full sweep; the last single-process row is the acceptance
-    configuration and seeds the routed sweep's digest pin."""
-    rows = [
-        asyncio.run(run_load(n, events_per_thread)) for n in tenant_counts
-    ]
-    routed_rows, trajectory = run_routed_sweep(
-        rows[-1], events_per_thread, worker_counts=worker_counts
-    )
+def run_bench(events_per_thread: int = 100_000, tenant_counts=(1, 4, 8)) -> dict:
+    """The full sweep; the last row is the acceptance configuration."""
+    rows = [asyncio.run(run_load(n, events_per_thread)) for n in tenant_counts]
     return {
         "n_threads_per_tenant": N_THREADS,
         "table_size": TABLE_SIZE,
         "eval_every_events": EVAL_EVERY,
         "host_cpus": os.cpu_count() or 1,
         "rows": rows,
-        "routed_rows": routed_rows,
-        "trajectory_1m_events_per_s": trajectory,
     }
 
 
 def _print_row(row: dict) -> None:
-    label = f"workers={row['workers']}" if "workers" in row else "single   "
     print(
-        f"{label}  tenants={row['tenants']:2d}  "
+        f"tenants={row['tenants']:2d}  "
         f"events={row['events_total']:>9,}  "
         f"rate={row['events_per_s']:>12,.0f} ev/s  "
         f"ingest p50={row['ingest_p50_s'] * 1e3:6.2f} ms "
@@ -270,10 +157,8 @@ def main(argv: "list[str] | None" = None) -> int:
     args = argv if argv is not None else sys.argv[1:]
     events = int(args[0]) if args else 100_000
     result = run_bench(events_per_thread=events)
-    for row in result["rows"] + result["routed_rows"]:
+    for row in result["rows"]:
         _print_row(row)
-    trajectory = result["trajectory_1m_events_per_s"]
-    print(f"1M events/s trajectory: {trajectory['status']}")
     out = REPO / "benchmarks" / "results" / "BENCH_serve.json"
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(json.dumps(result, indent=1) + "\n", encoding="utf-8")

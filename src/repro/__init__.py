@@ -48,7 +48,6 @@ from repro.graphs import (
     CsrGraph,
     PartitionPageRankWorkload,
     ScalableHierarchicalMapper,
-    SparseCommMatrix,
     SpmvHaloWorkload,
     make_pagerank,
     make_spmv,
@@ -76,7 +75,7 @@ from repro.placement import (
 )
 from repro.workloads import ProducerConsumerWorkload, SyntheticNpbWorkload, make_npb
 
-__version__ = "3.0.0"
+__version__ = "4.0.0"
 
 __all__ = [
     "CellFailure",
@@ -97,7 +96,6 @@ __all__ = [
     "ScalableHierarchicalMapper",
     "SimulationResult",
     "Simulator",
-    "SparseCommMatrix",
     "SpcdConfig",
     "SpcdDetector",
     "SpcdManager",

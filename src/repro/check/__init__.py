@@ -1,14 +1,12 @@
 """Exhaustive small-model checking of the concurrency-critical subsystems.
 
-Commuter-style correctness harness (``/root/related``'s commuter model-checks
-a POSIX fs the same way): every concurrency-critical state machine in the
+Commuter-style correctness harness (commuter model-checks a POSIX file
+system the same way): every concurrency-critical state machine in the
 repo is paired with a **trivially-correct Python model** and driven through
 either hypothesis stateful exploration or brute-force enumeration of the
-interleavings hypothesis cannot shrink well.  The four subsystems under
-check, and their models:
+interleavings hypothesis cannot shrink well.  The subsystems under check,
+and their models:
 
-* :class:`~repro.serve.shm.EventRing` (router → worker SPSC ring) vs
-  :class:`RingModel` — a deque of payloads plus two absolute byte counters;
 * serve admission / credit-window / drain
   (:class:`~repro.serve.server.MappingServer`) vs :class:`ServeModel` — an
   explicit transition table;
@@ -36,7 +34,7 @@ from repro.check.interleave import (
     interleavings,
     op_sequences,
 )
-from repro.check.models import RingModel, ServeModel
+from repro.check.models import ServeModel
 from repro.check.replica import (
     ReplicaModel,
     check_replica_interleavings,
@@ -53,7 +51,6 @@ from repro.check.truncate import (
 __all__ = [
     "Counterexample",
     "ReplicaModel",
-    "RingModel",
     "ServeModel",
     "check_replica_interleavings",
     "check_tlb_fault_interleavings",

@@ -9,72 +9,7 @@ never a second copy of the production algorithm.
 
 from __future__ import annotations
 
-from collections import deque
-
-__all__ = ["RingModel", "ServeModel"]
-
-#: the ring's per-record length prefix, from the wire contract
-_LEN_SIZE = 4
-
-
-class RingModel:
-    """Deque model of the :class:`~repro.serve.shm.EventRing` contract.
-
-    State is a FIFO of ``(payload, advance)`` pairs plus the two absolute
-    byte counters of the SPSC contract.  The placement rule is restated
-    from the documented wire layout (records are contiguous; one that
-    would straddle the wrap point skips the tail room and restarts at
-    offset 0), so the model predicts *exactly* which pushes succeed, what
-    every pop returns, and the occupancy after each step — with no byte
-    buffer, no packing and no shared memory to get wrong.
-    """
-
-    def __init__(self, capacity: int) -> None:
-        self.capacity = capacity
-        self._fifo: "deque[tuple[bytes, int]]" = deque()
-        self.head = 0
-        self.tail = 0
-
-    @property
-    def record_cap(self) -> int:
-        """Largest payload that fits at any offset: ``2*(4+L) <= capacity``."""
-        return self.capacity // 2 - 2 * _LEN_SIZE
-
-    def _advance(self, counter: int, length: int) -> int:
-        """Counter advance placing a *length*-byte record at *counter*.
-
-        The record needs ``4 + length`` contiguous bytes; if the tail room
-        (bytes to the wrap point) cannot hold them, the whole room is
-        skipped and the record lives at offset 0.
-        """
-        room = self.capacity - counter % self.capacity
-        if room < _LEN_SIZE + length:
-            return room + _LEN_SIZE + length
-        return _LEN_SIZE + length
-
-    def try_push(self, payload: bytes) -> bool:
-        """Model push: False when the free space cannot take the record."""
-        if len(payload) > self.record_cap:
-            raise ValueError("oversize record")
-        advance = self._advance(self.tail, len(payload))
-        if advance > self.capacity - (self.tail - self.head):
-            return False
-        self._fifo.append((bytes(payload), advance))
-        self.tail += advance
-        return True
-
-    def pop(self) -> "bytes | None":
-        """Model pop: the oldest unconsumed payload, None when empty."""
-        return self._fifo[0][0] if self._fifo else None
-
-    def advance(self) -> None:
-        """Model advance: release the oldest record."""
-        _, adv = self._fifo.popleft()
-        self.head += adv
-
-    @property
-    def occupancy(self) -> int:
-        return self.tail - self.head
+__all__ = ["ServeModel"]
 
 
 # ---------------------------------------------------------------------------

@@ -130,8 +130,7 @@ class CommunicationMatrix:
     def density(self) -> float:
         """Nonzero fraction of the off-diagonal cells, in [0, 1].
 
-        The observability signal behind the ``REPRO_SPARSE_COMM`` gate:
-        power-law patterns at large n sit well below 0.1, blocky NAS
+        Power-law patterns at large n sit well below 0.1, blocky NAS
         patterns near 1.0.  Emitted with every ``MappingDecision`` event.
         """
         off_diag = self.n * (self.n - 1)

@@ -116,10 +116,6 @@ class SpcdConfig:
     #: > thread-count auto-switch; see
     #: :func:`repro.core.mapping.select_mapper_algorithm`)
     mapper_algorithm: str | None = None
-    #: store the detection matrix as a
-    #: :class:`~repro.graphs.sparse.SparseCommMatrix` (digest-identical;
-    #: ``REPRO_SPARSE_COMM``)
-    sparse_matrix: bool = False
 
 
 @dataclass
@@ -177,7 +173,6 @@ class SpcdManager:
             table_size=cfg.table_size,
             detect_cost_ns=cfg.detect_cost_ns,
             pipeline=pipeline,
-            sparse_matrix=cfg.sparse_matrix,
         )
         self.injector = FaultInjector(
             pipeline,

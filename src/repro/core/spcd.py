@@ -88,7 +88,6 @@ class SpcdDetector:
         detect_cost_ns: float = 250.0,
         pipeline: FaultPipeline | None = None,
         engine: str = "array",
-        sparse_matrix: bool = False,
     ) -> None:
         if granularity <= 0:
             raise ConfigurationError("granularity must be positive")
@@ -104,14 +103,7 @@ class SpcdDetector:
             self.table: ArrayShareTable | ShareTable = ArrayShareTable(table_size, n_threads)
         else:
             self.table = ShareTable(table_size)
-        if sparse_matrix:
-            # Sparse storage, identical semantics: every detection digest is
-            # bit-for-bit the dense backend's (tests/test_sparse_comm.py).
-            from repro.graphs.sparse import SparseCommMatrix
-
-            self.matrix: CommunicationMatrix = SparseCommMatrix(n_threads)
-        else:
-            self.matrix = CommunicationMatrix(n_threads)
+        self.matrix = CommunicationMatrix(n_threads)
         self.stats = SpcdDetectorStats()
         self._pipeline = pipeline
         if pipeline is not None:

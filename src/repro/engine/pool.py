@@ -40,7 +40,6 @@ __all__ = [
     "AttemptFailure",
     "CellOutcome",
     "CellTask",
-    "SupervisedProcess",
     "run_tasks",
 ]
 
@@ -117,74 +116,6 @@ def _pick_context(mp_context):
     if mp_context is not None:
         return mp_context
     return get_context("fork" if "fork" in get_all_start_methods() else "spawn")
-
-
-class SupervisedProcess:
-    """Supervision for one **long-lived** child (a serving-tier worker).
-
-    :func:`run_tasks` supervises run-to-completion cells; the serving
-    tier needs the same guarantees — SIGTERM→SIGKILL teardown, crash
-    detection, a bounded respawn budget with exponential backoff — for a
-    child that is expected to live as long as the parent.  This class
-    factors those guarantees out of the cell scheduler: the owner
-    provides a *start* callable that builds and starts a **fresh** child
-    (new pipes, new shared-memory ring, …) and decides *when* to respawn
-    (typically after replaying a journal); the supervisor tracks the
-    budget and computes the backoff, which the owner may sleep off with
-    ``time.sleep`` or ``asyncio.sleep`` as its runtime demands.
-
-    Backoff matches :func:`run_tasks`: respawn *n* waits
-    ``backoff_s * 2**(n-1)`` seconds.
-    """
-
-    def __init__(
-        self,
-        label: str,
-        start: Callable[[], Any],
-        *,
-        max_respawns: int = 2,
-        backoff_s: float = 0.25,
-    ) -> None:
-        if max_respawns < 0:
-            raise ConfigurationError("max_respawns must be >= 0")
-        self.label = label
-        self._start = start
-        self.max_respawns = max_respawns
-        self.backoff_s = backoff_s
-        self.spawns = 0
-        self.proc: Any = None
-
-    def start(self) -> Any:
-        """Start a fresh child via the factory; counts against the budget."""
-        self.proc = self._start()
-        self.spawns += 1
-        return self.proc
-
-    @property
-    def alive(self) -> bool:
-        return self.proc is not None and self.proc.is_alive()
-
-    @property
-    def respawns_left(self) -> int:
-        """How many more times :meth:`start` may be called after a crash."""
-        return max(0, 1 + self.max_respawns - self.spawns)
-
-    def next_backoff_s(self) -> "float | None":
-        """Seconds to wait before the next respawn; ``None`` = budget spent."""
-        if self.respawns_left == 0:
-            return None
-        return self.backoff_s * (2.0 ** (self.spawns - 1))
-
-    def terminate(self) -> None:
-        """Tear the child down: SIGTERM, bounded join, SIGKILL fallback."""
-        if self.proc is None:
-            return
-        if self.proc.is_alive():
-            self.proc.terminate()
-        self.proc.join(timeout=5.0)
-        if self.proc.is_alive():  # pragma: no cover - stuck in kernel space
-            self.proc.kill()
-            self.proc.join(timeout=5.0)
 
 
 def run_tasks(

@@ -40,8 +40,6 @@ __all__ = [
     "ENV_SERVE_METRICS_PORT",
     "ENV_SERVE_PORT",
     "ENV_SERVE_SHARDS",
-    "ENV_SERVE_WORKERS",
-    "ENV_SPARSE_COMM",
     "ENV_TRACE",
     "RunSettings",
     "available_cpus",
@@ -77,8 +75,6 @@ ENV_SERVE_SHARDS = "REPRO_SERVE_SHARDS"
 ENV_SERVE_EVAL_EVERY = "REPRO_SERVE_EVAL_EVERY"
 #: credit window granted to each client, in events
 ENV_SERVE_CREDIT_WINDOW = "REPRO_SERVE_CREDIT_WINDOW"
-#: detection worker processes behind the serve router (1 = single-process)
-ENV_SERVE_WORKERS = "REPRO_SERVE_WORKERS"
 #: charge NUMA-aware page-table-walk latency on every fault
 ENV_PLACEMENT_WALK = "REPRO_PLACEMENT_WALK"
 #: per-level walk latency when the directory page is node-local, ns
@@ -87,8 +83,6 @@ ENV_PLACEMENT_WALK_LOCAL_NS = "REPRO_PLACEMENT_WALK_LOCAL_NS"
 ENV_PLACEMENT_WALK_REMOTE_NS = "REPRO_PLACEMENT_WALK_REMOTE_NS"
 #: force per-node page-table replication from the first fault on
 ENV_PT_REPLICATE = "REPRO_PT_REPLICATE"
-#: store detection matrices sparsely (dict-of-rows, digest-identical)
-ENV_SPARSE_COMM = "REPRO_SPARSE_COMM"
 
 _TRUE = ("1", "true", "yes", "on")
 _FALSE = ("", "0", "false", "no", "off")
@@ -181,11 +175,6 @@ class RunSettings:
     serve_eval_every: int = 8192
     #: per-client send window, in events (credit-based backpressure)
     serve_credit_window: int = 65536
-    #: detection worker processes behind the serve router; 1 runs the
-    #: classic single-process server (no router tier).  Deliberately NOT
-    #: capped at :func:`available_cpus` — routed parity tests and drills
-    #: legitimately oversubscribe a small host.
-    serve_workers: int = 1
     #: charge NUMA-aware per-level page-table-walk latency on every fault
     #: (the Fig. 16 walk split); off keeps flat-cost digests bit-identical
     placement_walk: bool = False
@@ -199,9 +188,6 @@ class RunSettings:
     #: (policy-independent Mitosis baseline; ``spcd-replicated`` instead
     #: replicates when its first placement decision directs it)
     pt_replicate: bool = False
-    #: store detection matrices as :class:`~repro.graphs.sparse.SparseCommMatrix`
-    #: (bit-identical digests; O(nnz) memory and mapper input at scale)
-    sparse_comm: bool = False
 
     def __post_init__(self) -> None:
         if self.workers < 1:
@@ -226,8 +212,6 @@ class RunSettings:
             raise ConfigurationError("serve_eval_every must be >= 1")
         if self.serve_credit_window < 1:
             raise ConfigurationError("serve_credit_window must be >= 1")
-        if self.serve_workers < 1:
-            raise ConfigurationError("serve_workers must be >= 1")
         if self.placement_walk_local_ns is not None and self.placement_walk_local_ns <= 0:
             raise ConfigurationError("placement_walk_local_ns must be positive (or None)")
         if self.placement_walk_remote_ns is not None and self.placement_walk_remote_ns <= 0:
@@ -277,14 +261,12 @@ class RunSettings:
             serve_shards=_env_int(environ, ENV_SERVE_SHARDS, 4),
             serve_eval_every=_env_int(environ, ENV_SERVE_EVAL_EVERY, 8192),
             serve_credit_window=_env_int(environ, ENV_SERVE_CREDIT_WINDOW, 65536),
-            serve_workers=_env_int(environ, ENV_SERVE_WORKERS, 1),
             placement_walk=_env_bool(environ, ENV_PLACEMENT_WALK),
             placement_walk_local_ns=_env_float(environ, ENV_PLACEMENT_WALK_LOCAL_NS, None),
             placement_walk_remote_ns=_env_float(
                 environ, ENV_PLACEMENT_WALK_REMOTE_NS, None
             ),
             pt_replicate=_env_bool(environ, ENV_PT_REPLICATE),
-            sparse_comm=_env_bool(environ, ENV_SPARSE_COMM),
         )
 
     def with_overrides(self, **overrides: object) -> "RunSettings":

@@ -18,7 +18,6 @@ units require it (energy).  Ratios such as MPKI are scale-free.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
 from pathlib import Path
 from time import perf_counter
@@ -219,12 +218,6 @@ class Simulator:
         if self.placement.uses_spcd:
             if not isinstance(self.scheduler, PinnedScheduler):
                 raise SimulationError("SPCD requires a pinnable scheduler")
-            # Settings flow into the SPCD config, but only where the config
-            # left the knob at its default — an explicit SpcdConfig wins, and
-            # default runs keep default semantics (and digests) untouched.
-            effective_spcd = spcd_config or SpcdConfig()
-            if self.settings.sparse_comm and not effective_spcd.sparse_matrix:
-                effective_spcd = dataclasses.replace(effective_spcd, sparse_matrix=True)
             self.manager = SpcdManager(
                 self.machine,
                 n,
@@ -233,7 +226,7 @@ class Simulator:
                 self.rngs.rng("injector"),
                 tlbs=self.tlbs,
                 timer_wheel=self.wheel,
-                config=effective_spcd,
+                config=spcd_config or SpcdConfig(),
                 recorder=self.recorder,
                 placement=self.placement,
             )

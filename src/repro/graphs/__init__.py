@@ -1,4 +1,4 @@
-"""Irregular graph workloads, sparse matrices and scalable mapping.
+"""Irregular graph workloads and scalable mapping.
 
 The paper evaluates on regular, blocky NAS patterns at 32 threads.  This
 subsystem grows the reproduction toward the ROADMAP's irregular regime:
@@ -13,11 +13,6 @@ subsystem grows the reproduction toward the ROADMAP's irregular regime:
   matrix's off-diagonal structure) and
   :class:`~repro.graphs.workloads.PartitionPageRankWorkload`
   (partition-centric gather/scatter phases);
-* :mod:`repro.graphs.sparse` — :class:`~repro.graphs.sparse.SparseCommMatrix`,
-  a dict-of-rows sparse backend behind the
-  :class:`~repro.core.commmatrix.CommunicationMatrix` interface,
-  bit-identical to the dense backend on add/merge/decay/digest/CSV
-  (``REPRO_SPARSE_COMM`` selects it for detection);
 * :mod:`repro.graphs.hiermap` — :class:`~repro.graphs.hiermap.ScalableHierarchicalMapper`,
   Schulz/Woydt-style shared-memory hierarchical process mapping by
   recursive bisection + local search over the machine's topology tree,
@@ -36,7 +31,6 @@ from repro.graphs.graph import (
     save_matrix_market,
 )
 from repro.graphs.hiermap import ScalableHierarchicalMapper
-from repro.graphs.sparse import SparseCommMatrix, make_comm_matrix
 from repro.graphs.workloads import (
     PartitionPageRankWorkload,
     SpmvHaloWorkload,
@@ -48,10 +42,8 @@ __all__ = [
     "CsrGraph",
     "PartitionPageRankWorkload",
     "ScalableHierarchicalMapper",
-    "SparseCommMatrix",
     "SpmvHaloWorkload",
     "load_matrix_market",
-    "make_comm_matrix",
     "make_pagerank",
     "make_spmv",
     "partition_comm_matrix",

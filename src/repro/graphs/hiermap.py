@@ -121,17 +121,8 @@ class ScalableHierarchicalMapper:
     def _adjacency(
         matrix: CommunicationMatrix | np.ndarray, n_pus: int
     ) -> dict[int, dict[int, float]]:
-        """Per-slot ``{partner: weight}`` dicts (virtual slots stay empty).
-
-        A :class:`~repro.graphs.sparse.SparseCommMatrix` is consumed through
-        its ``row_items`` accessor without ever materialising the dense
-        array, keeping the whole decision O(nnz).
-        """
+        """Per-slot ``{partner: weight}`` dicts (virtual slots stay empty)."""
         adj: dict[int, dict[int, float]] = {i: {} for i in range(n_pus)}
-        if hasattr(matrix, "row_items"):
-            for i in range(matrix.n):
-                adj[i] = {int(j): v for j, v in matrix.row_items(i) if j != i}
-            return adj
         comm = matrix.matrix if isinstance(matrix, CommunicationMatrix) else matrix
         rows, cols = np.nonzero(comm)
         vals = comm[rows, cols]

@@ -50,9 +50,6 @@ __all__ = [
     "ServeSessionEnd",
     "ServeSessionStart",
     "ServeStart",
-    "ServeTenantMigrated",
-    "ServeWorkerCrash",
-    "ServeWorkerStart",
     "SpcdEvaluation",
     "TlbShootdown",
     "TraceEvent",
@@ -276,12 +273,7 @@ class RunEnd(TraceEvent):
 # ---------------------------------------------------------------------------
 @dataclass(frozen=True)
 class ServeStart(TraceEvent):
-    """Emitted once when the mapping service starts listening.
-
-    ``workers`` is the detection-worker process count of the routed
-    topology; 0 means the classic single-process server (the default keeps
-    pre-router traces readable).
-    """
+    """Emitted once when the mapping service starts listening."""
 
     type: ClassVar[str] = "serve_start"
 
@@ -291,56 +283,6 @@ class ServeStart(TraceEvent):
     max_sessions: int
     max_table_mb: float
     shards: int
-    workers: int = 0
-
-
-@dataclass(frozen=True)
-class ServeWorkerStart(TraceEvent):
-    """A detection worker process came up (initial spawn or respawn)."""
-
-    type: ClassVar[str] = "serve_worker_start"
-
-    worker_id: int
-    pid: int
-    #: 1 for the initial spawn, >1 for respawns after a crash
-    spawn: int
-    ring_bytes: int
-
-
-@dataclass(frozen=True)
-class ServeWorkerCrash(TraceEvent):
-    """A detection worker died without being asked to stop."""
-
-    type: ClassVar[str] = "serve_worker_crash"
-
-    worker_id: int
-    spawn: int
-    exitcode: "int | None"
-    #: sessions that were assigned to the worker when it died
-    sessions: int
-    respawns_left: int
-
-
-@dataclass(frozen=True)
-class ServeTenantMigrated(TraceEvent):
-    """A tenant's journal was replayed into a worker after a crash.
-
-    ``reason`` is ``respawn`` (same worker id, fresh process) or
-    ``retired`` (the worker exhausted its respawn budget and the tenant
-    moved to the next worker on the hash ring).  Replay regenerates the
-    worker-side detection state deterministically, so the tenant's matrix
-    digests are unchanged by the migration.
-    """
-
-    type: ClassVar[str] = "serve_tenant_migrated"
-
-    tenant: str
-    session_id: int
-    from_worker: int
-    to_worker: int
-    reason: str
-    replayed_batches: int
-    replayed_flushes: int
 
 
 @dataclass(frozen=True)
@@ -544,9 +486,6 @@ def event_types() -> dict[str, type[TraceEvent]]:
             CacheEpoch,
             RunEnd,
             ServeStart,
-            ServeWorkerStart,
-            ServeWorkerCrash,
-            ServeTenantMigrated,
             ServeSessionStart,
             ServeEvaluation,
             ServeSessionEnd,

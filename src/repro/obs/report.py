@@ -62,9 +62,6 @@ GRID_EVENT_TYPES = frozenset(
 SERVE_EVENT_TYPES = frozenset(
     {
         "serve_start",
-        "serve_worker_start",
-        "serve_worker_crash",
-        "serve_tenant_migrated",
         "serve_session_start",
         "serve_evaluation",
         "serve_session_end",
@@ -244,13 +241,6 @@ class ServeReport:
     machine: str = "?"
     max_sessions: int = 0
     shards: int = 0
-    #: detection worker processes (0 = single-process server)
-    workers: int = 0
-    #: worker process spawns seen (initial + respawns)
-    worker_spawns: int = 0
-    worker_crashes: int = 0
-    #: tenant journal replays (respawn replays and hash-ring moves)
-    migrations: int = 0
     reason: str = "?"
     #: serve_session_end payloads, in drain order
     sessions: list[dict[str, Any]] = field(default_factory=list)
@@ -280,10 +270,6 @@ class ServeReport:
             "machine": self.machine,
             "max_sessions": self.max_sessions,
             "shards": self.shards,
-            "workers": self.workers,
-            "worker_spawns": self.worker_spawns,
-            "worker_crashes": self.worker_crashes,
-            "migrations": self.migrations,
             "reason": self.reason,
             "sessions_served": self.sessions_served,
             "sessions_refused": self.sessions_refused,
@@ -319,7 +305,6 @@ def reconstruct_serves(events: Iterable[dict[str, Any]]) -> list[ServeReport]:
                 machine=str(ev.get("machine", "?")),
                 max_sessions=int(ev.get("max_sessions", 0)),
                 shards=int(ev.get("shards", 0)),
-                workers=int(ev.get("workers", 0)),
             )
             serves.append(serve)
             if kind == "serve_start":
@@ -328,12 +313,6 @@ def reconstruct_serves(events: Iterable[dict[str, Any]]) -> list[ServeReport]:
         serve.events += 1
         if kind == "serve_evaluation":
             serve.verdicts[str(ev.get("verdict", "?"))] += 1
-        elif kind == "serve_worker_start":
-            serve.worker_spawns += 1
-        elif kind == "serve_worker_crash":
-            serve.worker_crashes += 1
-        elif kind == "serve_tenant_migrated":
-            serve.migrations += 1
         elif kind == "serve_session_end":
             session = {k: v for k, v in ev.items() if k != "type"}
             serve.sessions.append(session)
@@ -645,18 +624,12 @@ def _format_serve_table(serves: list[ServeReport]) -> str:
     lines = ["mapping service"]
     lines.append("-" * len(lines[0]))
     for s in serves:
-        topology = f", {s.workers} workers" if s.workers else ""
         lines.append(
             f"serve {s.host}:{s.port} on {s.machine} "
-            f"({s.shards} shards/session, cap {s.max_sessions}{topology}): "
+            f"({s.shards} shards/session, cap {s.max_sessions}): "
             f"{s.sessions_served} sessions, {s.sessions_refused} refused, "
             f"exit reason {s.reason}"
         )
-        if s.worker_spawns or s.worker_crashes or s.migrations:
-            lines.append(
-                f"  workers: {s.worker_spawns} spawns, "
-                f"{s.worker_crashes} crashes, {s.migrations} tenant replays"
-            )
         verdicts = ", ".join(f"{k} x{n}" for k, n in sorted(s.verdicts.items()))
         lines.append(
             f"  {s.events_total} events in {s.batches_total} batches, "

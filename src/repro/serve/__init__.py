@@ -1,14 +1,14 @@
 """``repro.serve`` — SPCD mapping as a service.
 
 An asyncio daemon that turns the offline SPCD pipeline into a
-multi-tenant service: clients stream page-fault event batches over a
-length-prefixed framed protocol, each session runs the sharded detection
-pipeline (sharing table + communication matrix shards) and a periodic
-filter + hierarchical-mapper evaluation, and accepted remaps are pushed
-back as MAPPING frames.  The numeric path is engineered to stay
-**bit-identical** to the offline engine — see
-:func:`repro.serve.evaluator.offline_reference` for the replay that pins
-it.
+multi-tenant service, in one process on one event loop: clients stream
+page-fault event batches over a length-prefixed framed protocol, each
+session runs the sharded detection pipeline (sharing table +
+communication matrix shards) and a periodic filter + hierarchical-mapper
+evaluation, and accepted remaps are pushed back as MAPPING frames.  The
+numeric path is engineered to stay **bit-identical** to the offline
+engine — see :func:`repro.serve.evaluator.offline_reference` for the
+replay that pins it.
 
 Layout:
 
@@ -18,10 +18,6 @@ Layout:
 * :mod:`~repro.serve.evaluator` — evaluation gates + the offline replay;
 * :mod:`~repro.serve.server` — the daemon (admission, backpressure,
   drain);
-* :mod:`~repro.serve.router` — the multi-process tier: consistent-hash
-  tenant router, supervised detection workers, crash migration;
-* :mod:`~repro.serve.shm` — the shared-memory event ring under the
-  router's zero-copy hot path;
 * :mod:`~repro.serve.client` — sync and async clients + the synthetic
   load generator;
 * :mod:`~repro.serve.metrics` — the live metrics registry behind
@@ -39,18 +35,14 @@ from repro.serve.evaluator import (
 )
 from repro.serve.metrics import MetricsRegistry
 from repro.serve.protocol import PROTOCOL_VERSION, EventBatch, Frame, MsgType
-from repro.serve.router import HashRing, RoutedMappingServer
 from repro.serve.server import MappingServer, ServeConfig
 from repro.serve.session import SessionConfig, ShardedShareTable, TenantSession
-from repro.serve.shm import EventRing
 
 __all__ = [
     "AsyncServeClient",
     "EvalCadence",
     "EventBatch",
-    "EventRing",
     "Frame",
-    "HashRing",
     "MappingEvaluator",
     "MappingServer",
     "MappingUpdate",
@@ -58,7 +50,6 @@ __all__ = [
     "MsgType",
     "PROTOCOL_VERSION",
     "ReplayResult",
-    "RoutedMappingServer",
     "ServeClient",
     "ServeConfig",
     "SessionConfig",

@@ -23,7 +23,6 @@ from pathlib import Path
 
 from repro.engine.settings import RunSettings
 from repro.obs.recorder import JsonlRecorder, NullRecorder, serve_trace_path
-from repro.serve.router import RoutedMappingServer
 from repro.serve.server import MappingServer, ServeConfig
 
 __all__ = ["main"]
@@ -62,12 +61,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--credits", type=int, default=None, help="per-client send window (events)"
     )
     parser.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="detection worker processes (>1 runs the consistent-hash router)",
-    )
-    parser.add_argument(
         "--drain-grace",
         type=float,
         default=5.0,
@@ -99,7 +92,6 @@ def _resolve_config(args: argparse.Namespace, settings: RunSettings) -> ServeCon
         ),
         credit_window=args.credits if args.credits is not None else base.credit_window,
         drain_grace_s=args.drain_grace,
-        workers=args.workers if args.workers is not None else base.workers,
     )
 
 
@@ -107,10 +99,7 @@ async def _run(config: ServeConfig, trace: "str | None") -> int:
     recorder = (
         JsonlRecorder(serve_trace_path(Path(trace))) if trace else NullRecorder()
     )
-    if config.workers > 1:
-        server: MappingServer = RoutedMappingServer(config, recorder=recorder)
-    else:
-        server = MappingServer(config, recorder=recorder)
+    server = MappingServer(config, recorder=recorder)
     await server.start()
     loop = asyncio.get_event_loop()
     for sig in (signal.SIGTERM, signal.SIGINT):
@@ -118,8 +107,6 @@ async def _run(config: ServeConfig, trace: "str | None") -> int:
             sig, lambda s=sig: asyncio.ensure_future(server.drain(signal.Signals(s).name))
         )
     ready = f"repro.serve listening on {config.host}:{server.port}"
-    if server.n_workers:
-        ready += f" workers={server.n_workers}"
     if server.metrics_port is not None:
         ready += f" metrics={config.host}:{server.metrics_port}"
     print(ready, flush=True)

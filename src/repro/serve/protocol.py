@@ -27,7 +27,7 @@ import asyncio
 import json
 import socket
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import IntEnum
 from typing import Any
 
@@ -90,27 +90,16 @@ class EventBatch:
     Mirrors the shape of :class:`repro.mem.fault.FaultBatch` — one thread,
     one timestamp, a vector of faulting virtual addresses — so a batch can
     be replayed through the offline detection engine unchanged.
-
-    ``raw`` is the wire body the batch was decoded from, when one exists:
-    the router forwards those bytes into a worker's shared-memory ring
-    verbatim, so the hot path never re-frames the payload.
     """
 
     tid: int
     now_ns: int
     vaddrs: np.ndarray
-    raw: "bytes | None" = field(default=None, compare=False, repr=False)
 
     @property
     def n_events(self) -> int:
         """Number of fault events in the batch."""
         return int(self.vaddrs.size)
-
-    def body(self) -> bytes:
-        """The struct-packed EVENTS body (``raw`` when present, else packed)."""
-        if self.raw is not None:
-            return self.raw
-        return events_body(self.tid, self.now_ns, self.vaddrs)
 
 
 @dataclass(frozen=True)
@@ -150,11 +139,9 @@ def _frame(msg_type: MsgType, body: bytes) -> bytes:
 def decode_events(body: "bytes | memoryview") -> EventBatch:
     """Decode the body of a struct-packed EVENTS frame (vectorised).
 
-    The address vector is read in one ``np.frombuffer`` over the body —
-    a zero-copy view when *body* is a shared-memory ring record — with a
-    single ``astype`` to native byte order.  Accepts any buffer, so a
-    worker can decode directly out of the ring without materialising the
-    record first.
+    The address vector is read in one ``np.frombuffer`` over the body with
+    a single ``astype`` to native byte order.  Accepts any buffer
+    (``bytes`` or a ``memoryview``).
     """
     if len(body) < _EVENTS_HEADER.size:
         raise ProtocolError("truncated EVENTS frame")
@@ -163,8 +150,7 @@ def decode_events(body: "bytes | memoryview") -> EventBatch:
     if len(payload) != 8 * n:
         raise ProtocolError(f"EVENTS frame declares {n} events, carries {len(payload)} bytes")
     vaddrs = np.frombuffer(payload, dtype=">i8").astype(np.int64)
-    raw = body if isinstance(body, bytes) else None
-    return EventBatch(tid=tid, now_ns=now_ns, vaddrs=vaddrs, raw=raw)
+    return EventBatch(tid=tid, now_ns=now_ns, vaddrs=vaddrs)
 
 
 def decode_events_scalar(body: "bytes | memoryview") -> EventBatch:
@@ -184,8 +170,7 @@ def decode_events_scalar(body: "bytes | memoryview") -> EventBatch:
     vaddrs = np.empty(n, dtype=np.int64)
     for i in range(n):
         vaddrs[i] = one.unpack_from(payload, 8 * i)[0]
-    raw = body if isinstance(body, bytes) else None
-    return EventBatch(tid=tid, now_ns=now_ns, vaddrs=vaddrs, raw=raw)
+    return EventBatch(tid=tid, now_ns=now_ns, vaddrs=vaddrs)
 
 
 def parse_body(type_byte: int, body: bytes) -> Frame:

@@ -39,7 +39,7 @@ from repro.obs.recorder import NullRecorder, TraceRecorder
 from repro.serve import protocol
 from repro.serve.metrics import MetricsRegistry
 from repro.serve.protocol import EventBatch, MsgType
-from repro.serve.session import SessionConfig, TenantSession
+from repro.serve.session import SessionConfig, TenantSession, _is_int64
 
 __all__ = ["MappingServer", "ServeConfig"]
 
@@ -62,16 +62,6 @@ class ServeConfig:
     credit_window: int = 65536
     #: seconds a drain waits for clients to finish before force-draining
     drain_grace_s: float = 5.0
-    #: detection worker processes behind the router (the routed server
-    #: only; :class:`MappingServer` itself ignores these four fields)
-    workers: int = 1
-    #: per-worker shared-memory event ring, in bytes
-    ring_bytes: int = 4 * 1024 * 1024
-    #: respawns a crashed worker gets before its tenants migrate away
-    worker_respawns: int = 2
-    #: base of the exponential respawn backoff (respawn *n* waits
-    #: ``respawn_backoff_s * 2**(n-1)`` seconds)
-    respawn_backoff_s: float = 0.25
 
     @classmethod
     def from_settings(cls, settings: RunSettings) -> "ServeConfig":
@@ -85,7 +75,6 @@ class ServeConfig:
             shards=settings.serve_shards,
             eval_every_events=settings.serve_eval_every,
             credit_window=settings.serve_credit_window,
-            workers=settings.serve_workers,
         )
 
 
@@ -183,14 +172,8 @@ class MappingServer:
                 max_sessions=cfg.max_sessions,
                 max_table_mb=cfg.max_table_mb,
                 shards=cfg.shards,
-                workers=self.n_workers,
             )
         )
-
-    @property
-    def n_workers(self) -> int:
-        """Detection worker processes; 0 for the single-process server."""
-        return 0
 
     @property
     def port(self) -> int:
@@ -259,7 +242,6 @@ class MappingServer:
         if self._metrics_server is not None:
             self._metrics_server.close()
             await self._metrics_server.wait_closed()
-        await self._shutdown_backend(reason)
         self.recorder.emit(
             ServeEnd(
                 reason=reason,
@@ -273,13 +255,6 @@ class MappingServer:
         )
         self.recorder.close()
         self._drained.set()
-
-    async def _shutdown_backend(self, reason: str) -> None:
-        """Tear down the serving backend, just before the ServeEnd event.
-
-        The single-process server has no backend; the routed server
-        overrides this to stop its workers and release their rings.
-        """
 
     # -- admission ----------------------------------------------------------
     def _admit(self, payload: "dict[str, Any]") -> "tuple[str, SessionConfig]":
@@ -298,12 +273,9 @@ class MappingServer:
         tenant = payload.get("tenant")
         if not isinstance(tenant, str) or not tenant:
             raise AdmissionError("HELLO must carry a tenant name", code="bad-hello")
-        try:
-            n_threads = int(payload["n_threads"])
-        except (KeyError, TypeError, ValueError):
-            raise AdmissionError(
-                "HELLO must carry an integer n_threads", code="bad-hello"
-            ) from None
+        n_threads = payload.get("n_threads")
+        if not _is_int64(n_threads):
+            raise AdmissionError("HELLO must carry an integer n_threads", code="bad-hello")
         if not 2 <= n_threads <= self.machine.n_pus:
             raise AdmissionError(
                 f"n_threads must be in [2, {self.machine.n_pus}]", code="bad-hello"
@@ -328,21 +300,6 @@ class MappingServer:
             )
         return tenant, session_cfg
 
-    def _make_session(self, tenant: str, session_cfg: SessionConfig) -> Any:
-        """Build the object owning an admitted tenant's detection state.
-
-        The single-process server runs the :class:`TenantSession` inline;
-        the routed server overrides this to place the session on a worker
-        and hand back a lightweight handle instead.
-        """
-        return TenantSession(
-            tenant,
-            session_cfg,
-            self.machine,
-            session_id=next(self._session_ids),
-            recorder=self.recorder,
-        )
-
     # -- connection handling ------------------------------------------------
     async def _handle_client(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
@@ -357,7 +314,6 @@ class MappingServer:
             return
         try:
             tenant, session_cfg = self._admit(frame.payload)
-            session = self._make_session(tenant, session_cfg)
         except AdmissionError as exc:
             self.sessions_refused += 1
             self._m_refused.inc()
@@ -372,6 +328,13 @@ class MappingServer:
                 pass
             writer.close()
             return
+        session = TenantSession(
+            tenant,
+            session_cfg,
+            self.machine,
+            session_id=next(self._session_ids),
+            recorder=self.recorder,
+        )
         conn = _Connection(session, writer, self.config.credit_window)
         self._connections[session.session_id] = conn
         self.sessions_served += 1
@@ -451,12 +414,7 @@ class MappingServer:
                 return
 
     async def _ingest_batch(self, conn: _Connection, batch: EventBatch) -> None:
-        """Detect + evaluate one batch inline, then credit the client.
-
-        The routed server overrides this to forward the batch into the
-        assigned worker's ring instead (MAPPING/CREDIT then flow from the
-        worker's acknowledgements).
-        """
+        """Detect + evaluate one batch inline, then credit the client."""
         loop = asyncio.get_event_loop()
         started = loop.time()
         updates = conn.session.ingest(batch)
@@ -536,16 +494,11 @@ class MappingServer:
                 return
 
     async def _end_session(self, conn: _Connection, reason: str, notify: bool) -> None:
-        """Terminal transition of one session (idempotent guard)."""
+        """Terminal transition of one session: final evaluation, summary
+        flush, trace event — once per session (later calls are no-ops)."""
         if conn.ended:
             return
         conn.ended = True
-        await self._finalize_session(conn, reason, notify)
-
-    async def _finalize_session(
-        self, conn: _Connection, reason: str, notify: bool
-    ) -> None:
-        """Final evaluation, summary flush, trace event — one per session."""
         session = conn.session
         if reason in ("bye", "drain"):
             update = session.evaluate(force=True)

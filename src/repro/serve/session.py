@@ -47,22 +47,7 @@ __all__ = [
     "SessionConfig",
     "ShardedShareTable",
     "TenantSession",
-    "validate_tid",
 ]
-
-
-def validate_tid(tid: int, n_threads: int) -> None:
-    """Reject a batch whose thread id falls outside the session's threads.
-
-    Shared by :meth:`TenantSession.ingest` and the router's forwarding
-    path, so a bad tid produces the identical protocol error whether the
-    session runs inline or on a worker — the router rejects it *before*
-    the batch enters a ring, keeping worker-side state clean.
-    """
-    if not 0 <= tid < n_threads:
-        raise ProtocolError(
-            f"thread id {tid} outside the session's {n_threads} threads"
-        )
 
 #: HELLO ``config`` keys a client may override (everything else is server
 #: policy; the thread count travels in the HELLO itself)
@@ -333,7 +318,10 @@ class TenantSession:
         order :func:`~repro.serve.evaluator.offline_reference` replays.
         """
         cfg = self.config
-        validate_tid(batch.tid, cfg.n_threads)
+        if not 0 <= batch.tid < cfg.n_threads:
+            raise ProtocolError(
+                f"thread id {batch.tid} outside the session's {cfg.n_threads} threads"
+            )
         n = batch.n_events
         if n:
             regions = batch.vaddrs // cfg.granularity

@@ -11,7 +11,7 @@ Three profiles, selected with ``--hypothesis-profile=<name>`` (or the
 * ``exhaustive``: the deep sweep for local bug hunts, paired with the
   ``slow``-marked enumerator tests (``-m slow`` runs both).
 
-The brute-force enumerators (truncation, kill-sweep, interleavings) are
+The brute-force enumerators (truncation, shard sweeps, interleavings) are
 profile-independent — they enumerate, they don't sample.
 """
 

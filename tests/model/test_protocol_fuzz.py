@@ -8,9 +8,10 @@ exception escapes the server's read loop and leaks the session.  Inputs
 are any type byte with any body, plus near-valid JSON bodies whose
 fields stray just outside the protocol's domain.
 
-The HELLO ``config`` object gets the same treatment one layer up: any
-override dict is refused with a typed error at admission, or yields a
-session that ingests and evaluates without raising.
+The HELLO gets the same treatment one layer up: any ``n_threads`` and
+``config`` override dict is refused at admission with ERROR ``bad-hello``
+(or ``too-large`` past the memory cap), or yields a session of exactly the
+requested thread count that ingests and evaluates without raising.
 """
 
 from __future__ import annotations
@@ -19,12 +20,12 @@ import asyncio
 import json
 
 import numpy as np
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
-from repro.errors import ConfigurationError, ProtocolError
+from repro.errors import AdmissionError, ProtocolError
 from repro.machine.topology import dual_xeon_e5_2650
-from repro.serve import SessionConfig, TenantSession, protocol
+from repro.serve import MappingServer, ServeConfig, TenantSession, protocol
 from repro.serve.protocol import EventBatch, Frame, MsgType
 from repro.serve.session import SESSION_OVERRIDE_KEYS
 from repro.units import PAGE_SIZE
@@ -147,23 +148,26 @@ _HELLO_CONFIGS = st.fixed_dictionaries(
         for key in sorted(SESSION_OVERRIDE_KEYS)
     },
 )
-#: the server's default per-tenant detection-state cap (64 MiB)
-_ADMISSION_CAP_BYTES = 64 * 1024 * 1024
 _MACHINE = dual_xeon_e5_2650()
+_SERVER = MappingServer(ServeConfig(shards=2, eval_every_events=32), machine=_MACHINE)
+_N_THREADS = st.one_of(_JSON_VALUES, st.integers(2, _MACHINE.n_pus))
 
 
-@given(_HELLO_CONFIGS)
-def test_hello_config_is_refused_or_runs(overrides):
-    """A typed refusal at admission, or a session that runs cleanly."""
-    defaults = SessionConfig(n_threads=4, shards=2, eval_every_events=32)
+@given(_N_THREADS, _HELLO_CONFIGS)
+@example(float("inf"), {})  # once escaped admission as OverflowError
+@example("16", {})  # once admitted as 16
+@example(8.9, {})  # once admitted as 8
+def test_hello_config_is_refused_or_runs(n_threads, overrides):
+    """ERROR ``bad-hello``/``too-large`` at admission, or a session that runs."""
+    hello = {"tenant": "fuzz", "n_threads": n_threads, "config": overrides}
     try:
-        config = SessionConfig.from_overrides(defaults, overrides)
-    except (ProtocolError, ConfigurationError):
+        tenant, config = _SERVER._admit(hello)
+    except AdmissionError as exc:
+        assert exc.code in ("bad-hello", "too-large"), exc.code
         return
-    if config.memory_bytes() > _ADMISSION_CAP_BYTES:
-        return
-    session = TenantSession("fuzz", config, _MACHINE)
+    assert type(n_threads) is int and config.n_threads == n_threads
+    session = TenantSession(tenant, config, _MACHINE)
     shared = np.arange(8, dtype=np.int64) * PAGE_SIZE
-    for tid, now_ns in ((0, 1_000), (1, 2_000), (2, 3_000)):
+    for tid, now_ns in ((0, 1_000), (1, 2_000), (2 % n_threads, 3_000)):
         session.ingest(EventBatch(tid, now_ns, shared + tid))
     session.evaluate(force=True)

@@ -62,7 +62,6 @@ TOP_LEVEL_API = {
     "ScalableHierarchicalMapper",
     "SimulationResult",
     "Simulator",
-    "SparseCommMatrix",
     "SpcdConfig",
     "SpcdDetector",
     "SpcdManager",
@@ -109,7 +108,7 @@ ENGINE_API = {
 
 class TestTopLevel:
     def test_version(self):
-        assert repro.__version__ == "3.0.0"
+        assert repro.__version__ == "4.0.0"
 
     def test_api_surface_snapshot(self):
         assert set(repro.__all__) == TOP_LEVEL_API

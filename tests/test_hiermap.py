@@ -124,15 +124,13 @@ class TestContract:
         mapping = ScalableHierarchicalMapper(machine).map(comm)
         assert len(set(mapping.tolist())) == 12
 
-    def test_accepts_matrix_object_and_sparse(self, machine):
+    def test_accepts_matrix_object(self, machine):
         from repro.core.commmatrix import CommunicationMatrix
-        from repro.graphs.sparse import SparseCommMatrix
 
         comm = chain_pattern(32)
         mapper = ScalableHierarchicalMapper(machine)
         base = mapper.map(comm)
         assert np.array_equal(mapper.map(CommunicationMatrix(32, comm)), base)
-        assert np.array_equal(mapper.map(SparseCommMatrix(32, comm)), base)
 
     def test_counts_calls(self, machine):
         mapper = ScalableHierarchicalMapper(machine)

@@ -16,6 +16,7 @@ import pytest
 
 from repro.core.grouping import build_hierarchy, group_matrix, pair_groups
 from repro.core.matching import (
+    _ARRAY_MIN_VERTICES,
     _blossom_array,
     _blossom_reference,
     greedy_matching,
@@ -93,7 +94,7 @@ def test_dispatch_matches_reference_across_threshold():
     """The public function returns reference results on both sides of the
     size cutover."""
     rng = np.random.default_rng(5)
-    for n in (8, 40, 48, 72):
+    for n in (8, 40, 48, 72, _ARRAY_MIN_VERTICES - 2, _ARRAY_MIN_VERTICES):
         m = _random_symmetric_int(rng, n, 6)
         edges = _complete_edges(m)
         assert max_weight_matching(edges, True) == _blossom_reference(edges, True)
@@ -102,7 +103,7 @@ def test_dispatch_matches_reference_across_threshold():
 def test_perfect_matching_array_path_is_optimal():
     """Array fast path of the perfect matching: optimal weight, full cover."""
     rng = np.random.default_rng(17)
-    n = 64
+    n = _ARRAY_MIN_VERTICES
     m = _random_symmetric_int(rng, n, 50)
     pairs = max_weight_perfect_matching(m)
     assert len(pairs) == n // 2

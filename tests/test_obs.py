@@ -91,9 +91,7 @@ def test_event_types_registry_is_complete():
             "grid_start", "grid_end", "cell_attempt_failed", "cell_retry",
             "cell_completed", "cell_failed",
             "serve_start", "serve_session_start", "serve_evaluation",
-            "serve_session_end", "serve_end",
-            "serve_worker_start", "serve_worker_crash",
-            "serve_tenant_migrated"} == set(kinds)
+            "serve_session_end", "serve_end"} == set(kinds)
 
 
 # ---------------------------------------------------------------------------

@@ -39,6 +39,16 @@ BAD_HELLO_CONFIGS = {
     "filter-enabled-str": ({"filter_enabled": "no"}, ConfigurationError),
 }
 
+#: HELLO ``n_threads`` values that are not a 64-bit integer: each once
+#: escaped admission as an exception (Infinity), was admitted as a string
+#: ("16") or truncated (8.9), or was read as the integer 1 (true)
+BAD_N_THREADS = {
+    "infinity": float("inf"),
+    "string": "16",
+    "fraction": 8.9,
+    "bool": True,
+}
+
 
 # ---------------------------------------------------------------------------
 # protocol framing
@@ -140,6 +150,29 @@ class TestProtocol:
 
 
 # ---------------------------------------------------------------------------
+# vectorised vs scalar EVENTS decode (bit parity)
+# ---------------------------------------------------------------------------
+class TestDecodeParity:
+    @pytest.mark.parametrize("n", [0, 1, 7, 1024])
+    def test_decoders_bit_identical(self, n, rng):
+        vaddrs = rng.integers(-(2**62), 2**62, size=n, dtype=np.int64)
+        body = protocol.events_body(5, 123456789, vaddrs)
+        fast = protocol.decode_events(body)
+        slow = protocol.decode_events_scalar(body)
+        assert fast.tid == slow.tid == 5
+        assert fast.now_ns == slow.now_ns == 123456789
+        assert fast.vaddrs.dtype == slow.vaddrs.dtype == np.int64
+        assert np.array_equal(fast.vaddrs, slow.vaddrs)
+        assert np.array_equal(fast.vaddrs, vaddrs)
+
+    def test_decoders_accept_memoryview(self):
+        body = protocol.events_body(1, 2, np.array([4096, 8192], dtype=np.int64))
+        fast = protocol.decode_events(memoryview(body))
+        slow = protocol.decode_events_scalar(memoryview(body))
+        assert np.array_equal(fast.vaddrs, slow.vaddrs)
+
+
+# ---------------------------------------------------------------------------
 # metrics registry
 # ---------------------------------------------------------------------------
 class TestMetrics:
@@ -234,6 +267,18 @@ class TestSessionConfig:
         small = SessionConfig(n_threads=4, table_size=1000)
         large = SessionConfig(n_threads=4, table_size=100000)
         assert large.memory_bytes() > small.memory_bytes()
+
+
+class TestAdmission:
+    @pytest.mark.parametrize("n_threads", BAD_N_THREADS.values(), ids=BAD_N_THREADS)
+    def test_hello_n_threads_must_be_an_int64(self, machine, n_threads):
+        from repro.errors import AdmissionError
+        from repro.serve import MappingServer
+
+        server = MappingServer(machine=machine)
+        with pytest.raises(AdmissionError, match="integer n_threads") as exc:
+            server._admit({"tenant": "t", "n_threads": n_threads})
+        assert exc.value.code == "bad-hello"
 
 
 class TestShardedShareTable:
@@ -510,6 +555,29 @@ class TestServerE2E:
                         )
                     assert exc.value.code == "bad-hello"
                 assert server.sessions_refused == len(BAD_HELLO_CONFIGS)
+                assert server.sessions_served == 0
+
+        asyncio.run(scenario())
+
+    def test_bad_hello_n_threads_is_refused_with_an_error(self, machine):
+        """A HELLO whose ``n_threads`` is not an int64 draws ERROR ``bad-hello``."""
+        from repro.serve import MappingServer
+
+        async def scenario():
+            async with MappingServer(self._config(), machine=machine) as server:
+                for n_threads in BAD_N_THREADS.values():
+                    reader, writer = await asyncio.open_connection(
+                        "127.0.0.1", server.port
+                    )
+                    hello = {"tenant": "t", "n_threads": n_threads}
+                    await protocol.write_frame(
+                        writer, protocol.encode(MsgType.HELLO, hello)
+                    )
+                    frame = await asyncio.wait_for(protocol.read_frame(reader), 5.0)
+                    writer.close()
+                    assert frame is not None and frame.type is MsgType.ERROR, n_threads
+                    assert frame.payload["code"] == "bad-hello"
+                assert server.sessions_refused == len(BAD_N_THREADS)
                 assert server.sessions_served == 0
 
         asyncio.run(scenario())

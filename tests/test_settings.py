@@ -15,10 +15,9 @@ from repro.engine.settings import (
     ENV_GRID_STRICT,
     ENV_GRID_WORKERS,
     ENV_PLACEMENT_WALK,
+    ENV_PT_REPLICATE,
     ENV_RESULT_CACHE,
     ENV_RETRY_BACKOFF,
-    ENV_SERVE_WORKERS,
-    ENV_SPARSE_COMM,
     ENV_TRACE,
     RunSettings,
     available_cpus,
@@ -31,7 +30,7 @@ def test_defaults_from_empty_environment():
     assert s == RunSettings()
     assert s.workers == 1
     assert s.cache_dir is None and s.trace is None
-    assert not s.sparse_comm and not s.placement_walk
+    assert not s.pt_replicate and not s.placement_walk
     assert s.cell_timeout_s is None
     assert s.cell_retries == 2
     assert s.retry_backoff_s == 0.25
@@ -43,7 +42,7 @@ def test_from_env_round_trip():
         ENV_GRID_WORKERS: "1",
         ENV_RESULT_CACHE: "/tmp/cache",
         ENV_TRACE: "/tmp/trace",
-        ENV_SPARSE_COMM: "yes",
+        ENV_PT_REPLICATE: "yes",
         ENV_PLACEMENT_WALK: "on",
         ENV_CELL_TIMEOUT: "12.5",
         ENV_CELL_RETRIES: "4",
@@ -54,7 +53,7 @@ def test_from_env_round_trip():
     assert s.workers == 1
     assert s.cache_dir == "/tmp/cache"
     assert s.trace == "/tmp/trace"
-    assert s.sparse_comm and s.placement_walk and s.strict
+    assert s.pt_replicate and s.placement_walk and s.strict
     assert s.cell_timeout_s == 12.5
     assert s.cell_retries == 4
     assert s.retry_backoff_s == 0.5
@@ -76,24 +75,12 @@ def test_env_workers_is_capped_at_available_cpus():
     assert RunSettings(workers=10000).workers == 10000
 
 
-def test_serve_workers_from_env():
-    assert RunSettings.from_env({}).serve_workers == 1
-    s = RunSettings.from_env({ENV_SERVE_WORKERS: "4"})
-    # deliberately NOT capped at available_cpus: detection workers are
-    # I/O-interleaved with the router, and the parity tests oversubscribe
-    assert s.serve_workers == 4
-    with pytest.raises(ConfigurationError, match="bad REPRO_SERVE_WORKERS"):
-        RunSettings.from_env({ENV_SERVE_WORKERS: "two"})
-    with pytest.raises(ConfigurationError):
-        RunSettings(serve_workers=0)
-
-
 @pytest.mark.parametrize(
     "env",
     [
         {ENV_GRID_WORKERS: "three"},
         {ENV_PLACEMENT_WALK: "maybe"},
-        {ENV_SPARSE_COMM: "2"},
+        {ENV_PT_REPLICATE: "2"},
         {ENV_CELL_TIMEOUT: "soon"},
         {ENV_CELL_RETRIES: "2.5"},
         {ENV_RETRY_BACKOFF: "fast"},
