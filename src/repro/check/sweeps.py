@@ -1,9 +1,10 @@
 """Shard-count invariance sweeps: digests must not depend on parallelism.
 
-:class:`~repro.serve.session.ShardedShareTable` partitions the sharing
-table's *slot space*, so a :class:`~repro.serve.session.TenantSession`
-must emit identical matrices, digests and mapping updates for every legal
-shard count (the module docstring's bit-identity argument).
+:class:`~repro.serve.session.ShardedShareTable` keeps one table over the
+logical slot space and routes each detected event to a shard matrix by its
+slot, so a :class:`~repro.serve.session.TenantSession` must emit identical
+matrices, digests and mapping updates for every legal shard count (the
+module docstring's bit-identity argument).
 
 :func:`session_shard_trace` reduces one run to a canonical trace so the
 sweep tests can assert plain equality across every shard count — when the
@@ -60,7 +61,7 @@ def session_shard_trace(
         "events": session.events_seen,
         "comm_events": session.comm_events,
         "windowed_out": session.windowed_out,
-        "shared_regions": session.table.shared_region_count(),
+        "shared_regions": session.table.table.shared_region_count(),
         "updates": updates,
         "mapping": [int(p) for p in session.evaluator.current],
     }

@@ -16,9 +16,11 @@ Two implementations share this contract:
   timestamps.  The differential-testing reference engine
   (``SpcdDetector(engine="dict")``).
 * :class:`ArrayShareTable` — NumPy slot arrays (a region-id vector plus a
-  ``(size, n_threads)`` last-access timestamp matrix) with a vectorised
-  batch touch path; its ``collisions``/``lookups``/``inserts`` counters are
-  bit-identical to the reference under the same fault stream.
+  ``(size, n_threads)`` last-access timestamp matrix) with a batch touch
+  that handles a whole batch in one exact sort-based pass, and a scalar
+  touch for single faults.  Its ``collisions``/``inserts`` counters, live
+  entries and emitted events equal the reference's under the same fault
+  stream.  It is the only engine the simulator and the service run.
 """
 
 from __future__ import annotations
@@ -151,13 +153,14 @@ class ArrayShareTable:
     plain ``np.zeros`` allocation, so untouched slots of a paper-sized
     256k-entry table never cost physical memory.
 
-    :meth:`touch_batch` replays a whole fault batch: slots are computed with
-    a vectorised ``hash_64``, batch members landing on distinct slots are
-    processed in one pass, and the rare members colliding on a slot *within*
-    the batch are replayed scalarly in reference order — so ``collisions``
-    and ``inserts`` match the dict engine exactly, and the returned
-    communication events reproduce the reference engine's per-event matrix
-    updates bit for bit.
+    :meth:`touch_batch` takes a whole fault batch in one sort-based pass:
+    slots are computed with a vectorised ``hash_64``, the members are grouped
+    by slot, and each slot's runs of equal region are resolved at once (see
+    :meth:`touch_batch_at`), however often a slot repeats within the batch.
+    ``collisions``, ``inserts`` and the live entries match the dict engine
+    replaying the batch in fault order, and the returned events are the
+    same multiset as its per-event ``matrix.add`` calls.  :meth:`touch` is
+    the scalar path for one fault.
     """
 
     def __init__(self, size: int = DEFAULT_TABLE_SIZE, n_threads: int = 1) -> None:
@@ -196,9 +199,10 @@ class ArrayShareTable:
         fell outside the temporal window.
         """
         regions = np.asarray(regions, dtype=np.int64)
-        if regions.size == 0:
-            return np.empty(0, dtype=np.int64), 0
-        return self.touch_batch_at(self.slots_of(regions), regions, tid, now_ns, window_ns)
+        partners, windowed_out, _ = self.touch_batch_at(
+            self.slots_of(regions), regions, tid, now_ns, window_ns
+        )
+        return partners, windowed_out
 
     def touch_batch_at(
         self,
@@ -207,66 +211,74 @@ class ArrayShareTable:
         tid: int,
         now_ns: int,
         window_ns: int,
-    ) -> tuple[np.ndarray, int]:
+    ) -> tuple[np.ndarray, int, np.ndarray]:
         """:meth:`touch_batch` with the slot of each region precomputed.
 
-        A sharded deployment (:mod:`repro.serve.session`) hashes regions
-        against the *logical* table once, partitions them across shard
-        tables, and hands each shard its local slot indices — so the
-        partition is a slice of the single-table slot space and collisions,
-        inserts and communication events stay bit-identical to an unsharded
-        table of the logical size.  *slots* must be what the table's own
-        hash would produce for an unsharded table, or any consistent
-        partition of it; members colliding on a slot within the batch are
-        replayed scalarly in fault order, exactly as in :meth:`touch_batch`.
+        Returns ``(partners, windowed_out, event_slots)``, where
+        *event_slots* holds the slot of each emitted event, so a caller can
+        route events by slot (:class:`repro.serve.session.ShardedShareTable`).
+
+        One sort-based pass, exact against a fault-order replay.  The
+        members are grouped by slot (stably, so fault order holds within a
+        slot) and each slot's members split into runs of equal region:
+
+        * if the slot already holds the first run's region, every member of
+          that run emits the slot's in-window partners and its windowed-out
+          count; the members share *tid* and *now_ns* and write only column
+          *tid*, so each emits the same set;
+        * otherwise the run's first member inserts (a collision if the slot
+          was occupied) and the run emits nothing;
+        * each later run is one collision and one insert and emits nothing.
+
+        The slot ends holding the last run's region; its row is cleared if
+        anything was inserted, and column *tid* is set to ``now_ns + 1``.
         """
         regions = np.asarray(regions, dtype=np.int64)
         slots = np.asarray(slots, dtype=np.int64)
-        _, inverse, counts = np.unique(slots, return_inverse=True, return_counts=True)
-        dup = counts[inverse] > 1
-        if not dup.any():
-            return self._touch_distinct(slots, regions, tid, now_ns, window_ns)
-        events: list[np.ndarray] = []
-        windowed_out = 0
-        single = ~dup
-        if single.any():
-            js, wout = self._touch_distinct(
-                slots[single], regions[single], tid, now_ns, window_ns
-            )
-            events.append(js)
-            windowed_out += wout
-        # Batch members sharing a slot interact; replay them in fault order.
-        for k in np.flatnonzero(dup):
-            js, wout = self._touch_one(int(slots[k]), int(regions[k]), tid, now_ns, window_ns)
-            events.append(np.asarray(js, dtype=np.int64))
-            windowed_out += wout
-        return np.concatenate(events), windowed_out
+        if slots.size == 0:
+            empty = np.empty(0, dtype=np.int64)
+            return empty, 0, empty
+        # Group the members by slot (a stable sort keeps fault order within
+        # a slot); a run is a maximal stretch of one region within a slot.
+        order = np.argsort(slots, kind="stable")
+        s, r = slots[order], regions[order]
+        slot_start = np.empty(s.size, dtype=bool)
+        slot_start[0] = True
+        np.not_equal(s[1:], s[:-1], out=slot_start[1:])
+        run_start = slot_start.copy()
+        run_start[1:] |= r[1:] != r[:-1]
+        first = np.flatnonzero(slot_start)
+        last = np.append(first[1:], s.size) - 1
+        run_no = np.cumsum(run_start) - 1
+        later_runs = run_no[last] - run_no[first]
+        batch_slots = s[first]
 
-    def _touch_distinct(
-        self, slots: np.ndarray, regions: np.ndarray, tid: int, now_ns: int, window_ns: int
-    ) -> tuple[np.ndarray, int]:
-        """Touch faults whose slots are distinct within the batch."""
-        current = self._region[slots]
-        match = current == regions
-        self.collisions += int(np.count_nonzero((current != _EMPTY_REGION) & ~match))
-        partners = np.empty(0, dtype=np.int64)
+        current = self._region[batch_slots]
+        hit = current == r[first]
+        miss = ~hit
+        n_later = int(later_runs.sum())
+        self.collisions += int(np.count_nonzero(miss & (current != _EMPTY_REGION))) + n_later
+        self.inserts += int(np.count_nonzero(miss)) + n_later
+
+        partners = event_slots = np.empty(0, dtype=np.int64)
         windowed_out = 0
-        if match.any():
-            rows = self._last[slots[match]]
+        if hit.any():
+            # each member of a hit slot's first run emits the slot's partners
+            hit_slots = batch_slots[hit]
+            repeats = np.bincount(run_no)[run_no[first[hit]]]
+            rows = self._last[hit_slots]
             valid = rows != 0
             valid[:, tid] = False
             in_window = valid & ((now_ns + 1 - rows) <= window_ns)
-            partners = np.nonzero(in_window)[1].astype(np.int64)
-            windowed_out = int(np.count_nonzero(valid)) - int(partners.size)
-        fresh = ~match
-        n_fresh = int(np.count_nonzero(fresh))
-        if n_fresh:
-            fresh_slots = slots[fresh]
-            self._region[fresh_slots] = regions[fresh]
-            self._last[fresh_slots] = 0
-            self.inserts += n_fresh
-        self._last[slots, tid] = now_ns + 1
-        return partners, windowed_out
+            windowed_out = int(repeats @ (valid & ~in_window).sum(axis=1))
+            row, col = np.nonzero(in_window)
+            partners = np.repeat(col, repeats[row])
+            event_slots = np.repeat(hit_slots[row], repeats[row])
+
+        self._region[batch_slots] = r[last]
+        self._last[batch_slots[miss | (later_runs > 0)]] = 0
+        self._last[batch_slots, tid] = now_ns + 1
+        return partners, windowed_out, event_slots
 
     def touch(
         self, region: int, tid: int, now_ns: int, window_ns: int
@@ -338,10 +350,12 @@ class ArrayShareTable:
 
     def shared_region_count(self) -> int:
         """Number of currently tracked regions with >= 2 sharers."""
-        occupied = self._region != _EMPTY_REGION
-        if not occupied.any():
-            return 0
-        return int(np.count_nonzero((self._last[occupied] != 0).sum(axis=1) >= 2))
+        occupied = np.flatnonzero(self._region != _EMPTY_REGION)
+        sharers = np.zeros(occupied.size, dtype=np.int64)
+        # one thread's column at a time: no copy of the occupied rows
+        for column in self._last.T:
+            sharers += column[occupied] != 0
+        return int(np.count_nonzero(sharers >= 2))
 
     def entries(self) -> list[ShareEntry]:
         """All live entries as snapshots (inspection/testing)."""

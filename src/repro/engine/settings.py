@@ -69,7 +69,7 @@ ENV_SERVE_METRICS_PORT = "REPRO_SERVE_METRICS_PORT"
 ENV_SERVE_MAX_SESSIONS = "REPRO_SERVE_MAX_SESSIONS"
 #: per-tenant detection-state memory cap, MiB
 ENV_SERVE_MAX_TABLE_MB = "REPRO_SERVE_MAX_TABLE_MB"
-#: sharing-table shards per session
+#: communication-matrix shards per session
 ENV_SERVE_SHARDS = "REPRO_SERVE_SHARDS"
 #: events between two mapping evaluations of a session
 ENV_SERVE_EVAL_EVERY = "REPRO_SERVE_EVAL_EVERY"
@@ -169,7 +169,7 @@ class RunSettings:
     serve_max_sessions: int = 64
     #: per-tenant detection-state memory cap in MiB
     serve_max_table_mb: float = 64.0
-    #: sharing-table shards per serve session
+    #: communication-matrix shards per serve session
     serve_shards: int = 4
     #: events between two mapping evaluations of a serve session
     serve_eval_every: int = 8192

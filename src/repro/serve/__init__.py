@@ -3,8 +3,8 @@
 An asyncio daemon that turns the offline SPCD pipeline into a
 multi-tenant service, in one process on one event loop: clients stream
 page-fault event batches over a length-prefixed framed protocol, each
-session runs the sharded detection pipeline (sharing table +
-communication matrix shards) and a periodic filter + hierarchical-mapper
+session runs the detection pipeline (one sharing table + communication
+matrix shards) and a periodic filter + hierarchical-mapper
 evaluation, and accepted remaps are pushed back as MAPPING frames.  The
 numeric path is engineered to stay **bit-identical** to the offline
 engine — see :func:`repro.serve.evaluator.offline_reference` for the
@@ -14,7 +14,7 @@ Layout:
 
 * :mod:`~repro.serve.protocol` — wire framing and the credit flow-control
   vocabulary;
-* :mod:`~repro.serve.session` — per-tenant sharded detection state;
+* :mod:`~repro.serve.session` — per-tenant detection state;
 * :mod:`~repro.serve.evaluator` — evaluation gates + the offline replay;
 * :mod:`~repro.serve.server` — the daemon (admission, backpressure,
   drain);

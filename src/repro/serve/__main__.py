@@ -50,7 +50,7 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         help="per-tenant detection-state memory cap (MiB)",
     )
-    parser.add_argument("--shards", type=int, default=None, help="table shards per session")
+    parser.add_argument("--shards", type=int, default=None, help="communication-matrix shards per session")
     parser.add_argument(
         "--eval-every",
         type=int,

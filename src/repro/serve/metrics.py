@@ -28,9 +28,12 @@ __all__ = [
     "MetricsRegistry",
 ]
 
-#: default latency buckets (seconds) — sub-millisecond ingest up to multi-
-#: second evaluation stalls
+#: default latency buckets (seconds) — a 256-event batch ingests in about
+#: 0.2 ms, evaluation stalls run to seconds
 DEFAULT_BUCKETS = (
+    0.00005,
+    0.0001,
+    0.00025,
     0.0005,
     0.001,
     0.0025,

@@ -1,16 +1,12 @@
-"""Per-tenant detection state: sharded sharing table + shard matrices.
+"""Per-tenant detection state: one share table, shard matrices, evaluator.
 
-Each session owns the full SPCD pipeline for one tenant, with the sharing
-table split across shards so large tables stay cache-friendly and shard
-work can be parallelised later without changing results.  The sharding is a
-**slot-space partition**, not an independent per-shard hash: a region's
-logical slot is computed exactly as the unsharded table computes it
-(``hash_64(region) % logical_size``), then routed to shard
-``slot % n_shards`` at local slot ``slot // n_shards``.  Because each
-logical slot lives in exactly one shard and keeps its overwrite-on-
-collision semantics, the set of (region, sharer, timestamp) states — and
-therefore every emitted communication event — is identical to a single
-:class:`~repro.core.hashtable.ArrayShareTable` of the same logical size.
+Each session owns the full SPCD pipeline for one tenant.  Its sharing table
+is one :class:`~repro.core.hashtable.ArrayShareTable` over the *logical*
+slot space (``hash_64(region) % logical_size``, the slot an unsharded table
+computes), so every collision, overwrite and emitted communication event is
+that of a single table of the logical size.  The shards partition only the
+emitted events and the matrices: an event goes to shard ``slot % n_shards``
+of the slot it was detected on.
 
 Per-shard :class:`~repro.core.commmatrix.CommunicationMatrix` accumulators
 take the detected events; the evaluation path reduces them with
@@ -31,7 +27,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.core.commmatrix import CommunicationMatrix
-from repro.core.hashtable import DEFAULT_TABLE_SIZE, ArrayShareTable, hash_64_batch
+from repro.core.hashtable import DEFAULT_TABLE_SIZE, ArrayShareTable
 from repro.core.manager import matrix_digest
 from repro.errors import ConfigurationError, ProtocolError
 from repro.machine.topology import Machine
@@ -172,8 +168,8 @@ class SessionConfig:
     def effective_table_size(self) -> int:
         """``table_size`` rounded up to a multiple of ``shards``.
 
-        The logical slot space must split evenly so the shard partition is
-        exact; the offline reference uses this same size.
+        The size of the session's logical slot space; the offline reference
+        sizes its table the same way.
         """
         return -(-self.table_size // self.shards) * self.shards
 
@@ -208,13 +204,13 @@ class SessionConfig:
 
 
 class ShardedShareTable:
-    """A slot-space-partitioned :class:`ArrayShareTable`.
+    """One :class:`ArrayShareTable` whose events are routed to shards.
 
-    Exposes the same batch-touch contract as the unsharded table but routes
-    every logical slot to ``shards[slot % n_shards]`` at local slot
-    ``slot // n_shards``; see the module docstring for why this is an exact
-    partition.  *size* must be a multiple of *n_shards* (use
-    :attr:`SessionConfig.effective_table_size`).
+    The table covers the whole logical slot space; :meth:`touch_batch`
+    touches it once per batch and hands each emitted event to shard
+    ``slot % n_shards`` of the slot it was detected on.  *size* must be a
+    multiple of *n_shards* (use :attr:`SessionConfig.effective_table_size`),
+    so the slot space is the one the offline reference sizes its table to.
     """
 
     def __init__(self, size: int, n_threads: int, n_shards: int = 4) -> None:
@@ -222,63 +218,32 @@ class ShardedShareTable:
             raise ConfigurationError("n_shards must be positive")
         if size <= 0 or size % n_shards != 0:
             raise ConfigurationError("size must be a positive multiple of n_shards")
-        self.size = size
         self.n_shards = n_shards
-        self.shards = [ArrayShareTable(size // n_shards, n_threads) for _ in range(n_shards)]
+        self.table = ArrayShareTable(size, n_threads)
 
     def touch_batch(
         self, regions: np.ndarray, tid: int, now_ns: int, window_ns: int
     ) -> "tuple[list[tuple[int, np.ndarray]], int]":
         """Touch a batch of regions; returns per-shard partner vectors.
 
-        The result is ``([(shard_id, partners), ...], windowed_out)`` where
-        each ``partners`` vector is what the shard's table emitted — the
-        concatenation over shards is a permutation of what the unsharded
-        table would emit for the same batch (partner multisets per event
-        are identical; only inter-shard ordering differs, and matrix
-        accumulation is order-insensitive).
+        The result is ``([(shard_id, partners), ...], windowed_out)``, one
+        entry per shard that received events.  The concatenation over
+        shards is a permutation of what the table emitted for the batch;
+        matrix accumulation is order-insensitive.
         """
         regions = np.asarray(regions, dtype=np.int64)
-        slots = (hash_64_batch(regions) % np.uint64(self.size)).astype(np.int64)
-        shard_ids = slots % self.n_shards
-        local_slots = slots // self.n_shards
-        out: list[tuple[int, np.ndarray]] = []
-        windowed_out = 0
-        for shard_id in range(self.n_shards):
-            mask = shard_ids == shard_id
-            if not np.any(mask):
-                continue
-            partners, windowed = self.shards[shard_id].touch_batch_at(
-                local_slots[mask], regions[mask], tid, now_ns, window_ns
-            )
-            windowed_out += windowed
-            if partners.size:
-                out.append((shard_id, partners))
-        return out, windowed_out
-
-    # -- aggregate counters -------------------------------------------------
-    @property
-    def collisions(self) -> int:
-        """Overwrite events summed over shards."""
-        return sum(s.collisions for s in self.shards)
-
-    @property
-    def inserts(self) -> int:
-        """Fresh-slot inserts summed over shards."""
-        return sum(s.inserts for s in self.shards)
-
-    @property
-    def lookups(self) -> int:
-        """Touches summed over shards."""
-        return sum(s.lookups for s in self.shards)
-
-    def shared_region_count(self) -> int:
-        """Live entries with >= 2 sharers, summed over shards."""
-        return sum(s.shared_region_count() for s in self.shards)
+        partners, windowed_out, event_slots = self.table.touch_batch_at(
+            self.table.slots_of(regions), regions, tid, now_ns, window_ns
+        )
+        shard_ids = event_slots % self.n_shards
+        order = np.argsort(shard_ids, kind="stable")
+        bounds = np.cumsum(np.bincount(shard_ids, minlength=self.n_shards))[:-1]
+        per_shard = np.split(partners[order], bounds)
+        return [(k, p) for k, p in enumerate(per_shard) if p.size], windowed_out
 
 
 class TenantSession:
-    """One tenant's full pipeline: sharded table, shard matrices, evaluator.
+    """One tenant's full pipeline: share table, shard matrices, evaluator.
 
     Synchronous and asyncio-agnostic — the server feeds it decoded
     :class:`~repro.serve.protocol.EventBatch` objects from the session's
@@ -313,7 +278,7 @@ class TenantSession:
     def ingest(self, batch: EventBatch) -> "list[MappingUpdate]":
         """Feed one event batch; returns any mapping updates it triggered.
 
-        Detection first (sharded touch + per-shard matrix scatter), then as
+        Detection first (one table touch + per-shard matrix scatter), then as
         many evaluation ticks as the event-count cadence owes — the same
         order :func:`~repro.serve.evaluator.offline_reference` replays.
         """
@@ -324,6 +289,10 @@ class TenantSession:
             )
         n = batch.n_events
         if n:
+            # A negative address gives a negative region id, and region -1
+            # is the table's empty-slot sentinel.
+            if int(batch.vaddrs.min()) < 0:
+                raise ProtocolError("negative address in an EVENTS batch")
             regions = batch.vaddrs // cfg.granularity
             per_shard, windowed = self.table.touch_batch(
                 regions, batch.tid, batch.now_ns, cfg.window_ns
@@ -404,9 +373,9 @@ class TenantSession:
             "windowed_out": self.windowed_out,
             "evaluations": self.evaluator.evaluations,
             "remaps": self.evaluator.remaps,
-            "shared_regions": self.table.shared_region_count(),
-            "collisions": self.table.collisions,
-            "inserts": self.table.inserts,
+            "shared_regions": self.table.table.shared_region_count(),
+            "collisions": self.table.table.collisions,
+            "inserts": self.table.table.inserts,
             "matrix_digest": self.final_digest(),
             "mapping": [int(p) for p in self.evaluator.current],
         }

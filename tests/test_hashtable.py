@@ -1,15 +1,39 @@
 """Tests for the SPCD sharing table and Linux hash function."""
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.hashtable import (
     DEFAULT_TABLE_SIZE,
     GOLDEN_RATIO_64,
+    ArrayShareTable,
     ShareEntry,
     ShareTable,
     hash_64,
 )
 from repro.errors import ConfigurationError
+
+
+def replay_in_fault_order(table, regions, tid, now_ns, window_ns):
+    """The oracle: one ``get_or_create`` and window scan per fault, in order.
+
+    Returns ``(events, windowed_out)``, with one ``(region, partner)`` pair
+    per communication event.
+    """
+    events, windowed_out = [], 0
+    for region in np.asarray(regions).tolist():
+        entry = table.get_or_create(region)
+        for other, last_ns in entry.last_access.items():
+            if other == tid:
+                continue
+            if now_ns - last_ns <= window_ns:
+                events.append((region, other))
+            else:
+                windowed_out += 1
+        entry.touch(tid, now_ns)
+    return events, windowed_out
 
 
 class TestHash64:
@@ -117,3 +141,110 @@ class TestShareTable:
         for region in range(50_000):
             t.get_or_create(region)
         assert t.collisions / 50_000 < 0.12
+
+
+# ---------------------------------------------------------------------------
+# ArrayShareTable.touch_batch against a ShareTable replay in fault order
+# ---------------------------------------------------------------------------
+N_THREADS = 4
+WINDOW_NS = 10
+
+
+def _live(table):
+    return {e.region: e.last_access for e in table.entries()}
+
+
+def _touch_both(fast, oracle, regions, tid, now_ns, window_ns=WINDOW_NS):
+    """Feed one batch to both tables and assert they agree on everything."""
+    partners, windowed_out = fast.touch_batch(
+        np.asarray(regions, dtype=np.int64), tid, now_ns, window_ns
+    )
+    events, want_windowed_out = replay_in_fault_order(oracle, regions, tid, now_ns, window_ns)
+    assert sorted(partners.tolist()) == sorted(j for _, j in events)
+    assert windowed_out == want_windowed_out
+    assert (fast.collisions, fast.inserts) == (oracle.collisions, oracle.inserts)
+    assert _live(fast) == _live(oracle)
+    return partners, windowed_out
+
+
+def _same_slot_pair(size):
+    """Two distinct regions that hash to one slot of a *size*-slot table."""
+    a = 1
+    b = next(r for r in range(a + 1, 10_000) if hash_64(r) % size == hash_64(a) % size)
+    return a, b
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    size=st.sampled_from([1, 3, 7, 61]),
+    batches=st.lists(
+        st.tuples(
+            st.integers(0, N_THREADS - 1),
+            # time advances in steps of 5 ns against a 10 ns window, so
+            # sharers land inside, exactly at and beyond the window edge
+            st.integers(0, 3),
+            # a pool of 12 regions: batches repeat regions and slots
+            st.lists(st.integers(0, 11), max_size=40),
+        ),
+        max_size=12,
+    ),
+)
+def test_touch_batch_matches_fault_order_replay(size, batches):
+    fast, oracle = ArrayShareTable(size, N_THREADS), ShareTable(size)
+    now_ns = 0
+    for tid, step, regions in batches:
+        now_ns += 5 * step
+        _touch_both(fast, oracle, regions, tid, now_ns)
+
+
+class TestArrayShareTableBatch:
+    def test_many_repeats_of_one_region(self):
+        """Every repeat of a known region emits the slot's partners."""
+        fast, oracle = ArrayShareTable(7, N_THREADS), ShareTable(7)
+        _touch_both(fast, oracle, [5], 1, 0)
+        _touch_both(fast, oracle, [5], 2, 0)
+        partners, _ = _touch_both(fast, oracle, [5] * 200, 0, 1)
+        assert sorted(partners.tolist()) == [1] * 200 + [2] * 200
+
+    def test_repeats_of_a_new_region_emit_nothing(self):
+        fast, oracle = ArrayShareTable(7, N_THREADS), ShareTable(7)
+        _touch_both(fast, oracle, [5], 1, 0)
+        partners, _ = _touch_both(fast, oracle, [6] * 50, 0, 1)
+        assert partners.size == 0
+
+    @pytest.mark.parametrize("size", [1, 3, 7])
+    def test_regions_alternating_on_one_slot(self, size):
+        """A, B, A on one slot: A's partners, then two overwrites."""
+        a, b = _same_slot_pair(size)
+        fast, oracle = ArrayShareTable(size, N_THREADS), ShareTable(size)
+        _touch_both(fast, oracle, [a], 1, 0)
+        partners, _ = _touch_both(fast, oracle, [a, b, a], 0, 1)
+        assert partners.tolist() == [1]
+        assert (fast.collisions, fast.inserts) == (2, 3)
+        _touch_both(fast, oracle, [b, b, a, a, b, a], 2, 2)
+        _touch_both(fast, oracle, [a, a, a], 3, 3)
+
+    def test_empty_batch(self):
+        fast, oracle = ArrayShareTable(7, N_THREADS), ShareTable(7)
+        _touch_both(fast, oracle, [3], 1, 0)
+        partners, windowed_out = _touch_both(fast, oracle, [], 0, 1)
+        assert partners.size == 0 and windowed_out == 0
+        assert (fast.collisions, fast.inserts) == (0, 1)
+
+    def test_sharer_exactly_window_old_is_a_partner(self):
+        fast, oracle = ArrayShareTable(7, N_THREADS), ShareTable(7)
+        _touch_both(fast, oracle, [3, 4], 1, 0)
+        partners, windowed_out = _touch_both(fast, oracle, [3, 3], 0, WINDOW_NS)
+        assert partners.tolist() == [1, 1] and windowed_out == 0
+        partners, windowed_out = _touch_both(fast, oracle, [4, 4], 0, WINDOW_NS + 1)
+        assert partners.size == 0 and windowed_out == 2
+
+    def test_touch_batch_at_reports_the_slot_of_each_event(self):
+        table = ArrayShareTable(61, N_THREADS)
+        regions = np.array([3, 9, 3], dtype=np.int64)
+        slots = table.slots_of(regions)
+        table.touch_batch_at(slots, regions, 1, 0, WINDOW_NS)
+        partners, _, event_slots = table.touch_batch_at(slots, regions, 0, 1, WINDOW_NS)
+        assert sorted(zip(event_slots.tolist(), partners.tolist())) == sorted(
+            [(int(slots[0]), 1), (int(slots[0]), 1), (int(slots[1]), 1)]
+        )

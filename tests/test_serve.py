@@ -7,7 +7,7 @@ import asyncio
 import numpy as np
 import pytest
 
-from repro.core.hashtable import ArrayShareTable
+from repro.core.hashtable import ShareTable, hash_64
 from repro.errors import ConfigurationError, ProtocolError
 from repro.serve import (
     EvalCadence,
@@ -23,6 +23,7 @@ from repro.serve import (
 )
 from repro.serve import protocol
 from repro.units import MSEC, PAGE_SIZE
+from tests.test_hashtable import replay_in_fault_order
 
 WINDOW = 250 * MSEC
 
@@ -286,26 +287,37 @@ class TestShardedShareTable:
         with pytest.raises(ConfigurationError):
             ShardedShareTable(10, 4, n_shards=4)
 
-    def test_partner_events_match_unsharded(self, rng):
-        """The shard partition emits the same partner multiset per batch."""
-        size, n_threads = 64, 6
-        sharded = ShardedShareTable(size, n_threads, n_shards=4)
-        flat = ArrayShareTable(size, n_threads)
-        for step in range(30):
-            tid = int(rng.integers(0, n_threads))
-            regions = rng.integers(0, 200, size=int(rng.integers(1, 40)))
-            now = step * MSEC
-            per_shard, w_sharded = sharded.touch_batch(regions, tid, now, WINDOW)
-            flat_partners, w_flat = flat.touch_batch(regions, tid, now, WINDOW)
-            merged = np.concatenate(
-                [p for _, p in per_shard] or [np.empty(0, dtype=np.int64)]
+    def test_partner_events_match_unsharded(self):
+        """Each shard gets the oracle's events on its slots, batch by batch.
+
+        Serve-shaped batches (256 events on 64 pages per thread pair) repeat
+        almost every slot within a batch.  A 300 ms round against the 250 ms
+        window puts the previous round's sharers out of the window.
+        """
+        size, n_threads, n_shards = 160, 6, 4  # 192 pages on 160 slots
+        sharded = ShardedShareTable(size, n_threads, n_shards=n_shards)
+        oracle = ShareTable(size)
+        stream = synthetic_fault_stream(n_threads, 2048, seed=2, step_ns=300 * MSEC)
+        n_events = n_windowed_out = 0
+        for tid, now, vaddrs in stream:
+            regions = vaddrs // PAGE_SIZE
+            per_shard, windowed_out = sharded.touch_batch(regions, tid, now, WINDOW)
+            events, want_windowed_out = replay_in_fault_order(
+                oracle, regions, tid, now, WINDOW
             )
-            assert sorted(merged.tolist()) == sorted(flat_partners.tolist())
-            assert w_sharded == w_flat
-        assert sharded.collisions == flat.collisions
-        assert sharded.inserts == flat.inserts
-        assert sharded.lookups == flat.lookups
-        assert sharded.shared_region_count() == flat.shared_region_count()
+            want: "dict[int, list[int]]" = {}
+            for region, partner in events:
+                want.setdefault(hash_64(region) % size % n_shards, []).append(partner)
+            got = {shard_id: sorted(p.tolist()) for shard_id, p in per_shard}
+            assert got == {shard_id: sorted(p) for shard_id, p in want.items()}
+            assert windowed_out == want_windowed_out
+            n_events += len(events)
+            n_windowed_out += windowed_out
+        table = sharded.table
+        assert (table.collisions, table.inserts) == (oracle.collisions, oracle.inserts)
+        assert table.shared_region_count() == oracle.shared_region_count()
+        assert n_events > 0 and n_windowed_out > 0
+        assert oracle.collisions > 0 and table.shared_region_count() > 0
 
 
 # ---------------------------------------------------------------------------
@@ -443,6 +455,20 @@ class TestShardedParity:
             session.ingest(
                 EventBatch(tid=4, now_ns=0, vaddrs=np.zeros(1, dtype=np.int64))
             )
+
+    def test_ingest_rejects_negative_addresses(self, machine):
+        """A vaddr in [-granularity, -1] is region -1, the table's empty-slot
+        sentinel: two threads sharing it once counted 20 communication
+        events while the table reported no insert and no shared region."""
+        session = TenantSession("t", SessionConfig(n_threads=4, table_size=64), machine)
+        session.ingest(EventBatch(tid=0, now_ns=0, vaddrs=np.full(20, PAGE_SIZE)))
+        for tid in (0, 1):
+            with pytest.raises(ProtocolError, match="negative address"):
+                session.ingest(
+                    EventBatch(tid=tid, now_ns=0, vaddrs=np.array([PAGE_SIZE] * 19 + [-1]))
+                )
+        assert (session.events_seen, session.batches_seen, session.comm_events) == (20, 1, 0)
+        assert (session.table.table.inserts, session.table.table.collisions) == (1, 0)
 
 
 class TestSyntheticStream:
@@ -796,6 +822,35 @@ class TestServerE2E:
                         break
                     await asyncio.sleep(0.02)
                 assert not server._connections
+
+        asyncio.run(scenario())
+
+    def test_negative_address_draws_error_then_eof(self, machine):
+        """An EVENTS batch with a negative address is answered with ERROR
+        ``protocol``, the connection is closed and the session released."""
+        from repro.serve import MappingServer
+
+        async def scenario():
+            async with MappingServer(self._config(), machine=machine) as server:
+                reader, writer = await asyncio.open_connection("127.0.0.1", server.port)
+                hello = {"tenant": "neg", "n_threads": 4, "config": {"table_size": 4096}}
+                await protocol.write_frame(writer, protocol.encode(MsgType.HELLO, hello))
+                welcome = await protocol.read_frame(reader)
+                assert welcome.type is MsgType.WELCOME
+                vaddrs = np.array([PAGE_SIZE, -1], dtype=np.int64)
+                await protocol.write_frame(writer, protocol.encode_events(1, 0, vaddrs))
+                error = await asyncio.wait_for(protocol.read_frame(reader), 5.0)
+                assert error.type is MsgType.ERROR
+                assert error.payload["code"] == "protocol"
+                assert "negative address" in error.payload["message"]
+                assert await asyncio.wait_for(protocol.read_frame(reader), 5.0) is None
+                writer.close()
+                for _ in range(50):
+                    if not server._connections:
+                        break
+                    await asyncio.sleep(0.02)
+                assert not server._connections
+                assert server.events_total == 0
 
         asyncio.run(scenario())
 
