@@ -26,11 +26,11 @@ replication — pass ``"spcd-data"``, ``"spcd-combined"`` or
 ``"spcd-replicated"`` (or a typed :class:`PlacementPolicy` instance)
 wherever a policy name is accepted.
 
-Experiment grids (cached, parallel, fault-tolerant, resumable)::
+Experiment grids (cached, parallel, resumable from the cache)::
 
     from repro import RunSettings, run_grid
     grid = run_grid(["CG", "SP"], cache="results/",
-                    settings=RunSettings(workers=4, cell_timeout_s=600))
+                    settings=RunSettings(workers=4))
     print(grid.cell("CG", "spcd").mean("exec_time_s"), grid.failures)
 """
 
@@ -75,7 +75,7 @@ from repro.placement import (
 )
 from repro.workloads import ProducerConsumerWorkload, SyntheticNpbWorkload, make_npb
 
-__version__ = "4.0.0"
+__version__ = "5.0.0"
 
 __all__ = [
     "CellFailure",

@@ -10,9 +10,6 @@ and their models:
 * serve admission / credit-window / drain
   (:class:`~repro.serve.server.MappingServer`) vs :class:`ServeModel` — an
   explicit transition table;
-* :class:`~repro.engine.checkpoint.GridManifest` crash-resume vs
-  :func:`manifest_prefix_model` — the documented durability contract
-  evaluated over every byte-truncation of the file;
 * shard-count invariance (:class:`~repro.serve.session.ShardedShareTable`)
   via :func:`session_shard_trace` digest sweeps, and TLB-shootdown ×
   fault-injection interleavings via :func:`check_tlb_fault_interleavings`;
@@ -41,12 +38,6 @@ from repro.check.replica import (
     replica_alphabet,
 )
 from repro.check.sweeps import session_shard_trace
-from repro.check.truncate import (
-    manifest_prefix_model,
-    truncation_sweep,
-    with_duplicate_header,
-    with_midfile_header,
-)
 
 __all__ = [
     "Counterexample",
@@ -55,11 +46,7 @@ __all__ = [
     "check_replica_interleavings",
     "check_tlb_fault_interleavings",
     "interleavings",
-    "manifest_prefix_model",
     "op_sequences",
     "replica_alphabet",
     "session_shard_trace",
-    "truncation_sweep",
-    "with_duplicate_header",
-    "with_midfile_header",
 ]

@@ -1,11 +1,11 @@
 """The content-addressed on-disk result cache (the grid's storage layer).
 
-Grew out of :mod:`repro.engine.gridrunner` (which re-exports these names
-through deprecation shims): a :class:`ResultCache` memoizes each grid
-cell's :class:`~repro.engine.simulator.SimulationResult` under a BLAKE2
-key of everything the result depends on, and :func:`code_version`
-contributes the engine-source digest to that key so any engine change
-invalidates cleanly.
+A :class:`ResultCache` memoizes each grid cell's
+:class:`~repro.engine.simulator.SimulationResult` under a BLAKE2 key of
+everything the result depends on, and :func:`code_version` contributes
+the engine-source digest to that key so any engine change invalidates
+cleanly.  :func:`repro.engine.gridrunner.run_grid` stores each result
+the moment it lands, so the cache is also a sweep's resume point.
 """
 
 from __future__ import annotations

@@ -1,52 +1,51 @@
-"""Fault-tolerant, resumable, disk-cached experiment grids.
+"""Disk-cached, parallel experiment grids; the result cache is the checkpoint.
 
 The paper's figures are projections of one expensive grid: every NPB
 benchmark under every mapping policy, replicated with derived seeds
 (Sec. V-A).  :func:`run_grid` executes such a grid as independent
-``(workload, policy, rep)`` cells with the robustness of a production
-job scheduler:
+``(workload, policy, rep)`` cells:
 
-* **parallel execution** — cells fan out over supervised worker
-  processes (:mod:`repro.engine.pool`), sized by
-  :class:`~repro.engine.settings.RunSettings` (``REPRO_GRID_WORKERS``);
-* **fault tolerance** — a hung cell is killed at its per-cell timeout, a
-  crashed worker is detected and respawned, and failed attempts retry
-  with exponential backoff; a cell that exhausts its budget degrades to
-  a typed :class:`CellFailure` entry instead of aborting the sweep
-  (opt-in strict mode raises :class:`~repro.errors.GridExecutionError`);
-* **resumability** — each cell's terminal state is durably appended to a
-  checkpoint manifest (:mod:`repro.engine.checkpoint`) the moment it
-  lands, so re-invoking an interrupted sweep with the same settings
-  re-runs only unfinished cells and produces byte-identical aggregates;
 * **caching** — each cell's :class:`~repro.engine.simulator.SimulationResult`
   is memoized in a content-addressed on-disk cache
   (:mod:`repro.engine.cache`, ``REPRO_RESULT_CACHE``);
-* **observability** — scheduler decisions (retries, timeouts, crashes,
-  resumes) are traced through :mod:`repro.obs`, and
-  ``python -m repro.obs.report`` summarizes a sweep's reliability.
+* **parallel execution** — cells missing from the cache run on a
+  :class:`concurrent.futures.ProcessPoolExecutor` sized by
+  :class:`~repro.engine.settings.RunSettings` (``REPRO_GRID_WORKERS``),
+  or in-process with one worker;
+* **resume** — each result is stored in the cache the moment it lands,
+  so re-invoking a killed or crashed sweep loads every finished cell
+  and runs only the rest;
+* **failures** — a cell that raises, or that a crashed worker took down,
+  becomes a typed :class:`CellFailure` entry instead of aborting the
+  sweep (opt-in strict mode raises
+  :class:`~repro.errors.GridExecutionError` after draining);
+* **observability** — the sweep's cell outcomes are traced through
+  :mod:`repro.obs`, and ``python -m repro.obs.report`` summarizes them.
 
 Determinism: a cell's seed is ``derive_seed(base_seed, "rep", rep,
-policy)`` — exactly what the serial :func:`repro.engine.runner.run_replicated`
-protocol uses — and each cell simulation is fully determined by its seed,
-so grid results are byte-identical no matter how cells are scheduled,
-killed, retried or resumed across processes and invocations.
+policy)`` and each cell simulation is fully determined by its seed, so
+grid results are byte-identical no matter how cells are scheduled across
+processes and invocations.  A failed cell is not retried: it would raise
+the same exception again.
 """
 
 from __future__ import annotations
 
 import hashlib
 import os
+import threading
 import time
 import warnings
+from concurrent.futures import ProcessPoolExecutor, as_completed
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, replace
 from functools import partial
+from multiprocessing import get_all_start_methods, get_context
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from repro.core.manager import SpcdConfig
 from repro.engine import cache as _cache_mod
-from repro.engine import checkpoint as _checkpoint
-from repro.engine import pool as _pool
 from repro.engine.runner import (
     REPORT_METRICS,
     ReplicatedResult,
@@ -57,14 +56,7 @@ from repro.engine.settings import RunSettings
 from repro.engine.simulator import EngineConfig, SimulationResult, Simulator
 from repro.errors import ConfigurationError, GridExecutionError
 from repro.machine.topology import Machine, dual_xeon_e5_2650
-from repro.obs.events import (
-    CellAttemptFailed,
-    CellCompleted,
-    CellFailed,
-    CellRetry,
-    GridEnd,
-    GridStart,
-)
+from repro.obs.events import CellCompleted, CellFailed, GridEnd, GridStart
 from repro.obs.recorder import JsonlRecorder, cell_trace_path, grid_trace_path
 from repro.placement import PlacementPolicy, resolve_policy
 from repro.rng import derive_seed
@@ -157,7 +149,7 @@ class _Cell:
 
 @dataclass(frozen=True)
 class CellFailure:
-    """A cell that exhausted its retry budget (graceful-degradation entry).
+    """A cell that produced no result (graceful-degradation entry).
 
     The sweep completes around it; strict mode turns the presence of any
     such entry into a :class:`~repro.errors.GridExecutionError`.
@@ -167,14 +159,21 @@ class CellFailure:
     policy: str
     rep: int
     seed: int
-    #: attempts consumed (first try + retries)
-    attempts: int
-    #: terminal failure kind: ``timeout``, ``crash`` or ``error``
+    #: ``error`` (the cell raised, or its payload could not be pickled) or
+    #: ``crash`` (a worker process died before the cell finished)
     kind: str
-    #: terminal failure message
+    #: ``"<exception type>: <message>"``
     message: str
-    #: every attempt's ``kind: message`` history, oldest first
-    history: tuple[str, ...] = ()
+
+
+def grid_key(cell_keys: Iterable[str]) -> str:
+    """Digest identifying one exact grid (order-insensitive over cells);
+    grid trace files are named after it."""
+    h = hashlib.blake2b(digest_size=12)
+    for key in sorted(cell_keys):
+        h.update(key.encode())
+        h.update(b"\0")
+    return h.hexdigest()
 
 
 def _cell_key(
@@ -193,7 +192,7 @@ def _cell_key(
 
 
 def _run_cell_job(payload: tuple) -> SimulationResult:
-    """Pool worker: run one cell simulation (module-level for pickling)."""
+    """Run one cell simulation (module-level, so pool workers can unpickle it)."""
     factory, policy, seed, machine, config, spcd_config, trace_path, settings = payload
     recorder = JsonlRecorder(trace_path) if trace_path else None
     sim = Simulator(
@@ -207,6 +206,21 @@ def _run_cell_job(payload: tuple) -> SimulationResult:
         settings=settings,
     )
     return sim.run()
+
+
+def _exit_with_parent(parent_pid: int) -> None:
+    """Pool-worker initializer: exit once the process running the sweep is gone.
+
+    A SIGKILLed sweep cannot shut its pool down, and its idle workers
+    would otherwise wait on the task queue forever.
+    """
+
+    def watch() -> None:
+        while os.getppid() == parent_pid:
+            time.sleep(1.0)
+        os._exit(1)
+
+    threading.Thread(target=watch, daemon=True).start()
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +305,7 @@ def run_cell(
 
 @dataclass
 class GridResult:
-    """All cells of one grid run, plus the sweep's reliability record."""
+    """All cells of one grid run, plus the cells that failed."""
 
     #: ``(workload name, policy) -> ReplicatedResult`` (cells where at
     #: least one repetition produced a result)
@@ -300,16 +314,10 @@ class GridResult:
     cache_hits: int = 0
     #: cells actually simulated (or attempted)
     cache_misses: int = 0
-    #: cells that exhausted their retry budget (graceful degradation)
+    #: cells that produced no result (graceful degradation)
     failures: list[CellFailure] = field(default_factory=list)
-    #: attempts re-queued after a failure
-    retries: int = 0
-    #: attempts killed at the per-cell timeout
-    timeouts: int = 0
-    #: attempts whose worker died without delivering a result
+    #: failures of kind ``crash`` (a worker process died)
     crashes: int = 0
-    #: cells skipped because the checkpoint manifest recorded them done
-    resumed_cells: int = 0
 
     @property
     def ok(self) -> bool:
@@ -345,25 +353,6 @@ class GridResult:
         return list(seen)
 
 
-def _resolve_manifest(
-    checkpoint, cache: "_cache_mod.ResultCache | None", gkey: str
-) -> "_checkpoint.GridManifest | None":
-    """The sweep's checkpoint manifest (``False`` disables, ``None`` = auto)."""
-    if checkpoint is False or not gkey:
-        return None
-    if checkpoint is None or checkpoint is True:
-        if cache is None:
-            if checkpoint is True:
-                raise ConfigurationError(
-                    "checkpoint=True needs a result cache to store cell results in"
-                )
-            return None
-        path = cache.root / f"grid-{gkey}.manifest.jsonl"
-    else:
-        path = Path(checkpoint)
-    return _checkpoint.GridManifest(path, gkey)
-
-
 def run_grid(
     workloads: Sequence["WorkloadSpec"],
     policies: Sequence["PlacementPolicy | str"] = (
@@ -382,11 +371,7 @@ def run_grid(
     cache: "object | None" = None,
     trace: "str | os.PathLike | None" = None,
     settings: "RunSettings | None" = None,
-    checkpoint: "str | os.PathLike | bool | None" = None,
     strict: "bool | None" = None,
-    cell_timeout_s: "float | None" = None,
-    cell_retries: "int | None" = None,
-    retry_backoff_s: "float | None" = None,
     keep_runs: bool = False,
     progress: "Callable[[str], None] | None" = None,
 ) -> GridResult:
@@ -394,32 +379,27 @@ def run_grid(
 
     Configuration resolves explicit keyword > *settings* object >
     environment (:meth:`RunSettings.from_env`).  Cells already in the
-    result cache are loaded in the parent; the remaining cells are
-    simulated on a supervised pool of *workers* child processes with
-    per-cell timeouts, crash respawn and bounded exponential-backoff
-    retry.  Results are byte-identical to running every cell serially
-    with :func:`repro.engine.runner.run_replicated` under the same
-    *base_seed*.
+    result cache are loaded; the rest run in-process with one worker, or
+    on a :class:`~concurrent.futures.ProcessPoolExecutor` of *workers*
+    processes (fork start method where available).  Results are
+    byte-identical whatever the worker count.
 
-    **Failure model.**  A cell that exhausts ``1 + cell_retries``
-    attempts becomes a :class:`CellFailure` in :attr:`GridResult.failures`
-    and the sweep completes; with *strict* the sweep instead raises
+    **Resume.**  Each result is stored in the cache the moment it lands,
+    so re-invoking a killed sweep loads every cell that finished and runs
+    only the rest.
+
+    **Failure model.**  A cell that raises becomes a
+    :class:`CellFailure` of kind ``error``; if a worker process dies,
+    every cell not yet finished becomes a ``crash``.  The sweep completes
+    around failures; with *strict* it instead raises
     :class:`~repro.errors.GridExecutionError` after draining.  Cells are
     only aggregated over repetitions that produced results.
 
-    **Checkpoint / resume.**  With a cache, each cell's terminal state is
-    durably appended to a manifest (*checkpoint*: ``None`` = auto-derive
-    next to the cache, a path = use it, ``False`` = disable).
-    Re-invoking an interrupted grid with the same settings re-runs only
-    cells without a ``done`` record; previously failed cells get a fresh
-    attempt budget.
-
     With *trace* (default: ``REPRO_TRACE``) set, every freshly simulated
-    cell writes one JSONL trace file and the sweep's scheduler decisions
-    (retries, timeouts, crashes, resume counts) are traced to a
-    ``grid-*.jsonl`` file for ``python -m repro.obs.report``.  Trace
-    configuration is deliberately excluded from the cell cache keys:
-    tracing never changes results.
+    cell writes one JSONL trace file and the sweep's cell outcomes are
+    traced to a ``grid-*.jsonl`` file for ``python -m repro.obs.report``.
+    Trace configuration is deliberately excluded from the cell cache
+    keys: tracing never changes results.
     """
     if reps <= 0:
         raise ConfigurationError("reps must be positive")
@@ -433,9 +413,6 @@ def run_grid(
         else str(cache),
         trace=str(trace) if trace is not None else None,
         strict=strict,
-        cell_timeout_s=cell_timeout_s,
-        cell_retries=cell_retries,
-        retry_backoff_s=retry_backoff_s,
     )
     machine = machine or dual_xeon_e5_2650()
     config = config or EngineConfig()
@@ -461,28 +438,19 @@ def run_grid(
                 )
                 cells.append(_Cell(name, pol.name, rep, seed, key))
 
-    gkey = _checkpoint.grid_key([c.key for c in cells if c.key])
-    manifest = _resolve_manifest(checkpoint, live_cache, gkey)
-    prior_done = manifest.done_keys() if manifest is not None else set()
-    prior_failed = manifest.failed_keys() if manifest is not None else set()
-
     results: dict[tuple[str, str, int], SimulationResult] = {}
     misses: list[_Cell] = []
-    hits = resumed_done = resumed_failed = 0
     for cell in cells:
         cached = (
             live_cache.load(cell.key) if live_cache is not None and cell.key else None
         )
         if cached is not None:
             results[(cell.workload, cell.policy, cell.rep)] = cached
-            hits += 1
-            if cell.key in prior_done:
-                resumed_done += 1
         else:
-            if cell.key in prior_failed:
-                resumed_failed += 1
             misses.append(cell)
+    hits = len(cells) - len(misses)
 
+    gkey = grid_key([c.key for c in cells if c.key])
     trace_root = Path(eff.trace) if eff.trace else None
     grid_rec = (
         JsonlRecorder(grid_trace_path(trace_root, gkey))
@@ -498,24 +466,13 @@ def run_grid(
                 reps=reps,
                 cells=len(cells),
                 cached=hits,
-                resumed_done=resumed_done,
-                resumed_failed=resumed_failed,
                 to_run=len(misses),
                 workers=eff.workers,
-                timeout_s=eff.cell_timeout_s or 0.0,
-                retries=eff.cell_retries,
                 strict=eff.strict,
             )
         )
-    if progress is not None and cells:
-        resumed_note = (
-            f", resuming checkpoint ({resumed_done} done, {resumed_failed} failed)"
-            if resumed_done or resumed_failed
-            else ""
-        )
-        progress(
-            f"grid: {hits}/{len(cells)} cells cached, {len(misses)} to run{resumed_note}"
-        )
+    if progress is not None:
+        progress(f"grid: {hits}/{len(cells)} cells cached, {len(misses)} to run")
 
     job_settings = replace(eff, trace=None)  # per-cell recorders are explicit
 
@@ -536,171 +493,80 @@ def run_grid(
             job_settings,
         )
 
-    counters = {"retries": 0, "timeouts": 0, "crashes": 0}
     failures: list[CellFailure] = []
-    attempt_history: dict[int, list[str]] = {}
 
-    def settle(cell: _Cell, result: SimulationResult, attempts: int) -> None:
-        """Persist one finished cell the moment it lands (durable resume)."""
+    def settle(cell: _Cell, result: SimulationResult) -> None:
+        """Store one finished cell the moment it lands (the resume point)."""
+        results[(cell.workload, cell.policy, cell.rep)] = result
         if live_cache is not None and cell.key:
             live_cache.store(cell.key, result)
-        if manifest is not None and cell.key:
-            manifest.record(
-                _checkpoint.CellRecord(
-                    key=cell.key,
-                    workload=cell.workload,
-                    policy=cell.policy,
-                    rep=cell.rep,
-                    status=_checkpoint.DONE,
-                    attempts=attempts,
-                )
-            )
         if grid_rec is not None:
             grid_rec.emit(
-                CellCompleted(
-                    workload=cell.workload,
-                    policy=cell.policy,
-                    rep=cell.rep,
-                    attempts=attempts,
-                )
+                CellCompleted(workload=cell.workload, policy=cell.policy, rep=cell.rep)
             )
 
-    def settle_failure(cell: _Cell, attempts: int, kind: str, message: str) -> None:
+    def settle_failure(cell: _Cell, kind: str, exc: BaseException) -> None:
+        message = f"{type(exc).__name__}: {exc}"
         failures.append(
             CellFailure(
                 workload=cell.workload,
                 policy=cell.policy,
                 rep=cell.rep,
                 seed=cell.seed,
-                attempts=attempts,
                 kind=kind,
                 message=message,
-                history=tuple(attempt_history.get(id(cell), ())),
             )
         )
-        if manifest is not None and cell.key:
-            manifest.record(
-                _checkpoint.CellRecord(
-                    key=cell.key,
-                    workload=cell.workload,
-                    policy=cell.policy,
-                    rep=cell.rep,
-                    status=_checkpoint.FAILED,
-                    attempts=attempts,
-                    error=f"{kind}: {message}",
-                )
-            )
         if grid_rec is not None:
             grid_rec.emit(
                 CellFailed(
                     workload=cell.workload,
                     policy=cell.policy,
                     rep=cell.rep,
-                    attempts=attempts,
-                    kind=kind,
-                    message=message,
-                )
-            )
-
-    def note_attempt_failure(cell: _Cell, attempt: int, kind: str, message: str) -> None:
-        attempt_history.setdefault(id(cell), []).append(f"{kind}: {message}")
-        if kind == _pool.TIMEOUT:
-            counters["timeouts"] += 1
-        elif kind == _pool.CRASH:
-            counters["crashes"] += 1
-        if grid_rec is not None:
-            grid_rec.emit(
-                CellAttemptFailed(
-                    workload=cell.workload,
-                    policy=cell.policy,
-                    rep=cell.rep,
-                    attempt=attempt,
                     kind=kind,
                     message=message,
                 )
             )
         if progress is not None:
-            progress(
-                f"grid: {cell.workload}/{cell.policy}/rep{cell.rep} "
-                f"attempt {attempt} {kind}: {message}"
-            )
+            progress(f"grid: {cell.workload}/{cell.policy}/rep{cell.rep} {kind}: {message}")
 
-    def note_retry(cell: _Cell, attempt: int, backoff_s: float) -> None:
-        counters["retries"] += 1
-        if grid_rec is not None:
-            grid_rec.emit(
-                CellRetry(
-                    workload=cell.workload,
-                    policy=cell.policy,
-                    rep=cell.rep,
-                    attempt=attempt,
-                    backoff_s=backoff_s,
-                )
-            )
-
-    if misses:
-        use_pool = eff.workers > 1 or eff.cell_timeout_s is not None
-        if use_pool:
-            tasks = [
-                _pool.CellTask(
-                    index=i,
-                    payload=payload_of(c),
-                    label=f"{c.workload}/{c.policy}/rep{c.rep}",
-                )
-                for i, c in enumerate(misses)
-            ]
-
-            def on_event(kind: str, task: _pool.CellTask, detail: dict) -> None:
-                cell = misses[task.index]
-                if kind in (_pool.TIMEOUT, _pool.CRASH, _pool.ERROR):
-                    note_attempt_failure(
-                        cell, detail["attempt"], kind, detail["message"]
-                    )
-                elif kind == "retry":
-                    note_retry(cell, detail["attempt"], detail["backoff_s"])
-                elif kind == "failed":
-                    settle_failure(
-                        cell, detail["attempts"], detail["kind"], detail["message"]
-                    )
-
-            outcomes = _pool.run_tasks(
-                tasks,
-                _run_cell_job,
-                workers=eff.workers,
-                timeout_s=eff.cell_timeout_s,
-                retries=eff.cell_retries,
-                backoff_s=eff.retry_backoff_s,
-                on_event=on_event,
-                on_result=lambda task, result, attempts: settle(
-                    misses[task.index], result, attempts
-                ),
-            )
-            for cell, outcome in zip(misses, outcomes):
-                if outcome.ok:
-                    results[(cell.workload, cell.policy, cell.rep)] = outcome.result
-        else:
+    if misses and eff.workers == 1:
+        for cell in misses:
+            try:
+                result = _run_cell_job(payload_of(cell))
+            except Exception as exc:  # noqa: BLE001 - graceful degradation
+                settle_failure(cell, "error", exc)
+            else:
+                settle(cell, result)
+    elif misses:
+        ctx = get_context("fork" if "fork" in get_all_start_methods() else "spawn")
+        pool = ProcessPoolExecutor(
+            max_workers=min(eff.workers, len(misses)),
+            mp_context=ctx,
+            initializer=_exit_with_parent,
+            initargs=(os.getpid(),),
+        )
+        try:
+            futures = {}
             for cell in misses:
-                payload = payload_of(cell)
-                attempt = 1
-                while True:
-                    try:
-                        result = _run_cell_job(payload)
-                    except Exception as exc:  # noqa: BLE001 - graceful degradation
-                        message = f"{type(exc).__name__}: {exc}"
-                        note_attempt_failure(cell, attempt, _pool.ERROR, message)
-                        if attempt > eff.cell_retries:
-                            settle_failure(cell, attempt, _pool.ERROR, message)
-                            break
-                        wait = eff.retry_backoff_s * (2.0 ** (attempt - 1))
-                        note_retry(cell, attempt + 1, wait)
-                        if wait:
-                            time.sleep(wait)
-                        attempt += 1
-                        continue
-                    results[(cell.workload, cell.policy, cell.rep)] = result
-                    settle(cell, result, attempt)
-                    break
+                try:
+                    futures[pool.submit(_run_cell_job, payload_of(cell))] = cell
+                except BrokenProcessPool as exc:  # a worker died mid-submission
+                    settle_failure(cell, "crash", exc)
+            for future in as_completed(futures):
+                cell = futures[future]
+                try:
+                    result = future.result()
+                except BrokenProcessPool as exc:
+                    settle_failure(cell, "crash", exc)
+                except Exception as exc:  # noqa: BLE001 - graceful degradation
+                    settle_failure(cell, "error", exc)
+                else:
+                    settle(cell, result)
+        finally:
+            pool.shutdown(wait=True, cancel_futures=True)
 
+    crashes = sum(f.kind == "crash" for f in failures)
     if grid_rec is not None:
         grid_rec.emit(
             GridEnd(
@@ -710,19 +576,14 @@ def run_grid(
                 cache_misses=len(misses),
                 completed=len(results),
                 failed=len(failures),
-                retries=counters["retries"],
-                timeouts=counters["timeouts"],
-                crashes=counters["crashes"],
+                crashes=crashes,
             )
         )
         grid_rec.close()
-    if manifest is not None:
-        manifest.close()
 
     if failures and eff.strict:
         detail = "; ".join(
-            f"{f.workload}/{f.policy}/rep{f.rep} after {f.attempts} attempts "
-            f"({f.kind}: {f.message})"
+            f"{f.workload}/{f.policy}/rep{f.rep} ({f.kind}: {f.message})"
             for f in failures
         )
         raise GridExecutionError(
@@ -733,10 +594,7 @@ def run_grid(
         cache_hits=hits,
         cache_misses=len(misses),
         failures=failures,
-        retries=counters["retries"],
-        timeouts=counters["timeouts"],
-        crashes=counters["crashes"],
-        resumed_cells=resumed_done,
+        crashes=crashes,
     )
     for name, _ in specs:
         for pol in pols:

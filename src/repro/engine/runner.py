@@ -18,8 +18,7 @@ from repro.engine.settings import RunSettings
 from repro.engine.simulator import EngineConfig, SimulationResult, Simulator
 from repro.errors import ConfigurationError
 from repro.machine.topology import Machine
-from repro.placement import PlacementPolicy, resolve_policy
-from repro.rng import derive_seed
+from repro.placement import PlacementPolicy
 from repro.workloads.base import Workload
 
 from typing import Callable
@@ -128,60 +127,31 @@ def run_replicated(
     fresh random mapping, reproducing the paper's "10 different mappings,
     one for each execution".
 
-    With *workers* > 1 or a result *cache* (a directory or a live
-    :class:`~repro.engine.cache.ResultCache`), delegates to
-    :func:`repro.engine.gridrunner.run_grid` (same seed protocol, so the
-    result is identical to the serial path) and inherits its fault
-    tolerance: timeouts, retries and checkpointed resume.
+    A one-row :func:`repro.engine.gridrunner.run_grid` in strict mode:
+    *workers*, *cache* (a directory or a live
+    :class:`~repro.engine.cache.ResultCache`), *trace* and *settings*
+    mean what they mean there, and a failed repetition raises
+    :class:`~repro.errors.GridExecutionError` naming it.
     """
-    if reps <= 0:
-        raise ConfigurationError("reps must be positive")
-    policy = resolve_policy(policy)
-    if trace is not None:
-        base = settings if settings is not None else RunSettings.from_env()
-        settings = base.with_overrides(trace=str(trace))
-    if (workers is not None and workers > 1) or cache is not None:
-        from repro.engine import gridrunner  # local import: gridrunner imports us
+    from repro.engine import gridrunner  # local import: gridrunner imports us
 
-        grid = gridrunner.run_grid(
-            [workload_factory],
-            [policy],
-            reps,
-            base_seed=base_seed,
-            machine=machine,
-            config=config,
-            spcd_config=spcd_config,
-            workers=workers,
-            cache=cache,
-            trace=trace,
-            settings=settings,
-            keep_runs=keep_runs,
-        )
-        return next(iter(grid.cells.values()))
-    runs: list[SimulationResult] = []
-    for rep in range(reps):
-        seed = derive_seed(base_seed, "rep", rep, policy.name)
-        runs.append(
-            run_single(
-                workload_factory,
-                policy,
-                machine=machine,
-                seed=seed,
-                config=config,
-                spcd_config=spcd_config,
-                settings=settings,
-            )
-        )
-    metrics = {
-        name: summarize([r.metric(name) for r in runs]) for name in REPORT_METRICS
-    }
-    first = runs[0]
-    return ReplicatedResult(
-        workload=first.workload,
-        policy=policy.name,
-        metrics=metrics,
-        runs=runs if keep_runs else [],
+    grid = gridrunner.run_grid(
+        [workload_factory],
+        [policy],
+        reps,
+        base_seed=base_seed,
+        machine=machine,
+        config=config,
+        spcd_config=spcd_config,
+        workers=workers,
+        cache=cache,
+        trace=trace,
+        settings=settings,
+        strict=True,
+        keep_runs=keep_runs,
     )
+    (result,) = grid.cells.values()
+    return result
 
 
 def normalized_to(

@@ -22,8 +22,6 @@ from dataclasses import dataclass, fields, replace
 from repro.errors import ConfigurationError
 
 __all__ = [
-    "ENV_CELL_RETRIES",
-    "ENV_CELL_TIMEOUT",
     "ENV_GRID_STRICT",
     "ENV_GRID_WORKERS",
     "ENV_PLACEMENT_WALK",
@@ -31,7 +29,6 @@ __all__ = [
     "ENV_PLACEMENT_WALK_REMOTE_NS",
     "ENV_PT_REPLICATE",
     "ENV_RESULT_CACHE",
-    "ENV_RETRY_BACKOFF",
     "ENV_SERVE_CREDIT_WINDOW",
     "ENV_SERVE_EVAL_EVERY",
     "ENV_SERVE_HOST",
@@ -51,13 +48,7 @@ ENV_GRID_WORKERS = "REPRO_GRID_WORKERS"
 ENV_RESULT_CACHE = "REPRO_RESULT_CACHE"
 #: trace sink: a ``.jsonl`` file or a directory (empty/unset = tracing off)
 ENV_TRACE = "REPRO_TRACE"
-#: per-cell wall-clock timeout in seconds (unset = no timeout)
-ENV_CELL_TIMEOUT = "REPRO_CELL_TIMEOUT_S"
-#: retries after a cell's first failed attempt (default 2)
-ENV_CELL_RETRIES = "REPRO_CELL_RETRIES"
-#: base of the exponential retry backoff, seconds (default 0.25)
-ENV_RETRY_BACKOFF = "REPRO_RETRY_BACKOFF_S"
-#: strict mode: a cell that exhausts retries fails the whole sweep
+#: strict mode: a failed cell fails the whole sweep
 ENV_GRID_STRICT = "REPRO_GRID_STRICT"
 #: mapping-service bind address
 ENV_SERVE_HOST = "REPRO_SERVE_HOST"
@@ -147,14 +138,7 @@ class RunSettings:
     cache_dir: "str | None" = None
     #: trace sink (``.jsonl`` file or directory); ``None`` disables tracing
     trace: "str | None" = None
-    #: per-cell wall-clock timeout in seconds; ``None`` = no timeout
-    cell_timeout_s: "float | None" = None
-    #: retries after a cell's first failed attempt (0 = fail immediately)
-    cell_retries: int = 2
-    #: base of the exponential retry backoff (attempt *n* waits
-    #: ``retry_backoff_s * 2**(n-1)`` seconds)
-    retry_backoff_s: float = 0.25
-    #: strict mode: a cell that exhausts retries raises
+    #: strict mode: a failed cell raises
     #: :class:`~repro.errors.GridExecutionError` instead of degrading to a
     #: :class:`~repro.engine.gridrunner.CellFailure` entry
     strict: bool = False
@@ -192,12 +176,6 @@ class RunSettings:
     def __post_init__(self) -> None:
         if self.workers < 1:
             raise ConfigurationError("workers must be >= 1")
-        if self.cell_timeout_s is not None and self.cell_timeout_s <= 0:
-            raise ConfigurationError("cell_timeout_s must be positive (or None)")
-        if self.cell_retries < 0:
-            raise ConfigurationError("cell_retries must be >= 0")
-        if self.retry_backoff_s < 0:
-            raise ConfigurationError("retry_backoff_s must be >= 0")
         if not 0 <= self.serve_port <= 65535:
             raise ConfigurationError("serve_port must be in [0, 65535]")
         if self.serve_metrics_port is not None and not 0 <= self.serve_metrics_port <= 65535:
@@ -241,13 +219,10 @@ class RunSettings:
                     f"bad {ENV_GRID_WORKERS} value {raw_workers!r}"
                 ) from exc
             workers = min(requested, available_cpus())
-        return cls(
+        values = dict(
             workers=workers,
             cache_dir=_get(environ, ENV_RESULT_CACHE) or None,
             trace=_get(environ, ENV_TRACE) or None,
-            cell_timeout_s=_env_float(environ, ENV_CELL_TIMEOUT, None),
-            cell_retries=_env_int(environ, ENV_CELL_RETRIES, 2),
-            retry_backoff_s=_env_float(environ, ENV_RETRY_BACKOFF, 0.25) or 0.0,
             strict=_env_bool(environ, ENV_GRID_STRICT),
             serve_host=_get(environ, ENV_SERVE_HOST) or "127.0.0.1",
             serve_port=_env_int(environ, ENV_SERVE_PORT, 0),
@@ -257,7 +232,7 @@ class RunSettings:
                 else None
             ),
             serve_max_sessions=_env_int(environ, ENV_SERVE_MAX_SESSIONS, 64),
-            serve_max_table_mb=_env_float(environ, ENV_SERVE_MAX_TABLE_MB, 64.0) or 64.0,
+            serve_max_table_mb=_env_float(environ, ENV_SERVE_MAX_TABLE_MB, 64.0),
             serve_shards=_env_int(environ, ENV_SERVE_SHARDS, 4),
             serve_eval_every=_env_int(environ, ENV_SERVE_EVAL_EVERY, 8192),
             serve_credit_window=_env_int(environ, ENV_SERVE_CREDIT_WINDOW, 65536),
@@ -268,15 +243,19 @@ class RunSettings:
             ),
             pt_replicate=_env_bool(environ, ENV_PT_REPLICATE),
         )
+        try:
+            return cls(**values)
+        except ConfigurationError as exc:  # a parsed value out of range
+            raise ConfigurationError(f"bad REPRO_* environment: {exc}") from exc
 
     def with_overrides(self, **overrides: object) -> "RunSettings":
         """A copy with every non-``None`` override applied.
 
         ``None`` means "keep my value", matching the keyword-argument
         convention of :func:`~repro.engine.gridrunner.run_grid`; fields
-        whose ``None`` is meaningful (``cache_dir``, ``trace``,
-        ``cell_timeout_s``) cannot be *cleared* through this method — pass
-        an explicitly constructed :class:`RunSettings` instead.
+        whose ``None`` is meaningful (``cache_dir``, ``trace``) cannot be
+        *cleared* through this method — pass an explicitly constructed
+        :class:`RunSettings` instead.
         """
         known = {f.name for f in fields(self)}
         unknown = set(overrides) - known
@@ -286,5 +265,5 @@ class RunSettings:
         return replace(self, **effective) if effective else self
 
     def as_dict(self) -> "dict[str, object]":
-        """Plain-dict view (JSON-friendly, for manifests and traces)."""
+        """Plain-dict view (JSON-friendly, e.g. for traces)."""
         return {f.name: getattr(self, f.name) for f in fields(self)}

@@ -63,12 +63,8 @@ class AdmissionError(ServeError):
         self.code = code
 
 
-class CellExecutionError(SimulationError):
-    """One grid cell could not produce a result after all retry attempts."""
-
-
 class GridExecutionError(SimulationError):
-    """A strict-mode grid sweep had cells that exhausted their retries.
+    """A strict-mode grid sweep had cells that produced no result.
 
     Carries the typed failure records so callers can inspect exactly which
     cells failed and why.

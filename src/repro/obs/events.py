@@ -32,10 +32,8 @@ from typing import Any, ClassVar
 
 __all__ = [
     "CacheEpoch",
-    "CellAttemptFailed",
     "CellCompleted",
     "CellFailed",
-    "CellRetry",
     "FaultBatchSummary",
     "GridEnd",
     "GridStart",
@@ -366,16 +364,11 @@ class ServeEnd(TraceEvent):
 
 
 # ---------------------------------------------------------------------------
-# grid reliability events (the sweep scheduler's decision trail)
+# grid events (the sweep's cell outcomes)
 # ---------------------------------------------------------------------------
 @dataclass(frozen=True)
 class GridStart(TraceEvent):
-    """Emitted once per ``run_grid`` invocation, before any cell executes.
-
-    ``resumed_done`` / ``resumed_failed`` count the cells whose terminal
-    state was recovered from the checkpoint manifest — nonzero means this
-    invocation is resuming an interrupted sweep.
-    """
+    """Emitted once per ``run_grid`` invocation, before any cell executes."""
 
     type: ClassVar[str] = "grid_start"
 
@@ -385,46 +378,9 @@ class GridStart(TraceEvent):
     reps: int
     cells: int
     cached: int
-    resumed_done: int
-    resumed_failed: int
     to_run: int
     workers: int
-    #: per-cell timeout in seconds; 0.0 when unbounded
-    timeout_s: float
-    retries: int
     strict: bool
-
-
-@dataclass(frozen=True)
-class CellAttemptFailed(TraceEvent):
-    """One attempt at a cell ended without a result.
-
-    ``kind`` is ``timeout`` (deadline exceeded, process killed), ``crash``
-    (worker died without delivering a result) or ``error`` (the simulation
-    raised).
-    """
-
-    type: ClassVar[str] = "cell_attempt_failed"
-
-    workload: str
-    policy: str
-    rep: int
-    attempt: int
-    kind: str
-    message: str
-
-
-@dataclass(frozen=True)
-class CellRetry(TraceEvent):
-    """The scheduler requeued a failed cell for another attempt."""
-
-    type: ClassVar[str] = "cell_retry"
-
-    workload: str
-    policy: str
-    rep: int
-    attempt: int
-    backoff_s: float
 
 
 @dataclass(frozen=True)
@@ -436,19 +392,21 @@ class CellCompleted(TraceEvent):
     workload: str
     policy: str
     rep: int
-    attempts: int
 
 
 @dataclass(frozen=True)
 class CellFailed(TraceEvent):
-    """A cell exhausted its attempt budget (a :class:`CellFailure` entry)."""
+    """A cell produced no result (a :class:`CellFailure` entry).
+
+    ``kind`` is ``error`` (the cell raised) or ``crash`` (a worker process
+    died before the cell finished).
+    """
 
     type: ClassVar[str] = "cell_failed"
 
     workload: str
     policy: str
     rep: int
-    attempts: int
     kind: str
     message: str
 
@@ -465,8 +423,6 @@ class GridEnd(TraceEvent):
     cache_misses: int
     completed: int
     failed: int
-    retries: int
-    timeouts: int
     crashes: int
 
 
@@ -491,8 +447,6 @@ def event_types() -> dict[str, type[TraceEvent]]:
             ServeSessionEnd,
             ServeEnd,
             GridStart,
-            CellAttemptFailed,
-            CellRetry,
             CellCompleted,
             CellFailed,
             GridEnd,

@@ -168,10 +168,10 @@ def serve_trace_path(base: Path) -> Path:
 
 
 def grid_trace_path(base: Path, grid_key: str) -> Path:
-    """Trace file for one ``run_grid`` invocation's reliability events.
+    """Trace file for one ``run_grid`` invocation's grid events.
 
-    Named after the grid's checkpoint key, with an incrementing suffix so
-    a resumed sweep's events sit beside (never overwrite) the interrupted
+    Named after the grid's key, with an incrementing suffix so a resumed
+    sweep's events sit beside (never overwrite) the interrupted
     invocation's.
     """
     stem = f"grid-{grid_key[:8]}" if grid_key else "grid"

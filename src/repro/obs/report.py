@@ -1,4 +1,4 @@
-"""Reconstruct run-level results — and sweep reliability — from traces.
+"""Reconstruct run-level results — and grid sweep outcomes — from traces.
 
 ``python -m repro.obs.report trace.jsonl [more.jsonl ...] [--json]``
 
@@ -14,10 +14,10 @@ summary means the trace is incomplete or the instrumentation drifted, and
 is reported as an error.
 
 Grid traces (the ``grid-*.jsonl`` files :func:`repro.engine.gridrunner.run_grid`
-writes under ``REPRO_TRACE``) are summarised the same way: the per-decision
-scheduler events (cell attempts, retries, timeouts, crashes, resume counts)
-are folded into one :class:`GridReport` per invocation and cross-checked
-against the ``grid_end`` summary.
+writes under ``REPRO_TRACE``) are summarised the same way: the per-cell
+``cell_completed`` / ``cell_failed`` events are folded into one
+:class:`GridReport` per invocation and cross-checked against the
+``grid_end`` summary.
 """
 
 from __future__ import annotations
@@ -46,17 +46,8 @@ __all__ = [
     "main",
 ]
 
-#: event types belonging to the grid scheduler's stream, not to any run
-GRID_EVENT_TYPES = frozenset(
-    {
-        "grid_start",
-        "grid_end",
-        "cell_attempt_failed",
-        "cell_retry",
-        "cell_completed",
-        "cell_failed",
-    }
-)
+#: event types belonging to a grid sweep's stream, not to any run
+GRID_EVENT_TYPES = frozenset({"grid_start", "grid_end", "cell_completed", "cell_failed"})
 
 #: event types belonging to the mapping daemon's stream, not to any run
 SERVE_EVENT_TYPES = frozenset(
@@ -168,7 +159,7 @@ class RunReport:
 
 @dataclass
 class GridReport:
-    """Reliability summary of one ``run_grid`` invocation's trace."""
+    """Outcome summary of one ``run_grid`` invocation's trace."""
 
     grid_key: str = "?"
     workloads: list[str] = field(default_factory=list)
@@ -176,20 +167,14 @@ class GridReport:
     reps: int = 0
     cells: int = 0
     cached: int = 0
-    #: cells whose terminal state was recovered from the checkpoint manifest
-    resumed_done: int = 0
-    resumed_failed: int = 0
     to_run: int = 0
     workers: int = 0
-    timeout_s: float = 0.0
-    retry_budget: int = 0
     strict: bool = False
     completed: int = 0
-    #: cells that exhausted their attempt budget, as display strings
+    #: cells that produced no result, as display strings
     failed_cells: list[str] = field(default_factory=list)
-    retries: int = 0
-    #: attempt-failure counts by kind (timeout / crash / error)
-    attempt_failures: Counter = field(default_factory=Counter)
+    #: failed cells of kind ``crash`` (a worker process died)
+    crashes: int = 0
     events: int = 0
     #: inconsistencies against the grid_end summary (empty = trace is sound)
     errors: list[str] = field(default_factory=list)
@@ -198,11 +183,6 @@ class GridReport:
     def failed(self) -> int:
         """Cells that never produced a result."""
         return len(self.failed_cells)
-
-    @property
-    def resumed(self) -> bool:
-        """True when this invocation continued an interrupted sweep."""
-        return bool(self.resumed_done or self.resumed_failed)
 
     def as_dict(self) -> dict[str, Any]:
         """JSON-friendly view (tagged ``"type": "grid"`` so run and grid
@@ -215,18 +195,13 @@ class GridReport:
             "reps": self.reps,
             "cells": self.cells,
             "cached": self.cached,
-            "resumed_done": self.resumed_done,
-            "resumed_failed": self.resumed_failed,
             "to_run": self.to_run,
             "workers": self.workers,
-            "timeout_s": self.timeout_s,
-            "retry_budget": self.retry_budget,
             "strict": self.strict,
             "completed": self.completed,
             "failed": self.failed,
             "failed_cells": list(self.failed_cells),
-            "retries": self.retries,
-            "attempt_failures": dict(self.attempt_failures),
+            "crashes": self.crashes,
             "events": self.events,
             "errors": list(self.errors),
         }
@@ -341,11 +316,10 @@ def _cross_check_serve(serve: ServeReport, end: dict[str, Any]) -> None:
 
 
 def reconstruct_grids(events: Iterable[dict[str, Any]]) -> list[GridReport]:
-    """Fold a grid event stream into per-invocation reliability reports.
+    """Fold a grid event stream into per-invocation outcome reports.
 
     A stream may contain several invocations back to back (each bracketed
-    by ``grid_start`` / ``grid_end``, e.g. an interrupted sweep and its
-    resumption); non-grid events are ignored.
+    by ``grid_start`` / ``grid_end``); non-grid events are ignored.
     """
     grids: list[GridReport] = []
     grid: GridReport | None = None
@@ -363,12 +337,8 @@ def reconstruct_grids(events: Iterable[dict[str, Any]]) -> list[GridReport]:
                 reps=int(ev.get("reps", 0)),
                 cells=int(ev.get("cells", 0)),
                 cached=int(ev.get("cached", 0)),
-                resumed_done=int(ev.get("resumed_done", 0)),
-                resumed_failed=int(ev.get("resumed_failed", 0)),
                 to_run=int(ev.get("to_run", 0)),
                 workers=int(ev.get("workers", 0)),
-                timeout_s=float(ev.get("timeout_s", 0.0)),
-                retry_budget=int(ev.get("retries", 0)),
                 strict=bool(ev.get("strict", False)),
             )
             grids.append(grid)
@@ -377,18 +347,15 @@ def reconstruct_grids(events: Iterable[dict[str, Any]]) -> list[GridReport]:
                 grid.events += 1
                 continue
         grid.events += 1
-        if kind == "cell_attempt_failed":
-            grid.attempt_failures[str(ev.get("kind", "?"))] += 1
-        elif kind == "cell_retry":
-            grid.retries += 1
-        elif kind == "cell_completed":
+        if kind == "cell_completed":
             fresh_completions += 1
         elif kind == "cell_failed":
             grid.failed_cells.append(
                 f"{ev.get('workload', '?')}/{ev.get('policy', '?')}"
-                f"/rep{ev.get('rep', 0)} after {ev.get('attempts', 0)} attempts "
-                f"({ev.get('kind', '?')}: {ev.get('message', '')})"
+                f"/rep{ev.get('rep', 0)} ({ev.get('kind', '?')}: {ev.get('message', '')})"
             )
+            if ev.get("kind") == "crash":
+                grid.crashes += 1
         elif kind == "grid_end":
             grid.completed = grid.cached + fresh_completions
             _cross_check_grid(grid, ev)
@@ -401,9 +368,7 @@ def _cross_check_grid(grid: GridReport, end: dict[str, Any]) -> None:
     checks = (
         ("completed", grid.completed, int(end.get("completed", 0))),
         ("failed", grid.failed, int(end.get("failed", 0))),
-        ("retries", grid.retries, int(end.get("retries", 0))),
-        ("timeouts", grid.attempt_failures["timeout"], int(end.get("timeouts", 0))),
-        ("crashes", grid.attempt_failures["crash"], int(end.get("crashes", 0))),
+        ("crashes", grid.crashes, int(end.get("crashes", 0))),
     )
     for name, got, want in checks:
         if got != want:
@@ -594,24 +559,16 @@ def _format_table(reports: list[RunReport]) -> str:
 
 
 def _format_grid_table(grids: list[GridReport]) -> str:
-    lines = ["sweep reliability"]
+    lines = ["grid sweeps"]
     lines.append("-" * len(lines[0]))
     for g in grids:
-        resumed = (
-            f", resumed ({g.resumed_done} done, {g.resumed_failed} failed)"
-            if g.resumed
-            else ""
-        )
-        timeout = f"{g.timeout_s:g}s" if g.timeout_s else "none"
         lines.append(
             f"grid {g.grid_key}: {g.cells} cells ({g.cached} cached, "
-            f"{g.to_run} to run{resumed}) on {g.workers} worker(s), "
-            f"timeout {timeout}, {g.retry_budget} retries"
+            f"{g.to_run} to run) on {g.workers} worker(s)"
         )
-        failures = ", ".join(f"{k} x{n}" for k, n in sorted(g.attempt_failures.items()))
         lines.append(
-            f"  completed {g.completed}/{g.cells}, failed {g.failed}, "
-            f"retries {g.retries}" + (f" ({failures})" if failures else "")
+            f"  completed {g.completed}/{g.cells}, failed {g.failed} "
+            f"({g.crashes} crashed)"
         )
         for cell in g.failed_cells:
             lines.append(f"  failed: {cell}")
@@ -660,7 +617,7 @@ def main(argv: "list[str] | None" = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.obs.report",
         description="Reconstruct Table II / Fig. 16 numbers — and grid sweep "
-        "reliability — from REPRO_TRACE files.",
+        "outcomes — from REPRO_TRACE files.",
     )
     parser.add_argument("traces", nargs="+", type=Path, help="JSONL trace file(s)")
     parser.add_argument("--json", action="store_true", help="emit JSON instead of a table")

@@ -1,12 +1,12 @@
-"""Fault-injection tests: timeouts, crashes, retries, checkpointed resume.
+"""Fault tests for the grid executor: crashes, errors, strict mode and
+kill-and-resume from the result cache.
 
-The killable/hanging shims live at module level so the supervised pool
-(fork start method) can run them in child processes and so the grid
-runner's factory tokens stay stable.  Crash-once shims coordinate across
-attempts through a marker file: the first attempt plants the marker and
-dies hard (``os._exit``, no Python cleanup — exactly what an OOM kill or
-a segfaulting extension looks like to the parent); the retry sees the
-marker and succeeds.
+The failing shims live at module level so pool workers can unpickle them
+and the grid runner's factory tokens stay stable.  The crash shim
+coordinates across invocations through a marker file: its first call
+plants the marker and dies hard (``os._exit``, no Python cleanup — what an
+OOM kill or a segfaulting extension looks like to the parent); the next
+sweep sees the marker and succeeds.
 """
 
 from __future__ import annotations
@@ -22,12 +22,11 @@ from pathlib import Path
 
 import pytest
 
-from repro.engine import pool
-from repro.engine.checkpoint import DONE, CellRecord, GridManifest, grid_key
-from repro.engine.gridrunner import CellFailure, run_grid
+from repro.engine.gridrunner import run_grid
+from repro.engine.runner import run_replicated
 from repro.engine.settings import RunSettings
 from repro.engine.simulator import EngineConfig
-from repro.errors import ConfigurationError, GridExecutionError
+from repro.errors import GridExecutionError
 from repro.obs.report import grid_report_paths
 from repro.workloads.npb import make_npb
 
@@ -35,34 +34,10 @@ CFG = EngineConfig(steps=10, batch_size=64)
 
 
 # ---------------------------------------------------------------------------
-# worker shims (module level: stable identities, fork-safe)
+# workload shims (module level: stable identities, picklable)
 # ---------------------------------------------------------------------------
-def _double(payload):
-    return payload * 2
-
-
-def _raise_always(payload):
-    raise ValueError(f"bad payload {payload}")
-
-
-def _exit_hard(payload):
-    os._exit(13)
-
-
-def _hang(payload):
-    time.sleep(300)
-
-
-def _crash_once(marker_dir):
-    marker = Path(marker_dir) / "crashed"
-    if not marker.exists():
-        marker.write_text("")
-        os._exit(9)
-    return "recovered"
-
-
 def _flaky_workload(marker_dir, _name="CG"):
-    """Workload factory whose first instantiation kills its worker."""
+    """Workload factory whose first call kills its worker process."""
     marker = Path(marker_dir) / "crashed"
     if not marker.exists():
         marker.write_text("")
@@ -70,282 +45,131 @@ def _flaky_workload(marker_dir, _name="CG"):
     return make_npb(_name)
 
 
-def _hanging_workload(marker_dir):
-    """Workload factory that never returns (a wedged simulation)."""
-    time.sleep(300)
+def _fails_once(marker_dir, _name="CG"):
+    """Workload factory whose first call raises."""
+    marker = Path(marker_dir) / "failed"
+    if not marker.exists():
+        marker.write_text("")
+        raise ValueError("first call fails")
+    return make_npb(_name)
 
 
-def _tasks(payloads):
-    return [pool.CellTask(index=i, payload=p) for i, p in enumerate(payloads)]
+def _broken_workload():
+    raise ValueError("no such workload")
 
 
-# ---------------------------------------------------------------------------
-# the supervised pool
-# ---------------------------------------------------------------------------
-def test_pool_runs_tasks_in_order():
-    outcomes = pool.run_tasks(_tasks([1, 2, 3, 4, 5]), _double, workers=2)
-    assert all(o.ok and o.attempts == 1 for o in outcomes)
-    assert [o.result for o in outcomes] == [2, 4, 6, 8, 10]
-
-
-def test_pool_validates_arguments():
-    with pytest.raises(ConfigurationError):
-        pool.run_tasks([], _double, workers=0)
-    with pytest.raises(ConfigurationError):
-        pool.run_tasks([], _double, retries=-1)
-
-
-def test_pool_forwards_worker_exceptions_and_exhausts_retries():
-    (outcome,) = pool.run_tasks(
-        _tasks(["x"]), _raise_always, workers=1, retries=1, backoff_s=0.0
-    )
-    assert not outcome.ok
-    assert outcome.attempts == 2  # first try + one retry
-    assert [f.kind for f in outcome.failures] == [pool.ERROR, pool.ERROR]
-    assert "ValueError: bad payload x" in outcome.failures[-1].message
-
-
-def test_pool_detects_crashed_worker_and_recovers(tmp_path):
-    (outcome,) = pool.run_tasks(
-        _tasks([str(tmp_path)]), _crash_once, workers=1, retries=2, backoff_s=0.0
-    )
-    assert outcome.ok and outcome.result == "recovered"
-    assert outcome.attempts == 2
-    assert outcome.failures[0].kind == pool.CRASH
-    assert "exitcode" in outcome.failures[0].message
-
-
-def test_pool_detects_hard_exit_without_result():
-    (outcome,) = pool.run_tasks(
-        _tasks(["x"]), _exit_hard, workers=1, retries=1, backoff_s=0.0
-    )
-    assert not outcome.ok
-    assert [f.kind for f in outcome.failures] == [pool.CRASH, pool.CRASH]
-    assert "13" in outcome.failures[0].message
-
-
-def test_pool_kills_hung_worker_at_deadline():
-    t0 = time.monotonic()
-    (outcome,) = pool.run_tasks(
-        _tasks(["x"]), _hang, workers=1, timeout_s=0.5, retries=0
-    )
-    elapsed = time.monotonic() - t0
-    assert not outcome.ok
-    assert outcome.failures[0].kind == pool.TIMEOUT
-    assert "0.5" in outcome.failures[0].message
-    assert elapsed < 30  # the 300 s sleep was killed, not awaited
-
-
-def test_pool_event_stream_and_exponential_backoff(tmp_path):
-    events = []
-    pool.run_tasks(
-        _tasks(["x"]),
-        _raise_always,
-        workers=1,
-        retries=2,
-        backoff_s=0.01,
-        on_event=lambda kind, task, detail: events.append((kind, dict(detail))),
-    )
-    kinds = [k for k, _ in events]
-    assert kinds == ["error", "retry", "error", "retry", "error", "failed"]
-    backoffs = [d["backoff_s"] for k, d in events if k == "retry"]
-    assert backoffs == [0.01, 0.02]  # backoff_s * 2**(attempt-1)
-    assert events[-1][1]["attempts"] == 3
-
-
-def test_pool_on_result_fires_as_cells_finish():
-    landed = []
-    pool.run_tasks(
-        _tasks([1, 2]),
-        _double,
-        workers=2,
-        on_result=lambda task, result, attempts: landed.append((task.index, result)),
-    )
-    assert sorted(landed) == [(0, 2), (1, 4)]
+def _metrics_blob(grid) -> bytes:
+    return pickle.dumps({k: v.metrics for k, v in sorted(grid.cells.items())})
 
 
 # ---------------------------------------------------------------------------
-# the checkpoint manifest
-# ---------------------------------------------------------------------------
-def test_manifest_roundtrip_and_torn_tail(tmp_path):
-    path = tmp_path / "grid.manifest.jsonl"
-    gkey = grid_key(["aa", "bb"])
-    with GridManifest(path, gkey) as m:
-        m.record(CellRecord(key="aa", workload="CG", policy="os", rep=0, status=DONE))
-    # simulate a writer killed mid-append: a torn, unparseable final line
-    with open(path, "a", encoding="utf-8") as f:
-        f.write('{"key": "bb", "status": "do')
-    reloaded = GridManifest(path, gkey)
-    assert reloaded.done_keys() == {"aa"}  # torn tail skipped, record kept
-
-
-def test_manifest_survives_truncation_at_every_byte(tmp_path):
-    """Byte-granular kill sweep: cut the file after every byte 0..size.
-
-    A writer can be SIGKILLed at any instant, so every possible on-disk
-    prefix must load without crashing and recover exactly the records
-    whose trailing newline made it to disk (``manifest_prefix_model`` is
-    the trivially-correct oracle).  This is the exhaustive version of
-    ``test_manifest_roundtrip_and_torn_tail``'s single sampled cut.
-    """
-    from repro.check import manifest_prefix_model, truncation_sweep
-
-    path = tmp_path / "grid.manifest.jsonl"
-    gkey = grid_key(["aa", "bb", "cc"])
-    with GridManifest(path, gkey) as m:
-        m.record(CellRecord(key="aa", workload="CG", policy="os", rep=0, status=DONE))
-        m.record(CellRecord(key="bb", workload="CG", policy="spcd", rep=1,
-                            status="failed", error="timeout"))
-        m.record(CellRecord(key="aa", workload="CG", policy="os", rep=0,
-                            status=DONE, attempts=2))  # newest-per-key wins
-    data = path.read_bytes()
-    assert manifest_prefix_model(data, gkey)[1].keys() == {"aa", "bb"}
-    mismatches = [
-        cut for cut, actual, expected in truncation_sweep(path, gkey)
-        if actual != expected
-    ]
-    assert mismatches == [], f"divergent truncation points: {mismatches}"
-
-
-def test_truncated_manifest_never_loses_results(tmp_path):
-    """Losing manifest bytes costs bookkeeping only, never results.
-
-    Cell results live in content-addressed pickles; the manifest merely
-    records which cells a resumed sweep may count as checkpointed.  Cut
-    mid-way through the final manifest record and resume: the torn record
-    drops out of ``resumed_cells``, but every result is still served from
-    the cache and the aggregate stays byte-identical.
-    """
-    cache = tmp_path / "cache"
-    first = run_grid(["CG"], ["os", "spcd"], 1, base_seed=7, config=CFG, cache=cache)
-    assert first.ok and len(first.cells) == 2
-    (manifest_path,) = cache.glob("grid-*.manifest.jsonl")
-    lines = manifest_path.read_bytes().splitlines(keepends=True)
-    manifest_path.write_bytes(b"".join(lines[:-1]) + lines[-1][:10])
-    resumed = run_grid(["CG"], ["os", "spcd"], 1, base_seed=7, config=CFG, cache=cache)
-    assert resumed.ok
-    assert resumed.cache_hits == 2 and resumed.cache_misses == 0
-    assert resumed.resumed_cells == 1  # the torn record no longer counts
-    assert pickle.dumps(
-        {k: v.metrics for k, v in sorted(resumed.cells.items())}
-    ) == pickle.dumps({k: v.metrics for k, v in sorted(first.cells.items())})
-
-
-def test_manifest_for_a_different_grid_is_reset(tmp_path):
-    path = tmp_path / "grid.manifest.jsonl"
-    with GridManifest(path, grid_key(["aa"])) as m:
-        m.record(CellRecord(key="aa", workload="CG", policy="os", rep=0, status=DONE))
-    other = GridManifest(path, grid_key(["zz"]))
-    assert other.records == {}
-    assert not path.exists()  # the stale file must never mask real work
-
-
-# ---------------------------------------------------------------------------
-# fault-tolerant grids
+# failures
 # ---------------------------------------------------------------------------
 def test_grid_recovers_from_worker_crash(tmp_path):
-    """A worker dying mid-cell is respawned; the sweep completes normally."""
+    """A worker dying mid-cell fails that cell as a crash; the next
+    invocation runs it, with the result of an undisturbed run."""
     flaky = ("flaky", partial(_flaky_workload, str(tmp_path)))
-    grid = run_grid(
-        [flaky], ["os"], 1, base_seed=7, config=CFG, workers=2,
-        retry_backoff_s=0.0,
-    )
-    assert grid.ok and grid.failures == []
-    assert grid.crashes == 1 and grid.retries == 1
-    # the recovered result is the result: identical to an undisturbed run
+    trace = tmp_path / "trace"
+    grid = run_grid([flaky], ["os"], 1, base_seed=7, config=CFG, workers=2, trace=trace)
+    assert grid.cells == {}
+    (failure,) = grid.failures
+    assert (failure.workload, failure.policy, failure.rep) == ("flaky", "os", 0)
+    assert failure.kind == "crash" and "BrokenProcessPool" in failure.message
+    assert grid.crashes == 1
+    (report,) = grid_report_paths(trace.glob("grid-*.jsonl"))
+    assert report.errors == [] and report.crashes == 1
+
+    again = run_grid([flaky], ["os"], 1, base_seed=7, config=CFG, workers=2)
+    assert again.ok and again.crashes == 0
     clean = run_grid(["CG"], ["os"], 1, base_seed=7, config=CFG, workers=2)
-    assert pickle.dumps(grid.cell("flaky", "os").metrics) == pickle.dumps(
+    assert pickle.dumps(again.cell("flaky", "os").metrics) == pickle.dumps(
         clean.cell("CG", "os").metrics
     )
 
 
-def test_grid_times_out_hung_cell_and_degrades(tmp_path):
-    """An unresponsive cell becomes a typed CellFailure, not a hung sweep."""
+def test_unpicklable_factory_fails_only_its_own_cell():
+    """A lambda cannot be sent to a worker: its cell fails with the pickling
+    error, and the named factory beside it still completes."""
     grid = run_grid(
-        [("hung", partial(_hanging_workload, str(tmp_path)))], ["os"], 1,
-        base_seed=7, config=CFG,
-        cell_timeout_s=0.5, cell_retries=1, retry_backoff_s=0.0,
+        [("lam", lambda: make_npb("CG")), "CG"], ["os"], 1,
+        base_seed=7, config=CFG, workers=2,
     )
-    assert not grid.ok
-    assert grid.cells == {}  # no result for the dead cell ...
-    (failure,) = grid.failures  # ... but a full typed account of it
-    assert isinstance(failure, CellFailure)
-    assert (failure.workload, failure.policy, failure.rep) == ("hung", "os", 0)
-    assert failure.kind == "timeout" and failure.attempts == 2
-    assert len(failure.history) == 2
-    assert grid.timeouts == 2 and grid.retries == 1
+    (failure,) = grid.failures
+    assert (failure.workload, failure.kind) == ("lam", "error")
+    assert "pickle" in failure.message.lower()
+    assert list(grid.cells) == [("CG", "os")]
+    assert grid.crashes == 0
 
 
 def test_grid_strict_mode_raises_after_draining(tmp_path):
+    cache = tmp_path / "cache"
     with pytest.raises(GridExecutionError) as exc:
         run_grid(
-            [("hung", partial(_hanging_workload, str(tmp_path)))], ["os"], 1,
-            base_seed=7, config=CFG,
-            cell_timeout_s=0.5, cell_retries=0, strict=True,
+            [("broken", _broken_workload), "CG"], ["os"], 1,
+            base_seed=7, config=CFG, cache=cache, strict=True,
         )
-    assert len(exc.value.failures) == 1
-    assert exc.value.failures[0].kind == "timeout"
+    (failure,) = exc.value.failures
+    assert (failure.workload, failure.kind) == ("broken", "error")
+    assert failure.message == "ValueError: no such workload"
+    assert "broken/os/rep0" in str(exc.value)
+    # the sweep drained before raising: the healthy cell ran and was stored
+    assert len(list(cache.glob("*/*.pkl"))) == 1
 
 
-def test_grid_settings_object_configures_fault_tolerance(tmp_path):
-    """The same knobs flow through settings=; explicit kwargs beat it."""
-    settings = RunSettings(cell_timeout_s=0.5, cell_retries=0, strict=True)
+def test_grid_settings_object_configures_fault_tolerance():
+    """Strict mode flows through settings=; an explicit kwarg beats it."""
+    settings = RunSettings(strict=True)
+    broken = [("broken", _broken_workload)]
     with pytest.raises(GridExecutionError):
-        run_grid(
-            [("hung", partial(_hanging_workload, str(tmp_path)))], ["os"], 1,
-            base_seed=7, config=CFG, settings=settings,
-        )
+        run_grid(broken, ["os"], 1, base_seed=7, config=CFG, settings=settings)
     grid = run_grid(
-        [("hung", partial(_hanging_workload, str(tmp_path)))], ["os"], 1,
-        base_seed=7, config=CFG, settings=settings, strict=False,
+        broken, ["os"], 1, base_seed=7, config=CFG, settings=settings, strict=False
     )
     assert not grid.ok and len(grid.failures) == 1
 
 
 def test_failed_cells_are_recorded_and_get_a_fresh_budget(tmp_path):
-    """A failed cell's manifest record marks resumption, not permanence."""
+    """A failed cell leaves nothing in the cache, so the next invocation
+    runs it again rather than skipping it."""
     cache = tmp_path / "cache"
-    marker_dir = tmp_path / "markers"
-    marker_dir.mkdir()
-    hung = ("cell", partial(_hanging_workload, str(marker_dir)))
-    first = run_grid(
-        [hung], ["os"], 1, base_seed=7, config=CFG, cache=cache,
-        cell_timeout_s=0.5, cell_retries=0,
-    )
-    assert not first.ok
-    (manifest_path,) = cache.glob("grid-*.manifest.jsonl")
-    assert '"status":"failed"' in manifest_path.read_text()
-    # same grid identity, now with a recoverable factory: the failed cell
-    # is re-attempted (fresh budget), not skipped
-    second = run_grid(
-        [hung], ["os"], 1, base_seed=7, config=CFG, cache=cache,
-        cell_timeout_s=0.5, cell_retries=0,
-    )
-    assert second.cache_hits == 0 and second.cache_misses == 1
+    cell = ("cell", partial(_fails_once, str(tmp_path)))
+    first = run_grid([cell], ["os"], 1, base_seed=7, config=CFG, cache=cache)
+    assert [(f.kind, f.message) for f in first.failures] == [
+        ("error", "ValueError: first call fails")
+    ]
+    assert list(cache.glob("*/*.pkl")) == []
+    second = run_grid([cell], ["os"], 1, base_seed=7, config=CFG, cache=cache)
+    assert second.ok and (second.cache_hits, second.cache_misses) == (0, 1)
+
+
+def test_run_replicated_raises_when_every_rep_fails():
+    """Regression: a parallel run_replicated whose repetitions all failed
+    raised a bare StopIteration instead of naming the failed cells."""
+    with pytest.raises(GridExecutionError) as exc:
+        run_replicated(_broken_workload, "os", reps=2, config=CFG, workers=2)
+    assert {(f.rep, f.kind) for f in exc.value.failures} == {(0, "error"), (1, "error")}
+    assert "_broken_workload/os/rep0" in str(exc.value)
+    assert "_broken_workload/os/rep1" in str(exc.value)
 
 
 def test_grid_reliability_events_reach_the_report(tmp_path):
-    """Timeout/retry/failure events land in the grid trace and the report."""
+    """Cell outcomes land in the grid trace and the report."""
     trace = tmp_path / "trace"
     run_grid(
-        [("hung", partial(_hanging_workload, str(tmp_path)))], ["os"], 1,
+        [("broken", _broken_workload), "CG"], ["os"], 1,
         base_seed=7, config=CFG, trace=trace,
-        cell_timeout_s=0.5, cell_retries=1, retry_backoff_s=0.0,
     )
     (grid_trace,) = trace.glob("grid-*.jsonl")
     (report,) = grid_report_paths([grid_trace])
     assert report.errors == []
-    assert report.completed == 0 and report.failed == 1
-    assert report.retries == 1
-    assert report.attempt_failures == {"timeout": 2}
-    assert "hung/os/rep0" in report.failed_cells[0]
-    assert "timeout" in report.failed_cells[0]
+    assert (report.completed, report.failed, report.crashes) == (1, 1, 0)
+    assert report.failed_cells == ["broken/os/rep0 (error: ValueError: no such workload)"]
 
 
 # ---------------------------------------------------------------------------
-# kill-and-resume: the tentpole acceptance scenario
+# kill-and-resume: the cache is the checkpoint
 # ---------------------------------------------------------------------------
-_RESUME_GRID_SCRIPT = """\
+_SWEEP_SCRIPT = """\
 import sys
 from repro.engine.gridrunner import run_grid
 from repro.engine.simulator import EngineConfig
@@ -353,57 +177,93 @@ from repro.engine.simulator import EngineConfig
 run_grid(
     ["CG"], ["os", "spcd"], 3, base_seed=11,
     config=EngineConfig(steps=10, batch_size=64), cache=sys.argv[1],
+    workers=int(sys.argv[2]),
 )
 """
 
 
-def test_killed_grid_resumes_from_checkpoint_byte_identically(tmp_path):
-    """SIGKILL a sweep mid-flight; re-invoking re-runs only unfinished
-    cells and the aggregate results are byte-identical to an undisturbed
-    sweep."""
-    cache = tmp_path / "cache"
+def _children(pid: int) -> list[int]:
+    """Live child processes of *pid* (Linux ``/proc``)."""
+    kids = []
+    for stat in Path("/proc").glob("[0-9]*/stat"):
+        try:
+            state, ppid = stat.read_text().rsplit(")", 1)[1].split()[:2]
+        except OSError:
+            continue  # exited while we looked
+        if int(ppid) == pid and state != "Z":
+            kids.append(int(stat.parent.name))
+    return kids
+
+
+def _alive(pid: int) -> bool:
+    try:
+        state = Path(f"/proc/{pid}/stat").read_text().rsplit(")", 1)[1].split()[0]
+    except OSError:
+        return False
+    return state != "Z"
+
+
+def _kill_after_first_result(cache: Path, workers: int) -> list[int]:
+    """Run the sweep in a subprocess and SIGKILL it as soon as one cell
+    result lands in *cache*; return the pids of its children at that point."""
     env = dict(os.environ, PYTHONPATH="src")
     proc = subprocess.Popen(
-        [sys.executable, "-c", _RESUME_GRID_SCRIPT, str(cache)],
+        [sys.executable, "-c", _SWEEP_SCRIPT, str(cache), str(workers)],
         cwd=Path(__file__).resolve().parent.parent,
         env=env,
     )
+    children: list[int] = []
     try:
-        # wait for the first durable checkpoint record, then kill -9
         deadline = time.monotonic() + 120
-        manifest_path = None
         while time.monotonic() < deadline:
-            candidates = list(cache.glob("grid-*.manifest.jsonl"))
-            if candidates and '"status":"done"' in candidates[0].read_text():
-                manifest_path = candidates[0]
-                break
-            if proc.poll() is not None:
+            if list(cache.glob("*/*.pkl")) or proc.poll() is not None:
                 break
             time.sleep(0.02)
-        assert manifest_path is not None, "no cell checkpointed before the sweep ended"
+        if Path("/proc").is_dir():
+            children = _children(proc.pid)
     finally:
         if proc.poll() is None:
             proc.send_signal(signal.SIGKILL)
         proc.wait(timeout=30)
     assert proc.returncode != 0, "the sweep must have been killed mid-flight"
+    return children
 
-    done_before_resume = manifest_path.read_text().count('"status":"done"')
-    assert 1 <= done_before_resume < 6
+
+def test_killed_grid_resumes_from_checkpoint_byte_identically(tmp_path):
+    """SIGKILL a sweep mid-flight; re-invoking loads exactly the cells whose
+    result landed in the cache, runs the rest, and the aggregate results
+    are byte-identical to an undisturbed sweep."""
+    cache = tmp_path / "cache"
+    _kill_after_first_result(cache, workers=1)
+    landed = len(list(cache.glob("*/*.pkl")))
+    assert 1 <= landed < 6
 
     resumed = run_grid(
         ["CG"], ["os", "spcd"], 3, base_seed=11, config=CFG, cache=cache
     )
-    # only unfinished cells were re-run
+    # exactly the landed cells were loaded; only the rest ran
     assert resumed.ok
-    assert resumed.resumed_cells == done_before_resume
-    assert resumed.cache_hits == done_before_resume
-    assert resumed.cache_misses == 6 - done_before_resume
+    assert resumed.cache_hits == landed
+    assert resumed.cache_misses == 6 - landed
 
     # ... and the aggregate is byte-identical to an undisturbed sweep
     pristine = run_grid(
         ["CG"], ["os", "spcd"], 3, base_seed=11, config=CFG,
         cache=tmp_path / "cache2",
     )
-    assert pickle.dumps(
-        {k: v.metrics for k, v in sorted(resumed.cells.items())}
-    ) == pickle.dumps({k: v.metrics for k, v in sorted(pristine.cells.items())})
+    assert _metrics_blob(resumed) == _metrics_blob(pristine)
+
+
+@pytest.mark.skipif(not Path("/proc").is_dir(), reason="needs Linux /proc")
+def test_killed_parallel_sweep_leaves_no_workers(tmp_path):
+    """A SIGKILLed sweep cannot shut its pool down; its workers notice the
+    lost parent and exit instead of waiting on the task queue forever."""
+    workers = _kill_after_first_result(tmp_path / "cache", workers=2)
+    assert workers, "the pool's workers were not found"
+    deadline = time.monotonic() + 30
+    while any(_alive(pid) for pid in workers) and time.monotonic() < deadline:
+        time.sleep(0.1)
+    orphans = [pid for pid in workers if _alive(pid)]
+    for pid in orphans:  # don't leak them past a failing test
+        os.kill(pid, signal.SIGKILL)
+    assert orphans == []

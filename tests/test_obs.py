@@ -7,7 +7,7 @@ import os
 from functools import partial
 
 from repro.engine.gridrunner import run_cell, run_grid
-from repro.engine.runner import run_single
+from repro.engine.runner import run_replicated, run_single
 from repro.engine.simulator import EngineConfig, Simulator
 from repro.obs.events import RunStart, event_types
 from repro.obs.recorder import (
@@ -19,6 +19,7 @@ from repro.obs.recorder import (
 )
 from repro.obs.report import main as report_main
 from repro.obs.report import reconstruct_runs, report_paths
+from repro.rng import derive_seed
 from repro.workloads.npb import make_npb
 from repro.workloads.producer_consumer import ProducerConsumerWorkload
 
@@ -88,8 +89,7 @@ def test_event_types_registry_is_complete():
     assert {"run_start", "run_end", "fault_batch", "injector_wake", "tlb_shootdown",
             "spcd_evaluation", "mapping_decision", "migration", "cache_epoch",
             "placement_applied",
-            "grid_start", "grid_end", "cell_attempt_failed", "cell_retry",
-            "cell_completed", "cell_failed",
+            "grid_start", "grid_end", "cell_completed", "cell_failed",
             "serve_start", "serve_session_start", "serve_evaluation",
             "serve_session_end", "serve_end"} == set(kinds)
 
@@ -215,7 +215,7 @@ def test_run_grid_writes_per_cell_traces(tmp_path, monkeypatch):
         "CG-os-rep0.jsonl", "CG-os-rep1.jsonl",
         "CG-spcd-rep0.jsonl", "CG-spcd-rep1.jsonl",
     ]
-    # ... and the sweep's reliability events land in their own grid trace
+    # ... and the sweep's cell outcomes land in their own grid trace
     grid_files = sorted(p for p in trace_dir.glob("grid-*.jsonl"))
     assert len(grid_files) == 1
     grid_events = _events(grid_files[0])
@@ -230,7 +230,7 @@ def test_run_grid_writes_per_cell_traces(tmp_path, monkeypatch):
         grid.cell("CG", "spcd").metrics["migrations"].values
     )
     # cached cells don't re-run: a second grid adds no *cell* trace files
-    # (it still records its own grid reliability trace, beside the first)
+    # (it still records its own grid trace, beside the first)
     for f in trace_dir.glob("*.jsonl"):
         f.unlink()
     second = run_grid(
@@ -250,6 +250,24 @@ def test_run_cell_trace_kwarg(tmp_path):
     assert report.errors == []
     assert report.migrations == result.migrations
     assert report.detection_pct == result.detection_pct
+
+
+def test_run_replicated_writes_one_trace_per_rep(tmp_path):
+    """Regression: a serial run_replicated given a ``.jsonl`` trace wrote
+    every repetition to that one file, each overwriting the last."""
+    run_replicated(
+        partial(make_npb, "CG"), "os", reps=3, base_seed=5,
+        config=EngineConfig(steps=10, batch_size=64), trace=tmp_path / "t.jsonl",
+        workers=1,
+    )
+    cell_files = sorted(
+        p for p in tmp_path.glob("t-*.jsonl") if not p.name.startswith("t-grid-")
+    )
+    assert [p.name for p in cell_files] == [
+        f"t-make_npb-CG-os-rep{rep}.jsonl" for rep in range(3)
+    ]
+    reports = report_paths(cell_files)
+    assert [r.seed for r in reports] == [derive_seed(5, "rep", rep, "os") for rep in range(3)]
 
 
 def test_trace_config_is_excluded_from_cache_keys(tmp_path):

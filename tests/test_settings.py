@@ -10,14 +10,14 @@ import pytest
 
 from repro.engine import settings as settings_module
 from repro.engine.settings import (
-    ENV_CELL_RETRIES,
-    ENV_CELL_TIMEOUT,
     ENV_GRID_STRICT,
     ENV_GRID_WORKERS,
     ENV_PLACEMENT_WALK,
     ENV_PT_REPLICATE,
     ENV_RESULT_CACHE,
-    ENV_RETRY_BACKOFF,
+    ENV_SERVE_EVAL_EVERY,
+    ENV_SERVE_MAX_TABLE_MB,
+    ENV_SERVE_PORT,
     ENV_TRACE,
     RunSettings,
     available_cpus,
@@ -31,10 +31,8 @@ def test_defaults_from_empty_environment():
     assert s.workers == 1
     assert s.cache_dir is None and s.trace is None
     assert not s.pt_replicate and not s.placement_walk
-    assert s.cell_timeout_s is None
-    assert s.cell_retries == 2
-    assert s.retry_backoff_s == 0.25
     assert not s.strict
+    assert s.serve_max_table_mb == 64.0
 
 
 def test_from_env_round_trip():
@@ -44,28 +42,26 @@ def test_from_env_round_trip():
         ENV_TRACE: "/tmp/trace",
         ENV_PT_REPLICATE: "yes",
         ENV_PLACEMENT_WALK: "on",
-        ENV_CELL_TIMEOUT: "12.5",
-        ENV_CELL_RETRIES: "4",
-        ENV_RETRY_BACKOFF: "0.5",
         ENV_GRID_STRICT: "true",
+        ENV_SERVE_MAX_TABLE_MB: "12.5",
+        ENV_SERVE_EVAL_EVERY: "4",
     }
     s = RunSettings.from_env(env)
     assert s.workers == 1
     assert s.cache_dir == "/tmp/cache"
     assert s.trace == "/tmp/trace"
     assert s.pt_replicate and s.placement_walk and s.strict
-    assert s.cell_timeout_s == 12.5
-    assert s.cell_retries == 4
-    assert s.retry_backoff_s == 0.5
+    assert s.serve_max_table_mb == 12.5
+    assert s.serve_eval_every == 4
     # the dict view round-trips into an equal instance
     assert RunSettings(**s.as_dict()) == s
 
 
 def test_from_env_reads_the_process_environment(monkeypatch):
-    monkeypatch.setenv(ENV_CELL_RETRIES, "7")
+    monkeypatch.setenv(ENV_SERVE_EVAL_EVERY, "7")
     monkeypatch.setenv(ENV_GRID_STRICT, "1")
     s = RunSettings.from_env()
-    assert s.cell_retries == 7 and s.strict
+    assert s.serve_eval_every == 7 and s.strict
 
 
 def test_env_workers_is_capped_at_available_cpus():
@@ -81,9 +77,9 @@ def test_env_workers_is_capped_at_available_cpus():
         {ENV_GRID_WORKERS: "three"},
         {ENV_PLACEMENT_WALK: "maybe"},
         {ENV_PT_REPLICATE: "2"},
-        {ENV_CELL_TIMEOUT: "soon"},
-        {ENV_CELL_RETRIES: "2.5"},
-        {ENV_RETRY_BACKOFF: "fast"},
+        {ENV_SERVE_MAX_TABLE_MB: "0"},
+        {ENV_SERVE_MAX_TABLE_MB: "-5"},
+        {ENV_SERVE_PORT: "70000"},
         {ENV_GRID_STRICT: "kinda"},
     ],
 )
@@ -101,11 +97,7 @@ def test_constructor_validation():
     with pytest.raises(ConfigurationError):
         RunSettings(workers=0)
     with pytest.raises(ConfigurationError):
-        RunSettings(cell_timeout_s=0.0)
-    with pytest.raises(ConfigurationError):
-        RunSettings(cell_retries=-1)
-    with pytest.raises(ConfigurationError):
-        RunSettings(retry_backoff_s=-0.1)
+        RunSettings(serve_max_table_mb=0)
 
 
 def test_settings_are_frozen():
@@ -115,12 +107,12 @@ def test_settings_are_frozen():
 
 
 def test_with_overrides_semantics():
-    base = RunSettings(workers=2, cell_retries=1)
+    base = RunSettings(workers=2, serve_eval_every=100)
     # None keeps the existing value; values replace it
     assert base.with_overrides(workers=None) is base
     derived = base.with_overrides(workers=4, strict=True)
     assert derived.workers == 4 and derived.strict
-    assert derived.cell_retries == 1  # untouched fields carry over
+    assert derived.serve_eval_every == 100  # untouched fields carry over
     assert base.workers == 2  # the original is untouched (frozen)
     with pytest.raises(ConfigurationError, match="unknown RunSettings"):
         base.with_overrides(warp_speed=9)
