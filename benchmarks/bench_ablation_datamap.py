@@ -2,37 +2,38 @@
 
 The paper notes its mechanisms "can be used to perform data mapping as
 well".  This bench runs SP with parallel first-touch (where thread
-migration strands memory on the wrong NUMA node) and compares thread-only
-SPCD against thread+data SPCD: the data mapper should re-home stranded
-pages and cut remote DRAM reads.
+migration strands memory on the wrong NUMA node) and compares the
+thread-only ``spcd`` policy against ``spcd-combined``, which co-decides
+page migrations with every thread-mapping evaluation: the data mapper
+should re-home stranded pages and cut remote DRAM reads.
 """
 
 from conftest import emit, engine_config
 
 from repro.analysis.report import format_table
-from repro.core.manager import SpcdConfig
 from repro.engine.simulator import Simulator
-from repro.units import MSEC
 from repro.workloads.npb import make_npb
 
+POLICIES = {"spcd": "thread only", "spcd-combined": "thread+data"}
 
-def run_one(data_mapping: bool, seed: int):
+
+def run_one(policy: str, seed: int):
     cfg = engine_config(steps=250, pretouch="parallel")
-    scfg = SpcdConfig(data_mapping=data_mapping, data_scan_period_ns=50 * MSEC)
-    sim = Simulator(make_npb("SP"), "spcd", seed=seed, config=cfg, spcd_config=scfg)
+    sim = Simulator(make_npb("SP"), policy, seed=seed, config=cfg)
     res = sim.run()
-    moved = sim.manager.data_mapper.stats.pages_migrated if data_mapping else 0
+    data_mapper = sim.manager.data_mapper
+    moved = data_mapper.stats.pages_migrated if data_mapper is not None else 0
     return res, moved
 
 
 def test_ablation_data_mapping(benchmark, results_dir):
     def sweep():
         rows = []
-        for data_mapping in (False, True):
+        for policy, label in POLICIES.items():
             remote = local = time = moved_total = 0
             reps = 2
             for seed in (21, 22):
-                res, moved = run_one(data_mapping, seed)
+                res, moved = run_one(policy, seed)
                 remote += res.stats.dram_reads_remote / reps
                 local += res.stats.dram_reads_local / reps
                 time += res.exec_time_s / reps
@@ -40,7 +41,7 @@ def test_ablation_data_mapping(benchmark, results_dir):
             share = remote / (remote + local) if remote + local else 0.0
             rows.append(
                 [
-                    "thread+data" if data_mapping else "thread only",
+                    label,
                     f"{time:.3f}",
                     int(remote),
                     f"{share:.1%}",

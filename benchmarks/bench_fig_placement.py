@@ -39,7 +39,6 @@ if __name__ == "__main__":  # pragma: no cover - CLI convenience
     sys.path.insert(0, str(Path(__file__).parent.parent / "src"))
 
 from repro.engine.runner import run_replicated
-from repro.engine.settings import RunSettings
 from repro.engine.simulator import EngineConfig
 from repro.workloads.npb import make_npb
 
@@ -54,8 +53,9 @@ RESULTS_PATH = Path(__file__).parent / "results" / "BENCH_placement.json"
 
 def run_placement_bench(*, steps: int, reps: int) -> dict:
     """The full policy × workload sweep; returns the JSON payload."""
-    config = EngineConfig(batch_size=256, steps=steps, pretouch="serial")
-    settings = RunSettings(placement_walk=True)
+    config = EngineConfig(
+        batch_size=256, steps=steps, pretouch="serial", placement_walk=True
+    )
     cells: dict[str, dict[str, dict[str, float]]] = {}
     t0 = perf_counter()
     for workload in WORKLOADS:
@@ -67,7 +67,6 @@ def run_placement_bench(*, steps: int, reps: int) -> dict:
                 reps=reps,
                 base_seed=BASE_SEED,
                 config=config,
-                settings=settings,
             )
             cells[workload][policy] = {
                 "exec_time_s": cell.mean("exec_time_s"),

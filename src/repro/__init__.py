@@ -75,7 +75,7 @@ from repro.placement import (
 )
 from repro.workloads import ProducerConsumerWorkload, SyntheticNpbWorkload, make_npb
 
-__version__ = "5.0.0"
+__version__ = "6.0.0"
 
 __all__ = [
     "CellFailure",

@@ -10,11 +10,14 @@ additional detection cost.
 
 Mechanism:
 
-* the fault hook records, per region, a small exponential counter of
+* the fault hook records, per page, a small exponential counter of
   faults per NUMA node;
-* a periodic kernel thread scans the regions touched since its last wake
-  and migrates pages whose dominant node (a) differs from the current home
-  and (b) holds at least ``dominance`` of the recent faults;
+* each SPCD evaluation of a data-mapping placement policy (``spcd-data``,
+  ``spcd-combined``, ``spcd-replicated``) is one scan: :meth:`decide`
+  picks the pages touched since the last scan whose dominant node
+  (a) differs from the current home and (b) holds at least ``dominance``
+  of the recent faults, ``SpcdManager.apply_decision`` migrates them with
+  :meth:`apply_moves`, and :meth:`finish_scan` ages the counters;
 * a migrated page pays an explicit copy cost and its new home node is
   visible to the cache simulator's DRAM accounting immediately.
 
@@ -31,7 +34,6 @@ import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.mem.fault import FaultInfo, FaultPipeline
-from repro.units import MSEC
 
 
 @dataclass
@@ -67,7 +69,6 @@ class SpcdDataMapper:
         decay: float = 0.5,
         min_faults: float = 3.0,
         copy_cost_ns: float = 3000.0,
-        scan_period_ns: int = 100 * MSEC,
     ) -> None:
         if not 0.5 < dominance <= 1.0:
             raise ConfigurationError("dominance must be in (0.5, 1]")
@@ -80,7 +81,6 @@ class SpcdDataMapper:
         self.decay = decay
         self.min_faults = min_faults
         self.copy_cost_ns = copy_cost_ns
-        self.scan_period_ns = scan_period_ns
         #: vpn -> per-node recent fault mass
         self._node_faults: dict[int, np.ndarray] = {}
         self._touched: set[int] = set()
@@ -97,22 +97,7 @@ class SpcdDataMapper:
         counts[self.node_of_pu(info.pu_id)] += 1.0
         self._touched.add(info.vpn)
 
-    # -- periodic scan ---------------------------------------------------------
-    def scan(self, now_ns: int) -> int:
-        """Migrate pages dominated by a remote node; returns pages moved.
-
-        The legacy timer-driven entry point: decide, apply, then age the
-        counters — kept as the composition of the three phases so the
-        placement engine can drive them separately (decide inside a
-        :class:`~repro.placement.decision.PlacementDecision`, apply in
-        ``SpcdManager.apply_decision``).
-        """
-        self.stats.scans += 1
-        moves, _ = self.decide()
-        moved = self.apply_moves(moves)
-        self.finish_scan()
-        return moved
-
+    # -- one scan: decide, apply, finish ------------------------------------------
     def decide(self, *, defer_shared: bool = False) -> "tuple[list[tuple[int, int]], int]":
         """Pick pages to migrate; returns ``(moves, shared_deferred)``.
 

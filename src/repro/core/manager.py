@@ -26,6 +26,7 @@ from repro.core.filter import CommunicationFilter
 from repro.core.injector import FaultInjector, InjectorMode
 from repro.core.mapping import make_mapper, select_mapper_algorithm
 from repro.core.spcd import SpcdDetector
+from repro.errors import ConfigurationError
 from repro.kernelsim.kthread import TimerWheel
 from repro.kernelsim.migration import MigrationEngine
 from repro.kernelsim.scheduler import PinnedScheduler
@@ -99,7 +100,6 @@ class SpcdConfig:
     #: can follow dynamic phase changes (Sec. V-B) instead of being
     #: dominated by stale history.  1.0 disables aging.
     matrix_decay: float = 0.92
-    use_greedy_matching: bool = False
     #: mapper tie-breaking bonus toward the current placement (see
     #: HierarchicalMapper.stickiness)
     mapper_stickiness: float = 0.75
@@ -107,15 +107,12 @@ class SpcdConfig:
     mapping_cost_ns_per_n3: float = 30.0
     detect_cost_ns: float = 250.0
     clear_cost_ns: float = 150.0
-    #: also perform SPCD-driven *data* mapping (NUMA page migration) — the
-    #: extension the paper names in Sec. IV; see repro.core.datamap
-    data_mapping: bool = False
-    data_scan_period_ns: int = 100 * MSEC
-    #: mapping engine: "edmonds", "hierarchical", or None = resolve by
-    #: precedence (explicit config > placement policy's ``mapper_algorithm``
-    #: > thread-count auto-switch; see
-    #: :func:`repro.core.mapping.select_mapper_algorithm`)
-    mapper_algorithm: str | None = None
+
+    def __post_init__(self) -> None:
+        # the range SessionConfig enforces; evaluate() only ages below 1.0,
+        # so an out-of-range factor would otherwise run silently unaged
+        if not 0.0 < self.matrix_decay <= 1.0:
+            raise ConfigurationError("matrix_decay must be in (0, 1]")
 
 
 @dataclass
@@ -192,26 +189,18 @@ class SpcdManager:
             hysteresis=cfg.filter_hysteresis,
             margin=cfg.filter_margin,
         )
-        self.mapper_algorithm = select_mapper_algorithm(
-            n_threads, cfg.mapper_algorithm, self.placement
-        )
+        self.mapper_algorithm = select_mapper_algorithm(n_threads, self.placement)
         self.mapper = make_mapper(
-            self.mapper_algorithm,
-            machine,
-            use_greedy_matching=cfg.use_greedy_matching,
-            stickiness=cfg.mapper_stickiness,
+            self.mapper_algorithm, machine, stickiness=cfg.mapper_stickiness
         )
         self.gate = RemapGate(machine, self.mapper, self.filter, cfg)
         self.migrator = MigrationEngine(scheduler, tlbs, recorder=recorder)
         self.data_mapper = None
-        if cfg.data_mapping or self.placement.maps_data:
+        if self.placement.maps_data:
             from repro.core.datamap import SpcdDataMapper
 
             self.data_mapper = SpcdDataMapper(
-                pipeline,
-                machine.n_numa_nodes,
-                machine.numa_node_of,
-                scan_period_ns=cfg.data_scan_period_ns,
+                pipeline, machine.n_numa_nodes, machine.numa_node_of
             )
         self.overheads = SpcdOverheads()
         #: host wall-clock spent in the mapping kernels (grouping + matching
@@ -221,13 +210,6 @@ class SpcdManager:
         if timer_wheel is not None:
             timer_wheel.register("spcd-injector", cfg.injector_period_ns, self.injector.wake)
             timer_wheel.register("spcd-evaluate", cfg.eval_period_ns, self.evaluate)
-            # The legacy standalone data-mapping timer: only when the config
-            # asks for it AND the placement policy does not already fold
-            # page migrations into its co-decided evaluations.
-            if self.data_mapper is not None and not self.placement.maps_data:
-                timer_wheel.register(
-                    "spcd-datamap", cfg.data_scan_period_ns, self.data_mapper.scan
-                )
 
     # -- periodic evaluation ---------------------------------------------------
     def evaluate(self, now_ns: int) -> bool:
@@ -346,10 +328,9 @@ class SpcdManager:
     def _propose_page_migrations(self) -> "tuple[tuple[PageMigration, ...], int]":
         """Scan the node-fault counters; ``(migrations, shared_deferred)``.
 
-        One call is one data-mapping scan: the counters are decided over,
-        then aged — exactly the legacy timer-driven cadence, but on the
-        evaluation clock and without mutating the page table (that waits
-        for :meth:`apply_decision`).
+        One call is one data-mapping scan on the evaluation clock: the
+        counters are decided over, then aged, without mutating the page
+        table (that waits for :meth:`apply_decision`).
         """
         if self.data_mapper is None:
             return (), 0

@@ -21,7 +21,6 @@ from scipy.optimize import linear_sum_assignment
 
 from repro.core.commmatrix import CommunicationMatrix
 from repro.core.grouping import Group, build_hierarchy, group_matrix
-from repro.core.matching import greedy_matching
 from repro.errors import MappingError
 from repro.machine.topology import CommDistance, Machine
 
@@ -162,15 +161,8 @@ def lay_out_socket_groups(
 class HierarchicalMapper:
     """Computes a thread -> PU mapping from a communication matrix."""
 
-    def __init__(
-        self,
-        machine: Machine,
-        *,
-        use_greedy_matching: bool = False,
-        stickiness: float = 0.2,
-    ) -> None:
+    def __init__(self, machine: Machine, *, stickiness: float = 0.2) -> None:
         self.machine = machine
-        self.use_greedy_matching = use_greedy_matching
         #: bonus (as a fraction of the mean positive communication) granted
         #: to pairs already sharing a core / socket when a current placement
         #: is supplied — ties and near-ties resolve toward the existing
@@ -180,17 +172,6 @@ class HierarchicalMapper:
         #: total mapper invocations (Table II reports migrations; the
         #: manager reports calls for the overhead figure)
         self.calls = 0
-
-    # -- internals -----------------------------------------------------------
-    def _grow(self, comm: np.ndarray, groups: list[Group], target: int) -> list[Group]:
-        """Pair *groups* until they hold *target* threads each."""
-        if self.use_greedy_matching:
-            while len(groups[0]) < target:
-                h = group_matrix(comm, groups)
-                pairs = greedy_matching(h)
-                groups = [tuple(groups[a]) + tuple(groups[b]) for a, b in pairs]
-            return groups
-        return build_hierarchy(comm, target, start=groups)
 
     def map(
         self,
@@ -233,7 +214,7 @@ class HierarchicalMapper:
         # Level 1: fill cores (SMT siblings share L1/L2).
         if smt > 1:
             if _is_pow2(smt):
-                groups = self._grow(padded, groups, smt)
+                groups = build_hierarchy(padded, smt, start=groups)
             else:
                 packed = _pack_greedy(padded, groups, machine.n_cores, smt)
                 groups = [tuple(t for g in bin_ for t in g) for bin_ in packed]
@@ -242,7 +223,7 @@ class HierarchicalMapper:
         # Level 2: fill sockets (cores share the L3).
         if machine.n_sockets > 1:
             if _is_pow2(machine.cores_per_socket):
-                groups = self._grow(padded, core_groups, per_socket)
+                groups = build_hierarchy(padded, per_socket, start=core_groups)
                 socket_groups = [list(self._split(g, smt)) for g in groups]
             else:
                 socket_groups = [
@@ -334,21 +315,18 @@ MAPPER_ALGORITHMS = ("edmonds", "hierarchical")
 AUTO_HIERARCHICAL_THREADS = 128
 
 
-def select_mapper_algorithm(
-    n_threads: int, algorithm: "str | None" = None, policy: object = None
-) -> str:
+def select_mapper_algorithm(n_threads: int, policy: object = None) -> str:
     """The registered mapping engine for decisions over *n_threads*.
 
-    Precedence: the explicit *algorithm* (``SpcdConfig.mapper_algorithm``),
-    then the *policy*'s ``mapper_algorithm`` attribute (the ``spcd-hier``
-    placement policy), then the thread-count auto-switch at
-    :data:`AUTO_HIERARCHICAL_THREADS` — Edmonds below it, so every
-    paper-scale digest is untouched.  The simulator, serve and the oracle
-    all select their mapper here.
+    The *policy*'s ``mapper_algorithm`` attribute (the ``spcd-hier``
+    placement policy) names the engine; otherwise the thread-count
+    auto-switch at :data:`AUTO_HIERARCHICAL_THREADS` picks it — Edmonds
+    below it, so every paper-scale digest is untouched.  The simulator,
+    serve and the oracle all select their mapper here.
     """
-    explicit = algorithm or getattr(policy, "mapper_algorithm", None)
-    if explicit:
-        return str(explicit)
+    named = getattr(policy, "mapper_algorithm", None)
+    if named:
+        return str(named)
     if n_threads >= AUTO_HIERARCHICAL_THREADS:
         _log.info(
             "mapping: auto-selected the hierarchical mapper "
@@ -360,13 +338,7 @@ def select_mapper_algorithm(
     return "edmonds"
 
 
-def make_mapper(
-    algorithm: str,
-    machine: Machine,
-    *,
-    use_greedy_matching: bool = False,
-    stickiness: float = 0.2,
-):
+def make_mapper(algorithm: str, machine: Machine, *, stickiness: float = 0.2):
     """Construct a registered mapping engine by name.
 
     Both engines expose the same surface — ``map(matrix, current=None)``
@@ -374,9 +346,7 @@ def make_mapper(
     policies treat them interchangeably.
     """
     if algorithm == "edmonds":
-        return HierarchicalMapper(
-            machine, use_greedy_matching=use_greedy_matching, stickiness=stickiness
-        )
+        return HierarchicalMapper(machine, stickiness=stickiness)
     if algorithm == "hierarchical":
         from repro.graphs.hiermap import ScalableHierarchicalMapper
 

@@ -31,7 +31,9 @@ the reference loops (lower constant factor), everything else takes the
 array engine.
 
 A cheap O(n^2 log n) :func:`greedy_matching` is provided for the ablation
-study (bench E16) and as a fallback for very large thread counts.
+study (bench E16) and the property tests, as a lower bound on the exact
+matching.  No mapper uses it: very large thread counts take the
+hierarchical mapper (:mod:`repro.graphs.hiermap`) instead.
 """
 
 from __future__ import annotations
@@ -1061,7 +1063,7 @@ def max_weight_perfect_matching(weights: np.ndarray) -> list[tuple[int, int]]:
 def greedy_matching(weights: np.ndarray) -> list[tuple[int, int]]:
     """Greedy O(n^2 log n) perfect matching: repeatedly take the heaviest pair.
 
-    Used by the matching ablation (bench E16) and as a fast fallback; gives
+    Used by the matching ablation (bench E16) and the property tests; gives
     at least half the optimal weight.
     """
     w = np.asarray(weights, dtype=float)

@@ -184,6 +184,10 @@ def _cell_key(
     config: EngineConfig,
     spcd_config: SpcdConfig,
 ) -> str:
+    """Digest of everything that determines one cell's result.
+
+    :class:`RunSettings` is not hashed: no setting changes a result.
+    """
     blob = repr((wl_token, policy, seed, repr(machine), repr(config), repr(spcd_config)))
     h = hashlib.blake2b(digest_size=20)
     h.update(_cache_mod.code_version().encode())

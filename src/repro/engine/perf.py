@@ -39,7 +39,7 @@ class PerfCounters:
     #: page faults handled (first-touch + injected)
     faults: int = 0
     #: page-table-walk radix levels resolved on the walking PU's node
-    #: (populated only under ``REPRO_PLACEMENT_WALK``; see
+    #: (populated only under ``EngineConfig.placement_walk``; see
     #: ``PageTable.charge_walk``)
     pt_walk_levels_local: int = 0
     #: page-table-walk radix levels that crossed the socket interconnect

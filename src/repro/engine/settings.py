@@ -9,6 +9,13 @@ from the environment via :meth:`RunSettings.from_env` (CLI / CI use).
 No other module in ``src/repro`` may read a ``REPRO_*`` variable —
 ``tools/check_env_reads.py`` enforces the ban in CI.
 
+Settings describe the execution environment only (workers, cache,
+trace, strict mode and the serve deployment): none of them changes a
+simulation result, which is why the result cache's key leaves them out.
+Every switch that does change a result lives in
+:class:`~repro.engine.simulator.EngineConfig`,
+:class:`~repro.core.manager.SpcdConfig` or the placement policy.
+
 Resolution order used by :func:`repro.engine.gridrunner.run_grid` and
 friends: an explicit keyword argument beats a field of an explicit
 ``settings=`` object, which beats the environment.
@@ -24,10 +31,6 @@ from repro.errors import ConfigurationError
 __all__ = [
     "ENV_GRID_STRICT",
     "ENV_GRID_WORKERS",
-    "ENV_PLACEMENT_WALK",
-    "ENV_PLACEMENT_WALK_LOCAL_NS",
-    "ENV_PLACEMENT_WALK_REMOTE_NS",
-    "ENV_PT_REPLICATE",
     "ENV_RESULT_CACHE",
     "ENV_SERVE_CREDIT_WINDOW",
     "ENV_SERVE_EVAL_EVERY",
@@ -66,14 +69,6 @@ ENV_SERVE_SHARDS = "REPRO_SERVE_SHARDS"
 ENV_SERVE_EVAL_EVERY = "REPRO_SERVE_EVAL_EVERY"
 #: credit window granted to each client, in events
 ENV_SERVE_CREDIT_WINDOW = "REPRO_SERVE_CREDIT_WINDOW"
-#: charge NUMA-aware page-table-walk latency on every fault
-ENV_PLACEMENT_WALK = "REPRO_PLACEMENT_WALK"
-#: per-level walk latency when the directory page is node-local, ns
-ENV_PLACEMENT_WALK_LOCAL_NS = "REPRO_PLACEMENT_WALK_LOCAL_NS"
-#: per-level walk latency when the directory page is remote, ns
-ENV_PLACEMENT_WALK_REMOTE_NS = "REPRO_PLACEMENT_WALK_REMOTE_NS"
-#: force per-node page-table replication from the first fault on
-ENV_PT_REPLICATE = "REPRO_PT_REPLICATE"
 
 _TRUE = ("1", "true", "yes", "on")
 _FALSE = ("", "0", "false", "no", "off")
@@ -111,9 +106,7 @@ def _env_int(environ: "dict[str, str] | None", name: str, default: int) -> int:
         raise ConfigurationError(f"bad {name} value {raw!r}") from exc
 
 
-def _env_float(
-    environ: "dict[str, str] | None", name: str, default: "float | None"
-) -> "float | None":
+def _env_float(environ: "dict[str, str] | None", name: str, default: float) -> float:
     raw = _get(environ, name)
     if not raw:
         return default
@@ -159,19 +152,6 @@ class RunSettings:
     serve_eval_every: int = 8192
     #: per-client send window, in events (credit-based backpressure)
     serve_credit_window: int = 65536
-    #: charge NUMA-aware per-level page-table-walk latency on every fault
-    #: (the Fig. 16 walk split); off keeps flat-cost digests bit-identical
-    placement_walk: bool = False
-    #: per-level walk latency override when the directory page is local;
-    #: ``None`` derives it from the machine's :class:`NumaModel`
-    placement_walk_local_ns: "float | None" = None
-    #: per-level walk latency override when the directory page is remote;
-    #: ``None`` derives it from the machine's :class:`NumaModel`
-    placement_walk_remote_ns: "float | None" = None
-    #: activate per-node page-table replicas from the first fault on
-    #: (policy-independent Mitosis baseline; ``spcd-replicated`` instead
-    #: replicates when its first placement decision directs it)
-    pt_replicate: bool = False
 
     def __post_init__(self) -> None:
         if self.workers < 1:
@@ -190,10 +170,6 @@ class RunSettings:
             raise ConfigurationError("serve_eval_every must be >= 1")
         if self.serve_credit_window < 1:
             raise ConfigurationError("serve_credit_window must be >= 1")
-        if self.placement_walk_local_ns is not None and self.placement_walk_local_ns <= 0:
-            raise ConfigurationError("placement_walk_local_ns must be positive (or None)")
-        if self.placement_walk_remote_ns is not None and self.placement_walk_remote_ns <= 0:
-            raise ConfigurationError("placement_walk_remote_ns must be positive (or None)")
 
     @classmethod
     def from_env(cls, environ: "dict[str, str] | None" = None) -> "RunSettings":
@@ -236,12 +212,6 @@ class RunSettings:
             serve_shards=_env_int(environ, ENV_SERVE_SHARDS, 4),
             serve_eval_every=_env_int(environ, ENV_SERVE_EVAL_EVERY, 8192),
             serve_credit_window=_env_int(environ, ENV_SERVE_CREDIT_WINDOW, 65536),
-            placement_walk=_env_bool(environ, ENV_PLACEMENT_WALK),
-            placement_walk_local_ns=_env_float(environ, ENV_PLACEMENT_WALK_LOCAL_NS, None),
-            placement_walk_remote_ns=_env_float(
-                environ, ENV_PLACEMENT_WALK_REMOTE_NS, None
-            ),
-            pt_replicate=_env_bool(environ, ENV_PT_REPLICATE),
         )
         try:
             return cls(**values)

@@ -74,6 +74,11 @@ class EngineConfig:
     #: on the master's NUMA node); "parallel" leaves demand first-touch to
     #: whichever thread reaches a page first.
     pretouch: str = "serial"
+    #: charge NUMA-aware per-level page-table-walk latency on every fault
+    #: (the Fig. 16 walk split), at the machine's
+    #: :meth:`NumaModel.pt_walk_level_ns`; off keeps flat-cost digests
+    #: bit-identical
+    placement_walk: bool = False
 
     def __post_init__(self) -> None:
         if self.batch_size <= 0 or self.steps <= 0 or self.time_scale <= 0:
@@ -142,9 +147,9 @@ class Simulator:
         self.config = config or EngineConfig()
         self.seed = seed
         self.rngs = RngFactory(seed)
-        # Execution-environment knobs (tracing, placement extras): an
-        # explicit settings object wins; otherwise the environment
-        # (RunSettings.from_env()) decides.
+        # Execution-environment knobs (tracing): an explicit settings
+        # object wins; otherwise the environment (RunSettings.from_env())
+        # decides.
         self.settings = settings if settings is not None else RunSettings.from_env()
         # Tracing: an explicit recorder wins; otherwise the settings' trace
         # base enables a JSONL recorder (a NullRecorder or no trace base
@@ -160,18 +165,15 @@ class Simulator:
 
         n = workload.n_threads
         self.clock = VirtualClock()
-        # Page-table choice: replication-capable tables are created only
-        # when a policy or env knob asks for them, so default runs keep the
-        # plain table (and its digests) bit-identical.
+        # Page-table choice: a replication-capable table is created only
+        # when the policy replicates, so every other run keeps the plain
+        # table (and its digests) bit-identical.  Its replicas stay idle
+        # until the policy's first PlacementDecision directs them.
         page_table = None
-        if self.placement.replicate_pt or self.settings.pt_replicate:
+        if self.placement.replicate_pt:
             page_table = ReplicatedPageTable(
                 self.config.capacity_pages, self.machine.n_numa_nodes
             )
-            if self.settings.pt_replicate:
-                # Env-forced replication is active from the first fault;
-                # policy-directed replication waits for a PlacementDecision.
-                page_table.activate()
         self.address_space = AddressSpace(
             self.config.capacity_pages, page_table=page_table
         )
@@ -186,23 +188,15 @@ class Simulator:
             self.tlbs,
             node_of_pu=self.machine.numa_node_of,
         )
-        # NUMA-aware page-table-walk charging (REPRO_PLACEMENT_WALK):
+        # NUMA-aware page-table-walk charging (EngineConfig.placement_walk):
         # enabled before the pretouch so the serial init phase homes the
         # page-table directory pages on the master's node — exactly the
         # all-walks-remote starting point Phoenix/Mitosis address.
-        if self.settings.placement_walk:
+        if self.config.placement_walk:
             numa = NumaModel(self.machine)
-            local_ns = (
-                self.settings.placement_walk_local_ns
-                if self.settings.placement_walk_local_ns is not None
-                else numa.pt_walk_level_ns(local=True)
+            self.pipeline.enable_numa_walk(
+                numa.pt_walk_level_ns(local=True), numa.pt_walk_level_ns(local=False)
             )
-            remote_ns = (
-                self.settings.placement_walk_remote_ns
-                if self.settings.placement_walk_remote_ns is not None
-                else numa.pt_walk_level_ns(local=False)
-            )
-            self.pipeline.enable_numa_walk(local_ns, remote_ns)
         self.hierarchy = CoherentHierarchy(self.machine)
         self.time_model = TimeModel(self.machine, params=self.config.time_params)
         self.energy_model = EnergyModel(self.machine, params=self.config.energy_params)

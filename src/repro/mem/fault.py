@@ -139,7 +139,7 @@ class FaultPipeline:
         self._batch_hooks: list[FaultBatchHook] = []
         #: when True, each fault's page-table walk additionally charges
         #: NUMA-aware per-level latency via ``PageTable.charge_walk``
-        #: (``RunSettings.placement_walk``); off by default so flat-cost
+        #: (``EngineConfig.placement_walk``); off by default so flat-cost
         #: digests stay bit-identical.
         self.numa_walk = False
         self.first_touch_faults = 0

@@ -63,9 +63,9 @@ class PageTable:
         #: Counts of structural operations, for the overhead model.
         self.walk_count = 0
         self.present_clear_count = 0
-        #: NUMA-aware walk cost accounting (enabled by the fault pipeline's
-        #: ``REPRO_PLACEMENT_WALK`` path; the arrays are created lazily so
-        #: the default engine never touches them).
+        #: NUMA-aware walk cost accounting (enabled by the fault pipeline
+        #: under ``EngineConfig.placement_walk``; the arrays are created
+        #: lazily so the default engine never touches them).
         self.level_local_ns = PT_LEVEL_LOCAL_NS
         self.level_remote_ns = PT_LEVEL_REMOTE_NS
         self.walk_levels_local = 0

@@ -124,7 +124,6 @@ class PlacementView:
 
         ``shared_deferred`` counts pages left to the thread mapper because
         no node dominated their fault mass (combined policies); data-only
-        policies record those as vetoed instead, exactly like the legacy
-        timer-driven scan.
+        policies record those as vetoed instead.
         """
         return self._page_proposal()

@@ -21,11 +21,14 @@ name                      threads  data    replica  scheduler
 ``spcd-replicated``       ✓        ✓       ✓        random pin
 ========================  ======== ======= ======== =============
 
-``spcd-hier`` is ``spcd`` with the scalable hierarchical mapper
-(:mod:`repro.graphs.hiermap`) forced regardless of thread count; a
-policy's ``mapper_algorithm`` attribute is how any policy selects a
-registered mapping engine per
-:func:`repro.core.mapping.make_mapper`.
+The policy is the only way to choose a placement mechanism or a mapping
+engine: thread mapping, data mapping and page-table replication come
+from its flags, and ``spcd-hier`` is ``spcd`` with the scalable
+hierarchical mapper (:mod:`repro.graphs.hiermap`) forced regardless of
+thread count.  A policy's ``mapper_algorithm`` attribute names a
+registered engine (:func:`repro.core.mapping.make_mapper`); ``None``
+leaves it to the thread-count auto-switch of
+:func:`repro.core.mapping.select_mapper_algorithm`.
 
 ``spcd`` reproduces the pre-placement engine bit for bit
 (``tests/test_placement.py`` pins it); the new names compose the
@@ -186,8 +189,8 @@ class ThreadPlacementPolicy:
     maps_data = False
     replicate_pt = False
     #: mapping engine this policy requests from the registry
-    #: (:func:`repro.core.mapping.make_mapper`); ``None`` lets the manager
-    #: resolve (explicit config, then the thread-count auto-switch)
+    #: (:func:`repro.core.mapping.make_mapper`); ``None`` leaves it to the
+    #: thread-count auto-switch
     mapper_algorithm: "str | None" = None
 
     def make_scheduler(
@@ -245,9 +248,9 @@ class DataPlacementPolicy(ThreadPlacementPolicy):
 
     Pages whose recent fault mass is dominated by a remote node move
     there; pages shared between nodes are vetoed (there is no thread
-    mapper to hand them to), reproducing the legacy timer-driven
-    :class:`~repro.core.datamap.SpcdDataMapper` semantics on the
-    evaluation cadence.
+    mapper to hand them to).  One
+    :class:`~repro.core.datamap.SpcdDataMapper` scan runs per
+    evaluation.
     """
 
     name = "spcd-data"

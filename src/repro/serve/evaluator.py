@@ -133,7 +133,6 @@ class MappingEvaluator:
         self.mapper = make_mapper(
             select_mapper_algorithm(cfg.n_threads),
             machine,
-            use_greedy_matching=cfg.use_greedy_matching,
             stickiness=cfg.mapper_stickiness,
         )
         self.gate = RemapGate(machine, self.mapper, self.filter, cfg)

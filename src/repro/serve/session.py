@@ -61,7 +61,6 @@ SESSION_OVERRIDE_KEYS = frozenset(
         "min_improvement",
         "remap_cooldown_ns",
         "mapper_stickiness",
-        "use_greedy_matching",
         "matrix_decay",
     }
 )
@@ -87,7 +86,7 @@ _REAL_FIELDS = (
     "mapper_stickiness",
     "matrix_decay",
 )
-_BOOL_FIELDS = ("filter_enabled", "use_greedy_matching")
+_BOOL_FIELDS = ("filter_enabled",)
 
 
 def _is_int64(value: object) -> bool:
@@ -124,7 +123,6 @@ class SessionConfig:
     min_improvement: float = 0.85
     remap_cooldown_ns: int = 250 * MSEC
     mapper_stickiness: float = 0.75
-    use_greedy_matching: bool = False
     matrix_decay: float = 1.0
 
     def __post_init__(self) -> None:

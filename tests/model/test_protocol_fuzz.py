@@ -138,7 +138,6 @@ _VALID_OVERRIDES = {
     "min_improvement": st.floats(0.0, 2.0),
     "remap_cooldown_ns": st.integers(0, 10**9),
     "mapper_stickiness": st.floats(0.0, 2.0),
-    "use_greedy_matching": st.booleans(),
     "matrix_decay": st.floats(0.0, 1.0, exclude_min=True),
 }
 _HELLO_CONFIGS = st.fixed_dictionaries(

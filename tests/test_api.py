@@ -108,7 +108,7 @@ ENGINE_API = {
 
 class TestTopLevel:
     def test_version(self):
-        assert repro.__version__ == "5.0.0"
+        assert repro.__version__ == "6.0.0"
 
     def test_api_surface_snapshot(self):
         assert set(repro.__all__) == TOP_LEVEL_API

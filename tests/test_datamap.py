@@ -21,6 +21,15 @@ def env():
     return space, pipeline, frames, mapper
 
 
+def scan(mapper):
+    """One data-mapping scan, as ``SpcdManager`` runs it per evaluation:
+    decide, apply the moves, then age the counters; returns pages moved."""
+    moves, _ = mapper.decide()
+    moved = mapper.apply_moves(moves)
+    mapper.finish_scan()
+    return moved
+
+
 def fault(space, pipeline, tid, pu, page, now=0):
     addr = space.region("data").base + page * PAGE_SIZE
     vpn = addr // PAGE_SIZE
@@ -46,7 +55,7 @@ class TestAffinityTracking:
     def test_decay_on_scan(self, env):
         space, pipeline, frames, mapper = env
         vpn = fault(space, pipeline, 0, 0, 0)
-        mapper.scan(0)
+        scan(mapper)
         assert mapper.node_affinity(vpn)[0] == pytest.approx(0.5)
 
 
@@ -57,7 +66,7 @@ class TestMigration:
         assert space.page_table.home_node_of(vpn) == 0
         for _ in range(5):
             fault(space, pipeline, 1, 1, 0)  # node 1 dominates
-        moved = mapper.scan(0)
+        moved = scan(mapper)
         assert moved == 1
         assert space.page_table.home_node_of(vpn) == 1
         assert mapper.stats.pages_migrated == 1
@@ -70,7 +79,7 @@ class TestMigration:
         for _ in range(5):
             fault(space, pipeline, 1, 1, 0)
         # node 1 leads 5:4 — not dominant enough (< 70%) to migrate
-        assert mapper.scan(0) == 0
+        assert scan(mapper) == 0
         assert space.page_table.home_node_of(vpn) == 0
         assert mapper.stats.migrations_vetoed_shared >= 1
 
@@ -79,13 +88,13 @@ class TestMigration:
         vpn = fault(space, pipeline, 0, 0, 0)
         for _ in range(5):
             fault(space, pipeline, 0, 0, 0)
-        assert mapper.scan(0) == 0
+        assert scan(mapper) == 0
         assert space.page_table.home_node_of(vpn) == 0
 
     def test_few_faults_not_enough_evidence(self, env):
         space, pipeline, frames, mapper = env
         fault(space, pipeline, 1, 1, 0)
-        assert mapper.scan(0) == 0
+        assert scan(mapper) == 0
 
     def test_migration_preserves_present_bit_state(self, env):
         space, pipeline, frames, mapper = env
@@ -93,7 +102,7 @@ class TestMigration:
         for _ in range(5):
             fault(space, pipeline, 1, 1, 0)
         # page ends present after last fault
-        mapper.scan(0)
+        scan(mapper)
         assert space.page_table.is_present(vpn)
         assert space.page_table.consistency_ok()
 
@@ -103,7 +112,7 @@ class TestMigration:
         allocated_before = sum(frames.allocated)
         for _ in range(5):
             fault(space, pipeline, 1, 1, 0)
-        mapper.scan(0)
+        scan(mapper)
         assert sum(frames.allocated) == allocated_before
 
     def test_copy_time_charged(self, env):
@@ -111,7 +120,7 @@ class TestMigration:
         fault(space, pipeline, 0, 0, 0)
         for _ in range(5):
             fault(space, pipeline, 1, 1, 0)
-        mapper.scan(0)
+        scan(mapper)
         assert mapper.stats.copy_time_ns == mapper.copy_cost_ns
 
     def test_pages_only_rescanned_when_touched(self, env):
@@ -119,9 +128,9 @@ class TestMigration:
         fault(space, pipeline, 0, 0, 0)
         for _ in range(5):
             fault(space, pipeline, 1, 1, 0)
-        mapper.scan(0)
+        scan(mapper)
         # second scan without new faults does nothing
-        assert mapper.scan(1) == 0
+        assert scan(mapper) == 0
 
 
 class TestConfig:
@@ -139,9 +148,10 @@ class TestConfig:
 
 class TestManagerIntegration:
     def test_manager_registers_data_mapper(self, small_machine, rng):
-        from repro.core.manager import SpcdConfig, SpcdManager
+        from repro.core.manager import SpcdManager
         from repro.kernelsim.kthread import TimerWheel
         from repro.kernelsim.scheduler import PinnedScheduler
+        from repro.placement import DataPlacementPolicy
 
         space = AddressSpace(256)
         space.mmap("d", 4 * PAGE_SIZE)
@@ -153,21 +163,17 @@ class TestManagerIntegration:
         wheel = TimerWheel()
         mgr = SpcdManager(
             small_machine, 4, pipeline, sched, rng,
-            timer_wheel=wheel, config=SpcdConfig(data_mapping=True),
+            timer_wheel=wheel, placement=DataPlacementPolicy(),
         )
         assert mgr.data_mapper is not None
-        assert "spcd-datamap" in [kt.name for kt in wheel.threads()]
+        # the scan rides the evaluation timer; there is no second one
+        assert [kt.name for kt in wheel.threads()] == ["spcd-injector", "spcd-evaluate"]
 
     def test_simulator_runs_with_data_mapping(self):
-        from repro import EngineConfig, Simulator, SpcdConfig, make_npb
-
-        from repro.units import MSEC
+        from repro import EngineConfig, Simulator, make_npb
 
         cfg = EngineConfig(batch_size=128, steps=40, pretouch="parallel")
-        sim = Simulator(
-            make_npb("BT"), "spcd", seed=3, config=cfg,
-            spcd_config=SpcdConfig(data_mapping=True, data_scan_period_ns=20 * MSEC),
-        )
+        sim = Simulator(make_npb("BT"), "spcd-data", seed=3, config=cfg)
         sim.run()
         assert sim.manager.data_mapper.stats.scans >= 1
         assert sim.address_space.page_table.consistency_ok()
@@ -178,16 +184,11 @@ class TestDataPlusThreadMapping:
 
     def _run(self, seed=5):
         from repro import EngineConfig, Simulator, SpcdConfig, make_npb
-        from repro.units import MSEC
 
         cfg = EngineConfig(batch_size=128, steps=60, pretouch="parallel")
         sim = Simulator(
-            make_npb("SP"), "spcd", seed=seed, config=cfg,
-            spcd_config=SpcdConfig(
-                data_mapping=True,
-                data_scan_period_ns=20 * MSEC,
-                filter_min_events=16.0,
-            ),
+            make_npb("SP"), "spcd-combined", seed=seed, config=cfg,
+            spcd_config=SpcdConfig(filter_min_events=16.0),
         )
         result = sim.run()
         return sim, result
@@ -217,20 +218,15 @@ class TestDataPlusThreadMapping:
     def test_thread_mapping_unaffected_by_data_mapping_toggle(self):
         # data mapping moves pages between NUMA nodes; the communication
         # pattern the detector sees (thread/page sharing) is address-based,
-        # so the detected matrix digest must not depend on the toggle
-        from repro import EngineConfig, Simulator, SpcdConfig, make_npb
+        # so the detected matrix digest must not depend on the policy
+        # adding data mapping to thread mapping
+        from repro import EngineConfig, Simulator, make_npb
         from repro.core.manager import matrix_digest
-        from repro.units import MSEC
 
         digests = []
-        for data_mapping in (False, True):
+        for policy in ("spcd", "spcd-combined"):
             cfg = EngineConfig(batch_size=128, steps=40, pretouch="parallel")
-            sim = Simulator(
-                make_npb("CG"), "spcd", seed=4, config=cfg,
-                spcd_config=SpcdConfig(
-                    data_mapping=data_mapping, data_scan_period_ns=20 * MSEC
-                ),
-            )
+            sim = Simulator(make_npb("CG"), policy, seed=4, config=cfg)
             sim.run()
             digests.append(matrix_digest(sim.manager.detector.matrix))
         assert digests[0] == digests[1]

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import pickle
 import time
@@ -18,6 +19,7 @@ from repro.engine.gridrunner import (
     run_grid,
 )
 from repro.engine.runner import normalized_to, run_replicated
+from repro.engine.settings import RunSettings
 from repro.engine.simulator import EngineConfig
 from repro.errors import ConfigurationError
 from repro.machine.topology import dual_xeon_e5_2650
@@ -126,6 +128,7 @@ def test_cell_key_sensitivity():
     assert k != _cell_key(**{**base, "seed": 2})
     assert k != _cell_key(**{**base, "policy": "os"})
     assert k != _cell_key(**{**base, "config": EngineConfig(steps=7)})
+    assert k != _cell_key(**{**base, "config": EngineConfig(placement_walk=True)})
 
 
 def test_code_version_stable_within_process():
@@ -226,6 +229,23 @@ def test_run_cell_reports_cache_state(tmp_path):
     r2, cached2 = run_cell("CG", "os", 0, base_seed=5, config=CFG, cache=tmp_path)
     assert (cached1, cached2) == (False, True)
     assert pickle.dumps(r1.stats) == pickle.dumps(r2.stats)
+
+
+def test_placement_walk_is_in_the_cache_key(tmp_path):
+    """A walk-on run misses a cache that holds the walk-off result.
+
+    Walk charging once came from the environment, outside the key, and
+    the second call below returned the cached walk-off result.
+    """
+    cache = ResultCache(tmp_path)
+    walk_off = EngineConfig(steps=20, batch_size=128)
+    walk_on = dataclasses.replace(walk_off, placement_walk=True)
+    off, off_cached = run_cell("CG", "spcd", config=walk_off, cache=cache)
+    on, on_cached = run_cell("CG", "spcd", config=walk_on, cache=cache)
+    assert (off_cached, on_cached) == (False, False)
+    uncached, _ = run_cell("CG", "spcd", config=walk_on, settings=RunSettings())
+    assert on.exec_time_s == uncached.exec_time_s
+    assert on.exec_time_s != off.exec_time_s
 
 
 def test_run_replicated_workers_kwarg_is_equivalent(tmp_path):

@@ -207,14 +207,14 @@ class TestSelection:
                    for r in caplog.records)
 
     def test_explicit_config_beats_auto_switch(self):
-        from repro.core.manager import SpcdConfig
+        """The policy is the one place that names an engine explicitly."""
         from repro.placement import resolve_policy
 
-        explicit = SpcdConfig(mapper_algorithm="edmonds").mapper_algorithm
-        assert select_mapper_algorithm(128, explicit) == "edmonds"
         hier = resolve_policy("spcd-hier")
         assert select_mapper_algorithm(127, policy=hier) == "hierarchical"
-        assert select_mapper_algorithm(128, explicit, hier) == "edmonds"
+        spcd = resolve_policy("spcd")
+        assert select_mapper_algorithm(127, policy=spcd) == "edmonds"
+        assert select_mapper_algorithm(128, policy=spcd) == "hierarchical"
 
     @pytest.mark.parametrize(
         "n, engine", [(32, HierarchicalMapper), (256, ScalableHierarchicalMapper)]

@@ -145,6 +145,20 @@ class TestTimers:
         assert injector_kt.period_ns == 10 * MSEC
 
 
+class TestConfig:
+    @pytest.mark.parametrize("decay", [1.5, 0.0, -0.25])
+    def test_matrix_decay_range_matches_session_config(self, decay):
+        """Both configs refuse the same aging factors.  Above 1.0 the
+        manager's evaluate() used to skip aging without a word."""
+        from repro.errors import ConfigurationError
+        from repro.serve.session import SessionConfig
+
+        with pytest.raises(ConfigurationError, match="matrix_decay"):
+            SpcdConfig(matrix_decay=decay)
+        with pytest.raises(ConfigurationError, match="matrix_decay"):
+            SessionConfig(n_threads=4, matrix_decay=decay)
+
+
 class TestOverheadAccounting:
     def test_detection_time_includes_hook_and_injection(self, env):
         space, pipeline, sched, wheel, rng = env

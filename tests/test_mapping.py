@@ -144,21 +144,6 @@ class TestAlignment:
         assert int((remapped != current).sum()) == 0
 
 
-class TestGreedyMode:
-    def test_greedy_mapping_valid(self, machine):
-        mapper = HierarchicalMapper(machine, use_greedy_matching=True)
-        mapping = mapper.map(chain_pattern(32))
-        assert len(set(mapping.tolist())) == 32
-
-    def test_greedy_not_better_than_exact(self, machine):
-        comm = chain_pattern(32) + uniform_pattern(32, 0.05)
-        exact = HierarchicalMapper(machine).map(comm)
-        greedy = HierarchicalMapper(machine, use_greedy_matching=True).map(comm)
-        assert mapping_comm_cost(comm, exact, machine) <= mapping_comm_cost(
-            comm, greedy, machine
-        ) + 1e-9
-
-
 class TestCommCost:
     def test_costs_ordered_by_distance(self):
         assert (

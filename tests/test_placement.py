@@ -15,7 +15,7 @@ import warnings
 import numpy as np
 import pytest
 
-from repro import EngineConfig, RunSettings, Simulator, SpcdConfig, make_npb
+from repro import EngineConfig, Simulator, make_npb
 from repro.core.datamap import SpcdDataMapper
 from repro.errors import AddressError, ConfigurationError
 from repro.machine.topology import dual_xeon_e5_2650
@@ -28,7 +28,6 @@ from repro.mem.ptreplica import ReplicatedPageTable
 from repro.mem.tlb import TlbArray
 from repro.placement import (
     CombinedPlacementPolicy,
-    DataPlacementPolicy,
     PlacementDecision,
     PlacementPolicy,
     ReplicatedPlacementPolicy,
@@ -36,9 +35,10 @@ from repro.placement import (
     canonical_policies,
     resolve_policy,
 )
-from repro.units import MSEC, PAGE_SIZE
+from repro.units import PAGE_SIZE
 
 CFG = EngineConfig(batch_size=128, steps=40, pretouch="parallel")
+WALK_CFG = dataclasses.replace(CFG, placement_walk=True)
 
 
 def digest(result) -> str:
@@ -60,11 +60,8 @@ def digest(result) -> str:
     return hashlib.sha256(repr((stats, metrics)).encode()).hexdigest()[:16]
 
 
-def run(policy, *, seed=7, workload="SP", settings=None, spcd_config=None):
-    sim = Simulator(
-        make_npb(workload), policy, seed=seed, config=CFG,
-        settings=settings, spcd_config=spcd_config,
-    )
+def run(policy, *, seed=7, workload="SP", config=CFG):
+    sim = Simulator(make_npb(workload), policy, seed=seed, config=config)
     return sim, sim.run()
 
 
@@ -140,7 +137,7 @@ class TestDigestParity:
 
     def test_walk_charging_slows_faults_when_enabled(self):
         _, base = run("spcd")
-        sim, charged = run("spcd", settings=RunSettings(placement_walk=True))
+        sim, charged = run("spcd", config=WALK_CFG)
         assert sim.perf.pt_walk_levels_local > 0
         # SP touches pages from both sockets, so some walks go remote
         assert sim.perf.pt_walk_levels_remote > 0
@@ -274,7 +271,9 @@ class TestHomeNodeRegression:
         assert pipeline.tlbs[0].lookup(vpn) is not None
         for _ in range(5):
             _fault(space, pipeline, 1, 0)  # node 1 dominates → will migrate
-        assert mapper.scan(0) == 1
+        moves, _ = mapper.decide()
+        assert moves == [(vpn, 1)]
+        assert mapper.apply_moves(moves) == 1
         assert space.page_table.home_node_of(vpn) == 1
         # the regression: without the shootdown, TLB 0 kept translating
         # to the freed frame
@@ -306,18 +305,6 @@ class TestSharedPageDeferral:
         assert moves == [] and deferred == 1
         assert mapper.stats.migrations_vetoed_shared == 0
 
-    def test_decide_apply_finish_equals_legacy_scan(self, datamap_env):
-        space, pipeline, mapper = datamap_env
-        vpn = _fault(space, pipeline, 0, 0)
-        for _ in range(5):
-            _fault(space, pipeline, 1, 0)
-        moves, deferred = mapper.decide()
-        assert moves == [(vpn, 1)] and deferred == 0
-        assert mapper.apply_moves(moves) == 1
-        mapper.finish_scan()
-        assert space.page_table.home_node_of(vpn) == 1
-        assert mapper.scan(1) == 0  # nothing left to do
-
 
 class TestPlacementRuns:
     """End-to-end runs of every new policy on a small configuration."""
@@ -348,12 +335,6 @@ class TestPlacementRuns:
         # the replication bill lands in the Fig. 16 mapping bucket
         assert sim.manager.mapping_time_ns() >= sim.manager.replication_time_ns()
 
-    def test_pt_replicate_setting_activates_from_the_start(self):
-        sim, _ = run("spcd", settings=RunSettings(pt_replicate=True))
-        table = sim.address_space.page_table
-        assert isinstance(table, ReplicatedPageTable)
-        assert table.active and table.replicas_coherent()
-
     def test_policies_are_deterministic(self):
         for name in ("spcd-data", "spcd-combined", "spcd-replicated"):
             _, a = run(name, seed=11)
@@ -362,42 +343,21 @@ class TestPlacementRuns:
 
 
 class TestPlacementSettings:
-    def test_env_knobs_route_through_runsettings(self, monkeypatch):
-        monkeypatch.setenv("REPRO_PLACEMENT_WALK", "1")
-        monkeypatch.setenv("REPRO_PLACEMENT_WALK_LOCAL_NS", "11.5")
-        monkeypatch.setenv("REPRO_PLACEMENT_WALK_REMOTE_NS", "99.0")
-        monkeypatch.setenv("REPRO_PT_REPLICATE", "1")
-        settings = RunSettings.from_env()
-        assert settings.placement_walk is True
-        assert settings.placement_walk_local_ns == 11.5
-        assert settings.placement_walk_remote_ns == 99.0
-        assert settings.pt_replicate is True
-
     def test_defaults_are_off(self):
-        settings = RunSettings()
-        assert settings.placement_walk is False
-        assert settings.placement_walk_local_ns is None
-        assert settings.placement_walk_remote_ns is None
-        assert settings.pt_replicate is False
+        assert EngineConfig().placement_walk is False
+        sim = Simulator(make_npb("SP"), "spcd", seed=7, config=CFG)
+        assert not sim.pipeline.numa_walk
+        assert not isinstance(sim.address_space.page_table, ReplicatedPageTable)
 
-    def test_nonpositive_walk_latency_rejected(self):
-        with pytest.raises(ConfigurationError):
-            RunSettings(placement_walk_local_ns=0.0)
-        with pytest.raises(ConfigurationError):
-            RunSettings(placement_walk_remote_ns=-1.0)
+    def test_walk_latencies_come_from_the_numa_model(self):
+        from repro.machine.numa import NumaModel
 
-    def test_walk_latency_overrides_reach_the_table(self):
-        sim, _ = run(
-            "spcd",
-            settings=RunSettings(
-                placement_walk=True,
-                placement_walk_local_ns=11.5,
-                placement_walk_remote_ns=99.0,
-            ),
-        )
+        sim = Simulator(make_npb("SP"), "spcd", seed=7, config=WALK_CFG)
+        numa = NumaModel(sim.machine)
         table = sim.address_space.page_table
-        assert table.level_local_ns == 11.5
-        assert table.level_remote_ns == 99.0
+        assert sim.pipeline.numa_walk
+        assert table.level_local_ns == numa.pt_walk_level_ns(local=True)
+        assert table.level_remote_ns == numa.pt_walk_level_ns(local=False)
 
 
 class TestPlacementDecision:

@@ -38,6 +38,8 @@ BAD_HELLO_CONFIGS = {
     "min-improvement-str": ({"min_improvement": "x"}, ConfigurationError),
     "min-events-str": ({"filter_min_events": "1"}, ConfigurationError),
     "filter-enabled-str": ({"filter_enabled": "no"}, ConfigurationError),
+    # the greedy mapper mode is gone; a client still sending it is told so
+    "greedy-removed": ({"use_greedy_matching": False}, ProtocolError),
 }
 
 #: HELLO ``n_threads`` values that are not a 64-bit integer: each once

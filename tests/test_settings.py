@@ -12,8 +12,6 @@ from repro.engine import settings as settings_module
 from repro.engine.settings import (
     ENV_GRID_STRICT,
     ENV_GRID_WORKERS,
-    ENV_PLACEMENT_WALK,
-    ENV_PT_REPLICATE,
     ENV_RESULT_CACHE,
     ENV_SERVE_EVAL_EVERY,
     ENV_SERVE_MAX_TABLE_MB,
@@ -30,7 +28,6 @@ def test_defaults_from_empty_environment():
     assert s == RunSettings()
     assert s.workers == 1
     assert s.cache_dir is None and s.trace is None
-    assert not s.pt_replicate and not s.placement_walk
     assert not s.strict
     assert s.serve_max_table_mb == 64.0
 
@@ -40,8 +37,6 @@ def test_from_env_round_trip():
         ENV_GRID_WORKERS: "1",
         ENV_RESULT_CACHE: "/tmp/cache",
         ENV_TRACE: "/tmp/trace",
-        ENV_PT_REPLICATE: "yes",
-        ENV_PLACEMENT_WALK: "on",
         ENV_GRID_STRICT: "true",
         ENV_SERVE_MAX_TABLE_MB: "12.5",
         ENV_SERVE_EVAL_EVERY: "4",
@@ -50,7 +45,7 @@ def test_from_env_round_trip():
     assert s.workers == 1
     assert s.cache_dir == "/tmp/cache"
     assert s.trace == "/tmp/trace"
-    assert s.pt_replicate and s.placement_walk and s.strict
+    assert s.strict
     assert s.serve_max_table_mb == 12.5
     assert s.serve_eval_every == 4
     # the dict view round-trips into an equal instance
@@ -75,8 +70,8 @@ def test_env_workers_is_capped_at_available_cpus():
     "env",
     [
         {ENV_GRID_WORKERS: "three"},
-        {ENV_PLACEMENT_WALK: "maybe"},
-        {ENV_PT_REPLICATE: "2"},
+        {ENV_GRID_STRICT: "maybe"},
+        {ENV_GRID_STRICT: "2"},
         {ENV_SERVE_MAX_TABLE_MB: "0"},
         {ENV_SERVE_MAX_TABLE_MB: "-5"},
         {ENV_SERVE_PORT: "70000"},
