@@ -23,8 +23,8 @@ Quick start::
 Placement policies (:mod:`repro.placement`) extend the paper's thread
 mapping with co-decided NUMA data mapping and Mitosis-style page-table
 replication — pass ``"spcd-data"``, ``"spcd-combined"`` or
-``"spcd-replicated"`` (or a typed :class:`PlacementPolicy` instance)
-wherever a policy name is accepted.
+``"spcd-replicated"`` (or a :class:`PlacementPolicy` record) wherever a
+policy name is accepted.
 
 Experiment grids (cached, parallel, resumable from the cache)::
 
@@ -67,15 +67,10 @@ from repro.engine import (
 )
 from repro.machine import Machine, build_machine, dual_xeon_e5_2650
 from repro.obs import JsonlRecorder, TraceRecorder
-from repro.placement import (
-    PlacementDecision,
-    PlacementPolicy,
-    canonical_policies,
-    resolve_policy,
-)
+from repro.placement import PlacementPolicy, canonical_policies, resolve_policy
 from repro.workloads import ProducerConsumerWorkload, SyntheticNpbWorkload, make_npb
 
-__version__ = "6.0.0"
+__version__ = "7.0.0"
 
 __all__ = [
     "CellFailure",
@@ -88,7 +83,6 @@ __all__ = [
     "JsonlRecorder",
     "Machine",
     "PartitionPageRankWorkload",
-    "PlacementDecision",
     "PlacementPolicy",
     "ProducerConsumerWorkload",
     "ResultCache",

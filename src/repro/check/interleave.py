@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -37,8 +37,10 @@ from repro.mem.tlb import TlbArray
 __all__ = [
     "Counterexample",
     "check_tlb_fault_interleavings",
+    "find_counterexamples",
     "interleavings",
     "op_sequences",
+    "tlb_violation",
 ]
 
 #: one op: ("access", thread, page) | ("inject", page) | ("inject_noshoot", page)
@@ -134,20 +136,27 @@ class _SmallModel:
 
     def violation(self) -> "str | None":
         """The invariant: no TLB may cache a non-present or remapped page."""
-        table = self.space.page_table
-        for pu, tlb in enumerate(self.tlbs.tlbs):
-            for vpn, frame in tlb._entries.items():
-                if not table.is_present(vpn):
-                    return (
-                        f"stale translation: PU {pu} TLB caches vpn {vpn} "
-                        "after its present bit was cleared (missed shootdown)"
-                    )
-                if table.frame_of(vpn) != frame:
-                    return (
-                        f"wrong translation: PU {pu} TLB maps vpn {vpn} to "
-                        f"frame {frame}, page table says {table.frame_of(vpn)}"
-                    )
-        return None
+        return tlb_violation(self.tlbs, self.space.page_table)
+
+
+def tlb_violation(tlbs: TlbArray, table) -> "str | None":
+    """TLB coherence: every cached translation names a present page's frame.
+
+    Returns a description of the first stale or wrong entry, or ``None``.
+    """
+    for pu, tlb in enumerate(tlbs.tlbs):
+        for vpn, frame in tlb._entries.items():
+            if not table.is_present(vpn):
+                return (
+                    f"stale translation: PU {pu} TLB caches vpn {vpn} "
+                    "after its present bit was cleared (missed shootdown)"
+                )
+            if table.frame_of(vpn) != frame:
+                return (
+                    f"wrong translation: PU {pu} TLB maps vpn {vpn} to "
+                    f"frame {frame}, page table says {table.frame_of(vpn)}"
+                )
+    return None
 
 
 def _minimise(
@@ -181,14 +190,34 @@ def check_tlb_fault_interleavings(
 
     A fresh real ``mem/`` stack is built per sequence and the TLB/page-table
     coherence invariant is asserted after every op.  An empty list is the
-    pass verdict.  Counterexamples are greedily minimised before being
-    returned; enumeration stops after *max_counterexamples* (the alphabet
-    makes failures highly redundant — one witness per bug suffices).
+    pass verdict.
     """
-    alphabet = tlb_fault_alphabet(n_threads, n_pages, with_noshoot=with_noshoot)
+    return find_counterexamples(
+        lambda: _SmallModel(n_threads, n_pages, tlb_capacity),
+        tlb_fault_alphabet(n_threads, n_pages, with_noshoot=with_noshoot),
+        max_len=max_len,
+        max_counterexamples=max_counterexamples,
+    )
+
+
+def find_counterexamples(
+    make_model: "Callable[[], object]",
+    alphabet: "Sequence[Op]",
+    *,
+    max_len: int,
+    max_counterexamples: int = 1,
+) -> "list[Counterexample]":
+    """Run every op sequence up to *max_len* on a fresh model; return violations.
+
+    *make_model* builds a fresh model per sequence; the enumerator calls
+    its ``apply(op)`` and checks its ``violation()`` after every op.  Each
+    violating sequence is greedily minimised; enumeration stops after
+    *max_counterexamples* distinct minimal witnesses (the alphabets make
+    failures highly redundant — one witness per bug suffices).
+    """
 
     def run(ops: "tuple[Op, ...]") -> "tuple[int, str] | None":
-        model = _SmallModel(n_threads, n_pages, tlb_capacity)
+        model = make_model()
         for i, op in enumerate(ops):
             model.apply(op)
             reason = model.violation()

@@ -5,13 +5,14 @@ The placement engine's replication directive
 node's replica element-wise identical to the primary across *any*
 interleaving of the three mutator streams that run concurrently in a
 real run: the fault path (``map_page`` / ``restore_present``), the data
-mapper's page migrations (``unmap_page`` + ``map_page`` + TLB
-shootdown), and SPCD's fault injection (``clear_present`` + shootdown).
-Hypothesis shrinks poorly over such schedules, so — exactly like
-:mod:`repro.check.interleave` — this module brute-forces them: every op
-sequence over a tiny model (2 nodes × 4 pages by default) is executed
-against the **real** ``mem/`` stack, and after every single op two
-invariants are checked:
+mapper's page migrations (the real
+:meth:`~repro.core.datamap.SpcdDataMapper.apply_moves`: ``unmap_page`` +
+``map_page`` + TLB shootdown), and SPCD's fault injection
+(``clear_present`` + shootdown).  Hypothesis shrinks poorly over such
+schedules, so this module brute-forces them with the enumerator of
+:mod:`repro.check.interleave`: every op sequence over a tiny model
+(2 nodes × 4 pages by default) is executed against the **real** ``mem/``
+stack, and after every single op two invariants are checked:
 
 * **replica coherence**: :meth:`ReplicatedPageTable.replica_divergence`
   must be ``None`` — no replica may disagree with the primary on
@@ -25,16 +26,19 @@ silence:
 
 * ``broadcast_present=False`` drops the present-bit half of every
   coherence broadcast — the enumerator must find the divergence;
-* ``migrate_noshoot`` migrates a page *without* the TLB shootdown —
-  the exact data-mapper bug the shootdown in
-  :meth:`~repro.core.datamap.DataMapper.apply_moves` exists to prevent.
+* ``migrate_noshoot`` runs the same ``apply_moves`` through a
+  :class:`~repro.mem.fault.FaultPipeline` over the same address space
+  with no TLBs attached, so the page moves *without* the TLB shootdown —
+  the exact data-mapper bug the shootdown in ``apply_moves`` exists to
+  prevent.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.check.interleave import Counterexample, _minimise, op_sequences
+from repro.check.interleave import Counterexample, find_counterexamples, tlb_violation
+from repro.core.datamap import SpcdDataMapper
 from repro.mem.addresspace import AddressSpace
 from repro.mem.fault import FaultPipeline
 from repro.mem.physmem import FrameAllocator
@@ -97,6 +101,17 @@ class ReplicaModel:
         self.pipeline = FaultPipeline(
             self.space, self.frames, self.tlbs, node_of_pu=lambda pu: pu
         )
+
+        def data_mapper(tlbs: "TlbArray | None") -> SpcdDataMapper:
+            # apply_moves uses only its pipeline's address space, frames
+            # and TLBs, so each mapper gets a pipeline of its own over this
+            # stack, and no fault reaches its counting hook
+            pipeline = FaultPipeline(self.space, self.frames, tlbs, node_of_pu=lambda pu: pu)
+            return SpcdDataMapper(pipeline, n_nodes, lambda pu: pu)
+
+        self.mapper = data_mapper(self.tlbs)
+        # the migrate_noshoot control: no TLBs, so nothing is shot down
+        self.noshoot_mapper = data_mapper(None)
         table.activate()
         self.clock = 0
 
@@ -118,24 +133,12 @@ class ReplicaModel:
                 node, node, vpn * 4096, is_write=False, now_ns=self.clock
             )
         elif op[0] in ("migrate", "migrate_noshoot"):
-            # the exact DataMapper.apply_moves sequence for one page
             _, page, node = op
             vpn = self.vpns[page]
             if not table.is_populated(vpn):
-                return  # the real mapper only moves populated pages
-            old_frame = table.frame_of(vpn)
-            new_frame = self.frames.allocate(node)
-            if self.frames.node_of_frame(new_frame) != node:
-                self.frames.free(new_frame)
-                return
-            was_present = table.is_present(vpn)
-            table.unmap_page(vpn)
-            table.map_page(vpn, new_frame, node)
-            if not was_present:
-                table.clear_present(vpn)
-            self.frames.free(old_frame)
-            if op[0] == "migrate":
-                self.tlbs.shootdown(np.array([vpn], dtype=np.int64))
+                return  # SpcdDataMapper.decide only moves populated pages
+            mapper = self.mapper if op[0] == "migrate" else self.noshoot_mapper
+            mapper.apply_moves([(vpn, node)])
         elif op[0] == "clear":
             # the injector's wake: clear the present bit, shoot the TLBs
             vpn = self.vpns[op[1]]
@@ -150,22 +153,7 @@ class ReplicaModel:
     def violation(self) -> "str | None":
         """First violated invariant (replica coherence, then TLB), or None."""
         table = self.space.page_table
-        divergence = table.replica_divergence()
-        if divergence is not None:
-            return divergence
-        for pu, tlb in enumerate(self.tlbs.tlbs):
-            for vpn, frame in tlb._entries.items():
-                if not table.is_present(vpn):
-                    return (
-                        f"stale translation: PU {pu} TLB caches vpn {vpn} "
-                        "after its present bit was cleared (missed shootdown)"
-                    )
-                if table.frame_of(vpn) != frame:
-                    return (
-                        f"wrong translation: PU {pu} TLB maps vpn {vpn} to "
-                        f"frame {frame}, page table says {table.frame_of(vpn)}"
-                    )
-        return None
+        return table.replica_divergence() or tlb_violation(self.tlbs, table)
 
 
 def check_replica_interleavings(
@@ -184,29 +172,11 @@ def check_replica_interleavings(
     sequence and both invariants are asserted after every op.  An empty
     list is the pass verdict; counterexamples are greedily minimised.
     """
-    alphabet = replica_alphabet(n_nodes, n_pages, with_noshoot=with_noshoot)
-
-    def run(ops: "tuple[Op, ...]") -> "tuple[int, str] | None":
-        model = ReplicaModel(
+    return find_counterexamples(
+        lambda: ReplicaModel(
             n_nodes, n_pages, tlb_capacity, broadcast_present=broadcast_present
-        )
-        for i, op in enumerate(ops):
-            model.apply(op)
-            reason = model.violation()
-            if reason is not None:
-                return i, reason
-        return None
-
-    found: "list[Counterexample]" = []
-    for length in range(1, max_len + 1):
-        for ops in op_sequences(alphabet, length):
-            outcome = run(ops)
-            if outcome is None:
-                continue
-            minimal, failed_at, reason = _minimise(ops, run)
-            cx = Counterexample(ops=minimal, failed_at=failed_at, reason=reason)
-            if cx not in found:
-                found.append(cx)
-            if len(found) >= max_counterexamples:
-                return found
-    return found
+        ),
+        replica_alphabet(n_nodes, n_pages, with_noshoot=with_noshoot),
+        max_len=max_len,
+        max_counterexamples=max_counterexamples,
+    )

@@ -16,8 +16,9 @@ Mechanism:
   ``spcd-combined``, ``spcd-replicated``) is one scan: :meth:`decide`
   picks the pages touched since the last scan whose dominant node
   (a) differs from the current home and (b) holds at least ``dominance``
-  of the recent faults, ``SpcdManager.apply_decision`` migrates them with
-  :meth:`apply_moves`, and :meth:`finish_scan` ages the counters;
+  of the recent faults, and :meth:`finish_scan` ages the counters; later
+  in the same evaluation ``SpcdManager.evaluate`` migrates the decided
+  pages with :meth:`apply_moves`;
 * a migrated page pays an explicit copy cost and its new home node is
   visible to the cache simulator's DRAM accounting immediately.
 

@@ -6,7 +6,9 @@
 * the injector runs as a 10 ms kernel thread;
 * a second periodic activity evaluates the communication matrix, asks the
   communication filter whether the pattern changed, and if so computes a new
-  hierarchical mapping and migrates the threads.
+  hierarchical mapping and migrates the threads.  Data mapping and
+  page-table replication, when the placement policy's flags ask for them,
+  ride the same evaluation (:meth:`SpcdManager.evaluate`).
 
 It also carries the virtual-time overhead accounting that reproduces the
 paper's Fig. 16 split into *detection overhead* (fault hook + injection) and
@@ -36,8 +38,7 @@ from repro.mem.tlb import TlbArray
 from repro.mem.ptreplica import ReplicatedPageTable
 from repro.obs.events import MappingDecision, PlacementApplied, SpcdEvaluation
 from repro.obs.recorder import TraceRecorder
-from repro.placement.decision import PageMigration, PlacementDecision, PlacementView
-from repro.placement.policy import PlacementPolicy, ThreadPlacementPolicy
+from repro.placement.policy import PlacementPolicy, resolve_policy
 from repro.units import MSEC, PAGE_SIZE
 
 
@@ -149,18 +150,19 @@ class SpcdManager:
         timer_wheel: TimerWheel | None = None,
         config: SpcdConfig | None = None,
         recorder: TraceRecorder | None = None,
-        placement: PlacementPolicy | None = None,
+        placement: PlacementPolicy | str | None = None,
     ) -> None:
         self.machine = machine
         self.n_threads = n_threads
         self.config = config or SpcdConfig()
         cfg = self.config
-        #: the policy whose ``evaluate`` turns each periodic evaluation's
-        #: evidence into one :class:`PlacementDecision`; the default
-        #: reproduces the paper's thread-only mechanism bit for bit
-        self.placement: PlacementPolicy = (
-            ThreadPlacementPolicy() if placement is None else placement
-        )
+        #: the policy whose flags choose the mechanisms each evaluation
+        #: runs; the default is the paper's thread-only ``spcd``
+        self.placement = resolve_policy("spcd" if placement is None else placement)
+        if not self.placement.uses_spcd:
+            raise ConfigurationError(
+                f"policy {self.placement.name!r} maps neither threads nor data"
+            )
         self.pipeline = pipeline
         self.recorder = recorder
         self.detector = SpcdDetector(
@@ -213,16 +215,16 @@ class SpcdManager:
 
     # -- periodic evaluation ---------------------------------------------------
     def evaluate(self, now_ns: int) -> bool:
-        """One placement evaluation: policy decides, manager applies.
+        """One placement evaluation, run from the policy's flags.
 
-        The placement policy sees the communication matrix and (when data
-        mapping is on) the per-page node-fault counters through one
-        :class:`~repro.placement.decision.PlacementView` and returns one
-        :class:`~repro.placement.decision.PlacementDecision`; the manager
-        applies its thread remap, page migrations and replication
-        directive atomically.  With the default thread-only policy this
-        reproduces the pre-placement evaluation bit for bit (gates,
-        overhead accounting, trace events, matrix aging).
+        Decide, then apply, in one fixed order: the data scan
+        (:meth:`~repro.core.datamap.SpcdDataMapper.decide` over the
+        per-page node-fault counters, then ``finish_scan`` ages them), the
+        thread proposal (:class:`~repro.core.decide.RemapGate`),
+        page-table replication (so the page moves reach fresh replicas),
+        the page moves, and last the thread remap: lay out the memory,
+        then move the compute to it.  With ``spcd`` this is the paper's
+        thread-only evaluation.
 
         Returns True if a thread migration was performed.
         """
@@ -234,14 +236,56 @@ class SpcdManager:
         # applications (EP) accumulate events so slowly that they remap
         # at most once, as in the paper's Table II.
         fresh = self.gate.fresh_events(self.detector.stats.comm_events)
+        policy = self.placement
         try:
-            decision = self.placement.evaluate(self._view(now_ns, matrix, fresh))
-            verdict = decision.verdict
-            moved, pages_moved, replicated = self.apply_decision(decision, now_ns)
-            if decision.thread_mapping is not None:
+            moves: "list[tuple[int, int]]" = []
+            deferred = 0
+            if self.data_mapper is not None:
+                self.data_mapper.stats.scans += 1
+                moves, deferred = self.data_mapper.decide(
+                    defer_shared=policy.maps_threads
+                )
+                self.data_mapper.finish_scan()
+            mapping, verdict = (
+                self._propose_thread_mapping(now_ns, matrix)
+                if policy.maps_threads
+                else (None, "data-idle")
+            )
+
+            table = self.pipeline.address_space.page_table
+            replicated = (
+                policy.replicate_pt
+                and isinstance(table, ReplicatedPageTable)
+                and not table.active
+            )
+            replication_cost = table.activate() if replicated else 0.0
+            pages_moved = self.data_mapper.apply_moves(moves) if moves else 0
+            moved = 0
+            if mapping is not None:
+                moved = self.migrator.apply_mapping(mapping, now_ns)
+                if moved:
+                    self.gate.record_remap(now_ns)
+                    self._mapping_history.append((now_ns, mapping.copy()))
                 verdict = "migrated" if moved else "no-move"
             elif pages_moved and verdict == "data-idle":
                 verdict = "data-migrated"
+
+            if self.recorder is not None and (moves or deferred or replicated):
+                mapper = self.data_mapper
+                copy_ns = mapper.stats.copy_time_ns if mapper is not None else 0.0
+                self.recorder.emit(
+                    PlacementApplied(
+                        now_ns=int(now_ns),
+                        policy=policy.name,
+                        verdict=verdict,
+                        thread_moves=int(moved),
+                        page_migrations=int(pages_moved),
+                        shared_deferred=int(deferred),
+                        replicated=bool(replicated),
+                        replication_cost_ns=float(replication_cost),
+                        copy_time_ns=float(copy_ns),
+                    )
+                )
             return moved > 0
         finally:
             if self.recorder is not None:
@@ -259,34 +303,17 @@ class SpcdManager:
             if self.config.matrix_decay < 1.0:
                 matrix.decay(self.config.matrix_decay)
 
-    def _view(self, now_ns: int, matrix, fresh: float) -> PlacementView:
-        """Assemble the evidence one policy evaluation may observe."""
-        table = self.pipeline.address_space.page_table
-        return PlacementView(
-            now_ns=int(now_ns),
-            machine=self.machine,
-            matrix=matrix,
-            fresh_events=float(fresh),
-            table=table,
-            node_faults=self.data_mapper,
-            pt_replicated=bool(getattr(table, "active", False)),
-            _thread_proposal=lambda: self._propose_thread_mapping(now_ns, matrix),
-            _page_proposal=self._propose_page_migrations,
-            current_placement=tuple(
-                int(p) for p in self.migrator.scheduler.placement()
-            ),
-        )
-
     def _propose_thread_mapping(
         self, now_ns: int, matrix
-    ) -> "tuple[np.ndarray | None, str, float, float]":
+    ) -> "tuple[np.ndarray | None, str]":
         """The remap gate plus the simulator's bookkeeping.
 
-        Returns ``(mapping|None, verdict, cost_now, cost_new)``.  The gate
-        (:class:`~repro.core.decide.RemapGate`) decides; whenever the
-        mapper ran, the manager charges its virtual cost, adds its host
-        time to :attr:`map_wall_s` and traces a :class:`MappingDecision`,
-        whichever placement policy asked for the proposal.
+        Returns ``(mapping|None, verdict)``; the mapping is ``None``
+        unless every gate, the improvement veto included, accepted it.
+        The gate (:class:`~repro.core.decide.RemapGate`) decides;
+        whenever the mapper ran, the manager charges its virtual cost,
+        adds its host time to :attr:`map_wall_s` and traces a
+        :class:`MappingDecision`.
         """
         current = self.migrator.scheduler.placement()
         proposal = self.gate.decide(
@@ -296,7 +323,7 @@ class SpcdManager:
             now_ns=now_ns,
         )
         if proposal.mapping is None:
-            return None, proposal.verdict, 0.0, 0.0
+            return None, proposal.verdict
         self.map_wall_s += proposal.map_wall_s
         self.overheads.mapper_calls += 1
         n = self.n_threads
@@ -322,77 +349,9 @@ class SpcdManager:
                     decide_wall_s=float(proposal.map_wall_s),
                 )
             )
-        mapping = proposal.mapping if proposal.accepted else None
-        return mapping, proposal.verdict, proposal.cost_now, proposal.cost_new
-
-    def _propose_page_migrations(self) -> "tuple[tuple[PageMigration, ...], int]":
-        """Scan the node-fault counters; ``(migrations, shared_deferred)``.
-
-        One call is one data-mapping scan on the evaluation clock: the
-        counters are decided over, then aged, without mutating the page
-        table (that waits for :meth:`apply_decision`).
-        """
-        if self.data_mapper is None:
-            return (), 0
-        self.data_mapper.stats.scans += 1
-        moves, deferred = self.data_mapper.decide(
-            defer_shared=self.placement.maps_threads
-        )
-        self.data_mapper.finish_scan()
-        return (
-            tuple(PageMigration(vpn=vpn, target_node=node) for vpn, node in moves),
-            deferred,
-        )
-
-    def apply_decision(
-        self, decision: PlacementDecision, now_ns: int
-    ) -> "tuple[int, int, bool]":
-        """Apply one decision atomically; ``(threads_moved, pages_moved, replicated)``.
-
-        Order matters and is fixed: replication first (so the migrations'
-        page-table updates are already broadcast to fresh replicas), then
-        page migrations, then the thread remap — the NUMA-placement
-        analogue of establishing the memory layout before moving the
-        compute to it.
-        """
-        replicated = False
-        replication_cost = 0.0
-        table = self.pipeline.address_space.page_table
-        if decision.replicate_pt and isinstance(table, ReplicatedPageTable):
-            if not table.active:
-                replication_cost = table.activate()
-                replicated = True
-        pages_moved = 0
-        if decision.page_migrations and self.data_mapper is not None:
-            pages_moved = self.data_mapper.apply_moves(
-                [(m.vpn, m.target_node) for m in decision.page_migrations]
-            )
-        moved = 0
-        if decision.thread_mapping is not None:
-            mapping = np.asarray(decision.thread_mapping, dtype=np.int64)
-            moved = self.migrator.apply_mapping(mapping, now_ns)
-            if moved:
-                self.gate.record_remap(now_ns)
-                self._mapping_history.append((now_ns, mapping.copy()))
-        if self.recorder is not None and (
-            pages_moved or decision.page_migrations or replicated or decision.shared_deferred
-        ):
-            self.recorder.emit(
-                PlacementApplied(
-                    now_ns=int(now_ns),
-                    policy=self.placement.name,
-                    verdict=decision.verdict,
-                    thread_moves=int(moved),
-                    page_migrations=int(pages_moved),
-                    shared_deferred=int(decision.shared_deferred),
-                    replicated=bool(replicated),
-                    replication_cost_ns=float(replication_cost),
-                    copy_time_ns=float(
-                        self.data_mapper.stats.copy_time_ns if self.data_mapper else 0.0
-                    ),
-                )
-            )
-        return moved, pages_moved, replicated
+        if not proposal.accepted:
+            return None, proposal.verdict
+        return np.array(proposal.mapping, dtype=np.int64), proposal.verdict
 
     # -- reporting ---------------------------------------------------------------
     @property

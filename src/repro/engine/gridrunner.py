@@ -73,6 +73,17 @@ __all__ = [
 #: explicit ``(name, factory)`` pair
 WorkloadSpec = "str | WorkloadFactory | tuple[str, WorkloadFactory]"
 
+
+def _unique_by_name(kind: str, items: "Sequence[tuple[str, object]]") -> dict:
+    """``{name: item}``, raising :class:`ConfigurationError` on a repeated name."""
+    by_name: dict = {}
+    for name, item in items:
+        if name in by_name:
+            raise ConfigurationError(f"run_grid got two {kind} named {name!r}")
+        by_name[name] = item
+    return by_name
+
+
 def _resolve_spec(spec: "WorkloadSpec") -> tuple[str, WorkloadFactory]:
     """Normalise a workload spec to ``(name, factory)``."""
     if isinstance(spec, str):
@@ -178,7 +189,7 @@ def grid_key(cell_keys: Iterable[str]) -> str:
 
 def _cell_key(
     wl_token: tuple,
-    policy: str,
+    policy: PlacementPolicy,
     seed: int,
     machine: Machine,
     config: EngineConfig,
@@ -186,9 +197,14 @@ def _cell_key(
 ) -> str:
     """Digest of everything that determines one cell's result.
 
-    :class:`RunSettings` is not hashed: no setting changes a result.
+    The policy enters as the ``repr`` of its whole record, so two
+    policies that share a name but differ in a flag never share a cache
+    entry.  :class:`RunSettings` is not hashed: no setting changes a
+    result.
     """
-    blob = repr((wl_token, policy, seed, repr(machine), repr(config), repr(spcd_config)))
+    blob = repr(
+        (wl_token, repr(policy), seed, repr(machine), repr(config), repr(spcd_config))
+    )
     h = hashlib.blake2b(digest_size=20)
     h.update(_cache_mod.code_version().encode())
     h.update(blob.encode())
@@ -288,7 +304,7 @@ def run_cell(
         if token is None:
             live_cache = None  # no stable identity: bypass, never collide
         else:
-            key = _cell_key(token, policy.name, seed, machine, config, spcd_config)
+            key = _cell_key(token, policy, seed, machine, config, spcd_config)
             hit = live_cache.load(key)
             if hit is not None:
                 return hit, True
@@ -425,18 +441,19 @@ def run_grid(
 
     specs = [_resolve_spec(w) for w in workloads]
     pols = [resolve_policy(p) for p in policies]
-    pol_by_name = {p.name: p for p in pols}
+    # cells, results and seeds are keyed by name: a repeated name would
+    # silently merge two different grid rows into one
+    factories = _unique_by_name("workloads", specs)
+    pol_by_name = _unique_by_name("policies", [(p.name, p) for p in pols])
 
     cells: list[_Cell] = []
-    factories: dict[str, WorkloadFactory] = {}
     for name, factory in specs:
-        factories[name] = factory
         token = _cache_token(factory) if live_cache is not None else None
         for pol in pols:
             for rep in range(reps):
                 seed = derive_seed(base_seed, "rep", rep, pol.name)
                 key = (
-                    _cell_key(token, pol.name, seed, machine, config, spcd_config)
+                    _cell_key(token, pol, seed, machine, config, spcd_config)
                     if token is not None
                     else ""
                 )

@@ -138,7 +138,7 @@ class Simulator:
         settings: RunSettings | None = None,
     ) -> None:
         self.workload = workload
-        #: the typed placement policy; ``policy`` accepts an instance or a
+        #: the placement policy record; ``policy`` accepts a record or a
         #: name string
         self.placement: PlacementPolicy = resolve_policy(policy)
         #: the policy's stable name (seed derivation, result rows, traces)
@@ -168,7 +168,7 @@ class Simulator:
         # Page-table choice: a replication-capable table is created only
         # when the policy replicates, so every other run keeps the plain
         # table (and its digests) bit-identical.  Its replicas stay idle
-        # until the policy's first PlacementDecision directs them.
+        # until the first SPCD evaluation activates them.
         page_table = None
         if self.placement.replicate_pt:
             page_table = ReplicatedPageTable(

@@ -27,10 +27,9 @@ Coherence rules (pinned by the small-model check in
 
 Replicas start **inactive** — an inactive replicated table is
 bit-identical to a plain :class:`PageTable` in behaviour, counters and
-cost (the differential parity suite pins this).  A
-:class:`~repro.placement.decision.PlacementDecision` with
-``replicate_pt=True`` activates them mid-run via :meth:`activate`,
-copying the current page-table pages to every node.
+cost (the differential parity suite pins this).  The first SPCD
+evaluation of a policy with ``replicate_pt=True`` activates them mid-run
+via :meth:`activate`, copying the current page-table pages to every node.
 """
 
 from __future__ import annotations

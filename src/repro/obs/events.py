@@ -140,9 +140,9 @@ class SpcdEvaluation(TraceEvent):
 
     ``verdict`` is one of ``insufficient-evidence``, ``cooldown``,
     ``pattern-unchanged``, ``no-communication``, ``vetoed``, ``no-move``,
-    ``migrated`` — plus, with the placement engine, ``static`` (non-SPCD
-    policies), ``data-idle`` (data-only policy, nothing to move) and
-    ``data-migrated`` (data-only policy moved pages this evaluation).
+    ``migrated`` — plus, with the placement engine, ``data-idle``
+    (data-only policy, nothing to move) and ``data-migrated`` (data-only
+    policy moved pages this evaluation).
     ``partners`` is the per-thread partner vector of the
     matrix at evaluation time and ``matrix_digest`` a BLAKE2 digest of the
     matrix payload, so pattern-change decisions can be audited offline.
@@ -202,15 +202,17 @@ class Migration(TraceEvent):
 
 @dataclass(frozen=True)
 class PlacementApplied(TraceEvent):
-    """A placement decision with data/replication effects was applied.
+    """An SPCD evaluation with data/replication effects was applied.
 
-    Emitted by :meth:`repro.core.manager.SpcdManager.apply_decision` only
-    when the decision carried more than a thread remap (page migrations,
-    shared-page deferrals, or a replication directive) — thread-only runs
+    Emitted by :meth:`repro.core.manager.SpcdManager.evaluate` only when
+    the evaluation did more than a thread remap (decided page migrations,
+    shared-page deferrals, or a replica activation) — thread-only runs
     therefore produce traces byte-identical to the pre-placement engine.
-    ``copy_time_ns`` is the data mapper's cumulative page-copy bill at
-    apply time; ``replication_cost_ns`` the activation cost of this
-    decision's replication directive (0.0 unless ``replicated``).
+    ``verdict`` is the evaluation's final verdict, the same one its
+    :class:`SpcdEvaluation` carries.  ``copy_time_ns`` is the data
+    mapper's cumulative page-copy bill at apply time;
+    ``replication_cost_ns`` the activation cost of this evaluation's
+    replication (0.0 unless ``replicated``).
     """
 
     type: ClassVar[str] = "placement_applied"

@@ -1,14 +1,13 @@
-"""Unified NUMA placement: thread + data + page-table decisions, co-decided.
+"""Unified NUMA placement: thread + data + page-table placement, co-decided.
 
 The paper maps threads only; Phoenix shows thread and page-table placement
 must be orchestrated together on NUMA, and Mitosis shows per-node
 page-table replication pays off once walks routinely cross sockets
-(PAPERS.md).  This package is the orchestration layer: a
-:class:`PlacementPolicy` sees the communication matrix and the per-page
-node-fault counters in one ``evaluate()`` and emits a single frozen
-:class:`PlacementDecision` — thread remap + data-page migrations +
-replication directive — which :class:`~repro.core.manager.SpcdManager`
-consumes atomically.
+(PAPERS.md).  A :class:`PlacementPolicy` is one frozen record that names
+which of those mechanisms run; each periodic SPCD evaluation
+(:meth:`repro.core.manager.SpcdManager.evaluate`) reads its flags and runs
+the data scan, the thread proposal, replication, page moves and the
+thread remap in one fixed order.
 
 Policies are named; :func:`resolve_policy` is the front door::
 
@@ -17,37 +16,11 @@ Policies are named; :func:`resolve_policy` is the front door::
 
 The mechanisms live elsewhere (thread remap in
 :mod:`repro.kernelsim.migration`, page migration in
-:mod:`repro.core.datamap`, replication in :mod:`repro.mem.ptreplica`);
-this package only decides.  DESIGN.md §14 documents the architecture,
-the decision flow and the replication coherence rules.
+:mod:`repro.core.datamap`, replication in :mod:`repro.mem.ptreplica`).
+DESIGN.md §14 documents the architecture, the evaluation order and the
+replication coherence rules.
 """
 
-from repro.placement.decision import PageMigration, PlacementDecision, PlacementView
-from repro.placement.policy import (
-    CombinedPlacementPolicy,
-    DataPlacementPolicy,
-    OraclePolicy,
-    OsPolicy,
-    PlacementPolicy,
-    RandomPolicy,
-    ReplicatedPlacementPolicy,
-    ThreadPlacementPolicy,
-    canonical_policies,
-    resolve_policy,
-)
+from repro.placement.policy import PlacementPolicy, canonical_policies, resolve_policy
 
-__all__ = [
-    "CombinedPlacementPolicy",
-    "DataPlacementPolicy",
-    "OraclePolicy",
-    "OsPolicy",
-    "PageMigration",
-    "PlacementDecision",
-    "PlacementPolicy",
-    "PlacementView",
-    "RandomPolicy",
-    "ReplicatedPlacementPolicy",
-    "ThreadPlacementPolicy",
-    "canonical_policies",
-    "resolve_policy",
-]
+__all__ = ["PlacementPolicy", "canonical_policies", "resolve_policy"]

@@ -1,15 +1,16 @@
-"""Typed placement policies.
+"""Placement policies: one frozen record per strategy.
 
-A :class:`PlacementPolicy` bundles everything one placement strategy
-needs: how threads start (``make_scheduler``), whether the SPCD machinery
-runs at all (``uses_spcd``), and how one periodic evaluation turns the
-communication matrix + per-page node-fault counters into a single
-:class:`~repro.placement.decision.PlacementDecision` (``evaluate``).
+A :class:`PlacementPolicy` is a row of flags: how threads start
+(``start``), which SPCD mechanisms each periodic evaluation runs
+(``maps_threads``, ``maps_data``, ``replicate_pt``) and which mapping
+engine decides thread remaps (``mapper_algorithm``).  The policy does
+not evaluate anything itself: :meth:`repro.core.manager.SpcdManager.evaluate`
+reads the flags and runs the mechanisms in one fixed order.
 
 The canonical registry:
 
 ========================  ======== ======= ======== =============
-name                      threads  data    replica  scheduler
+name                      threads  data    replica  start
 ========================  ======== ======= ======== =============
 ``os``                    —        —       —        CFS-like
 ``random``                —        —       —        random pin
@@ -22,290 +23,118 @@ name                      threads  data    replica  scheduler
 ========================  ======== ======= ======== =============
 
 The policy is the only way to choose a placement mechanism or a mapping
-engine: thread mapping, data mapping and page-table replication come
-from its flags, and ``spcd-hier`` is ``spcd`` with the scalable
-hierarchical mapper (:mod:`repro.graphs.hiermap`) forced regardless of
-thread count.  A policy's ``mapper_algorithm`` attribute names a
-registered engine (:func:`repro.core.mapping.make_mapper`); ``None``
-leaves it to the thread-count auto-switch of
-:func:`repro.core.mapping.select_mapper_algorithm`.
+engine.  ``spcd-hier`` is ``spcd`` with the scalable hierarchical mapper
+(:mod:`repro.graphs.hiermap`) forced regardless of thread count;
+``mapper_algorithm=None`` leaves the engine to the thread-count
+auto-switch of :func:`repro.core.mapping.select_mapper_algorithm`.  A
+variant is one :func:`dataclasses.replace` away::
 
-``spcd`` reproduces the pre-placement engine bit for bit
-(``tests/test_placement.py`` pins it); the new names compose the
-mechanisms the paper's Sec. IV sketches and Phoenix/Mitosis motivate.
+    variant = dataclasses.replace(resolve_policy("spcd"), name="spcd+data",
+                                  maps_data=True)
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Protocol, runtime_checkable
+from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.kernelsim.scheduler import CfsLikeScheduler, PinnedScheduler, Scheduler
 from repro.oracle.analyzer import oracle_mapping
-from repro.placement.decision import PlacementDecision, PlacementView
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.machine.topology import Machine
     from repro.workloads.base import Workload
 
-__all__ = [
-    "CombinedPlacementPolicy",
-    "DataPlacementPolicy",
-    "HierThreadPlacementPolicy",
-    "OraclePolicy",
-    "OsPolicy",
-    "PlacementPolicy",
-    "RandomPolicy",
-    "ReplicatedPlacementPolicy",
-    "ThreadPlacementPolicy",
-    "canonical_policies",
-    "resolve_policy",
-]
+__all__ = ["PlacementPolicy", "canonical_policies", "resolve_policy"]
+
+#: how a policy's threads start: the CFS-like baseline scheduler, a random
+#: pinning drawn per repetition, or the ground-truth oracle pinning
+STARTS = ("cfs", "random", "oracle")
 
 
-@runtime_checkable
-class PlacementPolicy(Protocol):
-    """The typed policy surface the simulator consumes.
+@dataclass(frozen=True)
+class PlacementPolicy:
+    """One placement strategy.
 
     Attributes:
-        name: stable identifier (seed derivation, cache keys, results).
-        uses_spcd: whether the SPCD detector/injector/evaluator run.
-        maps_threads: whether evaluations may propose a thread remap.
-        maps_data: whether evaluations may propose page migrations.
-        replicate_pt: whether the first evaluation directs per-node
-            page-table replication (Mitosis).
+        name: stable identifier (seed derivation, result rows, traces).
+        start: initial thread placement, one of :data:`STARTS`.
+        maps_threads: evaluations may remap threads (the paper's SPCD).
+        maps_data: evaluations scan the per-page node-fault counters and
+            migrate node-dominated pages (the paper's Sec. IV extension).
+        replicate_pt: the first evaluation activates per-node page-table
+            replicas (Mitosis).
+        mapper_algorithm: registered mapping engine
+            (:func:`repro.core.mapping.make_mapper`); ``None`` leaves it to
+            the thread-count auto-switch.
     """
 
     name: str
-    uses_spcd: bool
-    maps_threads: bool
-    maps_data: bool
-    replicate_pt: bool
+    start: str = "random"
+    maps_threads: bool = False
+    maps_data: bool = False
+    replicate_pt: bool = False
+    mapper_algorithm: "str | None" = None
+
+    def __post_init__(self) -> None:
+        if self.start not in STARTS:
+            raise ConfigurationError(
+                f"policy {self.name!r}: unknown start {self.start!r}; "
+                f"expected one of {list(STARTS)}"
+            )
+
+    @property
+    def uses_spcd(self) -> bool:
+        """Whether the SPCD detector, injector and evaluator run."""
+        return self.maps_threads or self.maps_data
 
     def make_scheduler(
         self, machine: "Machine", workload: "Workload", rng: np.random.Generator
     ) -> Scheduler:
         """Build and start the scheduler this policy begins with."""
-        ...  # pragma: no cover - protocol
-
-    def evaluate(self, view: PlacementView) -> PlacementDecision:
-        """Turn one evaluation's evidence into one placement decision."""
-        ...  # pragma: no cover - protocol
-
-
-def _check_fits(machine: "Machine", workload: "Workload") -> int:
-    n = workload.n_threads
-    if n > machine.n_pus:
-        raise ConfigurationError(
-            f"{n} threads exceed the machine's {machine.n_pus} hardware contexts"
-        )
-    return n
-
-
-def _random_pinned(
-    machine: "Machine", workload: "Workload", rng: np.random.Generator
-) -> PinnedScheduler:
-    n = _check_fits(machine, workload)
-    pus = rng.permutation(machine.n_pus)[:n]
-    return PinnedScheduler(machine, n, [int(p) for p in pus])
-
-
-class _StaticPolicy:
-    """Base of the non-SPCD policies: placement fixed at start, no decisions."""
-
-    name = "static"
-    uses_spcd = False
-    maps_threads = False
-    maps_data = False
-    replicate_pt = False
-
-    def evaluate(self, view: PlacementView) -> PlacementDecision:
-        """Static policies never re-place anything."""
-        return PlacementDecision(verdict="static")
-
-    def __repr__(self) -> str:  # pragma: no cover - repr convenience
-        return f"{type(self).__name__}({self.name!r})"
-
-
-class OsPolicy(_StaticPolicy):
-    """The Linux-baseline: a CFS-like scheduler, no explicit placement."""
-
-    name = "os"
-
-    def make_scheduler(
-        self, machine: "Machine", workload: "Workload", rng: np.random.Generator
-    ) -> Scheduler:
-        """CFS-like scheduler over all PUs (the figures' baseline)."""
-        n = _check_fits(machine, workload)
-        scheduler: Scheduler = CfsLikeScheduler(machine, n, rng)
-        scheduler.start()
-        return scheduler
-
-
-class RandomPolicy(_StaticPolicy):
-    """A static random thread→PU pinning, fresh per repetition."""
-
-    name = "random"
-
-    def make_scheduler(
-        self, machine: "Machine", workload: "Workload", rng: np.random.Generator
-    ) -> Scheduler:
-        """Random pinning drawn from *rng* (one mapping per execution)."""
-        scheduler = _random_pinned(machine, workload, rng)
-        scheduler.start()
-        return scheduler
-
-
-class OraclePolicy(_StaticPolicy):
-    """A static pinning computed from full communication knowledge."""
-
-    name = "oracle"
-
-    def make_scheduler(
-        self, machine: "Machine", workload: "Workload", rng: np.random.Generator
-    ) -> Scheduler:
-        """Pin threads by mapping the ground-truth communication matrix."""
-        n = _check_fits(machine, workload)
-        mapping = oracle_mapping(workload, machine)
-        scheduler = PinnedScheduler(machine, n, [int(p) for p in mapping])
-        scheduler.start()
-        return scheduler
-
-
-class ThreadPlacementPolicy:
-    """SPCD thread mapping only — the paper's mechanism, bit for bit.
-
-    Starts from an arbitrary (OS-like) placement and migrates threads when
-    the communication filter reports a changed pattern.  This is the
-    canonical ``"spcd"`` policy; the differential parity suite pins its
-    digests against the pre-placement engine.
-    """
-
-    name = "spcd"
-    uses_spcd = True
-    maps_threads = True
-    maps_data = False
-    replicate_pt = False
-    #: mapping engine this policy requests from the registry
-    #: (:func:`repro.core.mapping.make_mapper`); ``None`` leaves it to the
-    #: thread-count auto-switch
-    mapper_algorithm: "str | None" = None
-
-    def make_scheduler(
-        self, machine: "Machine", workload: "Workload", rng: np.random.Generator
-    ) -> Scheduler:
-        """Random pinned start; SPCD migrates from there."""
-        scheduler = _random_pinned(machine, workload, rng)
-        scheduler.start()
-        return scheduler
-
-    def evaluate(self, view: PlacementView) -> PlacementDecision:
-        """Co-decide remap + migration + replication from one view."""
-        migrations, deferred = (
-            view.propose_page_migrations() if self.maps_data else ((), 0)
-        )
-        replicate = self.replicate_pt and not view.pt_replicated
-        if self.maps_threads:
-            mapping, verdict, cost_now, cost_new = view.propose_thread_mapping()
+        n = workload.n_threads
+        if n > machine.n_pus:
+            raise ConfigurationError(
+                f"{n} threads exceed the machine's {machine.n_pus} hardware contexts"
+            )
+        if self.start == "cfs":
+            scheduler: Scheduler = CfsLikeScheduler(machine, n, rng)
+        elif self.start == "oracle":
+            mapping = oracle_mapping(workload, machine)
+            scheduler = PinnedScheduler(machine, n, [int(p) for p in mapping])
         else:
-            mapping, verdict, cost_now, cost_new = None, "data-idle", 0.0, 0.0
-        thread_mapping = (
-            None if mapping is None else tuple(int(p) for p in mapping)
-        )
-        return PlacementDecision(
-            verdict=verdict,
-            thread_mapping=thread_mapping,
-            page_migrations=tuple(migrations),
-            replicate_pt=replicate,
-            cost_now=cost_now,
-            cost_new=cost_new,
-            shared_deferred=deferred,
-        )
-
-    def __repr__(self) -> str:  # pragma: no cover - repr convenience
-        return f"{type(self).__name__}({self.name!r})"
+            pus = rng.permutation(machine.n_pus)[:n]
+            scheduler = PinnedScheduler(machine, n, [int(p) for p in pus])
+        scheduler.start()
+        return scheduler
 
 
-class HierThreadPlacementPolicy(ThreadPlacementPolicy):
-    """SPCD thread mapping decided by the scalable hierarchical mapper.
-
-    Identical pipeline and gates to ``spcd``; only the mapping engine
-    differs (:class:`~repro.graphs.hiermap.ScalableHierarchicalMapper`,
-    recursive bisection + local search instead of Edmonds matching).  Use
-    it to force the scalable engine below the auto-switch
-    (:data:`repro.core.mapping.AUTO_HIERARCHICAL_THREADS`), e.g. for
-    quality comparisons at paper scale.
-    """
-
-    name = "spcd-hier"
-    mapper_algorithm = "hierarchical"
-
-
-class DataPlacementPolicy(ThreadPlacementPolicy):
-    """SPCD data mapping only: migrate pages, never remap threads.
-
-    Pages whose recent fault mass is dominated by a remote node move
-    there; pages shared between nodes are vetoed (there is no thread
-    mapper to hand them to).  One
-    :class:`~repro.core.datamap.SpcdDataMapper` scan runs per
-    evaluation.
-    """
-
-    name = "spcd-data"
-    maps_threads = False
-    maps_data = True
-
-
-class CombinedPlacementPolicy(ThreadPlacementPolicy):
-    """Phoenix-style co-decision: thread remap + page migration together.
-
-    One evaluation sees the communication matrix *and* the per-page
-    node-fault counters: node-dominated pages migrate, while pages whose
-    fault mass is split between nodes — true communication pages — are
-    deferred to the thread mapper in the very same decision instead of
-    being blindly vetoed.
-    """
-
-    name = "spcd-combined"
-    maps_data = True
-
-
-class ReplicatedPlacementPolicy(CombinedPlacementPolicy):
-    """Combined placement plus Mitosis-style page-table replication.
-
-    The first evaluation's decision additionally directs per-node
-    page-table replicas; subsequent walks resolve locally (see
-    :class:`~repro.mem.ptreplica.ReplicatedPageTable`) at the price of
-    keeping the replicas coherent on every mutation.
-    """
-
-    name = "spcd-replicated"
-    replicate_pt = True
+_CANONICAL = (
+    PlacementPolicy("os", start="cfs"),
+    PlacementPolicy("random"),
+    PlacementPolicy("oracle", start="oracle"),
+    PlacementPolicy("spcd", maps_threads=True),
+    PlacementPolicy("spcd-hier", maps_threads=True, mapper_algorithm="hierarchical"),
+    PlacementPolicy("spcd-data", maps_data=True),
+    PlacementPolicy("spcd-combined", maps_threads=True, maps_data=True),
+    PlacementPolicy(
+        "spcd-replicated", maps_threads=True, maps_data=True, replicate_pt=True
+    ),
+)
 
 
 def canonical_policies() -> "dict[str, PlacementPolicy]":
-    """Fresh instances of every registered policy, by name."""
-    return {
-        p.name: p
-        for p in (
-            OsPolicy(),
-            RandomPolicy(),
-            OraclePolicy(),
-            ThreadPlacementPolicy(),
-            HierThreadPlacementPolicy(),
-            DataPlacementPolicy(),
-            CombinedPlacementPolicy(),
-            ReplicatedPlacementPolicy(),
-        )
-    }
+    """Every registered policy, by name."""
+    return {p.name: p for p in _CANONICAL}
 
 
 def resolve_policy(policy: "PlacementPolicy | str") -> PlacementPolicy:
-    """Resolve *policy* to a :class:`PlacementPolicy` instance.
+    """Resolve *policy* to a :class:`PlacementPolicy`.
 
-    Accepts a policy object (returned as-is) or a case-insensitive name
+    Accepts a policy record (returned as-is) or a case-insensitive name
     string.
     """
     if isinstance(policy, str):

@@ -15,8 +15,8 @@ Two negative controls prove the checker has teeth:
 * ``broadcast_present=False`` (the replica bug: present bits never
   broadcast) must yield a divergence counterexample;
 * ``migrate_noshoot`` (the data-mapper bug: migration without a TLB
-  shootdown — exactly what ``DataMapper.apply_moves`` now prevents)
-  must yield a stale/wrong-translation counterexample.
+  shootdown — ``SpcdDataMapper.apply_moves`` run through a pipeline with
+  no TLBs) must yield a stale/wrong-translation counterexample.
 """
 
 from __future__ import annotations

@@ -54,7 +54,6 @@ TOP_LEVEL_API = {
     "JsonlRecorder",
     "Machine",
     "PartitionPageRankWorkload",
-    "PlacementDecision",
     "PlacementPolicy",
     "ProducerConsumerWorkload",
     "ResultCache",
@@ -105,14 +104,18 @@ ENGINE_API = {
     "summarize",
 }
 
+#: a placement policy is one frozen record; there is no decision type
+PLACEMENT_API = {"PlacementPolicy", "canonical_policies", "resolve_policy"}
+
 
 class TestTopLevel:
     def test_version(self):
-        assert repro.__version__ == "6.0.0"
+        assert repro.__version__ == "7.0.0"
 
     def test_api_surface_snapshot(self):
         assert set(repro.__all__) == TOP_LEVEL_API
         assert set(importlib.import_module("repro.engine").__all__) == ENGINE_API
+        assert set(importlib.import_module("repro.placement").__all__) == PLACEMENT_API
 
     def test_quickstart_symbols_present(self):
         for symbol in ("Simulator", "make_npb", "EngineConfig", "SpcdConfig",

@@ -151,7 +151,6 @@ class TestManagerIntegration:
         from repro.core.manager import SpcdManager
         from repro.kernelsim.kthread import TimerWheel
         from repro.kernelsim.scheduler import PinnedScheduler
-        from repro.placement import DataPlacementPolicy
 
         space = AddressSpace(256)
         space.mmap("d", 4 * PAGE_SIZE)
@@ -163,7 +162,7 @@ class TestManagerIntegration:
         wheel = TimerWheel()
         mgr = SpcdManager(
             small_machine, 4, pipeline, sched, rng,
-            timer_wheel=wheel, placement=DataPlacementPolicy(),
+            timer_wheel=wheel, placement="spcd-data",
         )
         assert mgr.data_mapper is not None
         # the scan rides the evaluation timer; there is no second one

@@ -8,7 +8,7 @@ from repro.engine.energy import EnergyModel
 from repro.engine.metrics import TimeModel, TimeParams
 from repro.errors import ConfigurationError
 from repro.kernelsim.scheduler import CfsLikeScheduler, PinnedScheduler
-from repro.placement import ThreadPlacementPolicy, resolve_policy
+from repro.placement import PlacementPolicy, resolve_policy
 from repro.workloads.npb import make_npb
 
 
@@ -114,7 +114,7 @@ class TestEnergyModel:
 class TestPolicies:
     def test_parse_accepts_strings(self):
         assert resolve_policy("SPCD").name == "spcd"
-        policy = ThreadPlacementPolicy()
+        policy = PlacementPolicy("spcd", maps_threads=True)
         assert resolve_policy(policy) is policy
 
     def test_parse_rejects_unknown(self):

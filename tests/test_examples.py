@@ -1,10 +1,12 @@
 """Smoke tests for the example scripts.
 
-The heavy examples are compiled (syntax + imports) and the fast one is
-executed end-to-end; the full scripts run in the documented workflows.
+Every example's module level runs (so each import must resolve) without
+its ``__main__`` block, and the fast one is executed end-to-end; the full
+scripts run in the documented workflows.
 """
 
 import ast
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -18,6 +20,10 @@ EXAMPLES = sorted((Path(__file__).parent.parent / "examples").glob("*.py"))
 class TestAllExamples:
     def test_parses(self, path):
         ast.parse(path.read_text())
+
+    def test_imports_resolve(self, path):
+        # a name the package no longer exports fails here, not in a user's run
+        runpy.run_path(str(path), run_name="example_import_check")
 
     def test_has_module_docstring(self, path):
         assert ast.get_docstring(ast.parse(path.read_text()))

@@ -24,6 +24,7 @@ from repro.engine.simulator import EngineConfig
 from repro.errors import ConfigurationError
 from repro.machine.topology import dual_xeon_e5_2650
 from repro.core.manager import SpcdConfig
+from repro.placement import resolve_policy
 from repro.workloads.npb import make_npb
 
 CFG = EngineConfig(steps=15, batch_size=128)
@@ -117,7 +118,7 @@ def test_cell_key_sensitivity():
     machine = dual_xeon_e5_2650()
     base = dict(
         wl_token=_factory_token(partial(make_npb, "CG")),
-        policy="spcd",
+        policy=resolve_policy("spcd"),
         seed=1,
         machine=machine,
         config=EngineConfig(),
@@ -126,7 +127,11 @@ def test_cell_key_sensitivity():
     k = _cell_key(**base)
     assert k == _cell_key(**base)  # deterministic
     assert k != _cell_key(**{**base, "seed": 2})
-    assert k != _cell_key(**{**base, "policy": "os"})
+    assert k != _cell_key(**{**base, "policy": resolve_policy("os")})
+    # a same-named variant is a different policy, hence a different key
+    variant = dataclasses.replace(base["policy"], maps_data=True)
+    assert variant.name == "spcd"
+    assert k != _cell_key(**{**base, "policy": variant})
     assert k != _cell_key(**{**base, "config": EngineConfig(steps=7)})
     assert k != _cell_key(**{**base, "config": EngineConfig(placement_walk=True)})
 
@@ -246,6 +251,33 @@ def test_placement_walk_is_in_the_cache_key(tmp_path):
     uncached, _ = run_cell("CG", "spcd", config=walk_on, settings=RunSettings())
     assert on.exec_time_s == uncached.exec_time_s
     assert on.exec_time_s != off.exec_time_s
+
+
+def test_same_named_policy_variant_misses_the_cache(tmp_path):
+    """A variant that keeps a canonical name must not be served that
+    policy's cached result (the key once hashed only the name)."""
+    variant = dataclasses.replace(resolve_policy("spcd"), maps_data=True)
+    plain, plain_cached = run_cell("SP", "spcd", 0, config=CFG, cache=tmp_path)
+    mine, mine_cached = run_cell("SP", variant, 0, config=CFG, cache=tmp_path)
+    assert (plain_cached, mine_cached) == (False, False)
+    again, again_cached = run_cell("SP", variant, 0, config=CFG, cache=tmp_path)
+    assert again_cached and again.exec_time_s == mine.exec_time_s
+
+
+def test_run_grid_rejects_duplicate_policy_names():
+    """Two policies named ``spcd`` once merged into one grid cell holding
+    only the last one's result."""
+    variant = dataclasses.replace(resolve_policy("spcd"), maps_data=True)
+    with pytest.raises(ConfigurationError, match="two policies named 'spcd'"):
+        run_grid(["SP"], ["spcd", variant], 1, config=CFG, settings=RunSettings())
+
+
+def test_run_grid_rejects_duplicate_workload_names():
+    with pytest.raises(ConfigurationError, match="two workloads named 'CG'"):
+        run_grid(
+            ["CG", ("CG", partial(make_npb, "FT"))], ["os"], 1,
+            config=CFG, settings=RunSettings(),
+        )
 
 
 def test_run_replicated_workers_kwarg_is_equivalent(tmp_path):

@@ -158,6 +158,15 @@ class TestConfig:
         with pytest.raises(ConfigurationError, match="matrix_decay"):
             SessionConfig(n_threads=4, matrix_decay=decay)
 
+    def test_rejects_a_policy_that_maps_nothing(self, env):
+        """Its evaluations would report a ``data-idle`` verdict with no
+        data mapper behind it."""
+        from repro.errors import ConfigurationError
+
+        space, pipeline, sched, wheel, rng = env
+        with pytest.raises(ConfigurationError, match="maps neither"):
+            SpcdManager(sched.machine, 8, pipeline, sched, rng, placement="random")
+
 
 class TestOverheadAccounting:
     def test_detection_time_includes_hook_and_injection(self, env):

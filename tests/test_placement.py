@@ -10,6 +10,7 @@ off unless asked for.
 
 import dataclasses
 import hashlib
+import json
 import warnings
 
 import numpy as np
@@ -26,15 +27,8 @@ from repro.mem.pagetable import PageTable
 from repro.mem.physmem import FrameAllocator
 from repro.mem.ptreplica import ReplicatedPageTable
 from repro.mem.tlb import TlbArray
-from repro.placement import (
-    CombinedPlacementPolicy,
-    PlacementDecision,
-    PlacementPolicy,
-    ReplicatedPlacementPolicy,
-    ThreadPlacementPolicy,
-    canonical_policies,
-    resolve_policy,
-)
+from repro.obs.recorder import JsonlRecorder
+from repro.placement import PlacementPolicy, canonical_policies, resolve_policy
 from repro.units import PAGE_SIZE
 
 CFG = EngineConfig(batch_size=128, steps=40, pretouch="parallel")
@@ -82,8 +76,19 @@ class TestResolvePolicy:
         assert resolve_policy("spcd-Combined").name == "spcd-combined"
 
     def test_instances_pass_through_unchanged(self):
-        policy = CombinedPlacementPolicy()
+        policy = dataclasses.replace(resolve_policy("spcd-combined"), name="mine")
         assert resolve_policy(policy) is policy
+
+    def test_unknown_start_raises(self):
+        with pytest.raises(ConfigurationError, match="unknown start"):
+            PlacementPolicy("pinned", start="first-touch")
+
+    def test_variants_are_one_replace_away(self):
+        spcd = resolve_policy("spcd")
+        variant = dataclasses.replace(spcd, maps_data=True)
+        assert variant.uses_spcd and variant.maps_data and variant != spcd
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            spcd.maps_data = True
 
     def test_unknown_name_raises(self):
         with pytest.raises(ConfigurationError, match="unknown policy"):
@@ -100,33 +105,26 @@ class TestResolvePolicy:
                 resolve_policy(name)
 
 
-class _InertReplicaPolicy(ThreadPlacementPolicy):
-    """replicate_pt-capable table installed, but never activated —
-    the differential probe for inactive-replica bit-parity."""
-
-    name = "spcd-inert-replica"
-    replicate_pt = True
-
-    def evaluate(self, view):
-        return dataclasses.replace(
-            ThreadPlacementPolicy.evaluate(self, view), replicate_pt=False
-        )
-
-
 class TestDigestParity:
     """`spcd` spelled any way — and with an idle replicated table —
     reproduces the legacy engine bit for bit."""
 
     def test_string_and_instance_agree(self):
         _, by_string = run("spcd")
-        _, by_instance = run(ThreadPlacementPolicy())
+        _, by_instance = run(PlacementPolicy("spcd", maps_threads=True))
         assert digest(by_string) == digest(by_instance)
 
     def test_inactive_replicated_table_is_bit_identical(self):
         sim, plain = run("spcd")
-        rsim, replicated = run(_InertReplicaPolicy())
+        # a replicate_pt policy installs the replication-capable table;
+        # handing the manager plain ``spcd`` keeps it from ever activating
+        inert = dataclasses.replace(resolve_policy("spcd"), replicate_pt=True)
+        rsim = Simulator(make_npb("SP"), inert, seed=7, config=CFG)
+        rsim.manager.placement = resolve_policy("spcd")
+        replicated = rsim.run()
         assert isinstance(rsim.address_space.page_table, ReplicatedPageTable)
         assert not rsim.address_space.page_table.active
+        assert rsim.manager.overheads.filter_evaluations > 0
         assert not isinstance(sim.address_space.page_table, ReplicatedPageTable)
         assert digest(plain) == digest(replicated)
 
@@ -335,6 +333,30 @@ class TestPlacementRuns:
         # the replication bill lands in the Fig. 16 mapping bucket
         assert sim.manager.mapping_time_ns() >= sim.manager.replication_time_ns()
 
+    def test_placement_applied_carries_its_evaluation_verdict(self, tmp_path):
+        """A placement_applied event reports its evaluation's final verdict.
+
+        It once carried the pre-apply one: ``data-idle`` while pages
+        moved, and ``proposed`` while threads moved.
+        """
+        serial = dataclasses.replace(CFG, pretouch="serial")
+        for name in ("spcd-data", "spcd-replicated"):
+            path = tmp_path / f"{name}.jsonl"
+            Simulator(
+                make_npb("SP"), name, seed=7, config=serial,
+                recorder=JsonlRecorder(path),
+            ).run()
+            events = [json.loads(line) for line in path.read_text().splitlines()]
+            verdicts = {
+                e["now_ns"]: e["verdict"]
+                for e in events
+                if e["type"] == "spcd_evaluation"
+            }
+            applied = [e for e in events if e["type"] == "placement_applied"]
+            assert applied, name
+            for event in applied:
+                assert event["verdict"] == verdicts[event["now_ns"]], (name, event)
+
     def test_policies_are_deterministic(self):
         for name in ("spcd-data", "spcd-combined", "spcd-replicated"):
             _, a = run(name, seed=11)
@@ -360,17 +382,7 @@ class TestPlacementSettings:
         assert table.level_remote_ns == numa.pt_walk_level_ns(local=False)
 
 
-class TestPlacementDecision:
-    def test_noop_detection(self):
-        assert PlacementDecision(verdict="cooldown").is_noop
-        assert not PlacementDecision(verdict="x", thread_mapping=(0, 1)).is_noop
-        assert not PlacementDecision(verdict="x", replicate_pt=True).is_noop
-
-    def test_decisions_are_frozen(self):
-        decision = PlacementDecision(verdict="static")
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            decision.verdict = "mutated"
-
+class TestPolicyRecords:
     def test_policy_table_matches_registry(self):
         policies = canonical_policies()
         assert policies["spcd"].maps_threads and not policies["spcd"].maps_data
@@ -382,5 +394,8 @@ class TestPlacementDecision:
         replicated = policies["spcd-replicated"]
         assert replicated.maps_threads and replicated.maps_data
         assert replicated.replicate_pt
-        assert isinstance(replicated, ReplicatedPlacementPolicy)
-        assert isinstance(replicated, CombinedPlacementPolicy)
+        assert policies["spcd-hier"].mapper_algorithm == "hierarchical"
+        assert [p.name for p in policies.values() if not p.uses_spcd] == [
+            "os", "random", "oracle"
+        ]
+        assert policies["os"].start == "cfs" and policies["oracle"].start == "oracle"
