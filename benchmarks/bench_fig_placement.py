@@ -31,19 +31,18 @@ import argparse
 import json
 import os
 import sys
-from functools import partial
 from pathlib import Path
 from time import perf_counter
 
 if __name__ == "__main__":  # pragma: no cover - CLI convenience
     sys.path.insert(0, str(Path(__file__).parent.parent / "src"))
 
-from repro.engine.runner import run_replicated
+from repro.engine.gridrunner import run_grid
 from repro.engine.simulator import EngineConfig
-from repro.workloads.npb import make_npb
 
 POLICIES = ("os", "spcd", "spcd-data", "spcd-combined", "spcd-replicated")
 WORKLOADS = ("SP", "CG")
+METRICS = ("exec_time_s", "l3_mpki", "c2c_transactions", "migrations", "mapping_pct")
 BASE_SEED = 42
 FULL_STEPS = int(os.environ.get("REPRO_BENCH_PLACEMENT_STEPS", "500"))
 SMOKE_STEPS = 40
@@ -56,25 +55,14 @@ def run_placement_bench(*, steps: int, reps: int) -> dict:
     config = EngineConfig(
         batch_size=256, steps=steps, pretouch="serial", placement_walk=True
     )
-    cells: dict[str, dict[str, dict[str, float]]] = {}
     t0 = perf_counter()
-    for workload in WORKLOADS:
-        cells[workload] = {}
-        for policy in POLICIES:
-            cell = run_replicated(
-                partial(make_npb, workload),
-                policy,
-                reps=reps,
-                base_seed=BASE_SEED,
-                config=config,
-            )
-            cells[workload][policy] = {
-                "exec_time_s": cell.mean("exec_time_s"),
-                "l3_mpki": cell.mean("l3_mpki"),
-                "c2c_transactions": cell.mean("c2c_transactions"),
-                "migrations": cell.mean("migrations"),
-                "mapping_pct": cell.mean("mapping_pct"),
-            }
+    grid = run_grid(
+        WORKLOADS, POLICIES, reps, base_seed=BASE_SEED, config=config, strict=True
+    )
+    cells = {
+        w: {p: {m: grid.cell(w, p).mean(m) for m in METRICS} for p in POLICIES}
+        for w in WORKLOADS
+    }
     combined_wins = [
         w
         for w in WORKLOADS

@@ -27,7 +27,7 @@ from pathlib import Path
 import pytest
 
 from repro.engine.cache import ResultCache
-from repro.engine.gridrunner import run_cell, run_grid
+from repro.engine.gridrunner import run_grid
 from repro.engine.runner import MetricStats, summarize
 from repro.engine.settings import RunSettings
 from repro.engine.simulator import EngineConfig, SimulationResult, Simulator
@@ -66,7 +66,7 @@ def engine_config(**overrides) -> EngineConfig:
 class SuiteCache:
     """Memoizes (benchmark, policy, rep) simulation results for a session.
 
-    Results flow through :func:`repro.engine.gridrunner.run_cell`, so they
+    Results flow through :func:`repro.engine.gridrunner.run_grid`, so they
     are also persisted on disk and shared across sessions; ``cache_hits`` /
     ``cache_misses`` count disk-cache outcomes for this session.
     """
@@ -79,24 +79,30 @@ class SuiteCache:
         self.cache_hits = 0
         self.cache_misses = 0
 
-    def run(self, bench: str, policy: str, rep: int = 0) -> SimulationResult:
-        """One simulation, memoized in-session and cached on disk."""
-        key = (bench, policy, rep)
-        if key not in self._results:
-            result, cached = run_cell(
-                bench,
-                policy,
-                rep,
+    def _row(self, bench: str, policy: str, reps: int) -> list[SimulationResult]:
+        """Repetitions ``0..reps-1`` of one cell, memoized in-session and
+        cached on disk."""
+        keys = [(bench, policy, rep) for rep in range(reps)]
+        if any(key not in self._results for key in keys):
+            grid = run_grid(
+                [bench],
+                [policy],
+                reps,
                 base_seed=BASE_SEED,
                 config=engine_config(),
                 cache=self._cache,
+                strict=True,
+                keep_runs=True,
             )
-            self._results[key] = result
-            if cached:
-                self.cache_hits += 1
-            else:
-                self.cache_misses += 1
-        return self._results[key]
+            for key, result in zip(keys, grid.cell(bench, policy).runs):
+                self._results.setdefault(key, result)
+            self.cache_hits += grid.cache_hits
+            self.cache_misses += grid.cache_misses
+        return [self._results[key] for key in keys]
+
+    def run(self, bench: str, policy: str, rep: int = 0) -> SimulationResult:
+        """Repetition *rep* of one cell (the earlier ones run with it)."""
+        return self._row(bench, policy, rep + 1)[rep]
 
     def simulator(self, bench: str, policy: str, rep: int = 0) -> Simulator:
         """The live simulator behind one cell (runs it locally if needed).
@@ -141,7 +147,7 @@ class SuiteCache:
 
     def replicated(self, bench: str, policy: str) -> list[SimulationResult]:
         """All repetitions of one cell."""
-        return [self.run(bench, policy, rep) for rep in range(BENCH_REPS)]
+        return self._row(bench, policy, BENCH_REPS)
 
     def metric_stats(self, bench: str, policy: str, metric: str) -> MetricStats:
         """Mean + 95% CI of one metric over the repetitions."""

@@ -28,9 +28,8 @@ policy name is accepted.
 
 Experiment grids (cached, parallel, resumable from the cache)::
 
-    from repro import RunSettings, run_grid
-    grid = run_grid(["CG", "SP"], cache="results/",
-                    settings=RunSettings(workers=4))
+    from repro import run_grid
+    grid = run_grid(["CG", "SP"], cache="results/", workers=4)
     print(grid.cell("CG", "spcd").mean("exec_time_s"), grid.failures)
 """
 
@@ -60,17 +59,14 @@ from repro.engine import (
     RunSettings,
     SimulationResult,
     Simulator,
-    run_cell,
     run_grid,
-    run_replicated,
-    run_single,
 )
 from repro.machine import Machine, build_machine, dual_xeon_e5_2650
 from repro.obs import JsonlRecorder, TraceRecorder
 from repro.placement import PlacementPolicy, canonical_policies, resolve_policy
 from repro.workloads import ProducerConsumerWorkload, SyntheticNpbWorkload, make_npb
 
-__version__ = "7.0.0"
+__version__ = "8.0.0"
 
 __all__ = [
     "CellFailure",
@@ -105,9 +101,6 @@ __all__ = [
     "make_spmv",
     "max_weight_perfect_matching",
     "resolve_policy",
-    "run_cell",
     "run_grid",
-    "run_replicated",
-    "run_single",
     "__version__",
 ]

@@ -8,14 +8,9 @@ cache-to-cache transactions, processor and DRAM energy, and SPCD overheads.
 
 from repro.engine.cache import ResultCache, code_version
 from repro.engine.energy import EnergyModel, EnergyParams
-from repro.engine.gridrunner import CellFailure, GridResult, run_cell, run_grid
+from repro.engine.gridrunner import CellFailure, GridResult, run_grid
 from repro.engine.metrics import TimeModel, TimeParams
-from repro.engine.runner import (
-    MetricStats,
-    run_replicated,
-    run_single,
-    summarize,
-)
+from repro.engine.runner import MetricStats, summarize
 from repro.engine.settings import RunSettings
 from repro.engine.simulator import EngineConfig, SimulationResult, Simulator
 
@@ -33,9 +28,6 @@ __all__ = [
     "TimeModel",
     "TimeParams",
     "code_version",
-    "run_cell",
     "run_grid",
-    "run_replicated",
-    "run_single",
     "summarize",
 ]

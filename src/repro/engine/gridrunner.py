@@ -38,11 +38,11 @@ import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import partial
 from multiprocessing import get_all_start_methods, get_context
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from repro.core.manager import SpcdConfig
 from repro.engine import cache as _cache_mod
@@ -57,7 +57,12 @@ from repro.engine.simulator import EngineConfig, SimulationResult, Simulator
 from repro.errors import ConfigurationError, GridExecutionError
 from repro.machine.topology import Machine, dual_xeon_e5_2650
 from repro.obs.events import CellCompleted, CellFailed, GridEnd, GridStart
-from repro.obs.recorder import JsonlRecorder, cell_trace_path, grid_trace_path
+from repro.obs.recorder import (
+    JsonlRecorder,
+    NullRecorder,
+    cell_trace_path,
+    grid_trace_path,
+)
 from repro.placement import PlacementPolicy, resolve_policy
 from repro.rng import derive_seed
 from repro.workloads.npb import make_npb
@@ -65,7 +70,6 @@ from repro.workloads.npb import make_npb
 __all__ = [
     "CellFailure",
     "GridResult",
-    "run_cell",
     "run_grid",
 ]
 
@@ -211,10 +215,10 @@ def _cell_key(
     return h.hexdigest()
 
 
-def _run_cell_job(payload: tuple) -> SimulationResult:
+def _simulate(payload: tuple) -> SimulationResult:
     """Run one cell simulation (module-level, so pool workers can unpickle it)."""
-    factory, policy, seed, machine, config, spcd_config, trace_path, settings = payload
-    recorder = JsonlRecorder(trace_path) if trace_path else None
+    factory, policy, seed, machine, config, spcd_config, trace_path = payload
+    recorder = JsonlRecorder(trace_path) if trace_path else NullRecorder()
     sim = Simulator(
         factory(),
         policy,
@@ -223,7 +227,6 @@ def _run_cell_job(payload: tuple) -> SimulationResult:
         config=config,
         spcd_config=spcd_config,
         recorder=recorder,
-        settings=settings,
     )
     return sim.run()
 
@@ -241,86 +244,6 @@ def _exit_with_parent(parent_pid: int) -> None:
         os._exit(1)
 
     threading.Thread(target=watch, daemon=True).start()
-
-
-# ---------------------------------------------------------------------------
-# settings / kwarg resolution
-# ---------------------------------------------------------------------------
-def _effective_settings(settings: "RunSettings | None", **overrides) -> RunSettings:
-    """Explicit kwargs > explicit ``settings`` > the environment."""
-    base = settings if settings is not None else RunSettings.from_env()
-    return base.with_overrides(**overrides)
-
-
-def _resolve_cache(cache, eff: RunSettings) -> "_cache_mod.ResultCache | None":
-    """The live cache object: an explicit instance wins, else the settings."""
-    if isinstance(cache, _cache_mod.ResultCache):
-        return cache
-    if eff.cache_dir:
-        return _cache_mod.ResultCache(eff.cache_dir)
-    return None
-
-
-def run_cell(
-    workload: "WorkloadSpec",
-    policy: "PlacementPolicy | str",
-    rep: int = 0,
-    *,
-    base_seed: int = 42,
-    machine: "Machine | None" = None,
-    config: "EngineConfig | None" = None,
-    spcd_config: "SpcdConfig | None" = None,
-    cache: "object | None" = None,
-    trace: "str | os.PathLike | None" = None,
-    settings: "RunSettings | None" = None,
-) -> tuple[SimulationResult, bool]:
-    """One grid cell, through the cache; returns ``(result, was_cached)``.
-
-    *cache* accepts a directory path or a live
-    :class:`~repro.engine.cache.ResultCache`; unset, it follows
-    *settings* (default: the ``REPRO_RESULT_CACHE`` environment).  With
-    *trace* (default: ``REPRO_TRACE``) set, a freshly simulated cell
-    writes its JSONL trace to :func:`repro.obs.recorder.cell_trace_path`;
-    cells served from the cache do not re-run and produce no trace.  The
-    recorder never participates in the cache key.
-    """
-    eff = _effective_settings(
-        settings,
-        cache_dir=None
-        if cache is None or isinstance(cache, _cache_mod.ResultCache)
-        else str(cache),
-        trace=str(trace) if trace is not None else None,
-    )
-    policy = resolve_policy(policy)
-    name, factory = _resolve_spec(workload)
-    machine = machine or dual_xeon_e5_2650()
-    config = config or EngineConfig()
-    spcd_config = spcd_config or SpcdConfig()
-    seed = derive_seed(base_seed, "rep", rep, policy.name)
-    live_cache = _resolve_cache(cache, eff)
-    key = ""
-    if live_cache is not None:
-        token = _cache_token(factory)
-        if token is None:
-            live_cache = None  # no stable identity: bypass, never collide
-        else:
-            key = _cell_key(token, policy, seed, machine, config, spcd_config)
-            hit = live_cache.load(key)
-            if hit is not None:
-                return hit, True
-    trace_root = Path(eff.trace) if eff.trace else None
-    trace_path = (
-        str(cell_trace_path(trace_root, name, policy.name, rep))
-        if trace_root is not None
-        else None
-    )
-    job_settings = replace(eff, trace=None)  # recorder is built explicitly
-    result = _run_cell_job(
-        (factory, policy, seed, machine, config, spcd_config, trace_path, job_settings)
-    )
-    if live_cache is not None:
-        live_cache.store(key, result)
-    return result, False
 
 
 @dataclass
@@ -353,17 +276,6 @@ class GridResult:
         :func:`repro.engine.runner.normalized_to`)."""
         return {p: r for (w, p), r in self.cells.items() if w == workload}
 
-    def failed_cells(
-        self, workload: "str | None" = None, policy: "str | None" = None
-    ) -> list[CellFailure]:
-        """Failure records, optionally filtered by workload and/or policy."""
-        return [
-            f
-            for f in self.failures
-            if (workload is None or f.workload == workload)
-            and (policy is None or f.policy == policy)
-        ]
-
     @property
     def workloads(self) -> list[str]:
         """Workload names present, in insertion order."""
@@ -393,7 +305,6 @@ def run_grid(
     settings: "RunSettings | None" = None,
     strict: "bool | None" = None,
     keep_runs: bool = False,
-    progress: "Callable[[str], None] | None" = None,
 ) -> GridResult:
     """Run a ``workloads x policies x reps`` grid of simulations.
 
@@ -425,8 +336,8 @@ def run_grid(
         raise ConfigurationError("reps must be positive")
     if not workloads or not policies:
         raise ConfigurationError("run_grid needs at least one workload and one policy")
-    eff = _effective_settings(
-        settings,
+    base = settings if settings is not None else RunSettings.from_env()
+    eff = base.with_overrides(
         workers=workers,
         cache_dir=None
         if cache is None or isinstance(cache, _cache_mod.ResultCache)
@@ -437,7 +348,12 @@ def run_grid(
     machine = machine or dual_xeon_e5_2650()
     config = config or EngineConfig()
     spcd_config = spcd_config or SpcdConfig()
-    live_cache = _resolve_cache(cache, eff)
+    if isinstance(cache, _cache_mod.ResultCache):
+        live_cache = cache
+    elif eff.cache_dir:
+        live_cache = _cache_mod.ResultCache(eff.cache_dir)
+    else:
+        live_cache = None
 
     specs = [_resolve_spec(w) for w in workloads]
     pols = [resolve_policy(p) for p in policies]
@@ -492,11 +408,6 @@ def run_grid(
                 strict=eff.strict,
             )
         )
-    if progress is not None:
-        progress(f"grid: {hits}/{len(cells)} cells cached, {len(misses)} to run")
-
-    job_settings = replace(eff, trace=None)  # per-cell recorders are explicit
-
     def payload_of(c: _Cell) -> tuple:
         trace_path = (
             str(cell_trace_path(trace_root, c.workload, c.policy, c.rep))
@@ -511,7 +422,6 @@ def run_grid(
             config,
             spcd_config,
             trace_path,
-            job_settings,
         )
 
     failures: list[CellFailure] = []
@@ -548,13 +458,11 @@ def run_grid(
                     message=message,
                 )
             )
-        if progress is not None:
-            progress(f"grid: {cell.workload}/{cell.policy}/rep{cell.rep} {kind}: {message}")
 
     if misses and eff.workers == 1:
         for cell in misses:
             try:
-                result = _run_cell_job(payload_of(cell))
+                result = _simulate(payload_of(cell))
             except Exception as exc:  # noqa: BLE001 - graceful degradation
                 settle_failure(cell, "error", exc)
             else:
@@ -571,7 +479,7 @@ def run_grid(
             futures = {}
             for cell in misses:
                 try:
-                    futures[pool.submit(_run_cell_job, payload_of(cell))] = cell
+                    futures[pool.submit(_simulate, payload_of(cell))] = cell
                 except BrokenProcessPool as exc:  # a worker died mid-submission
                     settle_failure(cell, "crash", exc)
             for future in as_completed(futures):

@@ -1,9 +1,10 @@
 """Replicated experiments with confidence intervals.
 
 The paper runs each configuration 10 times and reports means with 95 %
-confidence intervals from a Student's t-distribution (Sec. V-A); this module
-reproduces that protocol (with a configurable repetition count) and offers
-normalisation against the OS baseline for the figures.
+confidence intervals from a Student's t-distribution (Sec. V-A).
+:func:`repro.engine.gridrunner.run_grid` runs the repetitions; this module
+summarises them into those statistics and normalises them against the OS
+baseline for the figures.
 """
 
 from __future__ import annotations
@@ -13,12 +14,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import stats as sps
 
-from repro.core.manager import SpcdConfig
-from repro.engine.settings import RunSettings
-from repro.engine.simulator import EngineConfig, SimulationResult, Simulator
+from repro.engine.simulator import SimulationResult
 from repro.errors import ConfigurationError
-from repro.machine.topology import Machine
-from repro.placement import PlacementPolicy
 from repro.workloads.base import Workload
 
 from typing import Callable
@@ -81,77 +78,6 @@ class ReplicatedResult:
     def mean(self, metric: str) -> float:
         """Mean of *metric*."""
         return self.metrics[metric].mean
-
-
-def run_single(
-    workload_factory: WorkloadFactory,
-    policy: "PlacementPolicy | str",
-    *,
-    machine: Machine | None = None,
-    seed: int = 0,
-    config: EngineConfig | None = None,
-    spcd_config: SpcdConfig | None = None,
-    settings: "RunSettings | None" = None,
-) -> SimulationResult:
-    """One simulation run (fresh workload instance, derived seed)."""
-    sim = Simulator(
-        workload_factory(),
-        policy,
-        machine=machine,
-        seed=seed,
-        config=config,
-        spcd_config=spcd_config,
-        settings=settings,
-    )
-    return sim.run()
-
-
-def run_replicated(
-    workload_factory: WorkloadFactory,
-    policy: "PlacementPolicy | str",
-    *,
-    machine: Machine | None = None,
-    reps: int = 3,
-    base_seed: int = 42,
-    config: EngineConfig | None = None,
-    spcd_config: SpcdConfig | None = None,
-    keep_runs: bool = False,
-    workers: "int | None" = None,
-    cache: "object | None" = None,
-    trace: "object | None" = None,
-    settings: "RunSettings | None" = None,
-) -> ReplicatedResult:
-    """Run *reps* repetitions with derived seeds; summarise every metric.
-
-    For the RANDOM policy each repetition derives a fresh seed and hence a
-    fresh random mapping, reproducing the paper's "10 different mappings,
-    one for each execution".
-
-    A one-row :func:`repro.engine.gridrunner.run_grid` in strict mode:
-    *workers*, *cache* (a directory or a live
-    :class:`~repro.engine.cache.ResultCache`), *trace* and *settings*
-    mean what they mean there, and a failed repetition raises
-    :class:`~repro.errors.GridExecutionError` naming it.
-    """
-    from repro.engine import gridrunner  # local import: gridrunner imports us
-
-    grid = gridrunner.run_grid(
-        [workload_factory],
-        [policy],
-        reps,
-        base_seed=base_seed,
-        machine=machine,
-        config=config,
-        spcd_config=spcd_config,
-        workers=workers,
-        cache=cache,
-        trace=trace,
-        settings=settings,
-        strict=True,
-        keep_runs=keep_runs,
-    )
-    (result,) = grid.cells.values()
-    return result
 
 
 def normalized_to(

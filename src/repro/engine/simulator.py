@@ -32,7 +32,7 @@ from repro.core.manager import SpcdConfig, SpcdManager
 from repro.engine.energy import EnergyBreakdown, EnergyModel, EnergyParams
 from repro.engine.metrics import TimeModel, TimeParams
 from repro.engine.perf import PerfCounters
-from repro.engine.settings import RunSettings
+from repro.engine.settings import trace_from_env
 from repro.errors import ConfigurationError, SimulationError
 from repro.kernelsim.clock import VirtualClock
 from repro.kernelsim.kthread import TimerWheel
@@ -135,7 +135,6 @@ class Simulator:
         config: EngineConfig | None = None,
         spcd_config: SpcdConfig | None = None,
         recorder: TraceRecorder | None = None,
-        settings: RunSettings | None = None,
     ) -> None:
         self.workload = workload
         #: the placement policy record; ``policy`` accepts a record or a
@@ -147,20 +146,16 @@ class Simulator:
         self.config = config or EngineConfig()
         self.seed = seed
         self.rngs = RngFactory(seed)
-        # Execution-environment knobs (tracing): an explicit settings
-        # object wins; otherwise the environment (RunSettings.from_env())
-        # decides.
-        self.settings = settings if settings is not None else RunSettings.from_env()
-        # Tracing: an explicit recorder wins; otherwise the settings' trace
-        # base enables a JSONL recorder (a NullRecorder or no trace base
-        # leaves tracing off, and the hot paths then pay a single None test
-        # per fault batch).
-        if recorder is None and self.settings.trace:
-            recorder = JsonlRecorder(
-                run_trace_path(
-                    Path(self.settings.trace), workload.name, self.policy, seed
+        # Tracing: an explicit recorder wins; otherwise REPRO_TRACE enables
+        # a JSONL recorder (a NullRecorder or an unset REPRO_TRACE leaves
+        # tracing off, and the hot paths then pay a single None test per
+        # fault batch).
+        if recorder is None:
+            trace = trace_from_env()
+            if trace:
+                recorder = JsonlRecorder(
+                    run_trace_path(Path(trace), workload.name, self.policy, seed)
                 )
-            )
         self.recorder: TraceRecorder | None = recorder if recorder else None
 
         n = workload.n_threads

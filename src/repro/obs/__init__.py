@@ -33,7 +33,6 @@ from repro.obs.recorder import (
     TraceRecorder,
     cell_trace_path,
     run_trace_path,
-    trace_base_from_env,
 )
 
 # NOTE: repro.obs.report is intentionally NOT imported here — importing it
@@ -58,5 +57,4 @@ __all__ = [
     "cell_trace_path",
     "event_types",
     "run_trace_path",
-    "trace_base_from_env",
 ]

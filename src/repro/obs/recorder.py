@@ -37,7 +37,6 @@ __all__ = [
     "grid_trace_path",
     "run_trace_path",
     "serve_trace_path",
-    "trace_base_from_env",
 ]
 
 
@@ -113,19 +112,6 @@ class JsonlRecorder(TraceRecorder):
         self._file = None
         assert self._tmp is not None
         os.replace(self._tmp, self.path)
-
-
-def trace_base_from_env() -> Path | None:
-    """The ``REPRO_TRACE`` base path, or ``None`` when tracing is off.
-
-    Delegates to :class:`repro.engine.settings.RunSettings` — the single
-    home of every ``REPRO_*`` environment read.  (Imported lazily: this
-    module is imported by the engine itself.)
-    """
-    from repro.engine.settings import RunSettings
-
-    trace = RunSettings.from_env().trace
-    return Path(trace) if trace else None
 
 
 def _slug(text: str) -> str:

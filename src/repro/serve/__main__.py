@@ -1,16 +1,18 @@
 """``python -m repro.serve`` — run the mapping daemon.
 
-Configuration resolves CLI flags over ``REPRO_SERVE_*`` environment
-variables (read once, through :class:`~repro.engine.settings.RunSettings`)
-over defaults.  On startup the daemon prints one machine-parseable ready
-line::
+The flags are the daemon's whole configuration: each one sets the
+:class:`~repro.serve.server.ServeConfig` field of the same meaning, an
+omitted flag keeps that field's default, and the daemon reads no
+environment variable.  A value :class:`ServeConfig` rejects (``--credits
+0``) exits with status 2 before anything is bound.  On startup the daemon
+prints one machine-parseable ready line::
 
     repro.serve listening on 127.0.0.1:43211 metrics=127.0.0.1:43212
 
 and then serves until SIGTERM/SIGINT, which triggers a graceful drain:
 every live session is notified, queued events are processed, final
-matrices are flushed to the obs trace (``--trace``/``REPRO_TRACE``), and
-the process exits 0.
+matrices are flushed to the obs trace (``--trace``), and the process
+exits 0.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import signal
 import sys
 from pathlib import Path
 
-from repro.engine.settings import RunSettings
+from repro.errors import ConfigurationError
 from repro.obs.recorder import JsonlRecorder, NullRecorder, serve_trace_path
 from repro.serve.server import MappingServer, ServeConfig
 
@@ -29,70 +31,49 @@ __all__ = ["main"]
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    # an omitted flag leaves its attribute unset, so ServeConfig's default
+    # applies; every dest is the ServeConfig field the flag sets
     parser = argparse.ArgumentParser(
         prog="python -m repro.serve",
         description="SPCD mapping-as-a-service daemon",
+        argument_default=argparse.SUPPRESS,
     )
-    parser.add_argument("--host", default=None, help="bind address")
-    parser.add_argument("--port", type=int, default=None, help="data port (0=ephemeral)")
+    parser.add_argument("--host", help="bind address")
+    parser.add_argument("--port", type=int, help="data port (0=ephemeral)")
     parser.add_argument(
         "--metrics-port",
         type=int,
-        default=None,
         help="plaintext /metrics HTTP port (0=ephemeral; omit to disable)",
     )
-    parser.add_argument(
-        "--max-sessions", type=int, default=None, help="concurrent session cap"
-    )
+    parser.add_argument("--max-sessions", type=int, help="concurrent session cap")
     parser.add_argument(
         "--max-table-mb",
         type=float,
-        default=None,
         help="per-tenant detection-state memory cap (MiB)",
     )
-    parser.add_argument("--shards", type=int, default=None, help="communication-matrix shards per session")
+    parser.add_argument(
+        "--shards", type=int, help="communication-matrix shards per session"
+    )
     parser.add_argument(
         "--eval-every",
+        dest="eval_every_events",
         type=int,
-        default=None,
         help="events between two mapping evaluations",
     )
     parser.add_argument(
-        "--credits", type=int, default=None, help="per-client send window (events)"
+        "--credits",
+        dest="credit_window",
+        type=int,
+        help="per-client send window (events)",
     )
     parser.add_argument(
         "--drain-grace",
+        dest="drain_grace_s",
         type=float,
-        default=5.0,
         help="seconds to wait for clients during a drain",
     )
-    parser.add_argument(
-        "--trace", default=None, help="obs trace sink (.jsonl file or directory)"
-    )
+    parser.add_argument("--trace", help="obs trace sink (.jsonl file or directory)")
     return parser
-
-
-def _resolve_config(args: argparse.Namespace, settings: RunSettings) -> ServeConfig:
-    base = ServeConfig.from_settings(settings)
-    return ServeConfig(
-        host=args.host if args.host is not None else base.host,
-        port=args.port if args.port is not None else base.port,
-        metrics_port=(
-            args.metrics_port if args.metrics_port is not None else base.metrics_port
-        ),
-        max_sessions=(
-            args.max_sessions if args.max_sessions is not None else base.max_sessions
-        ),
-        max_table_mb=(
-            args.max_table_mb if args.max_table_mb is not None else base.max_table_mb
-        ),
-        shards=args.shards if args.shards is not None else base.shards,
-        eval_every_events=(
-            args.eval_every if args.eval_every is not None else base.eval_every_events
-        ),
-        credit_window=args.credits if args.credits is not None else base.credit_window,
-        drain_grace_s=args.drain_grace,
-    )
 
 
 async def _run(config: ServeConfig, trace: "str | None") -> int:
@@ -121,10 +102,13 @@ async def _run(config: ServeConfig, trace: "str | None") -> int:
 
 def main(argv: "list[str] | None" = None) -> int:
     """CLI entry point; returns the process exit code."""
-    args = _build_parser().parse_args(argv)
-    settings = RunSettings.from_env()
-    config = _resolve_config(args, settings)
-    trace = args.trace if args.trace is not None else settings.trace
+    parser = _build_parser()
+    options = vars(parser.parse_args(argv))
+    trace = options.pop("trace", None)
+    try:
+        config = ServeConfig(**options)
+    except ConfigurationError as exc:
+        parser.error(str(exc))  # exits with status 2
     return asyncio.run(_run(config, trace))
 
 

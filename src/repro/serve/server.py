@@ -31,8 +31,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Any
 
-from repro.engine.settings import RunSettings
-from repro.errors import AdmissionError, ProtocolError
+from repro.errors import AdmissionError, ConfigurationError, ProtocolError
 from repro.machine.topology import Machine, dual_xeon_e5_2650
 from repro.obs.events import ServeEnd, ServeSessionEnd, ServeSessionStart, ServeStart
 from repro.obs.recorder import NullRecorder, TraceRecorder
@@ -50,32 +49,52 @@ _WINDOW_SLACK = 2
 
 @dataclass(frozen=True)
 class ServeConfig:
-    """Server policy knobs, distilled from :class:`RunSettings`."""
+    """The daemon's deployment settings, one ``python -m repro.serve``
+    flag per field.
 
+    Out-of-range values raise :class:`~repro.errors.ConfigurationError`
+    at construction: a zero credit window or session cap would start a
+    daemon that refuses every tenant.
+    """
+
+    #: bind address (``--host``)
     host: str = "127.0.0.1"
+    #: data port, 0 binds an ephemeral one (``--port``)
     port: int = 0
+    #: plaintext ``/metrics`` HTTP port; ``None`` disables the listener,
+    #: 0 binds an ephemeral one (``--metrics-port``)
     metrics_port: "int | None" = None
+    #: maximum concurrently admitted sessions (``--max-sessions``)
     max_sessions: int = 64
+    #: per-tenant detection-state memory cap in MiB (``--max-table-mb``)
     max_table_mb: float = 64.0
+    #: communication-matrix shards per session (``--shards``)
     shards: int = 4
+    #: events between two mapping evaluations of a session (``--eval-every``)
     eval_every_events: int = 8192
+    #: per-client send window in events, the backpressure credit (``--credits``)
     credit_window: int = 65536
     #: seconds a drain waits for clients to finish before force-draining
+    #: (``--drain-grace``)
     drain_grace_s: float = 5.0
 
-    @classmethod
-    def from_settings(cls, settings: RunSettings) -> "ServeConfig":
-        """Build from the ``REPRO_SERVE_*`` fields of *settings*."""
-        return cls(
-            host=settings.serve_host,
-            port=settings.serve_port,
-            metrics_port=settings.serve_metrics_port,
-            max_sessions=settings.serve_max_sessions,
-            max_table_mb=settings.serve_max_table_mb,
-            shards=settings.serve_shards,
-            eval_every_events=settings.serve_eval_every,
-            credit_window=settings.serve_credit_window,
-        )
+    def __post_init__(self) -> None:
+        if not 0 <= self.port <= 65535:
+            raise ConfigurationError("port must be in [0, 65535]")
+        if self.metrics_port is not None and not 0 <= self.metrics_port <= 65535:
+            raise ConfigurationError("metrics_port must be in [0, 65535] (or None)")
+        if self.max_sessions < 1:
+            raise ConfigurationError("max_sessions must be >= 1")
+        if not self.max_table_mb > 0:  # written to reject NaN too
+            raise ConfigurationError("max_table_mb must be positive")
+        if self.shards < 1:
+            raise ConfigurationError("shards must be >= 1")
+        if self.eval_every_events < 1:
+            raise ConfigurationError("eval_every_events must be >= 1")
+        if self.credit_window < 1:
+            raise ConfigurationError("credit_window must be >= 1")
+        if not self.drain_grace_s >= 0:
+            raise ConfigurationError("drain_grace_s must be >= 0")
 
 
 class _Connection:
@@ -112,9 +131,8 @@ class MappingServer:
 
     Use as an async context manager or call :meth:`start` / :meth:`drain`
     directly; :meth:`serve_forever` blocks until a drain completes.  All
-    policy comes from a :class:`ServeConfig` (typically
-    ``ServeConfig.from_settings(RunSettings.from_env())`` — the server
-    itself never reads the environment).
+    policy comes from a :class:`ServeConfig`; the server never reads the
+    environment.
     """
 
     def __init__(

@@ -76,10 +76,7 @@ TOP_LEVEL_API = {
     "make_spmv",
     "max_weight_perfect_matching",
     "resolve_policy",
-    "run_cell",
     "run_grid",
-    "run_replicated",
-    "run_single",
     "__version__",
 }
 
@@ -97,10 +94,7 @@ ENGINE_API = {
     "TimeModel",
     "TimeParams",
     "code_version",
-    "run_cell",
     "run_grid",
-    "run_replicated",
-    "run_single",
     "summarize",
 }
 
@@ -110,7 +104,7 @@ PLACEMENT_API = {"PlacementPolicy", "canonical_policies", "resolve_policy"}
 
 class TestTopLevel:
     def test_version(self):
-        assert repro.__version__ == "7.0.0"
+        assert repro.__version__ == "8.0.0"
 
     def test_api_surface_snapshot(self):
         assert set(repro.__all__) == TOP_LEVEL_API
@@ -159,7 +153,7 @@ class TestDeprecationShims:
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
             from repro.engine.cache import ResultCache, code_version  # noqa: F401
-            from repro.engine.gridrunner import run_cell, run_grid  # noqa: F401
+            from repro.engine.gridrunner import run_grid  # noqa: F401
 
 
 class TestMesiState:

@@ -89,7 +89,7 @@ class TestMain:
             tmp_path,
             {
                 "engine/settings.py": "import os\n",
-                "serve/server.py": "import os\nport = os.getenv('REPRO_SERVE_PORT')\n",
+                "serve/server.py": "import os\nport = os.getenv('REPRO_PORT')\n",
             },
         )
         assert check_env_reads.main([str(root)]) == 1

@@ -23,7 +23,6 @@ from pathlib import Path
 import pytest
 
 from repro.engine.gridrunner import run_grid
-from repro.engine.runner import run_replicated
 from repro.engine.settings import RunSettings
 from repro.engine.simulator import EngineConfig
 from repro.errors import GridExecutionError
@@ -140,16 +139,6 @@ def test_failed_cells_are_recorded_and_get_a_fresh_budget(tmp_path):
     assert list(cache.glob("*/*.pkl")) == []
     second = run_grid([cell], ["os"], 1, base_seed=7, config=CFG, cache=cache)
     assert second.ok and (second.cache_hits, second.cache_misses) == (0, 1)
-
-
-def test_run_replicated_raises_when_every_rep_fails():
-    """Regression: a parallel run_replicated whose repetitions all failed
-    raised a bare StopIteration instead of naming the failed cells."""
-    with pytest.raises(GridExecutionError) as exc:
-        run_replicated(_broken_workload, "os", reps=2, config=CFG, workers=2)
-    assert {(f.rep, f.kind) for f in exc.value.failures} == {(0, "error"), (1, "error")}
-    assert "_broken_workload/os/rep0" in str(exc.value)
-    assert "_broken_workload/os/rep1" in str(exc.value)
 
 
 def test_grid_reliability_events_reach_the_report(tmp_path):

@@ -15,10 +15,9 @@ from repro.engine.gridrunner import (
     _cell_key,
     _factory_token,
     _resolve_spec,
-    run_cell,
     run_grid,
 )
-from repro.engine.runner import normalized_to, run_replicated
+from repro.engine.runner import normalized_to
 from repro.engine.settings import RunSettings
 from repro.engine.simulator import EngineConfig
 from repro.errors import ConfigurationError
@@ -77,21 +76,22 @@ def test_lambda_factories_bypass_cache_instead_of_colliding(tmp_path):
     """Two distinct same-module lambdas must never share a cache entry.
 
     Before the fix both mapped to ("fn", module, "<lambda>") and the second
-    run_cell silently returned the first one's SimulationResult; now the
+    grid silently returned the first one's SimulationResult; now the
     cache is bypassed (with a warning) and each factory gets its own run.
     """
     with pytest.warns(UserWarning, match="stable import path"):
-        r1, cached1 = run_cell(
-            ("wl-a", lambda: make_npb("CG")), "os", 0,
+        first = run_grid(
+            [("wl-a", lambda: make_npb("CG"))], ["os"], 1,
             base_seed=5, config=CFG, cache=tmp_path,
         )
     with pytest.warns(UserWarning, match="stable import path"):
-        r2, cached2 = run_cell(
-            ("wl-b", lambda: make_npb("FT")), "os", 0,
+        second = run_grid(
+            [("wl-b", lambda: make_npb("FT"))], ["os"], 1,
             base_seed=5, config=CFG, cache=tmp_path,
         )
-    assert (cached1, cached2) == (False, False)
-    assert r1.workload != r2.workload  # no cross-served result
+    assert (first.cache_hits, second.cache_hits) == (0, 0)
+    # no cross-served result
+    assert first.cell("wl-a", "os").workload != second.cell("wl-b", "os").workload
     # nothing was stored under a colliding key either
     assert list(tmp_path.rglob("*.pkl")) == []
 
@@ -197,16 +197,16 @@ def test_result_cache_store_cleans_up_on_inprocess_failure(tmp_path):
 # ---------------------------------------------------------------------------
 def test_run_grid_parallel_matches_serial_runner(tmp_path):
     """Pool scheduling must not change results: byte-identical to serial."""
-    serial = {
-        p: run_replicated(partial(make_npb, "CG"), p, reps=2, base_seed=11, config=CFG)
-        for p in ("os", "spcd")
-    }
+    serial = run_grid(
+        ["CG"], ["os", "spcd"], 2, base_seed=11, config=CFG, workers=1
+    )
     grid = run_grid(
         ["CG"], ["os", "spcd"], 2,
         base_seed=11, config=CFG, workers=2, cache=tmp_path,
     )
     assert grid.cache_misses == 4 and grid.cache_hits == 0
-    for p, want in serial.items():
+    for p in ("os", "spcd"):
+        want = serial.cell("CG", p)
         got = grid.cell("CG", p)
         assert got.workload == want.workload and got.policy == want.policy
         assert pickle.dumps(got.metrics) == pickle.dumps(want.metrics)
@@ -229,13 +229,6 @@ def test_run_grid_second_invocation_fully_cached(tmp_path):
     assert third.cache_misses == 2
 
 
-def test_run_cell_reports_cache_state(tmp_path):
-    r1, cached1 = run_cell("CG", "os", 0, base_seed=5, config=CFG, cache=tmp_path)
-    r2, cached2 = run_cell("CG", "os", 0, base_seed=5, config=CFG, cache=tmp_path)
-    assert (cached1, cached2) == (False, True)
-    assert pickle.dumps(r1.stats) == pickle.dumps(r2.stats)
-
-
 def test_placement_walk_is_in_the_cache_key(tmp_path):
     """A walk-on run misses a cache that holds the walk-off result.
 
@@ -245,23 +238,28 @@ def test_placement_walk_is_in_the_cache_key(tmp_path):
     cache = ResultCache(tmp_path)
     walk_off = EngineConfig(steps=20, batch_size=128)
     walk_on = dataclasses.replace(walk_off, placement_walk=True)
-    off, off_cached = run_cell("CG", "spcd", config=walk_off, cache=cache)
-    on, on_cached = run_cell("CG", "spcd", config=walk_on, cache=cache)
-    assert (off_cached, on_cached) == (False, False)
-    uncached, _ = run_cell("CG", "spcd", config=walk_on, settings=RunSettings())
-    assert on.exec_time_s == uncached.exec_time_s
-    assert on.exec_time_s != off.exec_time_s
+
+    def exec_time(grid):
+        return grid.cell("CG", "spcd").mean("exec_time_s")
+
+    off = run_grid(["CG"], ["spcd"], 1, config=walk_off, cache=cache)
+    on = run_grid(["CG"], ["spcd"], 1, config=walk_on, cache=cache)
+    assert (off.cache_hits, on.cache_hits) == (0, 0)
+    uncached = run_grid(["CG"], ["spcd"], 1, config=walk_on, settings=RunSettings())
+    assert exec_time(on) == exec_time(uncached)
+    assert exec_time(on) != exec_time(off)
 
 
 def test_same_named_policy_variant_misses_the_cache(tmp_path):
     """A variant that keeps a canonical name must not be served that
     policy's cached result (the key once hashed only the name)."""
     variant = dataclasses.replace(resolve_policy("spcd"), maps_data=True)
-    plain, plain_cached = run_cell("SP", "spcd", 0, config=CFG, cache=tmp_path)
-    mine, mine_cached = run_cell("SP", variant, 0, config=CFG, cache=tmp_path)
-    assert (plain_cached, mine_cached) == (False, False)
-    again, again_cached = run_cell("SP", variant, 0, config=CFG, cache=tmp_path)
-    assert again_cached and again.exec_time_s == mine.exec_time_s
+    plain = run_grid(["SP"], ["spcd"], 1, config=CFG, cache=tmp_path)
+    mine = run_grid(["SP"], [variant], 1, config=CFG, cache=tmp_path)
+    assert (plain.cache_hits, mine.cache_hits) == (0, 0)
+    again = run_grid(["SP"], [variant], 1, config=CFG, cache=tmp_path)
+    assert again.cache_hits == 1
+    assert again.cell("SP", "spcd").metrics == mine.cell("SP", "spcd").metrics
 
 
 def test_run_grid_rejects_duplicate_policy_names():
@@ -278,16 +276,6 @@ def test_run_grid_rejects_duplicate_workload_names():
             ["CG", ("CG", partial(make_npb, "FT"))], ["os"], 1,
             config=CFG, settings=RunSettings(),
         )
-
-
-def test_run_replicated_workers_kwarg_is_equivalent(tmp_path):
-    plain = run_replicated(partial(make_npb, "IS"), "spcd", reps=2, base_seed=9, config=CFG)
-    pooled = run_replicated(
-        partial(make_npb, "IS"), "spcd", reps=2, base_seed=9, config=CFG,
-        workers=2, cache=tmp_path,
-    )
-    assert pickle.dumps(pooled.metrics) == pickle.dumps(plain.metrics)
-    assert pooled.workload == plain.workload and pooled.policy == plain.policy
 
 
 def test_run_grid_validates_inputs():

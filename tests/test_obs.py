@@ -4,10 +4,8 @@ from __future__ import annotations
 
 import json
 import os
-from functools import partial
 
-from repro.engine.gridrunner import run_cell, run_grid
-from repro.engine.runner import run_replicated, run_single
+from repro.engine.gridrunner import run_grid
 from repro.engine.simulator import EngineConfig, Simulator
 from repro.obs.events import RunStart, event_types
 from repro.obs.recorder import (
@@ -190,7 +188,7 @@ def test_perf_counters_fold_into_run_end(tmp_path):
 
 def test_env_var_enables_tracing(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_TRACE", str(tmp_path))
-    result = run_single(partial(make_npb, "CG"), "os", seed=2, config=CFG)
+    result = Simulator(make_npb("CG"), "os", seed=2, config=CFG).run()
     files = list(tmp_path.glob("run-*.jsonl"))
     assert len(files) == 1
     (report,) = report_paths(files)
@@ -241,45 +239,47 @@ def test_run_grid_writes_per_cell_traces(tmp_path, monkeypatch):
     assert [p for p in trace_dir.glob("*.jsonl") if not p.name.startswith("grid-")] == []
 
 
-def test_run_cell_trace_kwarg(tmp_path):
-    result, cached = run_cell(
-        "CG", "spcd", 1, base_seed=5, config=CFG, trace=tmp_path
+def test_run_grid_trace_kwarg(tmp_path):
+    grid = run_grid(
+        ["CG"], ["spcd"], 1, base_seed=5, config=CFG, trace=tmp_path, keep_runs=True
     )
-    assert not cached
-    (report,) = report_paths([tmp_path / "CG-spcd-rep1.jsonl"])
+    (result,) = grid.cell("CG", "spcd").runs
+    (report,) = report_paths([tmp_path / "CG-spcd-rep0.jsonl"])
     assert report.errors == []
     assert report.migrations == result.migrations
     assert report.detection_pct == result.detection_pct
 
 
-def test_run_replicated_writes_one_trace_per_rep(tmp_path):
-    """Regression: a serial run_replicated given a ``.jsonl`` trace wrote
+def test_serial_grid_writes_one_trace_per_rep(tmp_path):
+    """Regression: a serial replicated run given a ``.jsonl`` trace wrote
     every repetition to that one file, each overwriting the last."""
-    run_replicated(
-        partial(make_npb, "CG"), "os", reps=3, base_seed=5,
+    run_grid(
+        ["CG"], ["os"], 3, base_seed=5,
         config=EngineConfig(steps=10, batch_size=64), trace=tmp_path / "t.jsonl",
         workers=1,
     )
     cell_files = sorted(
         p for p in tmp_path.glob("t-*.jsonl") if not p.name.startswith("t-grid-")
     )
-    assert [p.name for p in cell_files] == [
-        f"t-make_npb-CG-os-rep{rep}.jsonl" for rep in range(3)
-    ]
+    assert [p.name for p in cell_files] == [f"t-CG-os-rep{rep}.jsonl" for rep in range(3)]
     reports = report_paths(cell_files)
     assert [r.seed for r in reports] == [derive_seed(5, "rep", rep, "os") for rep in range(3)]
 
 
+def _cell_traces(directory):
+    return [p for p in directory.glob("*.jsonl") if not p.name.startswith("grid-")]
+
+
 def test_trace_config_is_excluded_from_cache_keys(tmp_path):
     cache_dir = tmp_path / "cache"
-    r1, cached1 = run_cell("CG", "os", 0, base_seed=5, config=CFG,
-                           cache=cache_dir, trace=tmp_path / "a")
-    r2, cached2 = run_cell("CG", "os", 0, base_seed=5, config=CFG,
-                           cache=cache_dir, trace=tmp_path / "b")
-    assert (cached1, cached2) == (False, True)
-    # the cached hit did not re-run, so no second trace was written
-    assert list((tmp_path / "a").glob("*.jsonl")) != []
-    assert not (tmp_path / "b").exists()
+    first = run_grid(["CG"], ["os"], 1, base_seed=5, config=CFG,
+                     cache=cache_dir, trace=tmp_path / "a")
+    second = run_grid(["CG"], ["os"], 1, base_seed=5, config=CFG,
+                      cache=cache_dir, trace=tmp_path / "b")
+    assert (first.cache_hits, second.cache_hits) == (0, 1)
+    # the cached hit did not re-run, so no second cell trace was written
+    assert _cell_traces(tmp_path / "a") != []
+    assert _cell_traces(tmp_path / "b") == []
 
 
 # ---------------------------------------------------------------------------

@@ -42,6 +42,22 @@ BAD_HELLO_CONFIGS = {
     "greedy-removed": ({"use_greedy_matching": False}, ProtocolError),
 }
 
+#: ``ServeConfig`` values that would start a daemon refusing every tenant
+#: (or unable to bind); each constructed without error before the
+#: dataclass checked its own fields
+BAD_SERVE_CONFIGS = {
+    "port": {"port": 70000},
+    "metrics-port": {"metrics_port": -1},
+    "max-sessions": {"max_sessions": 0},
+    "max-table-mb": {"max_table_mb": -1.0},
+    "max-table-mb-nan": {"max_table_mb": float("nan")},
+    "shards": {"shards": 0},
+    "eval-every": {"eval_every_events": 0},
+    "credit-window": {"credit_window": 0},
+    "drain-grace": {"drain_grace_s": -5.0},
+    "drain-grace-nan": {"drain_grace_s": float("nan")},
+}
+
 #: HELLO ``n_threads`` values that are not a 64-bit integer: each once
 #: escaped admission as an exception (Infinity), was admitted as a string
 #: ("16") or truncated (8.9), or was read as the integer 1 (true)
@@ -270,6 +286,33 @@ class TestSessionConfig:
         small = SessionConfig(n_threads=4, table_size=1000)
         large = SessionConfig(n_threads=4, table_size=100000)
         assert large.memory_bytes() > small.memory_bytes()
+
+
+class TestServeConfig:
+    @pytest.mark.parametrize(
+        "fields", BAD_SERVE_CONFIGS.values(), ids=BAD_SERVE_CONFIGS.keys()
+    )
+    def test_rejects_out_of_range_fields(self, fields):
+        from repro.serve import ServeConfig
+
+        (name,) = fields
+        with pytest.raises(ConfigurationError, match=name):
+            ServeConfig(**fields)
+
+    def test_cli_exits_2_on_a_rejected_value(self, monkeypatch, capsys):
+        """``--credits 0`` once started a daemon whose every EVENTS frame
+        overran the window."""
+        from repro.serve import __main__ as cli
+
+        def serve(coro):
+            coro.close()
+            raise AssertionError("the daemon started")
+
+        monkeypatch.setattr(cli.asyncio, "run", serve)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["--credits", "0"])
+        assert exc.value.code == 2
+        assert "credit_window must be >= 1" in capsys.readouterr().err
 
 
 class TestAdmission:

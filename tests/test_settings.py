@@ -9,18 +9,19 @@ from pathlib import Path
 import pytest
 
 from repro.engine import settings as settings_module
+from repro.engine.gridrunner import run_grid
 from repro.engine.settings import (
     ENV_GRID_STRICT,
     ENV_GRID_WORKERS,
     ENV_RESULT_CACHE,
-    ENV_SERVE_EVAL_EVERY,
-    ENV_SERVE_MAX_TABLE_MB,
-    ENV_SERVE_PORT,
     ENV_TRACE,
     RunSettings,
     available_cpus,
+    trace_from_env,
 )
+from repro.engine.simulator import EngineConfig, Simulator
 from repro.errors import ConfigurationError
+from repro.workloads.npb import make_npb
 
 
 def test_defaults_from_empty_environment():
@@ -29,7 +30,6 @@ def test_defaults_from_empty_environment():
     assert s.workers == 1
     assert s.cache_dir is None and s.trace is None
     assert not s.strict
-    assert s.serve_max_table_mb == 64.0
 
 
 def test_from_env_round_trip():
@@ -38,25 +38,20 @@ def test_from_env_round_trip():
         ENV_RESULT_CACHE: "/tmp/cache",
         ENV_TRACE: "/tmp/trace",
         ENV_GRID_STRICT: "true",
-        ENV_SERVE_MAX_TABLE_MB: "12.5",
-        ENV_SERVE_EVAL_EVERY: "4",
     }
     s = RunSettings.from_env(env)
-    assert s.workers == 1
-    assert s.cache_dir == "/tmp/cache"
-    assert s.trace == "/tmp/trace"
-    assert s.strict
-    assert s.serve_max_table_mb == 12.5
-    assert s.serve_eval_every == 4
-    # the dict view round-trips into an equal instance
-    assert RunSettings(**s.as_dict()) == s
+    assert s == RunSettings(
+        workers=1, cache_dir="/tmp/cache", trace="/tmp/trace", strict=True
+    )
+    assert trace_from_env(env) == "/tmp/trace"
+    assert trace_from_env({ENV_TRACE: "  "}) is None
 
 
 def test_from_env_reads_the_process_environment(monkeypatch):
-    monkeypatch.setenv(ENV_SERVE_EVAL_EVERY, "7")
+    monkeypatch.setenv(ENV_RESULT_CACHE, "/tmp/c7")
     monkeypatch.setenv(ENV_GRID_STRICT, "1")
     s = RunSettings.from_env()
-    assert s.serve_eval_every == 7 and s.strict
+    assert s.cache_dir == "/tmp/c7" and s.strict
 
 
 def test_env_workers_is_capped_at_available_cpus():
@@ -72,9 +67,9 @@ def test_env_workers_is_capped_at_available_cpus():
         {ENV_GRID_WORKERS: "three"},
         {ENV_GRID_STRICT: "maybe"},
         {ENV_GRID_STRICT: "2"},
-        {ENV_SERVE_MAX_TABLE_MB: "0"},
-        {ENV_SERVE_MAX_TABLE_MB: "-5"},
-        {ENV_SERVE_PORT: "70000"},
+        {ENV_GRID_WORKERS: "1.5"},
+        {ENV_GRID_WORKERS: "2 workers"},
+        {ENV_GRID_STRICT: "-1"},
         {ENV_GRID_STRICT: "kinda"},
     ],
 )
@@ -92,7 +87,7 @@ def test_constructor_validation():
     with pytest.raises(ConfigurationError):
         RunSettings(workers=0)
     with pytest.raises(ConfigurationError):
-        RunSettings(serve_max_table_mb=0)
+        RunSettings(workers=-3)
 
 
 def test_settings_are_frozen():
@@ -102,12 +97,12 @@ def test_settings_are_frozen():
 
 
 def test_with_overrides_semantics():
-    base = RunSettings(workers=2, serve_eval_every=100)
+    base = RunSettings(workers=2, cache_dir="/tmp/c")
     # None keeps the existing value; values replace it
     assert base.with_overrides(workers=None) is base
     derived = base.with_overrides(workers=4, strict=True)
     assert derived.workers == 4 and derived.strict
-    assert derived.serve_eval_every == 100  # untouched fields carry over
+    assert derived.cache_dir == "/tmp/c"  # untouched fields carry over
     assert base.workers == 2  # the original is untouched (frozen)
     with pytest.raises(ConfigurationError, match="unknown RunSettings"):
         base.with_overrides(warp_speed=9)
@@ -138,6 +133,44 @@ def test_readme_env_table_matches_run_settings():
         for name in settings_module.__all__
         if name.startswith("ENV_")
     }
+    assert len(rows) == 4
     assert len(env_names) == len(set(env_names))
     assert set(env_names) == exported
     assert sorted(field_names) == sorted(f.name for f in dataclasses.fields(RunSettings))
+
+
+# ---------------------------------------------------------------------------
+# a variable a program does not read cannot stop it
+# ---------------------------------------------------------------------------
+TINY = EngineConfig(steps=2, batch_size=64)
+
+
+@pytest.mark.parametrize(
+    "name, value",
+    [
+        ("REPRO_SERVE_PORT", "abc"),
+        ("REPRO_SERVE_MAX_SESSIONS", "0"),
+        (ENV_GRID_WORKERS, "three"),
+    ],
+)
+def test_a_simulator_reads_only_the_trace_variable(monkeypatch, name, value):
+    """A daemon or grid variable once made every Simulator raise while
+    parsing it."""
+    monkeypatch.setenv(name, value)
+    result = Simulator(make_npb("CG"), "os", config=TINY).run()
+    assert result.exec_time_s > 0
+
+
+@pytest.mark.parametrize(
+    "name, value", [("REPRO_SERVE_PORT", "abc"), ("REPRO_SERVE_MAX_SESSIONS", "0")]
+)
+def test_a_grid_ignores_daemon_variables(monkeypatch, name, value):
+    monkeypatch.setenv(name, value)
+    grid = run_grid(["CG"], ["os"], 1, config=TINY)
+    assert grid.ok and grid.cache_misses == 1
+
+
+def test_a_grid_still_rejects_a_bad_grid_variable(monkeypatch):
+    monkeypatch.setenv(ENV_GRID_WORKERS, "three")
+    with pytest.raises(ConfigurationError, match="bad REPRO_GRID_WORKERS"):
+        run_grid(["CG"], ["os"], 1, config=TINY)

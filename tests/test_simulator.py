@@ -3,12 +3,8 @@
 import pytest
 
 from repro.core.manager import SpcdConfig
-from repro.engine.runner import (
-    normalized_to,
-    run_replicated,
-    run_single,
-    summarize,
-)
+from repro.engine.gridrunner import run_grid
+from repro.engine.runner import normalized_to, summarize
 from repro.engine.simulator import EngineConfig, Simulator
 from repro.errors import ConfigurationError
 from repro.units import MSEC
@@ -149,26 +145,19 @@ class TestRunner:
         with pytest.raises(ConfigurationError):
             summarize([])
 
-    def test_run_single(self):
-        res = run_single(lambda: make_npb("BT"), "os", seed=1, config=FAST)
-        assert res.workload == "BT"
-
-    def test_run_replicated_collects_metrics(self):
-        rep = run_replicated(lambda: make_npb("BT"), "os", reps=2, config=FAST)
+    def test_grid_cell_collects_metrics(self):
+        rep = run_grid(["BT"], ["os"], 2, config=FAST).cell("BT", "os")
         assert rep.metrics["exec_time_s"].n == 2
-        assert rep.policy == "os"
+        assert rep.policy == "os" and rep.workload == "BT"
 
     def test_replications_differ(self):
-        rep = run_replicated(lambda: make_npb("BT"), "random", reps=2, config=FAST)
+        rep = run_grid(["BT"], ["random"], 2, config=FAST).cell("BT", "random")
         values = rep.metrics["exec_time_s"].values
         assert values[0] != values[1]
 
     def test_normalized_to_baseline(self):
-        results = {
-            "os": run_replicated(lambda: make_npb("BT"), "os", reps=1, config=FAST),
-            "random": run_replicated(lambda: make_npb("BT"), "random", reps=1, config=FAST),
-        }
-        norm = normalized_to(results, "exec_time_s")
+        grid = run_grid(["BT"], ["os", "random"], 1, config=FAST)
+        norm = normalized_to(grid.by_workload("BT"), "exec_time_s")
         assert norm["os"] == pytest.approx(1.0)
         assert norm["random"] > 0
 
@@ -178,7 +167,7 @@ class TestRunner:
 
     def test_rejects_zero_reps(self):
         with pytest.raises(ConfigurationError):
-            run_replicated(lambda: make_npb("BT"), "os", reps=0, config=FAST)
+            run_grid(["BT"], ["os"], 0, config=FAST)
 
 
 class TestProducerConsumerRun:
