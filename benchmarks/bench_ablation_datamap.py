@@ -15,10 +15,12 @@ from repro.engine.simulator import Simulator
 from repro.workloads.npb import make_npb
 
 POLICIES = {"spcd": "thread only", "spcd-combined": "thread+data"}
+STEPS = 250
+SEEDS = (21, 22)
 
 
 def run_one(policy: str, seed: int):
-    cfg = engine_config(steps=250, pretouch="parallel")
+    cfg = engine_config(steps=STEPS, pretouch="parallel")
     sim = Simulator(make_npb("SP"), policy, seed=seed, config=cfg)
     res = sim.run()
     data_mapper = sim.manager.data_mapper
@@ -31,8 +33,8 @@ def test_ablation_data_mapping(benchmark, results_dir):
         rows = []
         for policy, label in POLICIES.items():
             remote = local = time = moved_total = 0
-            reps = 2
-            for seed in (21, 22):
+            reps = len(SEEDS)
+            for seed in SEEDS:
                 res, moved = run_one(policy, seed)
                 remote += res.stats.dram_reads_remote / reps
                 local += res.stats.dram_reads_local / reps
@@ -51,6 +53,12 @@ def test_ablation_data_mapping(benchmark, results_dir):
         return rows
 
     rows = benchmark.pedantic(sweep, rounds=1, iterations=1)
+    thread_only, thread_data = rows
+    checks = [
+        (f"thread+data migrated {thread_data[4]} pages > 0", thread_data[4] > 0),
+        (f"thread+data remote reads {thread_data[2]} <= 1.05 x thread only "
+         f"{thread_only[2]}", thread_data[2] <= thread_only[2] * 1.05),
+    ]
     emit(
         results_dir,
         "ablation_datamap.txt",
@@ -59,7 +67,6 @@ def test_ablation_data_mapping(benchmark, results_dir):
             rows,
             title="Extension — SPCD data mapping (SP, parallel first-touch)",
         ),
+        checks=checks,
+        config=f"SP, steps={STEPS}, pretouch=parallel, seeds={','.join(map(str, SEEDS))}",
     )
-    thread_only, thread_data = rows
-    assert thread_data[4] > 0  # pages did migrate
-    assert thread_data[2] <= thread_only[2] * 1.05  # remote reads not worse

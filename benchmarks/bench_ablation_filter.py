@@ -14,10 +14,14 @@ from repro.engine.simulator import Simulator
 from repro.workloads.npb import make_npb
 
 
+STEPS = 200
+SEED = 9
+
+
 def run_one(bench: str, filter_enabled: bool):
     sim = Simulator(
-        make_npb(bench), "spcd", seed=9,
-        config=engine_config(steps=200),
+        make_npb(bench), "spcd", seed=SEED,
+        config=engine_config(steps=STEPS),
         spcd_config=SpcdConfig(filter_enabled=filter_enabled),
     )
     res = sim.run()
@@ -43,6 +47,15 @@ def test_ablation_communication_filter(benchmark, results_dir):
         return rows
 
     rows = benchmark.pedantic(sweep, rounds=1, iterations=1)
+    # the filter exists to cut mapper calls
+    by_key = {(r[0], r[1]): r for r in rows}
+    checks = []
+    for bench in ("SP", "FT"):
+        calls_on = by_key[(bench, "on")][2]
+        calls_off = by_key[(bench, "off")][2]
+        checks.append(
+            (f"{bench} mapper calls off {calls_off} > on {calls_on}", calls_off > calls_on)
+        )
     emit(
         results_dir,
         "ablation_filter.txt",
@@ -51,9 +64,6 @@ def test_ablation_communication_filter(benchmark, results_dir):
             rows,
             title="Ablation — communication filter",
         ),
+        checks=checks,
+        config=f"spcd, steps={STEPS}, seed={SEED}",
     )
-    by_key = {(r[0], r[1]): r for r in rows}
-    for bench in ("SP", "FT"):
-        calls_on = by_key[(bench, "on")][2]
-        calls_off = by_key[(bench, "off")][2]
-        assert calls_off > calls_on, bench

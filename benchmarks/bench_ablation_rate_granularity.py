@@ -16,10 +16,15 @@ from repro.units import KIB
 from repro.workloads.npb import make_npb
 
 
+STEPS = 150
+SEED = 9
+CONFIG = f"SP, spcd, steps={STEPS}, seed={SEED}"
+
+
 def run_one(spcd_config: SpcdConfig):
     sim = Simulator(
-        make_npb("SP"), "spcd", seed=9,
-        config=engine_config(steps=150), spcd_config=spcd_config,
+        make_npb("SP"), "spcd", seed=SEED,
+        config=engine_config(steps=STEPS), spcd_config=spcd_config,
     )
     res = sim.run()
     corr = res.detected_matrix.correlation(sim.workload.ground_truth())
@@ -41,6 +46,15 @@ def test_ablation_injection_rate(benchmark, results_dir):
         return rows
 
     rows = benchmark.pedantic(sweep, rounds=1, iterations=1)
+    # More injection -> more accuracy and more overhead (monotone trend on
+    # the steady rows).
+    first, last = rows[0], rows[3]
+    checks = [
+        (f"{last[0]} corr {last[1]} >= {first[0]} corr {first[1]}",
+         float(last[1]) >= float(first[1])),
+        (f"{last[0]} ovh {last[2]} >= {first[0]} ovh {first[2]}",
+         float(last[2][:-1]) >= float(first[2][:-1])),
+    ]
     emit(
         results_dir,
         "ablation_rate.txt",
@@ -49,13 +63,9 @@ def test_ablation_injection_rate(benchmark, results_dir):
             rows,
             title="Ablation — additional page-fault rate (SP)",
         ),
+        checks=checks,
+        config=CONFIG,
     )
-    # More injection -> more accuracy and more overhead (monotone trend on
-    # the steady rows).
-    corrs = [float(r[1]) for r in rows[:4]]
-    ovhs = [float(r[2][:-1]) for r in rows[:4]]
-    assert corrs[-1] >= corrs[0]
-    assert ovhs[-1] >= ovhs[0]
 
 
 def test_ablation_granularity(benchmark, results_dir):
@@ -67,6 +77,8 @@ def test_ablation_granularity(benchmark, results_dir):
         return rows
 
     rows = benchmark.pedantic(sweep, rounds=1, iterations=1)
+    # The 4 KiB page granularity the paper chose detects the chain well.
+    checks = [(f"4 KiB corr {rows[1][1]} > 0.8", float(rows[1][1]) > 0.8)]
     emit(
         results_dir,
         "ablation_granularity.txt",
@@ -75,6 +87,6 @@ def test_ablation_granularity(benchmark, results_dir):
             rows,
             title="Ablation — detection granularity (SP)",
         ),
+        checks=checks,
+        config=CONFIG,
     )
-    # The 4 KiB page granularity the paper chose detects the chain well.
-    assert float(rows[1][1]) > 0.8

@@ -5,7 +5,7 @@ policy (OS / random / oracle / SPCD), normalised to the OS baseline, with
 95% confidence intervals over the repetitions.
 """
 
-from conftest import BENCH_REPS, BENCH_SET, BENCH_STEPS, POLICIES, emit
+from conftest import BENCH_SET, POLICIES, emit
 
 from repro.analysis.report import format_figure_table, format_table
 
@@ -58,14 +58,4 @@ def test_fig8_execution_time(benchmark, suite, results_dir):
         ["bench"] + [p.upper() for p in POLICIES], ci_rows,
         title="absolute seconds (mean ± 95% CI)",
     )
-    # the checks run before the file is written, and the file says how
-    # it was produced and which of them held
-    checks = shape_checks(series)
-    text += (
-        f"\n\nconfiguration: steps={BENCH_STEPS}, reps={BENCH_REPS}, "
-        f"benchmarks={','.join(BENCH_SET)}\nshape checks:\n"
-        + "\n".join(f"  {'PASS' if held else 'FAIL'}  {check}" for check, held in checks)
-    )
-    emit(results_dir, "fig8_exec_time.txt", text)
-    failed = [check for check, held in checks if not held]
-    assert not failed, failed
+    emit(results_dir, "fig8_exec_time.txt", text, checks=shape_checks(series))

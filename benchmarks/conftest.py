@@ -180,8 +180,31 @@ def results_dir() -> Path:
     return RESULTS_DIR
 
 
-def emit(results_dir: Path, name: str, text: str) -> None:
-    """Print a figure table and persist it under benchmarks/results/."""
+def emit(
+    results_dir: Path,
+    name: str,
+    text: str,
+    checks: "list[tuple[str, bool]] | None" = None,
+    config: "str | None" = None,
+) -> None:
+    """Print a figure table and persist it under benchmarks/results/.
+
+    *checks* are the figure's shape checks as ``(check, held)`` pairs.  With
+    them the file also records how it was produced (*config*, by default
+    the harness' steps, repetitions and benchmark set) and each check's
+    outcome; the file is written first and the test then fails if any check
+    did not hold, so a committed result always says whether its shape held.
+    """
+    if checks is not None:
+        if config is None:
+            config = (
+                f"steps={BENCH_STEPS}, reps={BENCH_REPS}, benchmarks={','.join(BENCH_SET)}"
+            )
+        text += f"\n\nconfiguration: {config}\nshape checks:\n" + "\n".join(
+            f"  {'PASS' if held else 'FAIL'}  {check}" for check, held in checks
+        )
     print()
     print(text)
     (results_dir / name).write_text(text + "\n")
+    failed = [check for check, held in checks or () if not held]
+    assert not failed, failed

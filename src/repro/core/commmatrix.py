@@ -31,6 +31,8 @@ class CommunicationMatrix:
             data = np.asarray(data, dtype=np.float64)
             if data.shape != (n_threads, n_threads):
                 raise ConfigurationError(f"matrix shape {data.shape} != ({n_threads},)*2")
+            if not np.isfinite(data).all():
+                raise ConfigurationError("communication matrix must be finite")
             if not np.allclose(data, data.T):
                 raise ConfigurationError("communication matrix must be symmetric")
             self._m = data.copy()

@@ -191,7 +191,7 @@ class SpcdManager:
             hysteresis=cfg.filter_hysteresis,
             margin=cfg.filter_margin,
         )
-        self.mapper_algorithm = select_mapper_algorithm(n_threads, self.placement)
+        self.mapper_algorithm = select_mapper_algorithm(machine, self.placement)
         self.mapper = make_mapper(
             self.mapper_algorithm, machine, stickiness=cfg.mapper_stickiness
         )

@@ -9,7 +9,10 @@ heavily communicating threads land as close as the hierarchy allows.
 
 Thread counts that do not fill the machine are padded with zero-communication
 virtual threads; topologies whose per-level capacities are not powers of two
-fall back to a greedy affinity packing for that level.
+fall back to a greedy affinity packing for that level.  Because of the
+padding, every matching solved here is as large as the machine, so
+:func:`select_mapper_algorithm` keys the switch to the scalable
+hierarchical mapper on the machine's PU count.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from repro.errors import MappingError
 from repro.machine.topology import CommDistance, Machine
 
 __all__ = [
-    "AUTO_HIERARCHICAL_THREADS",
+    "AUTO_HIERARCHICAL_PUS",
     "HierarchicalMapper",
     "MAPPER_ALGORITHMS",
     "lay_out_socket_groups",
@@ -305,34 +308,36 @@ def mapping_comm_cost(
 #: ``"edmonds"`` is the paper's blossom-backed pairing hierarchy;
 #: ``"hierarchical"`` is the Schulz/Woydt-style recursive-bisection mapper
 #: from :mod:`repro.graphs.hiermap`, which trades exact matchings for
-#: near-linear decision latency at 128+ threads.
+#: near-linear decision latency on machines of 128+ PUs.
 MAPPER_ALGORITHMS = ("edmonds", "hierarchical")
 
-#: thread count from which :func:`select_mapper_algorithm` picks the
-#: hierarchical mapper when nothing names an engine: Edmonds matching is
-#: O(n^3) per grouping level, and every paper-scale run (and its digest)
-#: sits below this
-AUTO_HIERARCHICAL_THREADS = 128
+#: PU count from which :func:`select_mapper_algorithm` picks the
+#: hierarchical mapper when nothing names an engine.  The Edmonds mapper
+#: pads every matrix to the machine's PU count and its matching is O(n^3)
+#: per grouping level, so the machine, not the thread count, sets the
+#: size it solves; the paper's 32-PU machine (and every digest) sits
+#: below this
+AUTO_HIERARCHICAL_PUS = 128
 
 
-def select_mapper_algorithm(n_threads: int, policy: object = None) -> str:
-    """The registered mapping engine for decisions over *n_threads*.
+def select_mapper_algorithm(machine: Machine, policy: object = None) -> str:
+    """The registered mapping engine for decisions on *machine*.
 
     The *policy*'s ``mapper_algorithm`` attribute (the ``spcd-hier``
-    placement policy) names the engine; otherwise the thread-count
-    auto-switch at :data:`AUTO_HIERARCHICAL_THREADS` picks it — Edmonds
-    below it, so every paper-scale digest is untouched.  The simulator,
-    serve and the oracle all select their mapper here.
+    placement policy) names the engine; otherwise the PU-count auto-switch
+    at :data:`AUTO_HIERARCHICAL_PUS` picks it — Edmonds below it, so every
+    paper-scale digest is untouched.  The simulator, serve and the oracle
+    all select their mapper here.
     """
     named = getattr(policy, "mapper_algorithm", None)
     if named:
         return str(named)
-    if n_threads >= AUTO_HIERARCHICAL_THREADS:
+    if machine.n_pus >= AUTO_HIERARCHICAL_PUS:
         _log.info(
             "mapping: auto-selected the hierarchical mapper "
-            "(n_threads=%d >= %d); Edmonds matching would be O(n^3) here",
-            n_threads,
-            AUTO_HIERARCHICAL_THREADS,
+            "(n_pus=%d >= %d); Edmonds matching would be O(n^3) here",
+            machine.n_pus,
+            AUTO_HIERARCHICAL_PUS,
         )
         return "hierarchical"
     return "edmonds"

@@ -17,8 +17,8 @@ subsystem grows the reproduction toward the ROADMAP's irregular regime:
   Schulz/Woydt-style shared-memory hierarchical process mapping by
   recursive bisection + local search over the machine's topology tree,
   registered beside the Edmonds blossom engine
-  (:func:`repro.core.mapping.select_mapper_algorithm` auto-selects it at
-  scale).
+  (:func:`repro.core.mapping.select_mapper_algorithm` auto-selects it on
+  machines of 128 or more PUs).
 """
 
 from repro.graphs.graph import (

@@ -1,8 +1,9 @@
 """Scalable hierarchical process mapping (Schulz/Woydt-style).
 
 The paper's mapper pairs threads by Edmonds maximum-weight perfect matching
-— exact, but O(n^3) per grouping level: the recorded worst case is 2.2 s
-for one 512-thread decision, hopeless at the ROADMAP's 1024-thread target.
+— exact, but O(n^3) per grouping level over a matrix padded to the
+machine's PU count: one decision on a 512-PU machine takes seconds
+(``benchmarks/results/BENCH_mapping.json``), hopeless at 1024 PUs.
 :class:`ScalableHierarchicalMapper` replaces the matching with the
 shared-memory hierarchical *partitioning* approach of Schulz & Woydt
 (PAPERS.md): recursively bisect the communication graph down the machine's
@@ -47,7 +48,7 @@ class ScalableHierarchicalMapper:
     """Thread -> PU mapping by recursive bisection over the topology tree.
 
     Drop-in alternative to :class:`repro.core.mapping.HierarchicalMapper`
-    for large thread counts; constructed via
+    for machines of 128 or more PUs; constructed via
     :func:`repro.core.mapping.make_mapper` with ``algorithm="hierarchical"``.
     """
 
@@ -78,7 +79,7 @@ class ScalableHierarchicalMapper:
         Same contract as :meth:`HierarchicalMapper.map`: threads that do not
         fill the machine are padded with zero-communication virtual slots,
         and *current* breaks placement-equivalence ties toward the existing
-        placement.
+        placement.  Like the Edmonds mapper, it refuses a non-finite cell.
         """
         self.calls += 1
         machine = self.machine
@@ -88,6 +89,8 @@ class ScalableHierarchicalMapper:
         else:
             matrix = np.asarray(matrix, dtype=float)
             n_threads = matrix.shape[0]
+            if not np.isfinite(matrix).all():
+                raise MappingError("communication must be finite")
         if n_threads > n_pus:
             raise MappingError(f"{n_threads} threads exceed the machine's {n_pus} PUs")
         adj = self._adjacency(matrix, n_pus)

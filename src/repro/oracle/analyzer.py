@@ -8,7 +8,7 @@ to the best mapping.  Here the oracle can draw on two equivalent sources:
   what an infinite trace would converge to), or
 * an actual captured trace, analysed page by page.
 
-Both feed the mapper SPCD itself would select for the thread count
+Both feed the mapper SPCD itself would select for the machine
 (:func:`repro.core.mapping.select_mapper_algorithm`), so the comparison
 isolates *detection quality*, exactly as in the paper.
 """
@@ -67,5 +67,5 @@ def oracle_mapping(
         matrix = matrix_from_trace(trace, workload.n_threads)
     else:
         matrix = matrix_from_ground_truth(workload)
-    mapper = make_mapper(select_mapper_algorithm(workload.n_threads), machine)
+    mapper = make_mapper(select_mapper_algorithm(machine), machine)
     return mapper.map(matrix)

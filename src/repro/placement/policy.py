@@ -24,9 +24,9 @@ name                      threads  data    replica  start
 
 The policy is the only way to choose a placement mechanism or a mapping
 engine.  ``spcd-hier`` is ``spcd`` with the scalable hierarchical mapper
-(:mod:`repro.graphs.hiermap`) forced regardless of thread count;
-``mapper_algorithm=None`` leaves the engine to the thread-count
-auto-switch of :func:`repro.core.mapping.select_mapper_algorithm`.  A
+(:mod:`repro.graphs.hiermap`) forced regardless of machine size;
+``mapper_algorithm=None`` leaves the engine to the PU-count auto-switch
+of :func:`repro.core.mapping.select_mapper_algorithm`.  A
 variant is one :func:`dataclasses.replace` away::
 
     variant = dataclasses.replace(resolve_policy("spcd"), name="spcd+data",
@@ -69,7 +69,7 @@ class PlacementPolicy:
             replicas (Mitosis).
         mapper_algorithm: registered mapping engine
             (:func:`repro.core.mapping.make_mapper`); ``None`` leaves it to
-            the thread-count auto-switch.
+            the PU-count auto-switch.
     """
 
     name: str

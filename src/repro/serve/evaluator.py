@@ -131,7 +131,7 @@ class MappingEvaluator:
             margin=cfg.filter_margin,
         )
         self.mapper = make_mapper(
-            select_mapper_algorithm(cfg.n_threads),
+            select_mapper_algorithm(machine),
             machine,
             stickiness=cfg.mapper_stickiness,
         )

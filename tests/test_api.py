@@ -104,7 +104,7 @@ PLACEMENT_API = {"PlacementPolicy", "canonical_policies", "resolve_policy"}
 
 class TestTopLevel:
     def test_version(self):
-        assert repro.__version__ == "8.0.0"
+        assert repro.__version__ == "9.0.0"
 
     def test_api_surface_snapshot(self):
         assert set(repro.__all__) == TOP_LEVEL_API

@@ -29,6 +29,13 @@ class TestBasics:
         with pytest.raises(ConfigurationError):
             CommunicationMatrix(2, np.array([[0, 1], [2, 0]]))
 
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_init_from_data_requires_finite_cells(self, bad):
+        data = np.ones((8, 8))
+        data[0, 1] = data[1, 0] = bad
+        with pytest.raises(ConfigurationError, match="finite"):
+            CommunicationMatrix(8, data)
+
     def test_init_zeroes_diagonal(self):
         m = CommunicationMatrix(2, np.array([[7.0, 1.0], [1.0, 7.0]]))
         assert m.matrix[0, 0] == 0
@@ -135,6 +142,12 @@ class TestSerialisation:
         path = tmp_path / "bad.csv"
         path.write_text("1,2,3\n4,5,6\n")
         with pytest.raises(ConfigurationError):
+            CommunicationMatrix.from_csv(str(path))
+
+    def test_from_csv_rejects_infinite_cell(self, tmp_path):
+        path = tmp_path / "inf.csv"
+        path.write_text("0,inf\ninf,0\n")
+        with pytest.raises(ConfigurationError, match="finite"):
             CommunicationMatrix.from_csv(str(path))
 
 

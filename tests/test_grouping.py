@@ -8,6 +8,11 @@ from repro.errors import MappingError
 from repro.workloads.patterns import chain_pattern, neighbor_pairs_pattern
 
 
+def _random_symmetric_int(rng, n, hi):
+    m = np.triu(rng.integers(0, hi, size=(n, n)).astype(float), 1)
+    return m + m.T
+
+
 class TestGroupMatrix:
     def test_eq1_for_pairs(self):
         """H[(x,y),(z,k)] = M[x,z] + M[x,k] + M[y,z] + M[y,k]."""
@@ -35,6 +40,29 @@ class TestGroupMatrix:
     def test_rejects_out_of_range(self):
         with pytest.raises(MappingError):
             group_matrix(np.zeros((4, 4)), [(0, 9)])
+
+    def test_fold_matches_indicator_product(self):
+        """Equal-size gather-fold equals the indicator matmul exactly on ints."""
+        rng = np.random.default_rng(11)
+        for n, size in ((16, 2), (32, 4), (64, 8)):
+            comm = _random_symmetric_int(rng, n, 100)
+            perm = rng.permutation(n)
+            groups = [tuple(perm[i: i + size].tolist()) for i in range(0, n, size)]
+            fast = group_matrix(comm, groups)
+            g = len(groups)
+            indicator = np.zeros((g, n))
+            for a, members in enumerate(groups):
+                indicator[a, list(members)] = 1.0
+            ref = indicator @ comm @ indicator.T
+            np.fill_diagonal(ref, 0.0)
+            assert np.array_equal(fast, ref)
+
+    def test_validates_members(self):
+        comm = np.zeros((4, 4))
+        with pytest.raises(MappingError):
+            group_matrix(comm, [(0, 1), (2, 9)])
+        with pytest.raises(MappingError):
+            group_matrix(comm, [(0, 1), (1, 2)])
 
 
 class TestPairGroups:
@@ -92,3 +120,14 @@ class TestBuildHierarchy:
     def test_rejects_shrinking(self):
         with pytest.raises(MappingError):
             build_hierarchy(chain_pattern(4), 1, start=[(0, 1), (2, 3)])
+
+    def test_pairing_tree_encoding(self):
+        """Pairing rounds produce the documented pairing-tree encoding."""
+        rng = np.random.default_rng(2)
+        n = 16
+        comm = _random_symmetric_int(rng, n, 30)
+        groups = build_hierarchy(comm, 4)
+        assert len(groups) == 4 and all(len(g) == 4 for g in groups)
+        assert sorted(t for g in groups for t in g) == list(range(n))
+        # one round of pairing halves the group count
+        assert len(pair_groups(comm, groups)) == 2

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from repro.core.mapping import (
-    AUTO_HIERARCHICAL_THREADS,
+    AUTO_HIERARCHICAL_PUS,
     MAPPER_ALGORITHMS,
     HierarchicalMapper,
     make_mapper,
@@ -20,7 +20,7 @@ from repro.core.mapping import (
 from repro.engine.simulator import EngineConfig, Simulator
 from repro.errors import MappingError
 from repro.graphs.hiermap import ScalableHierarchicalMapper
-from repro.machine.topology import CommDistance, build_machine
+from repro.machine.topology import CommDistance, build_machine, dual_xeon_e5_2650
 from repro.workloads.npb import NPB_SPECS, make_npb
 from repro.workloads.patterns import (
     chain_pattern,
@@ -73,6 +73,21 @@ class TestQuality:
         )
         assert cost_h <= 1.10 * cost_e + 1e-9
 
+    @pytest.mark.parametrize("n", [32, 64])
+    def test_selected_mapper_matches_edmonds_on_the_smallest_switched_machine(self, n):
+        """The premise of keying the switch on PUs: on a 128-PU machine the
+        selected mapper costs at most 1% more than Edmonds on every NPB
+        ground truth, though the thread count is below the switch."""
+        machine = build_machine(2, 32, 2)
+        selected = make_mapper(select_mapper_algorithm(machine), machine)
+        assert isinstance(selected, ScalableHierarchicalMapper)
+        edmonds = HierarchicalMapper(machine)
+        for name in sorted(NPB_SPECS):
+            comm = make_npb(name, n).ground_truth().matrix
+            cost_s = mapping_comm_cost(comm, selected.map(comm), machine)
+            cost_e = mapping_comm_cost(comm, edmonds.map(comm), machine)
+            assert cost_s <= 1.01 * cost_e + 1e-9, (name, cost_s, cost_e)
+
     def test_pairs_land_on_smt_siblings(self, machine):
         mapping = ScalableHierarchicalMapper(machine).map(neighbor_pairs_pattern(32, 100))
         for k in range(16):
@@ -113,6 +128,13 @@ class TestContract:
     def test_too_many_threads_rejected(self, machine):
         with pytest.raises(MappingError):
             ScalableHierarchicalMapper(machine).map(np.zeros((33, 33)))
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_communication_rejected(self, machine, bad):
+        comm = np.ones((8, 8))
+        comm[0, 1] = comm[1, 0] = bad
+        with pytest.raises(MappingError, match="finite"):
+            ScalableHierarchicalMapper(machine).map(comm)
 
     def test_single_socket_machine(self, single_socket_machine):
         mapping = ScalableHierarchicalMapper(single_socket_machine).map(chain_pattern(4))
@@ -198,11 +220,13 @@ class TestSelection:
         assert isinstance(sim.manager.mapper, ScalableHierarchicalMapper)
 
     def test_auto_switch_at_threshold(self, caplog):
-        assert AUTO_HIERARCHICAL_THREADS == 128
+        """The machine's PU count, the size the Edmonds mapper pads every
+        matrix to, decides the engine."""
+        assert AUTO_HIERARCHICAL_PUS == 128
         with caplog.at_level("INFO", logger="repro.core.mapping"):
-            assert select_mapper_algorithm(127) == "edmonds"
+            assert select_mapper_algorithm(build_machine(2, 31, 2)) == "edmonds"  # 124
             assert not caplog.records
-            assert select_mapper_algorithm(128) == "hierarchical"
+            assert select_mapper_algorithm(build_machine(2, 32, 2)) == "hierarchical"
         assert any("auto-selected the hierarchical mapper" in r.message
                    for r in caplog.records)
 
@@ -211,17 +235,18 @@ class TestSelection:
         from repro.placement import resolve_policy
 
         hier = resolve_policy("spcd-hier")
-        assert select_mapper_algorithm(127, policy=hier) == "hierarchical"
+        assert select_mapper_algorithm(dual_xeon_e5_2650(), policy=hier) == "hierarchical"
         spcd = resolve_policy("spcd")
-        assert select_mapper_algorithm(127, policy=spcd) == "edmonds"
-        assert select_mapper_algorithm(128, policy=spcd) == "hierarchical"
+        assert select_mapper_algorithm(build_machine(2, 31, 2), policy=spcd) == "edmonds"
+        assert select_mapper_algorithm(build_machine(2, 32, 2), policy=spcd) == "hierarchical"
 
     @pytest.mark.parametrize(
-        "n, engine", [(32, HierarchicalMapper), (256, ScalableHierarchicalMapper)]
+        "n_pus, engine", [(32, HierarchicalMapper), (256, ScalableHierarchicalMapper)]
     )
-    def test_serve_and_oracle_decide_through_the_selector(self, n, engine, monkeypatch):
+    def test_serve_and_oracle_decide_through_the_selector(self, n_pus, engine, monkeypatch):
         """Serve's evaluator, ``oracle_mapping`` and the ``oracle`` policy map
-        with the engine the simulator's manager would select for *n*."""
+        32 threads with the engine the simulator's manager would select on a
+        machine of *n_pus* PUs."""
         from repro.oracle.analyzer import oracle_mapping
         from repro.placement import resolve_policy
         from repro.serve import SessionConfig
@@ -234,10 +259,11 @@ class TestSelection:
                 return _map(self, matrix, current=current)
 
             monkeypatch.setattr(cls, "map", spy)
-        machine = build_machine(4, 32, 2)  # 256 PUs
-        workload = make_npb("CG", n)
+        machine = dual_xeon_e5_2650() if n_pus == 32 else build_machine(4, 32, 2)
+        assert machine.n_pus == n_pus
+        workload = make_npb("CG", 32)
 
-        evaluator = MappingEvaluator(machine, SessionConfig(n_threads=n))
+        evaluator = MappingEvaluator(machine, SessionConfig(n_threads=32))
         verdict, _ = evaluator.decide(
             workload.ground_truth(), comm_events=1, events_seen=1, now_ns=0, force=True
         )

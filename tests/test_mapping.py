@@ -79,6 +79,14 @@ class TestPartialOccupancy:
         with pytest.raises(MappingError):
             HierarchicalMapper(machine).map(np.zeros((33, 33)))
 
+    def test_infinite_communication_rejected(self, machine):
+        """An infinite cell has no best pairing; the mapper refuses it
+        instead of splitting the pair across sockets."""
+        comm = np.ones((8, 8))
+        comm[0, 1] = comm[1, 0] = np.inf
+        with pytest.raises(MappingError, match="finite"):
+            HierarchicalMapper(machine).map(comm)
+
 
 class TestMachineShapes:
     def test_single_socket_no_smt(self, single_socket_machine):

@@ -10,8 +10,6 @@ import numpy as np
 import pytest
 
 from repro.core.matching import (
-    _ARRAY_MIN_VERTICES,
-    _blossom_reference,
     greedy_matching,
     matching_weight,
     max_weight_matching,
@@ -142,6 +140,11 @@ class TestPerfectMatchingApi:
         with pytest.raises(MatchingError):
             max_weight_perfect_matching(np.zeros((3, 3)))
 
+    @pytest.mark.parametrize("shape", [(), (4,), (4, 6)])
+    def test_rejects_non_square(self, shape):
+        with pytest.raises(MatchingError, match="square"):
+            max_weight_perfect_matching(np.zeros(shape))
+
     def test_rejects_asymmetric(self):
         w = np.zeros((4, 4))
         w[0, 1] = 5
@@ -183,13 +186,40 @@ class TestGreedy:
             greedy_matching(np.zeros((5, 5)))
 
 
-@pytest.mark.parametrize("n", [_ARRAY_MIN_VERTICES - 2, _ARRAY_MIN_VERTICES])
-def test_perfect_matching_agrees_on_both_sides_of_the_engine_cutover(n):
-    """Just below the cutover the reference engine runs, at it the array
-    engine does; both return the reference engine's pairs."""
-    rng = np.random.default_rng(n)
+def test_perfect_matching_at_112_vertices_covers_all_and_beats_greedy():
+    """A 112-vertex complete graph, near the largest padded matrix a
+    default Edmonds decision solves (below the 128-PU switch): every vertex
+    covered, at least greedy's weight."""
+    rng = np.random.default_rng(17)
+    n = 112
     m = np.triu(rng.integers(0, 50, size=(n, n)).astype(float), 1)
     m = m + m.T
-    edges = [(i, j, float(m[i, j])) for i in range(n) for j in range(i + 1, n)]
-    mate = _blossom_reference(edges, True)
-    assert max_weight_perfect_matching(m) == [(v, w) for v, w in enumerate(mate) if w > v]
+    pairs = max_weight_perfect_matching(m)
+    assert len(pairs) == n // 2
+    assert sorted(t for p in pairs for t in p) == list(range(n))
+    # optimal ≥ greedy (greedy is a 1/2-approximation)
+    assert matching_weight(m, pairs) >= matching_weight(m, greedy_matching(m))
+
+
+class TestNonFiniteWeights:
+    """A graph with an infinite or NaN weight has no maximum-weight
+    matching; both entry points refuse one before any other check."""
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_general_matching_refuses(self, bad):
+        with pytest.raises(MatchingError, match="weights must be finite"):
+            max_weight_matching([(0, 1, bad), (1, 2, 1.0), (2, 3, 1.0)])
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_perfect_matching_refuses(self, bad):
+        w = np.zeros((4, 4))
+        w[0, 1] = w[1, 0] = bad
+        with pytest.raises(MatchingError, match="weights must be finite"):
+            max_weight_perfect_matching(w)
+
+    def test_finiteness_is_checked_first(self):
+        """An odd, asymmetric matrix with a NaN names the NaN."""
+        w = np.zeros((3, 3))
+        w[0, 1] = np.nan
+        with pytest.raises(MatchingError, match="weights must be finite"):
+            max_weight_perfect_matching(w)
