@@ -25,16 +25,21 @@ def test_fig11_cache_to_cache(benchmark, suite, results_dir):
     text += "\n\n" + format_table(
         ["bench", "OS (abs)", "SPCD (abs)"], abs_rows, title="absolute transaction counts"
     )
-    emit(results_dir, "fig11_c2c.txt", text)
-
     # Shape: oracle cuts c2c hard for every chain benchmark — and harder
     # than it cuts execution time (the paper's Fig. 8 vs Fig. 11 contrast).
+    checks = []
     for bench in ("BT", "LU", "SP", "UA"):
         if bench in series:
-            assert series[bench]["oracle"] < 0.6, bench
-            time_series = suite.normalized_series("exec_time_s")
-            assert series[bench]["oracle"] < time_series[bench]["oracle"]
+            oracle = series[bench]["oracle"]
+            time_oracle = suite.normalized_series("exec_time_s")[bench]["oracle"]
+            checks.append((f"{bench} oracle {oracle:.3f} < 0.6", oracle < 0.6))
+            checks.append((
+                f"{bench} oracle {oracle:.3f} < its exec-time ratio {time_oracle:.3f}",
+                oracle < time_oracle,
+            ))
     # Homogeneous benchmarks see no oracle reduction.
     for bench in ("EP", "FT", "IS"):
         if bench in series:
-            assert series[bench]["oracle"] > 0.9, bench
+            oracle = series[bench]["oracle"]
+            checks.append((f"{bench} oracle {oracle:.3f} > 0.9", oracle > 0.9))
+    emit(results_dir, "fig11_c2c.txt", text, checks=checks)

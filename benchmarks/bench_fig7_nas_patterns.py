@@ -49,14 +49,23 @@ def test_fig7_nas_communication_patterns(benchmark, suite, results_dir):
             title="Pattern classification",
         )
     )
-    emit(results_dir, "fig7_nas_patterns.txt", "\n".join(lines))
-
-    # Shape checks: detected classes match the paper for the clear-cut cases.
+    # Shape checks: detected classes match the paper for the clear-cut
+    # cases, and chains are detected accurately.
     by_bench = {r[0]: r for r in rows}
+    checks = []
     for bench in ("BT", "LU", "SP", "UA", "MG"):
         if bench in by_bench:
-            assert by_bench[bench][4] == "heterogeneous", bench
-            assert by_bench[bench][2] > 0.8  # chains detected accurately
+            _, _, corr, cv, detected_class = by_bench[bench]
+            checks.append((
+                f"{bench} detected {detected_class} (CV {cv:.2f}) is heterogeneous",
+                detected_class == "heterogeneous",
+            ))
+            checks.append((f"{bench} corr vs truth {corr:.3f} > 0.8", corr > 0.8))
     for bench in ("FT", "IS", "EP"):
         if bench in by_bench:
-            assert by_bench[bench][4] == "homogeneous", bench
+            _, _, _, cv, detected_class = by_bench[bench]
+            checks.append((
+                f"{bench} detected {detected_class} (CV {cv:.2f}) is homogeneous",
+                detected_class == "homogeneous",
+            ))
+    emit(results_dir, "fig7_nas_patterns.txt", "\n".join(lines), checks=checks)

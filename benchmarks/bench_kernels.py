@@ -2,8 +2,9 @@
 
 Not a paper figure — these measure the simulator substrate itself so that
 regressions in the per-access and per-fault paths are caught: the MESI
-hierarchy's access path, the fault pipeline with the SPCD hook attached,
-the injector wake, the hierarchical mapper, and the communication filter.
+hierarchy's access path, stream generation, the fault pipeline with the SPCD
+hook attached, the injector wake, the hierarchical mapper, and the
+communication filter.
 """
 
 import json
@@ -23,7 +24,8 @@ from repro.machine.topology import build_machine, dual_xeon_e5_2650
 from repro.mem.addresspace import AddressSpace
 from repro.mem.fault import FaultPipeline
 from repro.mem.physmem import FrameAllocator
-from repro.units import PAGE_SIZE
+from repro.units import CACHE_LINE_SHIFT, PAGE_SHIFT, PAGE_SIZE
+from repro.workloads.npb import make_npb
 from repro.workloads.patterns import chain_pattern, mixed_pattern
 
 
@@ -32,20 +34,47 @@ def machine():
     return dual_xeon_e5_2650()
 
 
+def sp_workload():
+    """The Fig. 8 SP workload, set up in a fresh address space."""
+    workload = make_npb("SP")
+    workload.setup(AddressSpace(1 << 17))
+    return workload
+
+
 def test_bench_hierarchy_access_path(benchmark, machine):
-    """Throughput of the coherent-hierarchy access loop (per 10k accesses)."""
+    """The MESI loop as the engine runs it: one ``access_batch_pu`` per
+    256-access thread batch of an SP stream, thread t on PU t (four rounds
+    of the 32 threads, 32,768 accesses per call)."""
+    workload = sp_workload()
+    rngs = [np.random.default_rng(t) for t in range(workload.n_threads)]
+    batches = []
+    for _ in range(4):
+        for t in range(workload.n_threads):
+            batch = workload.generate(t, 256, 0, rngs[t])
+            vaddrs = batch.vaddrs
+            # pages are homed round-robin over the two NUMA nodes
+            homes = (vaddrs >> PAGE_SHIFT) & 1
+            batches.append((t, vaddrs >> CACHE_LINE_SHIFT, batch.is_write, homes))
     hier = CoherentHierarchy(machine)
-    rng = np.random.default_rng(0)
-    pus = rng.integers(0, machine.n_pus, 10_000).tolist()
-    lines = rng.integers(0, 4_000, 10_000).tolist()
-    writes = (rng.random(10_000) < 0.3).tolist()
-    homes = rng.integers(0, 2, 10_000).tolist()
 
     def run():
-        hier.access_batch(pus, lines, writes, homes)
+        for pu, lines, writes, homes in batches:
+            hier.access_batch_pu(pu, lines, writes, homes)
 
     benchmark(run)
     assert hier.check_invariants() == []
+
+
+def test_bench_npb_generate(benchmark):
+    """Stream generation: one 256-access SP batch for each of 32 threads."""
+    workload = sp_workload()
+    rngs = [np.random.default_rng(t) for t in range(workload.n_threads)]
+
+    def run():
+        for t in range(workload.n_threads):
+            workload.generate(t, 256, 0, rngs[t])
+
+    benchmark(run)
 
 
 def test_bench_fault_path_with_detector(benchmark, machine):

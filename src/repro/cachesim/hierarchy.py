@@ -28,6 +28,8 @@ Invariants (checked by :meth:`CoherentHierarchy.check_invariants`):
 
 from __future__ import annotations
 
+from itertools import groupby
+
 from repro.cachesim.cache import SetAssocCache
 from repro.cachesim.line import iter_set_bits
 from repro.cachesim.stats import CacheStats
@@ -69,24 +71,187 @@ class CoherentHierarchy:
         self._socket_mask = [0] * machine.n_sockets
         for c in range(n_cores):
             self._socket_mask[self._socket_of_core[c]] |= 1 << c
+        #: per socket, the sets of every other socket's L3 (remote probes)
+        self._remote_l3_sets = [
+            [other._sets for other in self.l3 if other is not cache] for cache in self.l3
+        ]
         self.stats = CacheStats()
 
     # ------------------------------------------------------------------
-    # internal helpers (all in core ids)
+    # public access API (PU ids)
     # ------------------------------------------------------------------
-    def _evict_from_l2(self, core: int, line: int) -> None:
-        """Handle an L2 victim: drop from L1, update directory, write back."""
-        self.l1[core].remove(line)
-        mask = self._sharers.get(line, 0) & ~(1 << core)
-        if mask:
-            self._sharers[line] = mask
-        else:
-            self._sharers.pop(line, None)
-        if self._dirty_owner.get(line, NO_OWNER) == core:
-            # Dirty data retreats into the (inclusive) local L3.
-            del self._dirty_owner[line]
-            self.l3[self._socket_of_core[core]].mark_dirty(line)
+    def access(self, pu: int, line: int, is_write: bool, home_node: int) -> None:
+        """Simulate one memory access by *pu* to *line* homed at *home_node*."""
+        self.access_batch_pu(pu, (line,), (is_write,), (home_node,))
 
+    def access_batch(self, pus, lines, writes, home_nodes) -> None:
+        """Simulate a sequence of accesses given as parallel arrays."""
+        lines = _aslist(lines)
+        writes = _aslist(writes)
+        home_nodes = _aslist(home_nodes)
+        start = 0
+        for pu, run in groupby(_aslist(pus)):
+            stop = start + sum(1 for _ in run)
+            self.access_batch_pu(
+                pu, lines[start:stop], writes[start:stop], home_nodes[start:stop]
+            )
+            start = stop
+
+    def access_batch_pu(self, pu: int, lines, writes, home_nodes) -> None:
+        """Run one PU's accesses through the MESI protocol, in order.
+
+        This loop is the protocol: the L1-hit, L2-hit and L2-miss paths
+        (L3 lookup and install, the L2 victim, the L1 install) run inline
+        on the core's L1/L2 sets, its socket's L3 sets and the directory
+        dicts.  Only ownership transfers, invalidations and L3 victims call
+        helpers.  Level counters are summed in locals and added to
+        ``stats`` and to each cache's ``hits``/``misses``/``evictions``
+        once per batch.
+        """
+        core = self._core_of_pu[pu]
+        socket = self._socket_of_core[core]
+        l1 = self.l1[core]
+        l2 = self.l2[core]
+        l3 = self.l3[socket]
+        l1_sets, l1_mask, l1_ways = l1._sets, l1._set_mask, l1.ways
+        l2_sets, l2_mask, l2_ways = l2._sets, l2._set_mask, l2.ways
+        l3_sets, l3_mask, l3_ways = l3._sets, l3._set_mask, l3.ways
+        remote_l3 = self._remote_l3_sets[socket]
+        sharers = self._sharers
+        dirty_owner = self._dirty_owner
+        bit = 1 << core
+        others = ~bit
+        acquire = self._acquire_ownership
+
+        lines = _aslist(lines)
+        l1_misses = l2_hits = l3_misses = 0
+        c2c_intra = c2c_inter = dram_local = dram_remote = 0
+        l1_evictions = l2_evictions = l3_evictions = 0
+        for line, w, home in zip(lines, _aslist(writes), _aslist(home_nodes)):
+            s1 = l1_sets[line & l1_mask]
+            if line in s1:
+                s1.move_to_end(line)
+                if w and dirty_owner.get(line) != core:
+                    acquire(core, line)
+                continue
+            l1_misses += 1
+            s2 = l2_sets[line & l2_mask]
+            if line in s2:
+                s2.move_to_end(line)
+                l2_hits += 1
+                if len(s1) >= l1_ways:
+                    s1.popitem(last=False)
+                    l1_evictions += 1
+                s1[line] = False
+                if w and dirty_owner.get(line) != core:
+                    acquire(core, line)
+                continue
+
+            # L2 miss (for a write, an RFO): the socket's L3, then another
+            # socket or DRAM.  A dirty owner is never this core, since the
+            # owner holds the line in its L2.
+            owner = dirty_owner.get(line, NO_OWNER)
+            s3 = l3_sets[line & l3_mask]
+            if line in s3:
+                s3.move_to_end(line)
+                if owner != NO_OWNER:
+                    # Dirty in a same-socket private cache (inclusion
+                    # guarantees the owner is on this socket).
+                    c2c_intra += 1
+                    if w:
+                        self._drop_owner_copies(owner, line)
+                    else:
+                        del dirty_owner[line]
+                        s3[line] = True
+            else:
+                l3_misses += 1
+                if owner != NO_OWNER:
+                    # Dirty on the other socket: off-chip cache-to-cache.
+                    c2c_inter += 1
+                    if w:
+                        self._drop_owner_copies(owner, line)
+                    else:
+                        del dirty_owner[line]
+                        self.l3[self._socket_of_core[owner]].mark_dirty(line)
+                else:
+                    for sets in remote_l3:
+                        if line in sets[line & l3_mask]:
+                            c2c_inter += 1
+                            break
+                    else:
+                        if home == socket:
+                            dram_local += 1
+                        else:
+                            dram_remote += 1
+                if len(s3) >= l3_ways:
+                    victim, victim_dirty = s3.popitem(last=False)
+                    l3_evictions += 1
+                    self._evict_from_l3(socket, victim, victim_dirty)
+                s3[line] = False
+            if w:
+                if sharers.get(line, 0) & others:
+                    self._invalidate_other_copies(core, line)
+                else:
+                    for sets in remote_l3:
+                        if line in sets[line & l3_mask]:
+                            self._invalidate_other_copies(core, line)
+                            break
+
+            # Install into L2 (its victim leaves L1 and the directory, and
+            # dirty data retreats into the inclusive L3), then into L1,
+            # whose victims need no action: inclusion keeps their data in
+            # L2 and the directory, not the L1 copy, tracks dirtiness.
+            if len(s2) >= l2_ways:
+                victim = s2.popitem(last=False)[0]
+                l2_evictions += 1
+                l1_sets[victim & l1_mask].pop(victim, None)
+                mask = sharers.get(victim, 0) & others
+                if mask:
+                    sharers[victim] = mask
+                else:
+                    sharers.pop(victim, None)
+                if dirty_owner.get(victim) == core:
+                    del dirty_owner[victim]
+                    l3.mark_dirty(victim)
+            s2[line] = False
+            if len(s1) >= l1_ways:
+                s1.popitem(last=False)
+                l1_evictions += 1
+            s1[line] = False
+            if w:
+                sharers[line] = bit
+                dirty_owner[line] = core
+                s3[line] = True
+            else:
+                sharers[line] = sharers.get(line, 0) | bit
+
+        n = len(lines)
+        l2_misses = l1_misses - l2_hits
+        l3_hits = l2_misses - l3_misses
+        stats = self.stats
+        stats.l1_hits += n - l1_misses
+        stats.l1_misses += l1_misses
+        stats.l2_hits += l2_hits
+        stats.l2_misses += l2_misses
+        stats.l3_hits += l3_hits
+        stats.l3_misses += l3_misses
+        stats.c2c_intra += c2c_intra
+        stats.c2c_inter += c2c_inter
+        stats.dram_reads_local += dram_local
+        stats.dram_reads_remote += dram_remote
+        l1.hits += n - l1_misses
+        l1.misses += l1_misses
+        l1.evictions += l1_evictions
+        l2.hits += l2_hits
+        l2.misses += l2_misses
+        l2.evictions += l2_evictions
+        l3.hits += l3_hits
+        l3.misses += l3_misses
+        l3.evictions += l3_evictions
+
+    # ------------------------------------------------------------------
+    # rare protocol paths (core ids)
+    # ------------------------------------------------------------------
     def _evict_from_l3(self, socket: int, line: int, dirty: bool) -> None:
         """Handle an inclusive-L3 victim: back-invalidate the socket's cores."""
         mask = self._sharers.get(line, 0) & self._socket_mask[socket]
@@ -106,168 +271,19 @@ class CoherentHierarchy:
         if dirty:
             self.stats.dram_writebacks += 1
 
-    def _install_private(self, core: int, line: int) -> None:
-        """Put *line* into L2 and L1 of *core*, handling victims."""
-        victim = self.l2[core].insert(line)
-        if victim is not None:
-            self._evict_from_l2(core, victim[0])
-        self.l1[core].insert(line)
-        # L1 victims need no action: inclusion keeps their data in L2 and
-        # dirtiness is tracked by the directory, not the L1 copy.
-
-    def _install_l3(self, socket: int, line: int, dirty: bool = False) -> None:
-        """Put *line* into a socket's L3, handling the inclusive victim."""
-        victim = self.l3[socket].insert(line, dirty)
-        if victim is not None:
-            self._evict_from_l3(socket, victim[0], victim[1])
-
-    # ------------------------------------------------------------------
-    # public access API (PU ids)
-    # ------------------------------------------------------------------
-    def access(self, pu: int, line: int, is_write: bool, home_node: int) -> None:
-        """Simulate one memory access by *pu* to *line* homed at *home_node*."""
-        core = self._core_of_pu[pu]
-        if is_write:
-            self._write(core, line, home_node)
-        else:
-            self._read(core, line, home_node)
-
-    def access_batch(self, pus, lines, writes, home_nodes) -> None:
-        """Simulate a sequence of accesses given as parallel arrays."""
-        access = self.access
-        for pu, line, w, h in zip(
-            _aslist(pus), _aslist(lines), _aslist(writes), _aslist(home_nodes)
-        ):
-            access(pu, line, w, h)
-
-    def access_batch_pu(self, pu: int, lines, writes, home_nodes) -> None:
-        """Batch variant for one PU (the engine's per-thread hot path)."""
-        core = self._core_of_pu[pu]
-        read = self._read
-        write = self._write
-        for line, w, h in zip(_aslist(lines), _aslist(writes), _aslist(home_nodes)):
-            if w:
-                write(core, line, h)
-            else:
-                read(core, line, h)
-
-    # ------------------------------------------------------------------
-    # protocol (core ids)
-    # ------------------------------------------------------------------
-    def _read(self, core: int, line: int, home_node: int) -> None:
-        stats = self.stats
-        if self.l1[core].lookup(line):
-            stats.l1_hits += 1
-            return
-        stats.l1_misses += 1
-        if self.l2[core].lookup(line):
-            stats.l2_hits += 1
-            self.l1[core].insert(line)
-            return
-        stats.l2_misses += 1
-
-        socket = self._socket_of_core[core]
-        owner = self._dirty_owner.get(line, NO_OWNER)
-        if self.l3[socket].lookup(line):
-            stats.l3_hits += 1
-            if owner != NO_OWNER and owner != core:
-                # Dirty in a same-socket private cache (inclusion guarantees
-                # the owner is on this socket if our L3 holds the line).
-                stats.c2c_intra += 1
-                del self._dirty_owner[line]
-                self.l3[socket].mark_dirty(line)
-        else:
-            stats.l3_misses += 1
-            if owner != NO_OWNER:
-                # Dirty on the other socket: off-chip cache-to-cache.
-                stats.c2c_inter += 1
-                del self._dirty_owner[line]
-                owner_socket = self._socket_of_core[owner]
-                self.l3[owner_socket].mark_dirty(line)
-                self._install_l3(socket, line)
-            else:
-                served = False
-                for s in range(self.machine.n_sockets):
-                    if s != socket and self.l3[s].contains(line):
-                        stats.c2c_inter += 1
-                        self._install_l3(socket, line)
-                        served = True
-                        break
-                if not served:
-                    if home_node == socket:
-                        stats.dram_reads_local += 1
-                    else:
-                        stats.dram_reads_remote += 1
-                    self._install_l3(socket, line)
-        self._install_private(core, line)
-        self._sharers[line] = self._sharers.get(line, 0) | (1 << core)
-
-    def _write(self, core: int, line: int, home_node: int) -> None:
-        stats = self.stats
-        owner = self._dirty_owner.get(line, NO_OWNER)
-
-        if self.l1[core].lookup(line):
-            stats.l1_hits += 1
-            if owner == core:
-                return
-            self._acquire_ownership(core, line)
-            return
-        stats.l1_misses += 1
-        if self.l2[core].lookup(line):
-            stats.l2_hits += 1
-            self.l1[core].insert(line)
-            if owner != core:
-                self._acquire_ownership(core, line)
-            return
-        stats.l2_misses += 1
-
-        # RFO: fetch with intent to modify.
-        socket = self._socket_of_core[core]
-        if self.l3[socket].lookup(line):
-            stats.l3_hits += 1
-            if owner != NO_OWNER and owner != core:
-                stats.c2c_intra += 1
-                self._drop_owner_copies(owner, line)
-        else:
-            stats.l3_misses += 1
-            if owner != NO_OWNER and owner != core:
-                stats.c2c_inter += 1
-                self._drop_owner_copies(owner, line)
-                self._install_l3(socket, line)
-            else:
-                served = False
-                for s in range(self.machine.n_sockets):
-                    if s != socket and self.l3[s].contains(line):
-                        stats.c2c_inter += 1
-                        served = True
-                        break
-                if not served:
-                    if home_node == socket:
-                        stats.dram_reads_local += 1
-                    else:
-                        stats.dram_reads_remote += 1
-                self._install_l3(socket, line)
-        self._invalidate_other_copies(core, line)
-        self._install_private(core, line)
-        self._sharers[line] = 1 << core
-        self._dirty_owner[line] = core
-        self.l3[socket].mark_dirty(line)
-
     def _acquire_ownership(self, core: int, line: int) -> None:
         """Upgrade a resident clean/shared copy to M (hit path of a write)."""
-        stats = self.stats
-        others = self._sharers.get(line, 0) & ~(1 << core)
-        remote_l3 = any(
-            s != self._socket_of_core[core] and self.l3[s].contains(line)
-            for s in range(self.machine.n_sockets)
-        )
-        if others == 0 and not remote_l3:
-            stats.silent_upgrades += 1
-        else:
+        socket = self._socket_of_core[core]
+        l3 = self.l3[socket]
+        if self._sharers.get(line, 0) & ~(1 << core) or any(
+            line in sets[line & l3._set_mask] for sets in self._remote_l3_sets[socket]
+        ):
             self._invalidate_other_copies(core, line)
+        else:
+            self.stats.silent_upgrades += 1
         self._sharers[line] = 1 << core
         self._dirty_owner[line] = core
-        self.l3[self._socket_of_core[core]].mark_dirty(line)
+        l3.mark_dirty(line)
 
     def _drop_owner_copies(self, owner: int, line: int) -> None:
         """Remove the dirty owner's private copies (its data moved away)."""

@@ -68,7 +68,6 @@ class _GraphPartitionedWorkload(Workload):
         self.graph = graph
         self.parts = partition_rows(graph.n, n_threads)
         self._ground = partition_comm_matrix(graph, self.parts, n_threads)
-        self._private: list[Region] = []
         self._pair_specs: list[SharedPairSpec] = []
 
     def _setup_pairs(self, address_space: AddressSpace) -> None:
@@ -109,37 +108,19 @@ class _GraphPartitionedWorkload(Workload):
         w = np.asarray(weights, dtype=float)
         return regions, w / w.sum()
 
-    def _cold_addresses(
-        self, tid: int, n: int, rng: np.random.Generator
-    ) -> np.ndarray:
-        """Shared-halo + private-block addresses (the detectable stream)."""
-        shared_mask = rng.random(n) < self.shared_fraction
-        n_shared = int(shared_mask.sum())
-        vaddrs = np.empty(n, dtype=np.int64)
-        vaddrs[~shared_mask] = self._addresses_in_region(
-            self._private[tid], n - n_shared, rng, locality=self.locality
-        )
-        if n_shared:
-            regions, probs = self._channels[tid]
-            choice = rng.choice(len(regions), size=n_shared, p=probs)
-            shared_addrs = np.empty(n_shared, dtype=np.int64)
-            for r_idx in np.unique(choice):
-                sel = choice == r_idx
-                shared_addrs[sel] = self._addresses_in_region(
-                    regions[r_idx], int(sel.sum()), rng, locality=self.locality
-                )
-            vaddrs[shared_mask] = shared_addrs
-        return vaddrs
-
     def setup(self, address_space: AddressSpace) -> None:
+        self._mark_setup()
         self._setup_hot(address_space)
         self._private = [
             address_space.mmap(f"{self.name}.block{t}", self.private_pages * PAGE_SIZE)
             for t in range(self.n_threads)
         ]
         self._setup_pairs(address_space)
-        self._channels = [self._channels_for(t) for t in range(self.n_threads)]
-        self._mark_setup()
+        self._set_channels([self._channels_for(t) for t in range(self.n_threads)])
+
+    def _cold_addresses(self, tid: int, n: int, rng: np.random.Generator) -> np.ndarray:
+        """Shared-halo + private-block addresses (the detectable stream)."""
+        return self._mixed_cold(tid, n, rng, self.shared_fraction, self.locality)
 
     def generate(
         self, tid: int, n: int, now_ns: int, rng: np.random.Generator

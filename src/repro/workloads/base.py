@@ -19,6 +19,9 @@ from repro.errors import WorkloadError
 from repro.mem.addresspace import AddressSpace, Region
 from repro.units import CACHE_LINE_SIZE, PAGE_SIZE
 
+#: lines used per page of a cold region (see ``Workload._addresses_in_region``)
+_COLD_LINE_SPAN = 8
+
 
 @dataclass(frozen=True)
 class AccessBatch:
@@ -54,6 +57,11 @@ class Workload(abc.ABC):
         self.name = name
         self.n_threads = n_threads
         self._setup_done = False
+        #: each thread's private working set, mapped at setup
+        self._private: list[Region] = []
+        #: each thread's shared-channel table, built at setup by
+        #: :meth:`_set_channels`: (choice CDF, region bases, page counts)
+        self._channels: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
 
     # -- lifecycle ---------------------------------------------------------
     @abc.abstractmethod
@@ -61,6 +69,17 @@ class Workload(abc.ABC):
         """Allocate this workload's regions in *address_space*."""
 
     def _mark_setup(self) -> None:
+        """Claim this instance for one address space (call first in setup()).
+
+        Setup maps regions into the address space it is given and builds
+        tables over them, so a second setup would change the stream: one
+        workload instance serves one ``Simulator``.
+        """
+        if self._setup_done:
+            raise WorkloadError(
+                f"{self.name}: setup() already ran; use a new workload instance "
+                "for each Simulator"
+            )
         self._setup_done = True
 
     def _require_setup(self) -> None:
@@ -98,7 +117,7 @@ class Workload(abc.ABC):
         rng: np.random.Generator,
         *,
         locality: float = 2.0,
-        line_span: int = 8,
+        line_span: int = _COLD_LINE_SPAN,
     ) -> np.ndarray:
         """Random line-aligned addresses in *region* with temporal locality.
 
@@ -117,6 +136,69 @@ class Workload(abc.ABC):
         span = min(line_span, PAGE_SIZE // CACHE_LINE_SIZE)
         line_idx = rng.integers(0, span, size=n)
         return region.base + page_idx * PAGE_SIZE + line_idx * CACHE_LINE_SIZE
+
+    def _set_channels(self, channels: list[tuple[list[Region], np.ndarray]]) -> None:
+        """Build each thread's channel table from its ``(regions, probs)``.
+
+        The table holds the CDF of the channel choice, built as numpy's
+        ``Generator.choice`` builds it from ``p``, and each channel's region
+        base and page count.
+        """
+        self._channels = []
+        for regions, probs in channels:
+            cdf = probs.cumsum()
+            cdf /= cdf[-1]
+            bases = np.array([r.base for r in regions], dtype=np.int64)
+            pages = np.array([max(1, r.size // PAGE_SIZE) for r in regions], dtype=np.int64)
+            self._channels.append((cdf, bases, pages))
+
+    def _mixed_cold(
+        self,
+        tid: int,
+        n: int,
+        rng: np.random.Generator,
+        shared_fraction: float,
+        locality: float,
+    ) -> np.ndarray:
+        """Private-working-set addresses mixed with shared-channel ones.
+
+        A *shared_fraction* share of the accesses picks one of the thread's
+        channels and a page and line in it.  The draws are those of
+        ``rng.choice(channels, p=probs)`` followed by one
+        :meth:`_addresses_in_region` per chosen channel, in channel order:
+        ``choice`` with ``p`` is a ``searchsorted`` of uniform draws in the
+        CDF, and each channel's page and line draws keep their size and
+        order.  Only the assembly is vectorised: the channels' draws are
+        concatenated and scattered back through a stable sort of the choice.
+        """
+        shared_mask = rng.random(n) < shared_fraction
+        n_shared = int(shared_mask.sum())
+        vaddrs = np.empty(n, dtype=np.int64)
+        vaddrs[~shared_mask] = self._addresses_in_region(
+            self._private[tid], n - n_shared, rng, locality=locality
+        )
+        if n_shared:
+            cdf, bases, pages = self._channels[tid]
+            choice = cdf.searchsorted(rng.random(n_shared), side="right")
+            counts = np.bincount(choice, minlength=cdf.size)
+            u = np.empty(n_shared)
+            line_idx = np.empty(n_shared, dtype=np.int64)
+            start = 0
+            for count in counts.tolist():
+                if count:
+                    stop = start + count
+                    rng.random(out=u[start:stop])
+                    line_idx[start:stop] = rng.integers(0, _COLD_LINE_SPAN, size=count)
+                    start = stop
+            # u**locality is at least 0, so the cast floors like
+            # _addresses_in_region does
+            page_idx = (np.repeat(pages, counts) * u**locality).astype(np.int64)
+            shared = np.empty(n_shared, dtype=np.int64)
+            shared[np.argsort(choice, kind="stable")] = (
+                np.repeat(bases, counts) + page_idx * PAGE_SIZE + line_idx * CACHE_LINE_SIZE
+            )
+            vaddrs[shared_mask] = shared
+        return vaddrs
 
     def _write_flags(self, n: int, rng: np.random.Generator) -> np.ndarray:
         """Bernoulli write flags at the workload's write fraction."""

@@ -107,11 +107,8 @@ class SyntheticNpbWorkload(Workload):
         self.instructions_per_access = spec.instructions_per_access
         self.write_fraction = spec.write_fraction
         self._ground = self._build_pattern()
-        self._private: list[Region] = []
         self._global: Region | None = None
         self._pair_specs: list[SharedPairSpec] = []
-        #: per-thread channel tables, built at setup
-        self._channels: list[tuple[list[Region], np.ndarray]] = []
 
     def _build_pattern(self) -> np.ndarray:
         n = self.n_threads
@@ -128,6 +125,7 @@ class SyntheticNpbWorkload(Workload):
 
     # -- lifecycle -----------------------------------------------------------
     def setup(self, address_space: AddressSpace) -> None:
+        self._mark_setup()
         spec = self.spec
         n = self.n_threads
         self._setup_hot(address_space)
@@ -165,12 +163,11 @@ class SyntheticNpbWorkload(Workload):
                             SharedPairSpec(threads=(i, j), region=region, weight=base[i, j])
                         )
         self._build_channels()
-        self._mark_setup()
 
     def _build_channels(self) -> None:
         """Per-thread list of shared regions with selection probabilities."""
         spec = self.spec
-        self._channels = []
+        channels = []
         for t in range(self.n_threads):
             regions: list[Region] = []
             weights: list[float] = []
@@ -192,7 +189,8 @@ class SyntheticNpbWorkload(Workload):
                 w = np.ones_like(w) if len(w) else np.array([1.0])
                 if not regions:
                     regions = [self._private[t]]
-            self._channels.append((regions, w / w.sum()))
+            channels.append((regions, w / w.sum()))
+        self._set_channels(channels)
 
     # -- generation ------------------------------------------------------------
     def _stream_addresses(self, tid: int, n: int) -> np.ndarray:
@@ -213,30 +211,11 @@ class SyntheticNpbWorkload(Workload):
             if n_stream:
                 out = np.empty(n, dtype=np.int64)
                 out[stream_mask] = self._stream_addresses(tid, n_stream)
-                out[~stream_mask] = self._mixed_cold(tid, n - n_stream, rng)
-                return out
-        return self._mixed_cold(tid, n, rng)
-
-    def _mixed_cold(self, tid: int, n: int, rng: np.random.Generator) -> np.ndarray:
-        """Shared-channel + private-working-set addresses."""
-        spec = self.spec
-        shared_mask = rng.random(n) < spec.shared_fraction
-        n_shared = int(shared_mask.sum())
-        vaddrs = np.empty(n, dtype=np.int64)
-        vaddrs[~shared_mask] = self._addresses_in_region(
-            self._private[tid], n - n_shared, rng, locality=spec.locality
-        )
-        if n_shared:
-            regions, probs = self._channels[tid]
-            choice = rng.choice(len(regions), size=n_shared, p=probs)
-            shared_addrs = np.empty(n_shared, dtype=np.int64)
-            for r_idx in np.unique(choice):
-                sel = choice == r_idx
-                shared_addrs[sel] = self._addresses_in_region(
-                    regions[r_idx], int(sel.sum()), rng, locality=spec.locality
+                out[~stream_mask] = self._mixed_cold(
+                    tid, n - n_stream, rng, spec.shared_fraction, spec.locality
                 )
-            vaddrs[shared_mask] = shared_addrs
-        return vaddrs
+                return out
+        return self._mixed_cold(tid, n, rng, spec.shared_fraction, spec.locality)
 
     def generate(
         self, tid: int, n: int, now_ns: int, rng: np.random.Generator

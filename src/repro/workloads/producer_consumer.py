@@ -47,7 +47,6 @@ class ProducerConsumerWorkload(Workload):
         self.start_phase = start_phase
         self.instructions_per_access = 2.0
         self.write_fraction = 0.5
-        self._private: list[Region] = []
         self._vectors: dict[tuple[int, int], Region] = {}
 
     # -- pairings ---------------------------------------------------------
@@ -69,6 +68,7 @@ class ProducerConsumerWorkload(Workload):
 
     # -- lifecycle -----------------------------------------------------------
     def setup(self, address_space: AddressSpace) -> None:
+        self._mark_setup()
         n = self.n_threads
         self._setup_hot(address_space)
         self._private = [
@@ -83,7 +83,6 @@ class ProducerConsumerWorkload(Workload):
                     self._vectors[key] = address_space.mmap(
                         f"pc.vec{key[0]}_{key[1]}", self.vector_pages * PAGE_SIZE
                     )
-        self._mark_setup()
 
     # -- generation -------------------------------------------------------------
     def generate(

@@ -1,6 +1,7 @@
 """Property-based tests (hypothesis) on core data structures and invariants."""
 
 from collections import Counter
+from itertools import groupby
 
 import numpy as np
 from hypothesis import given, settings
@@ -18,8 +19,11 @@ from repro.core.matching import (
 )
 from repro.machine.cache_params import CacheParams
 from repro.machine.topology import build_machine
+from repro.mem.addresspace import AddressSpace
 from repro.mem.pagetable import PageTable
-from repro.units import KIB
+from repro.units import KIB, PAGE_SIZE
+from repro.workloads.base import Workload
+from tests.test_layer_pins import hierarchy_state
 
 
 # ---------------------------------------------------------------------------
@@ -221,3 +225,126 @@ def test_hierarchy_invariants_hold_for_any_access_sequence(accesses):
     assert s.l1_misses == s.l2_hits + s.l2_misses
     resolved = s.c2c_inter + s.dram_reads_local + s.dram_reads_remote
     assert resolved <= s.l3_misses + s.c2c_intra + 1
+
+
+@given(
+    runs=st.lists(
+        st.tuples(
+            st.integers(0, 7),
+            st.lists(
+                st.tuples(st.integers(0, 80), st.booleans(), st.integers(0, 1)),
+                min_size=1,
+                max_size=24,
+            ),
+        ),
+        min_size=1,
+        max_size=20,
+    ),
+    data=st.data(),
+)
+@settings(max_examples=30, deadline=None)
+def test_hierarchy_state_independent_of_batch_split(runs, data):
+    """One access at a time, one ``access_batch_pu`` per maximal same-PU run,
+    those runs cut anywhere, and one multi-PU ``access_batch`` leave the
+    same caches, counters and directory: the loop's per-batch counter flush
+    and per-batch aliases are invisible."""
+    pus = [pu for pu, accesses in runs for _ in accesses]
+    lines, writes, homes = (
+        list(column) for column in zip(*(a for _, accesses in runs for a in accesses))
+    )
+    # the tiny-cache machine above: constant evictions and back-invalidations
+    machine = build_machine(
+        2, 2, 2,
+        l1=CacheParams("L1", 1 * KIB, 2, 64, 2.0, 1),
+        l2=CacheParams("L2", 2 * KIB, 2, 64, 6.0, 2),
+        l3=CacheParams("L3", 4 * KIB, 4, 64, 15.0, 3),
+    )
+    one_by_one, per_run, cut, multi = (CoherentHierarchy(machine) for _ in range(4))
+    for args in zip(pus, lines, writes, homes):
+        one_by_one.access(*args)
+    start = 0
+    for pu, run in groupby(pus):
+        stop = start + sum(1 for _ in run)
+        per_run.access_batch_pu(pu, lines[start:stop], writes[start:stop], homes[start:stop])
+        cuts = data.draw(st.sets(st.integers(start + 1, stop - 1))) if stop > start + 1 else ()
+        bounds = [start, *sorted(cuts), stop]
+        for a, b in zip(bounds, bounds[1:]):
+            cut.access_batch_pu(pu, lines[a:b], writes[a:b], homes[a:b])
+        start = stop
+    multi.access_batch(np.array(pus), np.array(lines), np.array(writes), np.array(homes))
+    expected = hierarchy_state(one_by_one)
+    for hier in (one_by_one, per_run, cut, multi):
+        assert hier.check_invariants() == []
+        assert hierarchy_state(hier) == expected
+
+
+# ---------------------------------------------------------------------------
+# workloads
+# ---------------------------------------------------------------------------
+class _TwoThreadChannels(Workload):
+    """A bare two-thread workload with given channels and private region."""
+
+    def __init__(self, regions, probs, private):
+        super().__init__("channels", 2)
+        self._private = [private, private]
+        self._set_channels([(regions, probs), (regions, probs)])
+
+    def setup(self, address_space):
+        raise NotImplementedError
+
+    def generate(self, tid, n, now_ns, rng):
+        raise NotImplementedError
+
+    def ground_truth(self, now_ns=None):
+        raise NotImplementedError
+
+
+def reference_mixed_cold(regions, probs, private, n, rng, shared_fraction, locality):
+    """The cold-stream sampler as a loop: ``rng.choice`` with ``p``, then one
+    ``_addresses_in_region`` per chosen channel, in channel order."""
+    shared_mask = rng.random(n) < shared_fraction
+    n_shared = int(shared_mask.sum())
+    vaddrs = np.empty(n, dtype=np.int64)
+    vaddrs[~shared_mask] = Workload._addresses_in_region(
+        private, n - n_shared, rng, locality=locality
+    )
+    if n_shared:
+        choice = rng.choice(len(regions), size=n_shared, p=probs)
+        shared = np.empty(n_shared, dtype=np.int64)
+        for r_idx in np.unique(choice):
+            sel = choice == r_idx
+            shared[sel] = Workload._addresses_in_region(
+                regions[r_idx], int(sel.sum()), rng, locality=locality
+            )
+        vaddrs[shared_mask] = shared
+    return vaddrs
+
+
+@given(
+    channels=st.lists(
+        st.tuples(st.floats(0.01, 10.0), st.integers(1, 24)), min_size=1, max_size=12
+    ),
+    n=st.integers(0, 300),
+    shared_fraction=st.sampled_from([0.0, 0.3, 1.0]),
+    locality=st.sampled_from([1.0, 1.2, 2.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=60, deadline=None)
+def test_channel_sampler_draws_as_the_choice_loop(
+    channels, n, shared_fraction, locality, seed
+):
+    """The table-driven sampler returns the loop's addresses and leaves the
+    generator in the loop's state, for any channel weights and sizes."""
+    space = AddressSpace(1 << 12)
+    regions = [space.mmap(f"c{i}", pages * PAGE_SIZE) for i, (_, pages) in enumerate(channels)]
+    private = space.mmap("private", 16 * PAGE_SIZE)
+    weights = np.array([w for w, _ in channels])
+    probs = weights / weights.sum()
+    workload = _TwoThreadChannels(regions, probs, private)
+    rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = workload._mixed_cold(1, n, rng, shared_fraction, locality)
+    want = reference_mixed_cold(
+        regions, probs, private, n, reference_rng, shared_fraction, locality
+    )
+    assert np.array_equal(got, want)
+    assert rng.bit_generator.state == reference_rng.bit_generator.state

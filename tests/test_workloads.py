@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from repro import EngineConfig, Simulator
 from repro.errors import WorkloadError
+from repro.graphs.workloads import make_spmv
 from repro.mem.addresspace import AddressSpace
 from repro.units import MSEC, PAGE_SIZE
 from repro.workloads.npb import NPB_SPECS, make_npb
@@ -195,3 +197,35 @@ class TestProducerConsumer:
         wl = ProducerConsumerWorkload(n_threads=8)
         gt = wl.ground_truth()
         assert gt.matrix[0, 1] > 0 and gt.matrix[0, 4] > 0
+
+
+REUSED = {
+    "SP": lambda: make_npb("SP"),
+    "spmv": make_spmv,
+    "producer_consumer": ProducerConsumerWorkload,
+}
+
+
+class TestOneSetupPerInstance:
+    """Setup maps a workload's regions into one address space and builds its
+    tables over them.  A second setup used to append the SP and SpMV pair
+    regions again (61 -> 122 and 204 -> 408 channels) and left
+    producer/consumer on the first space's vectors, so a reused instance
+    silently gave different results."""
+
+    @pytest.mark.parametrize("name", sorted(REUSED))
+    def test_second_setup_raises_before_mapping(self, name):
+        wl = REUSED[name]()
+        prepared(wl)
+        space = AddressSpace(1 << 17)
+        with pytest.raises(WorkloadError, match=wl.name):
+            wl.setup(space)
+        assert space.regions() == []
+
+    @pytest.mark.parametrize("name", sorted(REUSED))
+    def test_second_simulator_on_one_instance_raises(self, name):
+        wl = REUSED[name]()
+        config = EngineConfig(steps=1, batch_size=64)
+        Simulator(wl, "os", seed=1, config=config)
+        with pytest.raises(WorkloadError, match=wl.name):
+            Simulator(wl, "os", seed=1, config=config)
