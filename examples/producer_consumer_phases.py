@@ -18,6 +18,7 @@ from repro import EngineConfig, ProducerConsumerWorkload, Simulator
 from repro.analysis.heatmap import heatmap_ascii, heatmap_pgm
 from repro.units import MSEC
 from repro.workloads.patterns import distant_pairs_pattern, neighbor_pairs_pattern
+from repro.workloads.producer_consumer import phase_intervals
 
 OUT_DIR = Path(__file__).parent / "out"
 PHASE_NS = 400 * MSEC
@@ -40,18 +41,7 @@ def main() -> None:
           f"{sim.manager.detector.stats.comm_events} communication events")
 
     # Classify intervals by the phase active during them.
-    intervals = {"phase1": None, "phase2": None, "transition": None}
-    for (t0, m0), (t1, m1) in zip(snapshots, snapshots[1:]):
-        diff = m1.diff(m0)
-        if diff.total() < 20:
-            continue
-        p0, p1 = workload.phase_at(t0), workload.phase_at(t1)
-        if p0 == p1 == 0 and intervals["phase1"] is None and t0 > PHASE_NS // 4:
-            intervals["phase1"] = diff
-        elif p0 == p1 == 1 and intervals["phase2"] is None and (t0 % PHASE_NS) > PHASE_NS // 4:
-            intervals["phase2"] = diff
-        elif p0 != p1 and intervals["transition"] is None:
-            intervals["transition"] = diff
+    intervals = phase_intervals(workload, snapshots)
     overall = snapshots[-1][1]
 
     figures = [

@@ -20,11 +20,10 @@ Quick start::
     result = Simulator(make_npb("SP"), "spcd", seed=1).run()
     print(result.exec_time_s, result.l3_mpki)
 
-Placement policies (:mod:`repro.placement`) extend the paper's thread
-mapping with co-decided NUMA data mapping and Mitosis-style page-table
-replication — pass ``"spcd-data"``, ``"spcd-combined"`` or
-``"spcd-replicated"`` (or a :class:`PlacementPolicy` record) wherever a
-policy name is accepted.
+Placement policies (:mod:`repro.placement`) name how threads start and
+whether SPCD remaps them — pass ``"os"``, ``"random"``, ``"oracle"``,
+``"spcd"`` or ``"spcd-hier"`` (or a :class:`PlacementPolicy` record)
+wherever a policy name is accepted.
 
 Experiment grids (cached, parallel, resumable from the cache)::
 
@@ -66,7 +65,7 @@ from repro.obs import JsonlRecorder, TraceRecorder
 from repro.placement import PlacementPolicy, canonical_policies, resolve_policy
 from repro.workloads import ProducerConsumerWorkload, SyntheticNpbWorkload, make_npb
 
-__version__ = "9.0.0"
+__version__ = "10.0.0"
 
 __all__ = [
     "CellFailure",

@@ -12,13 +12,7 @@ and their models:
   explicit transition table;
 * shard-count invariance (:class:`~repro.serve.session.ShardedShareTable`)
   via :func:`session_shard_trace` digest sweeps, and TLB-shootdown ×
-  fault-injection interleavings via :func:`check_tlb_fault_interleavings`;
-* page-table replica coherence
-  (:class:`~repro.mem.ptreplica.ReplicatedPageTable`) under interleaved
-  fault / migration / injection streams via
-  :func:`check_replica_interleavings` — same enumerate-the-real-stack
-  pattern, with ``broadcast_present=False`` and ``migrate_noshoot`` as
-  the seeded-bug negative controls.
+  fault-injection interleavings via :func:`check_tlb_fault_interleavings`.
 
 The drivers live in ``tests/model/``; this package holds only the models
 and enumerators so regression tests (and future subsystems) can import
@@ -32,21 +26,13 @@ from repro.check.interleave import (
     op_sequences,
 )
 from repro.check.models import ServeModel
-from repro.check.replica import (
-    ReplicaModel,
-    check_replica_interleavings,
-    replica_alphabet,
-)
 from repro.check.sweeps import session_shard_trace
 
 __all__ = [
     "Counterexample",
-    "ReplicaModel",
     "ServeModel",
-    "check_replica_interleavings",
     "check_tlb_fault_interleavings",
     "interleavings",
     "op_sequences",
-    "replica_alphabet",
     "session_shard_trace",
 ]

@@ -10,7 +10,6 @@ maximum-weight matching (:mod:`repro.core.matching`,
 """
 
 from repro.core.commmatrix import CommunicationMatrix
-from repro.core.datamap import SpcdDataMapper
 from repro.core.filter import CommunicationFilter
 from repro.core.grouping import group_matrix, pair_groups
 from repro.core.hashtable import ArrayShareTable, ShareTable, ShareEntry, hash_64, hash_64_batch
@@ -33,7 +32,6 @@ from repro.core.spcd import SpcdDetector
 __all__ = [
     "MAPPER_ALGORITHMS",
     "CommunicationFilter",
-    "SpcdDataMapper",
     "CommunicationMatrix",
     "FaultInjector",
     "HierarchicalMapper",

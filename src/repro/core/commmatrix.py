@@ -111,11 +111,16 @@ class CommunicationMatrix:
         return CommunicationMatrix(self.n, self._m)
 
     def diff(self, earlier: "CommunicationMatrix") -> "CommunicationMatrix":
-        """Communication accumulated since *earlier* (clipped at zero).
+        """Cell-wise ``self - earlier``, clipped at zero.
 
         Used to extract per-interval matrices — e.g. the per-phase views of
-        the producer/consumer experiment (paper Fig. 6a-c) — from cumulative
-        snapshots.
+        the producer/consumer experiment (paper Fig. 6a-c) — from two
+        snapshots of one detector.  The difference is the interval's
+        communication only if the snapshots are cumulative, that is under
+        ``SpcdConfig.matrix_decay == 1``.  With aging, every evaluation
+        between the snapshots shrinks the earlier counts, so the clipped
+        difference undercounts: a cell that decayed by more than it gained
+        reads zero.
         """
         if earlier.n != self.n:
             raise ConfigurationError("matrices must have the same size")

@@ -6,9 +6,7 @@
 * the injector runs as a 10 ms kernel thread;
 * a second periodic activity evaluates the communication matrix, asks the
   communication filter whether the pattern changed, and if so computes a new
-  hierarchical mapping and migrates the threads.  Data mapping and
-  page-table replication, when the placement policy's flags ask for them,
-  ride the same evaluation (:meth:`SpcdManager.evaluate`).
+  hierarchical mapping and migrates the threads (:meth:`SpcdManager.evaluate`).
 
 It also carries the virtual-time overhead accounting that reproduces the
 paper's Fig. 16 split into *detection overhead* (fault hook + injection) and
@@ -35,8 +33,7 @@ from repro.kernelsim.scheduler import PinnedScheduler
 from repro.machine.topology import Machine
 from repro.mem.fault import FaultPipeline
 from repro.mem.tlb import TlbArray
-from repro.mem.ptreplica import ReplicatedPageTable
-from repro.obs.events import MappingDecision, PlacementApplied, SpcdEvaluation
+from repro.obs.events import MappingDecision, SpcdEvaluation
 from repro.obs.recorder import TraceRecorder
 from repro.placement.policy import PlacementPolicy, resolve_policy
 from repro.units import MSEC, PAGE_SIZE
@@ -156,12 +153,12 @@ class SpcdManager:
         self.n_threads = n_threads
         self.config = config or SpcdConfig()
         cfg = self.config
-        #: the policy whose flags choose the mechanisms each evaluation
-        #: runs; the default is the paper's thread-only ``spcd``
+        #: the policy whose mapper the evaluations use; the default is the
+        #: paper's ``spcd``
         self.placement = resolve_policy("spcd" if placement is None else placement)
-        if not self.placement.uses_spcd:
+        if not self.placement.maps_threads:
             raise ConfigurationError(
-                f"policy {self.placement.name!r} maps neither threads nor data"
+                f"policy {self.placement.name!r} does not map threads"
             )
         self.pipeline = pipeline
         self.recorder = recorder
@@ -197,13 +194,6 @@ class SpcdManager:
         )
         self.gate = RemapGate(machine, self.mapper, self.filter, cfg)
         self.migrator = MigrationEngine(scheduler, tlbs, recorder=recorder)
-        self.data_mapper = None
-        if self.placement.maps_data:
-            from repro.core.datamap import SpcdDataMapper
-
-            self.data_mapper = SpcdDataMapper(
-                pipeline, machine.n_numa_nodes, machine.numa_node_of
-            )
         self.overheads = SpcdOverheads()
         #: host wall-clock spent in the mapping kernels (grouping + matching
         #: + layout); harvested into ``PerfCounters.match_s`` at run end
@@ -215,16 +205,11 @@ class SpcdManager:
 
     # -- periodic evaluation ---------------------------------------------------
     def evaluate(self, now_ns: int) -> bool:
-        """One placement evaluation, run from the policy's flags.
+        """One SPCD evaluation: the paper's thread remap.
 
-        Decide, then apply, in one fixed order: the data scan
-        (:meth:`~repro.core.datamap.SpcdDataMapper.decide` over the
-        per-page node-fault counters, then ``finish_scan`` ages them), the
-        thread proposal (:class:`~repro.core.decide.RemapGate`),
-        page-table replication (so the page moves reach fresh replicas),
-        the page moves, and last the thread remap: lay out the memory,
-        then move the compute to it.  With ``spcd`` this is the paper's
-        thread-only evaluation.
+        The remap gate (:class:`~repro.core.decide.RemapGate`) proposes a
+        mapping, an accepted one migrates the threads, and the matrix is
+        aged afterwards.
 
         Returns True if a thread migration was performed.
         """
@@ -236,56 +221,15 @@ class SpcdManager:
         # applications (EP) accumulate events so slowly that they remap
         # at most once, as in the paper's Table II.
         fresh = self.gate.fresh_events(self.detector.stats.comm_events)
-        policy = self.placement
         try:
-            moves: "list[tuple[int, int]]" = []
-            deferred = 0
-            if self.data_mapper is not None:
-                self.data_mapper.stats.scans += 1
-                moves, deferred = self.data_mapper.decide(
-                    defer_shared=policy.maps_threads
-                )
-                self.data_mapper.finish_scan()
-            mapping, verdict = (
-                self._propose_thread_mapping(now_ns, matrix)
-                if policy.maps_threads
-                else (None, "data-idle")
-            )
-
-            table = self.pipeline.address_space.page_table
-            replicated = (
-                policy.replicate_pt
-                and isinstance(table, ReplicatedPageTable)
-                and not table.active
-            )
-            replication_cost = table.activate() if replicated else 0.0
-            pages_moved = self.data_mapper.apply_moves(moves) if moves else 0
-            moved = 0
-            if mapping is not None:
-                moved = self.migrator.apply_mapping(mapping, now_ns)
-                if moved:
-                    self.gate.record_remap(now_ns)
-                    self._mapping_history.append((now_ns, mapping.copy()))
-                verdict = "migrated" if moved else "no-move"
-            elif pages_moved and verdict == "data-idle":
-                verdict = "data-migrated"
-
-            if self.recorder is not None and (moves or deferred or replicated):
-                mapper = self.data_mapper
-                copy_ns = mapper.stats.copy_time_ns if mapper is not None else 0.0
-                self.recorder.emit(
-                    PlacementApplied(
-                        now_ns=int(now_ns),
-                        policy=policy.name,
-                        verdict=verdict,
-                        thread_moves=int(moved),
-                        page_migrations=int(pages_moved),
-                        shared_deferred=int(deferred),
-                        replicated=bool(replicated),
-                        replication_cost_ns=float(replication_cost),
-                        copy_time_ns=float(copy_ns),
-                    )
-                )
+            mapping, verdict = self._propose_thread_mapping(now_ns, matrix)
+            if mapping is None:
+                return False
+            moved = self.migrator.apply_mapping(mapping, now_ns)
+            if moved:
+                self.gate.record_remap(now_ns)
+                self._mapping_history.append((now_ns, mapping.copy()))
+            verdict = "migrated" if moved else "no-move"
             return moved > 0
         finally:
             if self.recorder is not None:
@@ -364,22 +308,8 @@ class SpcdManager:
         return self.pipeline.hook_time_ns + self.injector.inject_time_ns
 
     def mapping_time_ns(self) -> float:
-        """Virtual time spent mapping, migrating and replicating.
-
-        Includes the page-table replication bill (activation copies +
-        coherence broadcasts) when a :class:`ReplicatedPageTable` is in
-        play — zero otherwise, so thread-only totals are unchanged.
-        """
-        return (
-            self.overheads.mapping_ns
-            + self.migrator.cost_ns
-            + self.replication_time_ns()
-        )
-
-    def replication_time_ns(self) -> float:
-        """Virtual time spent on page-table replication (0.0 when off)."""
-        table = self.pipeline.address_space.page_table
-        return float(getattr(table, "replication_cost_ns", 0.0))
+        """Virtual time spent mapping and migrating."""
+        return self.overheads.mapping_ns + self.migrator.cost_ns
 
     def overhead_summary(self, total_ns: float) -> dict[str, float]:
         """Percentages for the Fig. 16 reproduction."""

@@ -16,16 +16,16 @@ The amount of communication between threads *i* and *j* is therefore the
 number of (windowed) fault pairs on shared regions, exactly the paper's
 metric.
 
-Two engines implement the hook.  The default ``"array"`` engine registers a
-*batch* hook: one :class:`~repro.mem.fault.FaultBatch` is processed in a
-single vectorised pass over an :class:`~repro.core.hashtable.ArrayShareTable`
-and the windowed communication events are scattered into the matrix with
-``np.add.at``.  The ``"dict"`` engine is the original per-fault
-implementation over the dict-backed
-:class:`~repro.core.hashtable.ShareTable`; it is the differential-testing
-reference that ``tests/test_spcd_parity.py`` and
-``benchmarks/spcd_faultbench.py`` construct explicitly — both engines
-produce bit-identical matrices, stats and table counters.
+Two engines implement the hook.  The default ``"array"`` engine processes
+one :class:`~repro.mem.fault.FaultBatch` in a single vectorised pass over an
+:class:`~repro.core.hashtable.ArrayShareTable` and scatters the windowed
+communication events into the matrix with ``np.add.at``.  The ``"dict"``
+engine is the original per-fault implementation over the dict-backed
+:class:`~repro.core.hashtable.ShareTable`, fed each batch's faults one by
+one in resolution order; it is the differential-testing reference that
+``tests/test_spcd_parity.py`` and ``benchmarks/spcd_faultbench.py``
+construct explicitly — both engines produce bit-identical matrices, stats
+and table counters.
 """
 
 from __future__ import annotations
@@ -106,11 +106,9 @@ class SpcdDetector:
         self.matrix = CommunicationMatrix(n_threads)
         self.stats = SpcdDetectorStats()
         self._pipeline = pipeline
+        self._hook = self.on_fault_batch if engine == "array" else self._replay_faults
         if pipeline is not None:
-            if engine == "array":
-                pipeline.add_batch_hook(self.on_fault_batch)
-            else:
-                pipeline.add_hook(self.on_fault)
+            pipeline.add_batch_hook(self._hook)
 
     def on_fault(self, info: FaultInfo) -> None:
         """Per-fault hook: update sharing table and communication matrix."""
@@ -148,6 +146,11 @@ class SpcdDetector:
         entry.touch(tid, now)
         if self._pipeline is not None:
             self._pipeline.charge_hook_time(self.detect_cost_ns)
+
+    def _replay_faults(self, batch: FaultBatch) -> None:
+        """The dict engine's batch hook: :meth:`on_fault` per fault, in order."""
+        for info in batch.infos():
+            self.on_fault(info)
 
     def on_fault_batch(self, batch: FaultBatch) -> None:
         """Batch hook: one vectorised table pass for a whole fault batch.
@@ -193,10 +196,7 @@ class SpcdDetector:
     def detach(self) -> None:
         """Unregister from the fault pipeline."""
         if self._pipeline is not None:
-            if self.engine == "array":
-                self._pipeline.remove_batch_hook(self.on_fault_batch)
-            else:
-                self._pipeline.remove_hook(self.on_fault)
+            self._pipeline.remove_batch_hook(self._hook)
             self._pipeline = None
 
     def snapshot_matrix(self) -> CommunicationMatrix:

@@ -22,8 +22,8 @@ class PerfCounters:
     hierarchy_s: float = 0.0
     #: time inside the fault pipeline (classification + handling)
     fault_s: float = 0.0
-    #: time inside fault hooks (SPCD detection / data-map recording); a
-    #: subset of ``fault_s``, not an additional bucket
+    #: time inside fault hooks (SPCD detection); a subset of ``fault_s``,
+    #: not an additional bucket
     detect_s: float = 0.0
     #: time in the timer wheel + scheduler quanta (SPCD injector/evaluator,
     #: load balancer, migrations)
@@ -38,12 +38,6 @@ class PerfCounters:
     accesses: int = 0
     #: page faults handled (first-touch + injected)
     faults: int = 0
-    #: page-table-walk radix levels resolved on the walking PU's node
-    #: (populated only under ``EngineConfig.placement_walk``; see
-    #: ``PageTable.charge_walk``)
-    pt_walk_levels_local: int = 0
-    #: page-table-walk radix levels that crossed the socket interconnect
-    pt_walk_levels_remote: int = 0
 
     @property
     def tracked_s(self) -> float:

@@ -37,12 +37,10 @@ from repro.errors import ConfigurationError, SimulationError
 from repro.kernelsim.clock import VirtualClock
 from repro.kernelsim.kthread import TimerWheel
 from repro.kernelsim.scheduler import PinnedScheduler
-from repro.machine.numa import NumaModel
 from repro.machine.topology import Machine, dual_xeon_e5_2650
 from repro.mem.addresspace import AddressSpace
 from repro.mem.fault import FaultPipeline
 from repro.mem.physmem import FrameAllocator
-from repro.mem.ptreplica import ReplicatedPageTable
 from repro.mem.tlb import TlbArray
 from repro.obs.events import CacheEpoch, FaultBatchSummary, RunEnd, RunStart
 from repro.obs.recorder import JsonlRecorder, TraceRecorder, run_trace_path
@@ -74,11 +72,6 @@ class EngineConfig:
     #: on the master's NUMA node); "parallel" leaves demand first-touch to
     #: whichever thread reaches a page first.
     pretouch: str = "serial"
-    #: charge NUMA-aware per-level page-table-walk latency on every fault
-    #: (the Fig. 16 walk split), at the machine's
-    #: :meth:`NumaModel.pt_walk_level_ns`; off keeps flat-cost digests
-    #: bit-identical
-    placement_walk: bool = False
 
     def __post_init__(self) -> None:
         if self.batch_size <= 0 or self.steps <= 0 or self.time_scale <= 0:
@@ -160,18 +153,7 @@ class Simulator:
 
         n = workload.n_threads
         self.clock = VirtualClock()
-        # Page-table choice: a replication-capable table is created only
-        # when the policy replicates, so every other run keeps the plain
-        # table (and its digests) bit-identical.  Its replicas stay idle
-        # until the first SPCD evaluation activates them.
-        page_table = None
-        if self.placement.replicate_pt:
-            page_table = ReplicatedPageTable(
-                self.config.capacity_pages, self.machine.n_numa_nodes
-            )
-        self.address_space = AddressSpace(
-            self.config.capacity_pages, page_table=page_table
-        )
+        self.address_space = AddressSpace(self.config.capacity_pages)
         workload.setup(self.address_space)
         self.tlbs = TlbArray(self.machine.n_pus)
         frames = FrameAllocator.for_memory(
@@ -183,15 +165,6 @@ class Simulator:
             self.tlbs,
             node_of_pu=self.machine.numa_node_of,
         )
-        # NUMA-aware page-table-walk charging (EngineConfig.placement_walk):
-        # enabled before the pretouch so the serial init phase homes the
-        # page-table directory pages on the master's node — exactly the
-        # all-walks-remote starting point Phoenix/Mitosis address.
-        if self.config.placement_walk:
-            numa = NumaModel(self.machine)
-            self.pipeline.enable_numa_walk(
-                numa.pt_walk_level_ns(local=True), numa.pt_walk_level_ns(local=False)
-            )
         self.hierarchy = CoherentHierarchy(self.machine)
         self.time_model = TimeModel(self.machine, params=self.config.time_params)
         self.energy_model = EnergyModel(self.machine, params=self.config.energy_params)
@@ -204,7 +177,7 @@ class Simulator:
         if self.config.pretouch == "serial":
             self._pretouch_serial()
         self.manager: SpcdManager | None = None
-        if self.placement.uses_spcd:
+        if self.placement.maps_threads:
             if not isinstance(self.scheduler, PinnedScheduler):
                 raise SimulationError("SPCD requires a pinnable scheduler")
             self.manager = SpcdManager(
@@ -282,9 +255,6 @@ class Simulator:
         self.perf.wall_s += perf_counter() - t0
         if self.manager is not None:
             self.perf.match_s = self.manager.map_wall_s
-        table = self.address_space.page_table
-        self.perf.pt_walk_levels_local = table.walk_levels_local
-        self.perf.pt_walk_levels_remote = table.walk_levels_remote
         result = self._result()
         if rec is not None:
             self._emit_run_end(rec, result)
@@ -392,11 +362,10 @@ class Simulator:
                 stats=self.hierarchy.stats.as_dict(),
             )
         )
-        detection_ns = mapping_ns = replication_ns = 0.0
+        detection_ns = mapping_ns = 0.0
         if self.manager is not None:
             detection_ns = self.manager.detection_time_ns()
             mapping_ns = self.manager.mapping_time_ns()
-            replication_ns = self.manager.replication_time_ns()
         rec.emit(
             RunEnd(
                 total_ns=float(self.clock.now_ns),
@@ -409,7 +378,6 @@ class Simulator:
                 mapping_ns=mapping_ns,
                 detection_pct=result.detection_pct,
                 mapping_pct=result.mapping_pct,
-                replication_ns=replication_ns,
                 perf=self.perf.as_dict(),
                 perf_other_s=self.perf.other_s,
             )
@@ -418,10 +386,7 @@ class Simulator:
     def _spcd_async_overhead_ns(self) -> float:
         if self.manager is None:
             return 0.0
-        total = self.manager.injector.inject_time_ns + self.manager.mapping_time_ns()
-        if self.manager.data_mapper is not None:
-            total += self.manager.data_mapper.stats.copy_time_ns
-        return total
+        return self.manager.injector.inject_time_ns + self.manager.mapping_time_ns()
 
     # ------------------------------------------------------------------
     def _result(self) -> SimulationResult:

@@ -71,17 +71,6 @@ class NumaModel:
             CommDistance.CROSS_SOCKET
         )
 
-    def pt_walk_level_ns(self, local: bool) -> float:
-        """Latency of one radix page-table level resolved on-/off-node.
-
-        Each level of a walk is one dependent DRAM reference against the
-        directory page's home node; remote levels additionally cross the
-        socket interconnect (the cost Mitosis-style replication removes —
-        see :class:`repro.mem.ptreplica.ReplicatedPageTable`).
-        """
-        distance = CommDistance.SAME_SOCKET if local else CommDistance.CROSS_SOCKET
-        return self.dram_latency_ns + self.interconnect.transfer_ns(distance)
-
     def access_energy_pj(self, pu_id: int, home_node: int) -> float:
         """DRAM + interconnect energy for one line access."""
         local = self.machine.numa_node_of(pu_id) == home_node

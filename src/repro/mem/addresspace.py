@@ -64,20 +64,8 @@ class AddressSpace:
             region accesses fault loudly rather than aliasing.
     """
 
-    def __init__(
-        self,
-        capacity_pages: int = 1 << 18,
-        guard_pages: int = 1,
-        page_table: PageTable | None = None,
-    ) -> None:
-        if page_table is None:
-            page_table = PageTable(capacity_pages)
-        elif page_table.capacity != capacity_pages:
-            raise AddressError(
-                f"page table capacity {page_table.capacity} does not match "
-                f"address-space capacity {capacity_pages}"
-            )
-        self.page_table = page_table
+    def __init__(self, capacity_pages: int = 1 << 18, guard_pages: int = 1) -> None:
+        self.page_table = PageTable(capacity_pages)
         self.capacity_pages = capacity_pages
         self.guard_pages = guard_pages
         self._regions: dict[str, Region] = {}

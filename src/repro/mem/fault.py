@@ -9,8 +9,9 @@ communication detection registers exactly one such hook.
 :meth:`FaultPipeline.handle_fault_batch` is the fault path: it resolves
 every unique faulting VPN of one thread batch in a single vectorised pass
 (bulk present-bit restore, bulk frame allocation, bulk mapping and TLB
-refill) and hands the whole fault vector to batch-aware hooks as one
-:class:`FaultBatch`.  Batches of at most :data:`_SCALAR_RESOLVE_MAX` faults
+refill) and hands the whole fault vector to the hooks as one
+:class:`FaultBatch` (:meth:`FaultBatch.infos` lists its faults one by one,
+in resolution order).  Batches of at most :data:`_SCALAR_RESOLVE_MAX` faults
 take a scalar resolver with the same contract and results;
 :meth:`FaultPipeline.handle_fault` is that resolver called on one fault,
 the per-fault reference ``tests/test_spcd_parity.py`` checks the
@@ -82,7 +83,7 @@ class FaultBatch:
         return int(self.vpns.size)
 
     def infos(self) -> list[FaultInfo]:
-        """Materialise per-fault :class:`FaultInfo` records (hook compat)."""
+        """Materialise per-fault :class:`FaultInfo` records, in batch order."""
         return [
             FaultInfo(
                 thread_id=self.thread_id,
@@ -98,7 +99,6 @@ class FaultBatch:
         ]
 
 
-FaultHook = Callable[[FaultInfo], None]
 FaultBatchHook = Callable[[FaultBatch], None]
 
 #: batches with at most this many faulting accesses resolve scalarly inside
@@ -135,13 +135,7 @@ class FaultPipeline:
         self.node_of_pu = node_of_pu
         self.first_touch_cost_ns = first_touch_cost_ns
         self.injected_cost_ns = injected_cost_ns
-        self._hooks: list[FaultHook] = []
         self._batch_hooks: list[FaultBatchHook] = []
-        #: when True, each fault's page-table walk additionally charges
-        #: NUMA-aware per-level latency via ``PageTable.charge_walk``
-        #: (``EngineConfig.placement_walk``); off by default so flat-cost
-        #: digests stay bit-identical.
-        self.numa_walk = False
         self.first_touch_faults = 0
         self.injected_faults = 0
         self.fault_time_ns = 0.0
@@ -152,14 +146,6 @@ class FaultPipeline:
         self.hook_wall_s = 0.0
 
     # -- hooks -------------------------------------------------------------
-    def add_hook(self, hook: FaultHook) -> None:
-        """Register *hook* to run on every resolved fault."""
-        self._hooks.append(hook)
-
-    def remove_hook(self, hook: FaultHook) -> None:
-        """Unregister a hook."""
-        self._hooks.remove(hook)
-
     def add_batch_hook(self, hook: FaultBatchHook) -> None:
         """Register *hook* to run once per resolved :class:`FaultBatch`."""
         self._batch_hooks.append(hook)
@@ -172,29 +158,13 @@ class FaultPipeline:
         """Hooks call this to account their processing cost (virtual ns)."""
         self.hook_time_ns += ns
 
-    def enable_numa_walk(self, local_ns: float, remote_ns: float) -> None:
-        """Charge NUMA-aware per-level walk latency on every handled fault.
-
-        *local_ns*/*remote_ns* are the cost of one radix level whose
-        directory page is homed on / off the walking PU's node (see
-        :meth:`repro.mem.pagetable.PageTable.charge_walk`).
-        """
-        table = self.address_space.page_table
-        table.level_local_ns = local_ns
-        table.level_remote_ns = remote_ns
-        self.numa_walk = True
-
     def _dispatch(self, batch: FaultBatch) -> None:
-        """Run batch hooks on *batch* and per-fault hooks on each fault."""
-        if not (self._hooks or self._batch_hooks):
+        """Run every hook on *batch*, in registration order."""
+        if not self._batch_hooks:
             return
         t0 = perf_counter()
         for hook in self._batch_hooks:
             hook(batch)
-        if self._hooks:
-            for info in batch.infos():
-                for hook in self._hooks:
-                    hook(info)
         self.hook_wall_s += perf_counter() - t0
 
     # -- fault handling ------------------------------------------------------
@@ -248,8 +218,6 @@ class FaultPipeline:
 
         table = self.address_space.page_table
         table.walk_batch(vpns)  # bounds-checks and accounts one walk per fault
-        if self.numa_walk:
-            self.fault_time_ns += table.charge_walk(vpns, self.node_of_pu(pu_id))
         if table.present_mask(vpns).any():
             bad = vpns[table.present_mask(vpns)][0]
             raise PageFaultError(f"vpn {int(bad)} is present; no fault to handle")
@@ -323,8 +291,6 @@ class FaultPipeline:
             if table.is_present(vpn):
                 raise PageFaultError(f"vpn {vpn} is present; no fault to handle")
             table.walk(vpn)
-            if self.numa_walk:
-                self.fault_time_ns += table.charge_walk(vpn, self.node_of_pu(pu_id))
             if table.is_populated(vpn):
                 table.restore_present(vpn)
                 home = table.home_node_of(vpn)

@@ -15,17 +15,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import AddressError, PageFaultError
-from repro.mem.address import N_LEVELS, VPN_BITS_PER_LEVEL, radix_indices
+from repro.mem.address import radix_indices
 
 #: Sentinel frame number for "no frame mapped".
 NO_FRAME: int = -1
-
-#: Default per-level walk reference latencies (ns) for the NUMA-aware walk
-#: cost model: a walk level is one memory reference to a page-table page,
-#: local or remote to the walking PU's node.  The engine overrides these
-#: from :meth:`repro.machine.numa.NumaModel.pt_walk_level_ns`.
-PT_LEVEL_LOCAL_NS: float = 25.0
-PT_LEVEL_REMOTE_NS: float = 120.0
 
 
 @dataclass
@@ -63,15 +56,6 @@ class PageTable:
         #: Counts of structural operations, for the overhead model.
         self.walk_count = 0
         self.present_clear_count = 0
-        #: NUMA-aware walk cost accounting (enabled by the fault pipeline
-        #: under ``EngineConfig.placement_walk``; the arrays are created
-        #: lazily so the default engine never touches them).
-        self.level_local_ns = PT_LEVEL_LOCAL_NS
-        self.level_remote_ns = PT_LEVEL_REMOTE_NS
-        self.walk_levels_local = 0
-        self.walk_levels_remote = 0
-        self.walk_cost_ns = 0.0
-        self._dir_homes: "list[np.ndarray] | None" = None
 
     # -- bounds ---------------------------------------------------------
     def _check(self, vpn: int) -> None:
@@ -171,20 +155,6 @@ class PageTable:
         self._frame[vpns] = frames
         self._home_node[vpns] = home_nodes
 
-    def unmap_page(self, vpn: int) -> int:
-        """Remove the mapping at *vpn*; returns the freed frame."""
-        self._check(vpn)
-        if not self._populated[vpn]:
-            raise PageFaultError(f"vpn {vpn} not populated")
-        frame = int(self._frame[vpn])
-        self._populated[vpn] = False
-        self._present[vpn] = False
-        self._accessed[vpn] = False
-        self._dirty[vpn] = False
-        self._frame[vpn] = NO_FRAME
-        self._home_node[vpn] = -1
-        return frame
-
     def clear_present(self, vpns: np.ndarray | int) -> int:
         """Clear the present bit of populated pages (SPCD fault injection).
 
@@ -266,64 +236,6 @@ class PageTable:
         if vpns.size and (vpns.min() < 0 or vpns.max() >= self.capacity):
             raise AddressError("vpn out of range in walk_batch")
         self.walk_count += int(vpns.size)
-
-    # -- NUMA-aware walk cost ---------------------------------------------
-    def _dir_home_arrays(self) -> "list[np.ndarray]":
-        """Home nodes of the page-table *directory* pages, per radix level.
-
-        Index at level *l* is ``vpn >> 9*(N_LEVELS - l)``: one PT page
-        (level 3) covers 512 VPNs, one PD page 512 PT pages, and so on up
-        to the single PML4.  -1 means the directory page was never walked.
-        """
-        if self._dir_homes is None:
-            self._dir_homes = [
-                np.full(
-                    max(1, -(-self.capacity // (1 << (VPN_BITS_PER_LEVEL * (N_LEVELS - level))))),
-                    -1,
-                    dtype=np.int32,
-                )
-                for level in range(N_LEVELS)
-            ]
-        return self._dir_homes
-
-    def dir_page_count(self) -> int:
-        """Total page-table directory pages the table spans (all levels)."""
-        return sum(int(arr.size) for arr in self._dir_home_arrays())
-
-    def dir_home(self, level: int, vpn: int) -> int:
-        """Home node of the level-*level* directory page covering *vpn*."""
-        arr = self._dir_home_arrays()[level]
-        return int(arr[vpn >> (VPN_BITS_PER_LEVEL * (N_LEVELS - level))])
-
-    def charge_walk(self, vpns: "np.ndarray | int", node: int) -> float:
-        """NUMA-aware cost of walking *vpns* from a PU on *node* (ns).
-
-        Each of the four radix levels is one memory reference to a
-        page-table page; a level whose directory page lives on *node* pays
-        :attr:`level_local_ns`, any other pays :attr:`level_remote_ns`.
-        Directory pages are assigned first-touch — the node of the first
-        walker allocates them, as Linux allocates page-table pages on the
-        faulting node.  Returns the charge and updates the
-        ``walk_levels_local`` / ``walk_levels_remote`` counters.
-        """
-        vpns = np.atleast_1d(np.asarray(vpns, dtype=np.int64))
-        if vpns.size == 0:
-            return 0.0
-        local = 0
-        for level, arr in enumerate(self._dir_home_arrays()):
-            idx = vpns >> (VPN_BITS_PER_LEVEL * (N_LEVELS - level))
-            homes = arr[idx]
-            fresh = homes < 0
-            if fresh.any():
-                arr[idx[fresh]] = node
-                homes = arr[idx]
-            local += int((homes == node).sum())
-        remote = int(vpns.size) * N_LEVELS - local
-        self.walk_levels_local += local
-        self.walk_levels_remote += remote
-        cost = local * self.level_local_ns + remote * self.level_remote_ns
-        self.walk_cost_ns += cost
-        return cost
 
     def consistency_ok(self) -> bool:
         """Structural invariants (used by property tests).

@@ -15,7 +15,7 @@ from repro.units import PAGE_SIZE
 
 
 class FrameAllocator:
-    """Bump-with-free-list frame allocator over per-node frame ranges."""
+    """Bump frame allocator over per-node frame ranges."""
 
     def __init__(self, n_nodes: int, frames_per_node: int) -> None:
         if n_nodes <= 0 or frames_per_node <= 0:
@@ -23,8 +23,6 @@ class FrameAllocator:
         self.n_nodes = n_nodes
         self.frames_per_node = frames_per_node
         self._next = [node * frames_per_node for node in range(n_nodes)]
-        self._free: list[list[int]] = [[] for _ in range(n_nodes)]
-        self.allocated = [0] * n_nodes
 
     def node_of_frame(self, frame: int) -> int:
         """NUMA node owning *frame*."""
@@ -42,14 +40,10 @@ class FrameAllocator:
         """
         order = sorted(range(self.n_nodes), key=lambda n: abs(n - node))
         for candidate in order:
-            if self._free[candidate]:
-                self.allocated[candidate] += 1
-                return self._free[candidate].pop()
             limit = (candidate + 1) * self.frames_per_node
             if self._next[candidate] < limit:
                 frame = self._next[candidate]
                 self._next[candidate] += 1
-                self.allocated[candidate] += 1
                 return frame
         raise PageFaultError("out of physical memory on all nodes")
 
@@ -57,8 +51,8 @@ class FrameAllocator:
         """Allocate *count* frames on *node*, with the same fallback order.
 
         Returns exactly the frames ``count`` successive :meth:`allocate`
-        calls would return, in the same order: free-list frames newest-first,
-        then bump allocation, walking nodes by increasing id distance.
+        calls would return, in the same order: bump allocation, walking
+        nodes by increasing id distance.
         """
         if count < 0:
             raise ConfigurationError("cannot allocate a negative frame count")
@@ -68,21 +62,12 @@ class FrameAllocator:
         for candidate in order:
             if filled >= count:
                 break
-            free = self._free[candidate]
-            take = min(len(free), count - filled)
-            if take:
-                # pop() order: newest free frame first
-                out[filled : filled + take] = free[: -take - 1 : -1]
-                del free[-take:]
-                self.allocated[candidate] += take
-                filled += take
             limit = (candidate + 1) * self.frames_per_node
             nxt = self._next[candidate]
             take = min(limit - nxt, count - filled)
             if take > 0:
                 out[filled : filled + take] = np.arange(nxt, nxt + take, dtype=np.int64)
                 self._next[candidate] = nxt + take
-                self.allocated[candidate] += take
                 filled += take
         if filled < count:
             raise PageFaultError("out of physical memory on all nodes")
@@ -96,18 +81,10 @@ class FrameAllocator:
             raise PageFaultError("frame outside any node")
         return nodes
 
-    def free(self, frame: int) -> None:
-        """Return *frame* to its node's free list."""
-        node = self.node_of_frame(frame)
-        if self.allocated[node] <= 0:
-            raise PageFaultError(f"double free of frame {frame}")
-        self.allocated[node] -= 1
-        self._free[node].append(frame)
-
     def available(self, node: int) -> int:
         """Frames still allocatable on *node*."""
         limit = (node + 1) * self.frames_per_node
-        return (limit - self._next[node]) + len(self._free[node])
+        return limit - self._next[node]
 
     @classmethod
     def for_memory(cls, n_nodes: int, bytes_per_node: int) -> "FrameAllocator":

@@ -40,7 +40,6 @@ __all__ = [
     "InjectorWake",
     "MappingDecision",
     "Migration",
-    "PlacementApplied",
     "RunEnd",
     "RunStart",
     "ServeEnd",
@@ -140,10 +139,7 @@ class SpcdEvaluation(TraceEvent):
 
     ``verdict`` is one of ``insufficient-evidence``, ``cooldown``,
     ``pattern-unchanged``, ``no-communication``, ``vetoed``, ``no-move``,
-    ``migrated`` — plus, with the placement engine, ``data-idle``
-    (data-only policy, nothing to move) and ``data-migrated`` (data-only
-    policy moved pages this evaluation).
-    ``partners`` is the per-thread partner vector of the
+    ``migrated``.  ``partners`` is the per-thread partner vector of the
     matrix at evaluation time and ``matrix_digest`` a BLAKE2 digest of the
     matrix payload, so pattern-change decisions can be audited offline.
     """
@@ -201,34 +197,6 @@ class Migration(TraceEvent):
 
 
 @dataclass(frozen=True)
-class PlacementApplied(TraceEvent):
-    """An SPCD evaluation with data/replication effects was applied.
-
-    Emitted by :meth:`repro.core.manager.SpcdManager.evaluate` only when
-    the evaluation did more than a thread remap (decided page migrations,
-    shared-page deferrals, or a replica activation) — thread-only runs
-    therefore produce traces byte-identical to the pre-placement engine.
-    ``verdict`` is the evaluation's final verdict, the same one its
-    :class:`SpcdEvaluation` carries.  ``copy_time_ns`` is the data
-    mapper's cumulative page-copy bill at apply time;
-    ``replication_cost_ns`` the activation cost of this evaluation's
-    replication (0.0 unless ``replicated``).
-    """
-
-    type: ClassVar[str] = "placement_applied"
-
-    now_ns: int
-    policy: str
-    verdict: str
-    thread_moves: int
-    page_migrations: int
-    shared_deferred: int
-    replicated: bool
-    replication_cost_ns: float
-    copy_time_ns: float
-
-
-@dataclass(frozen=True)
 class CacheEpoch(TraceEvent):
     """Cache-hierarchy counters at an epoch boundary (cumulative)."""
 
@@ -245,10 +213,6 @@ class RunEnd(TraceEvent):
 
     ``perf`` is the host wall-clock breakdown (the one non-deterministic
     field of a trace); ``perf_other_s`` is its raw, *unclamped* residual.
-    ``replication_ns`` is the page-table replication share of
-    ``mapping_ns`` — carried here because replica-coherence broadcasts
-    accrue silently inside fault handling, so no per-decision event can
-    reconstruct the final bill (0.0 whenever replication is off).
     """
 
     type: ClassVar[str] = "run_end"
@@ -263,7 +227,6 @@ class RunEnd(TraceEvent):
     mapping_ns: float
     detection_pct: float
     mapping_pct: float
-    replication_ns: float = 0.0
     perf: dict[str, float] = field(default_factory=dict)
     perf_other_s: float = 0.0
 
@@ -440,7 +403,6 @@ def event_types() -> dict[str, type[TraceEvent]]:
             SpcdEvaluation,
             MappingDecision,
             Migration,
-            PlacementApplied,
             CacheEpoch,
             RunEnd,
             ServeStart,

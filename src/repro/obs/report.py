@@ -91,13 +91,6 @@ class RunReport:
     #: nonzero fraction of the last decided matrix (density trajectory tail)
     matrix_density: float = 0.0
     tlb_shootdowns: int = 0
-    #: placement-engine effects (all zero for thread-only policies)
-    page_migrations: int = 0
-    shared_deferred: int = 0
-    pt_replications: int = 0
-    #: replication share of mapping_ns; summary-sourced like total_ns,
-    #: because replica broadcasts accrue silently inside fault handling
-    replication_ns: float = 0.0
     events: int = 0
     #: host wall-clock breakdown from run_end's PerfCounters fold (the one
     #: non-deterministic part of a trace; empty for pre-perf traces)
@@ -147,10 +140,6 @@ class RunReport:
             "decide_wall_s": self.decide_wall_s,
             "matrix_density": self.matrix_density,
             "tlb_shootdowns": self.tlb_shootdowns,
-            "page_migrations": self.page_migrations,
-            "shared_deferred": self.shared_deferred,
-            "pt_replications": self.pt_replications,
-            "replication_ns": self.replication_ns,
             "events": self.events,
             "perf": dict(self.perf),
             "errors": list(self.errors),
@@ -449,23 +438,14 @@ def reconstruct_runs(events: Iterable[dict[str, Any]]) -> list[RunReport]:
         elif kind == "migration":
             run.migrations += 1
             migrate_ns = float(ev["cost_ns"])
-        elif kind == "placement_applied":
-            run.page_migrations += int(ev.get("page_migrations", 0))
-            run.shared_deferred += int(ev.get("shared_deferred", 0))
-            if ev.get("replicated"):
-                run.pt_replications += 1
         elif kind == "run_end":
             run.total_ns = float(ev["total_ns"])
             run.steps_run = int(ev["steps_run"])
             run.perf = {k: float(v) for k, v in ev.get("perf", {}).items()}
-            # The replication bill has no per-decision event (coherence
-            # broadcasts ride inside fault handling), so it is summary-
-            # sourced; zero for every pre-replication trace.
-            run.replication_ns = float(ev.get("replication_ns", 0.0))
             # Same additions, same order, as SpcdManager.detection_time_ns /
             # mapping_time_ns — the split is reproduced bit-for-bit.
             run.detection_ns = hook_ns + inject_ns
-            run.mapping_ns = mapper_ns + migrate_ns + run.replication_ns
+            run.mapping_ns = mapper_ns + migrate_ns
             _cross_check(run, ev)
             run = None
     return runs
@@ -525,13 +505,6 @@ def _format_table(reports: list[RunReport]) -> str:
             f"{100.0 * r.injected_ratio:>6.1f} {r.injector_wakes:>6d} "
             f"{r.evaluations:>6d}"
         )
-        if r.page_migrations or r.shared_deferred or r.pt_replications:
-            lines.append(
-                f"  placement: {r.page_migrations} page migration(s), "
-                f"{r.shared_deferred} shared deferral(s), "
-                f"{r.pt_replications} PT replication(s) "
-                f"({r.replication_ns:.0f} ns)"
-            )
         if r.mapper_calls:
             engines = ", ".join(
                 f"{name} x{count}" for name, count in sorted(r.mapper_algorithms.items())

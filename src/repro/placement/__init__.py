@@ -1,24 +1,18 @@
-"""Unified NUMA placement: thread + data + page-table placement, co-decided.
+"""Placement policies: how threads start and whether SPCD remaps them.
 
-The paper maps threads only; Phoenix shows thread and page-table placement
-must be orchestrated together on NUMA, and Mitosis shows per-node
-page-table replication pays off once walks routinely cross sockets
-(PAPERS.md).  A :class:`PlacementPolicy` is one frozen record that names
-which of those mechanisms run; each periodic SPCD evaluation
-(:meth:`repro.core.manager.SpcdManager.evaluate`) reads its flags and runs
-the data scan, the thread proposal, replication, page moves and the
-thread remap in one fixed order.
+A :class:`PlacementPolicy` is one frozen record of four fields; the five
+canonical policies (``os``, ``random``, ``oracle``, ``spcd``,
+``spcd-hier``) are five rows of it.  Each periodic SPCD evaluation
+(:meth:`repro.core.manager.SpcdManager.evaluate`) of a policy that maps
+threads is the paper's thread-only evaluation.
 
 Policies are named; :func:`resolve_policy` is the front door::
 
     from repro import Simulator
-    result = Simulator(make_npb("SP"), "spcd-combined", seed=1).run()
+    result = Simulator(make_npb("SP"), "spcd", seed=1).run()
 
-The mechanisms live elsewhere (thread remap in
-:mod:`repro.kernelsim.migration`, page migration in
-:mod:`repro.core.datamap`, replication in :mod:`repro.mem.ptreplica`).
-DESIGN.md §14 documents the architecture, the evaluation order and the
-replication coherence rules.
+The thread remap itself lives in :mod:`repro.kernelsim.migration`.
+DESIGN.md §14 documents the records and the evaluation.
 """
 
 from repro.placement.policy import PlacementPolicy, canonical_policies, resolve_policy

@@ -1,26 +1,23 @@
 """Placement policies: one frozen record per strategy.
 
 A :class:`PlacementPolicy` is a row of flags: how threads start
-(``start``), which SPCD mechanisms each periodic evaluation runs
-(``maps_threads``, ``maps_data``, ``replicate_pt``) and which mapping
-engine decides thread remaps (``mapper_algorithm``).  The policy does
-not evaluate anything itself: :meth:`repro.core.manager.SpcdManager.evaluate`
-reads the flags and runs the mechanisms in one fixed order.
+(``start``), whether SPCD's periodic evaluation may remap them
+(``maps_threads``) and which mapping engine decides the remaps
+(``mapper_algorithm``).  The policy does not evaluate anything itself:
+:meth:`repro.core.manager.SpcdManager.evaluate` runs the paper's
+thread-only evaluation for every policy that maps threads.
 
 The canonical registry:
 
-========================  ======== ======= ======== =============
-name                      threads  data    replica  start
-========================  ======== ======= ======== =============
-``os``                    —        —       —        CFS-like
-``random``                —        —       —        random pin
-``oracle``                —        —       —        ground truth
-``spcd``                  ✓        —       —        random pin
-``spcd-hier``             ✓        —       —        random pin
-``spcd-data``             —        ✓       —        random pin
-``spcd-combined``         ✓        ✓       —        random pin
-``spcd-replicated``       ✓        ✓       ✓        random pin
-========================  ======== ======= ======== =============
+========================  ======== =============
+name                      threads  start
+========================  ======== =============
+``os``                    —        CFS-like
+``random``                —        random pin
+``oracle``                —        ground truth
+``spcd``                  ✓        random pin
+``spcd-hier``             ✓        random pin
+========================  ======== =============
 
 The policy is the only way to choose a placement mechanism or a mapping
 engine.  ``spcd-hier`` is ``spcd`` with the scalable hierarchical mapper
@@ -29,8 +26,8 @@ engine.  ``spcd-hier`` is ``spcd`` with the scalable hierarchical mapper
 of :func:`repro.core.mapping.select_mapper_algorithm`.  A
 variant is one :func:`dataclasses.replace` away::
 
-    variant = dataclasses.replace(resolve_policy("spcd"), name="spcd+data",
-                                  maps_data=True)
+    variant = dataclasses.replace(resolve_policy("spcd"), name="spcd-edmonds",
+                                  mapper_algorithm="edmonds")
 """
 
 from __future__ import annotations
@@ -62,11 +59,8 @@ class PlacementPolicy:
     Attributes:
         name: stable identifier (seed derivation, result rows, traces).
         start: initial thread placement, one of :data:`STARTS`.
-        maps_threads: evaluations may remap threads (the paper's SPCD).
-        maps_data: evaluations scan the per-page node-fault counters and
-            migrate node-dominated pages (the paper's Sec. IV extension).
-        replicate_pt: the first evaluation activates per-node page-table
-            replicas (Mitosis).
+        maps_threads: SPCD detects communication and evaluations may
+            remap threads (the paper's mechanism).
         mapper_algorithm: registered mapping engine
             (:func:`repro.core.mapping.make_mapper`); ``None`` leaves it to
             the PU-count auto-switch.
@@ -75,8 +69,6 @@ class PlacementPolicy:
     name: str
     start: str = "random"
     maps_threads: bool = False
-    maps_data: bool = False
-    replicate_pt: bool = False
     mapper_algorithm: "str | None" = None
 
     def __post_init__(self) -> None:
@@ -85,11 +77,6 @@ class PlacementPolicy:
                 f"policy {self.name!r}: unknown start {self.start!r}; "
                 f"expected one of {list(STARTS)}"
             )
-
-    @property
-    def uses_spcd(self) -> bool:
-        """Whether the SPCD detector, injector and evaluator run."""
-        return self.maps_threads or self.maps_data
 
     def make_scheduler(
         self, machine: "Machine", workload: "Workload", rng: np.random.Generator
@@ -118,11 +105,6 @@ _CANONICAL = (
     PlacementPolicy("oracle", start="oracle"),
     PlacementPolicy("spcd", maps_threads=True),
     PlacementPolicy("spcd-hier", maps_threads=True, mapper_algorithm="hierarchical"),
-    PlacementPolicy("spcd-data", maps_data=True),
-    PlacementPolicy("spcd-combined", maps_threads=True, maps_data=True),
-    PlacementPolicy(
-        "spcd-replicated", maps_threads=True, maps_data=True, replicate_pt=True
-    ),
 )
 
 

@@ -126,3 +126,61 @@ class ProducerConsumerWorkload(Workload):
             return CommunicationMatrix(n, pattern)
         blend = 0.5 * neighbor_pairs_pattern(n) + 0.5 * distant_pairs_pattern(n)
         return CommunicationMatrix(n, blend)
+
+
+#: communication events an interval matrix must hold to count as a view
+#: of its phase (fewer is sampling noise)
+MIN_INTERVAL_EVENTS = 20.0
+
+
+def phase_intervals(
+    workload: ProducerConsumerWorkload,
+    snapshots: "list[tuple[int, CommunicationMatrix]]",
+) -> "dict[str, CommunicationMatrix | None]":
+    """The paper's Fig. 6a-c interval matrices from detector snapshots.
+
+    *snapshots* are ``(now_ns, matrix)`` pairs in time order.  Each pair
+    of consecutive snapshots is one interval, read with
+    :meth:`~repro.core.commmatrix.CommunicationMatrix.diff`; one holding
+    fewer than :data:`MIN_INTERVAL_EVENTS` events is skipped.  Returns the
+    first interval wholly inside phase 1 (``phase_at`` 0) that starts
+    after a quarter period (``"phase1"``), the first wholly inside phase 2
+    (``"phase2"``), and the first that straddles a phase change
+    (``"transition"``).  A straddling pair holding too few events is
+    widened by one snapshot on each side at a time until it holds enough;
+    ``None`` marks an interval the snapshots do not contain.
+    """
+    intervals: "dict[str, CommunicationMatrix | None]" = {
+        "phase1": None,
+        "phase2": None,
+        "transition": None,
+    }
+    quarter = workload.phase_period_ns // 4
+    for i, ((t0, m0), (t1, m1)) in enumerate(zip(snapshots, snapshots[1:])):
+        p0, p1 = workload.phase_at(t0), workload.phase_at(t1)
+        if p0 != p1:
+            if intervals["transition"] is None:
+                intervals["transition"] = _widened_interval(snapshots, i)
+            continue
+        diff = m1.diff(m0)
+        if diff.total() < MIN_INTERVAL_EVENTS:
+            continue
+        if p0 == 0 and intervals["phase1"] is None and t0 > quarter:
+            intervals["phase1"] = diff
+        elif p0 == 1 and intervals["phase2"] is None:
+            intervals["phase2"] = diff
+    return intervals
+
+
+def _widened_interval(
+    snapshots: "list[tuple[int, CommunicationMatrix]]", i: int
+) -> "CommunicationMatrix | None":
+    """Snapshots *i* to *i*+1, widened until the interval holds enough events."""
+    lo, hi = i, i + 1
+    while True:
+        diff = snapshots[hi][1].diff(snapshots[lo][1])
+        if diff.total() >= MIN_INTERVAL_EVENTS:
+            return diff
+        if lo == 0 or hi == len(snapshots) - 1:
+            return None
+        lo, hi = lo - 1, hi + 1

@@ -101,15 +101,53 @@ ENGINE_API = {
 #: a placement policy is one frozen record; there is no decision type
 PLACEMENT_API = {"PlacementPolicy", "canonical_policies", "resolve_policy"}
 
+#: SPCD itself: detection, injection, filter, matching and mapping
+CORE_API = {
+    "ArrayShareTable",
+    "CommunicationFilter",
+    "CommunicationMatrix",
+    "FaultInjector",
+    "HierarchicalMapper",
+    "InjectorMode",
+    "MAPPER_ALGORITHMS",
+    "ShareEntry",
+    "ShareTable",
+    "SpcdConfig",
+    "SpcdDetector",
+    "SpcdManager",
+    "greedy_matching",
+    "group_matrix",
+    "hash_64",
+    "hash_64_batch",
+    "lay_out_socket_groups",
+    "make_mapper",
+    "mapping_comm_cost",
+    "matching_weight",
+    "max_weight_perfect_matching",
+    "pair_groups",
+}
+
+#: the small-model checkers' models and enumerators
+CHECK_API = {
+    "Counterexample",
+    "ServeModel",
+    "check_tlb_fault_interleavings",
+    "interleavings",
+    "op_sequences",
+    "session_shard_trace",
+}
+
 
 class TestTopLevel:
     def test_version(self):
-        assert repro.__version__ == "9.0.0"
+        assert repro.__version__ == "10.0.0"
 
     def test_api_surface_snapshot(self):
         assert set(repro.__all__) == TOP_LEVEL_API
         assert set(importlib.import_module("repro.engine").__all__) == ENGINE_API
         assert set(importlib.import_module("repro.placement").__all__) == PLACEMENT_API
+        assert set(importlib.import_module("repro.core").__all__) == CORE_API
+        assert set(importlib.import_module("repro.check").__all__) == CHECK_API
 
     def test_quickstart_symbols_present(self):
         for symbol in ("Simulator", "make_npb", "EngineConfig", "SpcdConfig",

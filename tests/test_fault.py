@@ -80,7 +80,7 @@ class TestInjectedFaults:
 class TestHooks:
     def test_hook_sees_fault_info(self, pipeline):
         seen: list[FaultInfo] = []
-        pipeline.add_hook(seen.append)
+        pipeline.add_batch_hook(lambda batch: seen.extend(batch.infos()))
         pipeline.handle_fault(3, 1, _addr(pipeline) + 123, is_write=True, now_ns=55)
         assert len(seen) == 1
         info = seen[0]
@@ -90,13 +90,13 @@ class TestHooks:
 
     def test_hook_removal(self, pipeline):
         seen = []
-        pipeline.add_hook(seen.append)
-        pipeline.remove_hook(seen.append)
+        pipeline.add_batch_hook(seen.append)
+        pipeline.remove_batch_hook(seen.append)
         pipeline.handle_fault(0, 0, _addr(pipeline), is_write=False, now_ns=0)
         assert not seen
 
     def test_hook_time_charged_separately(self, pipeline):
-        pipeline.add_hook(lambda info: pipeline.charge_hook_time(100.0))
+        pipeline.add_batch_hook(lambda batch: pipeline.charge_hook_time(100.0))
         pipeline.handle_fault(0, 0, _addr(pipeline), is_write=False, now_ns=0)
         assert pipeline.hook_time_ns == 100.0
 

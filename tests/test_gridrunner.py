@@ -22,8 +22,11 @@ from repro.engine.settings import RunSettings
 from repro.engine.simulator import EngineConfig
 from repro.errors import ConfigurationError
 from repro.machine.topology import dual_xeon_e5_2650
+from repro.core.injector import InjectorMode
 from repro.core.manager import SpcdConfig
-from repro.placement import resolve_policy
+from repro.engine.energy import EnergyParams
+from repro.engine.metrics import TimeParams
+from repro.placement import PlacementPolicy, resolve_policy
 from repro.workloads.npb import make_npb
 
 CFG = EngineConfig(steps=15, batch_size=128)
@@ -114,6 +117,53 @@ def test_run_grid_with_lambda_factory_warns_and_bypasses_cache(tmp_path):
     assert len(list(tmp_path.rglob("*.pkl"))) == 1  # only FT was stored
 
 
+#: one alternative value per field of every record that enters a cell key
+KEY_ALTERNATIVES = {
+    "config": {
+        "batch_size": 64,
+        "steps": 7,
+        "time_scale": 1000.0,
+        "time_params": TimeParams(stall_exposure=0.5),
+        "energy_params": EnergyParams(dram_access_nj=20.0),
+        "capacity_pages": 1 << 16,
+        "collect_trace": True,
+        "pretouch": "parallel",
+    },
+    "spcd_config": {
+        "granularity": 1 << 13,
+        "window_ns": 100_000_000,
+        "table_size": 1000,
+        "injector_period_ns": 5_000_000,
+        "injector_ratio": 0.2,
+        "injector_mode": InjectorMode.CUMULATIVE,
+        "injector_floor": 128,
+        "injector_max_per_wake": 2048,
+        "injector_sampling": "uniform",
+        "eval_period_ns": 25_000_000,
+        "remap_cooldown_ns": 0,
+        "min_improvement": 0.9,
+        "filter_threshold": 3,
+        "filter_enabled": False,
+        "filter_hysteresis": 1.5,
+        "filter_margin": 0.25,
+        "filter_min_events": 64.0,
+        "matrix_decay": 1.0,
+        "mapper_stickiness": 0.0,
+        "mapping_cost_ns_per_n3": 60.0,
+        "detect_cost_ns": 300.0,
+        "clear_cost_ns": 200.0,
+    },
+    # past "name", each entry is a same-named variant: a different policy,
+    # hence a different key
+    "policy": {
+        "name": "mine",
+        "start": "cfs",
+        "maps_threads": False,
+        "mapper_algorithm": "hierarchical",
+    },
+}
+
+
 def test_cell_key_sensitivity():
     machine = dual_xeon_e5_2650()
     base = dict(
@@ -128,12 +178,16 @@ def test_cell_key_sensitivity():
     assert k == _cell_key(**base)  # deterministic
     assert k != _cell_key(**{**base, "seed": 2})
     assert k != _cell_key(**{**base, "policy": resolve_policy("os")})
-    # a same-named variant is a different policy, hence a different key
-    variant = dataclasses.replace(base["policy"], maps_data=True)
-    assert variant.name == "spcd"
-    assert k != _cell_key(**{**base, "policy": variant})
-    assert k != _cell_key(**{**base, "config": EngineConfig(steps=7)})
-    assert k != _cell_key(**{**base, "config": EngineConfig(placement_walk=True)})
+    # a field added later without an entry here fails
+    records = {"config": EngineConfig, "spcd_config": SpcdConfig, "policy": PlacementPolicy}
+    for arg, cls in records.items():
+        names = {f.name for f in dataclasses.fields(cls)}
+        assert set(KEY_ALTERNATIVES[arg]) == names, cls.__name__
+    for arg, alternatives in KEY_ALTERNATIVES.items():
+        for field_name, value in alternatives.items():
+            record = dataclasses.replace(base[arg], **{field_name: value})
+            assert record != base[arg], (arg, field_name)
+            assert k != _cell_key(**{**base, arg: record}), (arg, field_name)
 
 
 def test_code_version_stable_within_process():
@@ -229,23 +283,24 @@ def test_run_grid_second_invocation_fully_cached(tmp_path):
     assert third.cache_misses == 2
 
 
-def test_placement_walk_is_in_the_cache_key(tmp_path):
-    """A walk-on run misses a cache that holds the walk-off result.
+def test_pretouch_is_in_the_cache_key(tmp_path):
+    """A parallel-first-touch run misses a cache that holds the serial result.
 
-    Walk charging once came from the environment, outside the key, and
-    the second call below returned the cached walk-off result.
+    A result-changing switch once came from the environment, outside the
+    key, and the second call below returned the cached result of the
+    other setting.
     """
     cache = ResultCache(tmp_path)
-    walk_off = EngineConfig(steps=20, batch_size=128)
-    walk_on = dataclasses.replace(walk_off, placement_walk=True)
+    serial = EngineConfig(steps=20, batch_size=128)
+    parallel = dataclasses.replace(serial, pretouch="parallel")
 
     def exec_time(grid):
         return grid.cell("CG", "spcd").mean("exec_time_s")
 
-    off = run_grid(["CG"], ["spcd"], 1, config=walk_off, cache=cache)
-    on = run_grid(["CG"], ["spcd"], 1, config=walk_on, cache=cache)
+    off = run_grid(["CG"], ["spcd"], 1, config=serial, cache=cache)
+    on = run_grid(["CG"], ["spcd"], 1, config=parallel, cache=cache)
     assert (off.cache_hits, on.cache_hits) == (0, 0)
-    uncached = run_grid(["CG"], ["spcd"], 1, config=walk_on, settings=RunSettings())
+    uncached = run_grid(["CG"], ["spcd"], 1, config=parallel, settings=RunSettings())
     assert exec_time(on) == exec_time(uncached)
     assert exec_time(on) != exec_time(off)
 
@@ -253,7 +308,7 @@ def test_placement_walk_is_in_the_cache_key(tmp_path):
 def test_same_named_policy_variant_misses_the_cache(tmp_path):
     """A variant that keeps a canonical name must not be served that
     policy's cached result (the key once hashed only the name)."""
-    variant = dataclasses.replace(resolve_policy("spcd"), maps_data=True)
+    variant = dataclasses.replace(resolve_policy("spcd"), mapper_algorithm="hierarchical")
     plain = run_grid(["SP"], ["spcd"], 1, config=CFG, cache=tmp_path)
     mine = run_grid(["SP"], [variant], 1, config=CFG, cache=tmp_path)
     assert (plain.cache_hits, mine.cache_hits) == (0, 0)
@@ -265,7 +320,7 @@ def test_same_named_policy_variant_misses_the_cache(tmp_path):
 def test_run_grid_rejects_duplicate_policy_names():
     """Two policies named ``spcd`` once merged into one grid cell holding
     only the last one's result."""
-    variant = dataclasses.replace(resolve_policy("spcd"), maps_data=True)
+    variant = dataclasses.replace(resolve_policy("spcd"), mapper_algorithm="hierarchical")
     with pytest.raises(ConfigurationError, match="two policies named 'spcd'"):
         run_grid(["SP"], ["spcd", variant], 1, config=CFG, settings=RunSettings())
 

@@ -159,12 +159,11 @@ class TestConfig:
             SessionConfig(n_threads=4, matrix_decay=decay)
 
     def test_rejects_a_policy_that_maps_nothing(self, env):
-        """Its evaluations would report a ``data-idle`` verdict with no
-        data mapper behind it."""
+        """A policy that does not map threads has nothing to evaluate."""
         from repro.errors import ConfigurationError
 
         space, pipeline, sched, wheel, rng = env
-        with pytest.raises(ConfigurationError, match="maps neither"):
+        with pytest.raises(ConfigurationError, match="does not map threads"):
             SpcdManager(sched.machine, 8, pipeline, sched, rng, placement="random")
 
 

@@ -86,7 +86,6 @@ def test_event_types_registry_is_complete():
     kinds = event_types()
     assert {"run_start", "run_end", "fault_batch", "injector_wake", "tlb_shootdown",
             "spcd_evaluation", "mapping_decision", "migration", "cache_epoch",
-            "placement_applied",
             "grid_start", "grid_end", "cell_completed", "cell_failed",
             "serve_start", "serve_session_start", "serve_evaluation",
             "serve_session_end", "serve_end"} == set(kinds)

@@ -29,15 +29,6 @@ class TestMapping:
         with pytest.raises(PageFaultError):
             table.map_page(7, 43, 0)
 
-    def test_unmap_returns_frame(self, table):
-        table.map_page(7, 42, 0)
-        assert table.unmap_page(7) == 42
-        assert not table.is_populated(7)
-
-    def test_unmap_unpopulated_rejected(self, table):
-        with pytest.raises(PageFaultError):
-            table.unmap_page(7)
-
     def test_capacity_enforced(self, table):
         with pytest.raises(AddressError):
             table.is_present(128)
@@ -129,9 +120,8 @@ class TestConsistency:
             if op == 0 and vpn not in populated:
                 table.map_page(vpn, vpn + 1000, int(rng.integers(0, 2)))
                 populated.add(vpn)
-            elif op == 1 and vpn in populated:
-                table.unmap_page(vpn)
-                populated.discard(vpn)
+            elif op == 1 and vpn in populated and not table.is_present(vpn):
+                table.restore_present(vpn)
             elif op == 2:
                 table.clear_present(vpn)
             elif op == 3 and vpn in populated:

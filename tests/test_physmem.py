@@ -37,27 +37,15 @@ class TestAllocation:
             FrameAllocator(0, 10)
 
 
-class TestFree:
-    def test_free_then_reuse(self):
-        fa = FrameAllocator(1, 1)
-        frame = fa.allocate(0)
-        fa.free(frame)
-        assert fa.allocate(0) == frame
-
-    def test_double_free_rejected(self):
-        fa = FrameAllocator(1, 5)
-        frame = fa.allocate(0)
-        fa.free(frame)
-        with pytest.raises(PageFaultError):
-            fa.free(frame)
-
+class TestAccounting:
     def test_available_accounting(self):
-        fa = FrameAllocator(1, 10)
+        fa = FrameAllocator(2, 10)
         assert fa.available(0) == 10
-        f = fa.allocate(0)
+        fa.allocate(0)
         assert fa.available(0) == 9
-        fa.free(f)
-        assert fa.available(0) == 10
+        fa.allocate_batch(0, 4)
+        assert fa.available(0) == 5
+        assert fa.available(1) == 10
 
     def test_node_of_frame_range_check(self):
         fa = FrameAllocator(2, 10)

@@ -175,8 +175,7 @@ def test_page_table_consistency_under_any_op_sequence(ops):
             populated.add(vpn)
             next_frame += 1
         elif op == 1 and vpn in populated:
-            table.unmap_page(vpn)
-            populated.discard(vpn)
+            table.mark_accessed(vpn, dirty=bool(vpn % 3))
         elif op == 2:
             table.clear_present(vpn)
         elif op == 3 and vpn in populated and table.is_present(vpn) is False:

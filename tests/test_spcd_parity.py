@@ -43,17 +43,18 @@ def test_hash_64_batch_matches_scalar():
             assert h == hash_64(v, bits)
 
 
-def test_allocate_batch_matches_scalar_with_free_list_and_spill():
-    """Bulk allocation replays allocate() exactly: LIFO free list, then bump,
-    spilling to the nearest node when one runs out."""
+def test_allocate_batch_matches_scalar_with_spill():
+    """Bulk allocation replays allocate() exactly: bump, spilling to the
+    nearest node when one runs out."""
     a = FrameAllocator(n_nodes=4, frames_per_node=8)
     b = FrameAllocator(n_nodes=4, frames_per_node=8)
     for alloc in (a, b):
-        taken = [alloc.allocate(1) for _ in range(5)]
-        for f in (taken[3], taken[0], taken[4]):
-            alloc.free(f)
-    # 3 frames on node 1's free list, 3 by bump, then spill to neighbours
-    want = 14
+        alloc.allocate(1)
+        alloc.allocate(1)
+        alloc.allocate_batch(2, 3)
+    # node 1's 6 frames, then the nearest nodes by id: all 8 of node 0,
+    # then 2 of the 5 node 2 has left
+    want = 16
     got_a = [a.allocate(1) for _ in range(want)]
     got_b = b.allocate_batch(1, want).tolist()
     assert got_a == got_b

@@ -3,13 +3,13 @@
 import numpy as np
 import pytest
 
-from repro import EngineConfig, Simulator
+from repro import CommunicationMatrix, EngineConfig, Simulator
 from repro.errors import WorkloadError
 from repro.graphs.workloads import make_spmv
 from repro.mem.addresspace import AddressSpace
 from repro.units import MSEC, PAGE_SIZE
 from repro.workloads.npb import NPB_SPECS, make_npb
-from repro.workloads.producer_consumer import ProducerConsumerWorkload
+from repro.workloads.producer_consumer import ProducerConsumerWorkload, phase_intervals
 
 
 def prepared(workload, capacity=1 << 17):
@@ -197,6 +197,27 @@ class TestProducerConsumer:
         wl = ProducerConsumerWorkload(n_threads=8)
         gt = wl.ground_truth()
         assert gt.matrix[0, 1] > 0 and gt.matrix[0, 4] > 0
+
+    def test_thin_transition_interval_is_widened(self):
+        """Fig. 6c once went missing: the one pair of snapshots around the
+        phase change held too few events and was skipped."""
+        wl = ProducerConsumerWorkload(n_threads=4, phase_period_ns=100)
+        running = CommunicationMatrix(4)
+        snapshots = [(10, running.copy())]
+        for now in range(30, 200, 20):
+            # 30 events per interval inside a phase, 5 across the change
+            pair = (0, 1) if wl.phase_at(now) == 0 else (0, 2)
+            running.add(*pair, 5.0 if now == 110 else 30.0)
+            snapshots.append((now, running.copy()))
+        intervals = phase_intervals(wl, snapshots)
+        assert intervals["phase1"].matrix[0, 1] == 30.0  # 30 -> 50 ms
+        assert intervals["phase2"].matrix[0, 2] == 30.0  # 110 -> 130 ms
+        # 90 -> 110 holds 5 events; widened once, 70 -> 130 holds 65
+        transition = intervals["transition"]
+        assert transition.total() == 65.0
+        assert transition.matrix[0, 1] == 30.0 and transition.matrix[0, 2] == 35.0
+        # with no snapshot to widen to, there is no transition view
+        assert phase_intervals(wl, snapshots[4:6])["transition"] is None
 
 
 REUSED = {
