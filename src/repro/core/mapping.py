@@ -20,7 +20,6 @@ from __future__ import annotations
 import logging
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from repro.core.commmatrix import CommunicationMatrix
 from repro.core.grouping import Group, build_hierarchy, group_matrix
@@ -53,6 +52,81 @@ def _is_pow2(x: int) -> bool:
     return x > 0 and (x & (x - 1)) == 0
 
 
+def _linear_sum_assignment(cost: list[list[float]]) -> tuple[list[int], list[int]]:
+    """Minimum-cost assignment of the rows of *cost* (a list of equal-length
+    rows of finite floats) to its columns.
+
+    Crouse's shortest augmenting path (2016), ported step for step from the
+    reference C++ solver that ``tests/test_numpy_runtime.py`` holds it to:
+    the same scan order and tie rules, so the same ``(row_ind, col_ind)``,
+    ties included.  The slot assignment, and so every recorded placement,
+    depends on which optimum wins a tie.
+    """
+    rows = cost
+    nr = len(rows)
+    nc = len(rows[0]) if nr else 0
+    # a tall matrix is solved transposed and its pairs sorted by row
+    transpose = nc < nr
+    if transpose:
+        rows = [list(col) for col in zip(*rows)]
+        nr, nc = nc, nr
+    inf = float("inf")
+    u = [0.0] * nr
+    v = [0.0] * nc
+    path = [-1] * nc
+    col4row = [-1] * nr
+    row4col = [-1] * nc
+    for cur in range(nr):
+        # shortest augmenting path from row *cur* to an unassigned column
+        spc = [inf] * nc
+        remaining = list(range(nc - 1, -1, -1))
+        sr: list[int] = []
+        sc: list[int] = []
+        min_val = 0.0
+        i = cur
+        sink = -1
+        while sink == -1:
+            sr.append(i)
+            row, ui = rows[i], u[i]
+            index, lowest = -1, inf
+            for it, j in enumerate(remaining):
+                s = spc[j]
+                r = min_val + row[j] - ui - v[j]
+                if r < s:
+                    path[j] = i
+                    spc[j] = s = r
+                # among equal lowest costs, an unassigned column (a new sink)
+                if s < lowest or (s == lowest and row4col[j] == -1):
+                    lowest = s
+                    index = it
+            min_val = lowest
+            j = remaining[index]
+            if row4col[j] == -1:
+                sink = j
+            else:
+                i = row4col[j]
+            sc.append(j)
+            remaining[index] = remaining[-1]
+            remaining.pop()
+        # dual update, then augment along the path back to row *cur*
+        u[cur] += min_val
+        for i in sr[1:]:
+            u[i] += min_val - spc[col4row[i]]
+        for j in sc:
+            v[j] -= min_val - spc[j]
+        j = sink
+        while True:
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == cur:
+                break
+    if transpose:
+        order = sorted(range(nr), key=col4row.__getitem__)
+        return [col4row[i] for i in order], order
+    return list(range(nr)), col4row
+
+
 def _pack_greedy(
     comm: np.ndarray, groups: list[Group], n_bins: int, per_bin: int
 ) -> list[list[Group]]:
@@ -83,6 +157,31 @@ def _pack_greedy(
     return [[groups[g] for g in members] for members in bins]
 
 
+def _check_current(current: np.ndarray | None, n_threads: int) -> np.ndarray | None:
+    """*current* as an array of one PU per thread (``None`` passes through);
+    both mappers' ``map`` check it here before reading it, and so does
+    :func:`lay_out_socket_groups`."""
+    if current is None:
+        return None
+    current = np.asarray(current)
+    if current.shape != (n_threads,):
+        raise MappingError(
+            f"current placement has shape {current.shape}; expected ({n_threads},)"
+        )
+    return current
+
+
+def _keep_most(overlap: list[list[float]]) -> list[int]:
+    """Column for each row of *overlap* (how many threads of a group sit on
+    each socket, core or PU now) that keeps the most threads in place: the
+    solver's assignment of the negated counts.  With nothing to keep, that
+    is row *i* to column *i* (the solver's answer for a zero matrix), so
+    the solver is skipped."""
+    if not any(map(any, overlap)):
+        return list(range(len(overlap)))
+    return _linear_sum_assignment([[-x for x in row] for row in overlap])[1]
+
+
 def lay_out_socket_groups(
     machine: Machine,
     socket_groups: list[list[Group]],
@@ -98,66 +197,43 @@ def lay_out_socket_groups(
     assignment, so stickiness-vs-current behaviour is identical across
     mapping algorithms.
     """
+    current = _check_current(current, n_threads)
+    # each slot's current PU: none for virtual threads, or without *current*
+    pu_now: list[int | None] = [None] * machine.n_pus
+    if current is not None:
+        pu_now[:n_threads] = [int(pu) for pu in current]
     pu_of_slot = np.full(machine.n_pus, -1, dtype=np.int64)
 
-    def cur_socket(tid: int) -> int:
-        return machine.socket_of(int(current[tid]))  # type: ignore[index]
-
-    def cur_core(tid: int) -> int:
-        return machine.core_of(int(current[tid]))  # type: ignore[index]
-
     # Socket level: maximise threads already on their assigned socket.
-    n_groups = len(socket_groups)
-    if current is not None and n_groups > 1:
-        overlap = np.zeros((n_groups, machine.n_sockets))
-        for g, cores in enumerate(socket_groups):
-            for group in cores:
-                for tid in group:
-                    if tid < n_threads:
-                        overlap[g, cur_socket(tid)] += 1
-        rows, cols = linear_sum_assignment(-overlap)
-        socket_of_group = dict(zip(rows.tolist(), cols.tolist()))
-    else:
-        socket_of_group = {g: g for g in range(n_groups)}
-
+    overlap = [[0.0] * machine.n_sockets for _ in socket_groups]
     for g, cores in enumerate(socket_groups):
-        socket_id = socket_of_group[g]
+        for group in cores:
+            for tid in group:
+                if pu_now[tid] is not None:
+                    overlap[g][machine.socket_of(pu_now[tid])] += 1.0
+    socket_of_group = _keep_most(overlap)
+
+    for cores, socket_id in zip(socket_groups, socket_of_group):
         core_ids = machine.cores_of_socket(socket_id)
         if len(cores) > len(core_ids):
             raise MappingError("more core groups than cores in socket")
         # Core level: maximise threads already on their assigned core.
-        if current is not None:
-            overlap = np.zeros((len(cores), len(core_ids)))
-            for ci, group in enumerate(cores):
-                for tid in group:
-                    if tid < n_threads:
-                        cc = cur_core(tid)
-                        if cc in core_ids:
-                            overlap[ci, core_ids.index(cc)] += 1
-            rows, cols = linear_sum_assignment(-overlap)
-            core_of_group = {r: core_ids[c] for r, c in zip(rows, cols)}
-        else:
-            core_of_group = dict(enumerate(core_ids))
-        for ci, core_group in enumerate(cores):
-            core_id = core_of_group[ci]
-            pus = machine.pus_of_core(core_id)
-            if len(core_group) > len(pus):
+        slot_of_core = {core: k for k, core in enumerate(core_ids)}
+        overlap = [[0.0] * len(core_ids) for _ in cores]
+        for ci, group in enumerate(cores):
+            for tid in group:
+                if pu_now[tid] is not None:
+                    k = slot_of_core.get(machine.core_of(pu_now[tid]))
+                    if k is not None:
+                        overlap[ci][k] += 1.0
+        for group, k in zip(cores, _keep_most(overlap)):
+            pus = machine.pus_of_core(core_ids[k])
+            if len(group) > len(pus):
                 raise MappingError("core group larger than SMT width")
-            members = list(core_group)
             # SMT level: keep a member on its current PU where possible.
-            if current is not None:
-                ov = np.zeros((len(members), len(pus)))
-                for mi, tid in enumerate(members):
-                    if tid < n_threads:
-                        for pi, pu in enumerate(pus):
-                            if int(current[tid]) == pu:
-                                ov[mi, pi] += 1
-                rows, cols = linear_sum_assignment(-ov)
-                for mi, pi in zip(rows, cols):
-                    pu_of_slot[members[mi]] = pus[pi]
-            else:
-                for slot, pu in zip(members, pus):
-                    pu_of_slot[slot] = pu
+            overlap = [[float(pu_now[tid] == pu) for pu in pus] for tid in group]
+            for tid, pi in zip(group, _keep_most(overlap)):
+                pu_of_slot[tid] = pus[pi]
     return pu_of_slot
 
 
@@ -190,7 +266,8 @@ class HierarchicalMapper:
                 sockets/cores/SMT slots; when *current* is given, those ties
                 are broken to minimise the number of threads that actually
                 move (matching the paper's goal of migrating only when the
-                pattern really changed).
+                pattern really changed).  One PU per thread, or
+                :class:`MappingError`.
 
         Returns:
             int array ``pu_of_tid`` of length ``n_threads``.
@@ -204,6 +281,7 @@ class HierarchicalMapper:
             raise MappingError(
                 f"{n_threads} threads exceed the machine's {n_pus} PUs"
             )
+        current = _check_current(current, n_threads)
         # Pad with zero-communication virtual threads to fill the machine.
         padded = np.zeros((n_pus, n_pus))
         padded[:n_threads, :n_threads] = comm

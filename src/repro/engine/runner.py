@@ -9,10 +9,10 @@ baseline for the figures.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats as sps
 
 from repro.engine.simulator import SimulationResult
 from repro.errors import ConfigurationError
@@ -37,8 +37,45 @@ class MetricStats:
         return len(self.values)
 
 
+def _t_central_mass(theta: float, df: int) -> float:
+    """``P(|T| < sqrt(df) * tan(theta))`` for Student's t with integer *df*:
+    Abramowitz & Stegun 26.7.3 (odd *df*) and 26.7.4 (even *df*)."""
+    sin, cos2 = math.sin(theta), math.cos(theta) ** 2
+    total = 0.0
+    if df % 2 == 0:
+        term = 1.0
+        for k in range(1, df // 2 + 1):
+            total += term
+            term *= cos2 * (2 * k - 1) / (2 * k)
+        return sin * total
+    term = math.cos(theta)
+    for k in range(1, (df + 1) // 2):
+        total += term
+        term *= cos2 * (2 * k) / (2 * k + 1)
+    return 2.0 / math.pi * (theta + sin * total)
+
+
+def _t_quantile(q: float, df: int) -> float:
+    """Student-t quantile at *q* (``0.5 <= q < 1``) for integer *df*: the
+    closed-form CDF inverted by bisection on ``theta = atan(t / sqrt(df))``
+    down to adjacent floats (``tests/test_numpy_runtime.py`` holds it to a
+    reference quantile)."""
+    target = 2.0 * q - 1.0
+    lo, hi = 0.0, math.pi / 2.0
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            return math.sqrt(df) * math.tan(mid)
+        if _t_central_mass(mid, df) < target:
+            lo = mid
+        else:
+            hi = mid
+
+
 def summarize(values: list[float] | np.ndarray, confidence: float = 0.95) -> MetricStats:
     """Mean + Student-t confidence half-width of *values*."""
+    if not 0.0 < confidence < 1.0:
+        raise ConfigurationError(f"confidence must lie in (0, 1), got {confidence!r}")
     arr = np.asarray(values, dtype=float)
     if arr.size == 0:
         raise ConfigurationError("cannot summarise zero repetitions")
@@ -46,7 +83,7 @@ def summarize(values: list[float] | np.ndarray, confidence: float = 0.95) -> Met
     if arr.size == 1 or np.allclose(arr, mean):
         return MetricStats(mean=mean, ci95=0.0, values=tuple(arr))
     sem = arr.std(ddof=1) / np.sqrt(arr.size)
-    half = float(sem * sps.t.ppf(0.5 + confidence / 2.0, df=arr.size - 1))
+    half = float(sem * _t_quantile(0.5 + confidence / 2.0, arr.size - 1))
     return MetricStats(mean=mean, ci95=half, values=tuple(arr))
 
 

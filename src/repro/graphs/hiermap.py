@@ -34,7 +34,7 @@ import heapq
 import numpy as np
 
 from repro.core.commmatrix import CommunicationMatrix
-from repro.core.mapping import lay_out_socket_groups
+from repro.core.mapping import _check_current, lay_out_socket_groups
 from repro.errors import MappingError
 from repro.machine.topology import Machine
 
@@ -93,6 +93,7 @@ class ScalableHierarchicalMapper:
                 raise MappingError("communication must be finite")
         if n_threads > n_pus:
             raise MappingError(f"{n_threads} threads exceed the machine's {n_pus} PUs")
+        current = _check_current(current, n_threads)
         adj = self._adjacency(matrix, n_pus)
 
         smt = machine.smt_per_core

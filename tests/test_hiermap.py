@@ -136,6 +136,11 @@ class TestContract:
         with pytest.raises(MappingError, match="finite"):
             ScalableHierarchicalMapper(machine).map(comm)
 
+    @pytest.mark.parametrize("current", [np.array([0, 1]), np.arange(9), np.zeros((8, 1))])
+    def test_current_of_wrong_shape_rejected(self, machine, current):
+        with pytest.raises(MappingError, match="current placement"):
+            ScalableHierarchicalMapper(machine).map(chain_pattern(8), current=current)
+
     def test_single_socket_machine(self, single_socket_machine):
         mapping = ScalableHierarchicalMapper(single_socket_machine).map(chain_pattern(4))
         assert sorted(mapping.tolist()) == [0, 1, 2, 3]

@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 from repro.core.commmatrix import CommunicationMatrix
-from repro.core.mapping import DISTANCE_COST, HierarchicalMapper, mapping_comm_cost
+from repro.core.mapping import (
+    DISTANCE_COST,
+    HierarchicalMapper,
+    lay_out_socket_groups,
+    mapping_comm_cost,
+)
 from repro.errors import MappingError
 from repro.machine.topology import CommDistance, build_machine
 from repro.workloads.patterns import (
@@ -79,6 +84,13 @@ class TestPartialOccupancy:
         with pytest.raises(MappingError):
             HierarchicalMapper(machine).map(np.zeros((33, 33)))
 
+    @pytest.mark.parametrize("current", [np.array([0, 1]), np.arange(9), np.zeros((8, 1))])
+    def test_current_of_wrong_shape_rejected(self, machine, current):
+        """A placement that is not one PU per thread is refused with a typed
+        error, not an ``IndexError`` from deep in the layout."""
+        with pytest.raises(MappingError, match="current placement"):
+            HierarchicalMapper(machine).map(chain_pattern(8), current=current)
+
     def test_infinite_communication_rejected(self, machine):
         """An infinite cell has no best pairing; the mapper refuses it
         instead of splitting the pair across sockets."""
@@ -150,6 +162,26 @@ class TestAlignment:
         np.fill_diagonal(noisy, 0)
         remapped = mapper.map(noisy, current=current)
         assert int((remapped != current).sum()) == 0
+
+
+class TestLayout:
+    """``lay_out_socket_groups`` on the paper's machine, whose core *c* has
+    PUs ``c`` and ``c + 16``: slots ``2c + m`` of socket group *g* form core
+    group *c* of that socket group."""
+
+    GROUPS = [[(16 * g + 2 * c, 16 * g + 2 * c + 1) for c in range(8)] for g in range(2)]
+
+    def test_without_current_groups_take_slots_in_order(self, machine):
+        pu_of_slot = lay_out_socket_groups(machine, self.GROUPS, None, 32)
+        expected = [8 * g + c + 16 * m for g in range(2) for c in range(8) for m in range(2)]
+        assert pu_of_slot.tolist() == expected
+
+    def test_current_threads_stay_and_untouched_socket_keeps_order(self, machine):
+        # threads 0 and 1 share core 9 (socket 1), as its second and first
+        # PU; the socket group of virtual threads has nothing to keep
+        pu_of_slot = lay_out_socket_groups(machine, self.GROUPS, np.array([25, 9]), 2)
+        assert pu_of_slot[:2].tolist() == [25, 9]
+        assert pu_of_slot[16:].tolist() == [c + 16 * m for c in range(8) for m in range(2)]
 
 
 class TestCommCost:
