@@ -7,13 +7,11 @@ hook attached, the injector wake, the hierarchical mapper, and the
 communication filter.
 """
 
-import json
 from time import perf_counter
 
 import numpy as np
 import pytest
 
-from conftest import emit
 from repro.cachesim.hierarchy import CoherentHierarchy
 from repro.core.commmatrix import CommunicationMatrix
 from repro.core.filter import CommunicationFilter
@@ -149,46 +147,3 @@ def test_bench_communication_filter(benchmark):
     filt = CommunicationFilter(32)
     filt.should_remap(matrix)
     benchmark(filt.should_remap, matrix)
-
-
-def test_bench_detector_hook(benchmark):
-    """The SPCD fault hook alone (hash lookup + matrix update)."""
-    from repro.mem.fault import FaultInfo, FaultKind
-
-    det = SpcdDetector(32)
-    infos = [
-        FaultInfo(
-            thread_id=t % 32,
-            pu_id=0,
-            vaddr=(t % 64) * PAGE_SIZE,
-            vpn=t % 64,
-            now_ns=t,
-            is_write=False,
-            kind=FaultKind.INJECTED,
-            home_node=0,
-        )
-        for t in range(128)
-    ]
-    state = {"i": 0}
-
-    def hook():
-        det.on_fault(infos[state["i"] % 128])
-        state["i"] += 1
-
-    benchmark(hook)
-
-
-def test_bench_spcd_fault_path(results_dir):
-    """Fault-path throughput: batched pipeline + array detector vs reference.
-
-    A fault-heavy stream (256 injected faults per batch) resolved once via
-    ``handle_fault_batch`` with the array-table engine and once via the
-    per-fault reference loop with the dict engine.  The driver asserts both
-    end states are bit-identical, then ``BENCH_spcd.json`` records the
-    throughputs; the batched path must be at least 3x faster here.
-    """
-    from spcd_faultbench import run_spcd_fault_bench
-
-    payload = run_spcd_fault_bench()
-    emit(results_dir, "BENCH_spcd.json", json.dumps(payload, indent=2))
-    assert payload["speedup"] > 3.0

@@ -12,7 +12,7 @@ maximum-weight matching (:mod:`repro.core.matching`,
 from repro.core.commmatrix import CommunicationMatrix
 from repro.core.filter import CommunicationFilter
 from repro.core.grouping import group_matrix, pair_groups
-from repro.core.hashtable import ArrayShareTable, ShareTable, ShareEntry, hash_64, hash_64_batch
+from repro.core.hashtable import ArrayShareTable, hash_64, hash_64_batch
 from repro.core.injector import FaultInjector, InjectorMode
 from repro.core.manager import SpcdManager, SpcdConfig
 from repro.core.mapping import (
@@ -36,9 +36,7 @@ __all__ = [
     "FaultInjector",
     "HierarchicalMapper",
     "InjectorMode",
-    "ShareEntry",
     "ArrayShareTable",
-    "ShareTable",
     "SpcdConfig",
     "SpcdDetector",
     "SpcdManager",

@@ -10,22 +10,16 @@ access.  As in the paper:
 * on a collision the previous entry is **overwritten** — the paper accepts
   this accuracy loss to keep the fault-path cost constant.
 
-Two implementations share this contract:
-
-* :class:`ShareTable` — dict-of-entries; one Python dict per slot's sharer
-  timestamps.  The differential-testing reference engine
-  (``SpcdDetector(engine="dict")``).
-* :class:`ArrayShareTable` — NumPy slot arrays (a region-id vector plus a
-  ``(size, n_threads)`` last-access timestamp matrix) with a batch touch
-  that handles a whole batch in one exact sort-based pass, and a scalar
-  touch for single faults.  Its ``collisions``/``inserts`` counters, live
-  entries and emitted events equal the reference's under the same fault
-  stream.  It is the only engine the simulator and the service run.
+:class:`ArrayShareTable` holds the table in two NumPy arrays (a region-id
+vector plus a ``(size, n_threads)`` last-access timestamp matrix), with a
+batch touch that handles a whole fault batch in one exact sort-based pass
+and a scalar touch for single faults.  It is the one table the simulator
+and the service run.  Its emitted events, ``collisions``/``inserts``
+counters and live entries equal those of a per-fault replay over a plain
+dict table, the oracle that ``tests/test_hashtable.py`` holds it to.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -55,97 +49,12 @@ def hash_64_batch(values: np.ndarray, bits: int = 64) -> np.ndarray:
     return hashed >> np.uint64(64 - bits)
 
 
-@dataclass
-class ShareEntry:
-    """One sharing record: a region, its sharers and their last-access times."""
-
-    region: int
-    #: thread id -> virtual time (ns) of that thread's last fault here
-    last_access: dict[int, int] = field(default_factory=dict)
-
-    @property
-    def sharers(self) -> list[int]:
-        """Thread ids that have faulted on this region."""
-        return list(self.last_access)
-
-    @property
-    def is_shared(self) -> bool:
-        """A region becomes *shared* once two threads have touched it."""
-        return len(self.last_access) >= 2
-
-    def touch(self, tid: int, now_ns: int) -> None:
-        """Record a fault by *tid* at *now_ns*."""
-        self.last_access[tid] = now_ns
-
-
-class ShareTable:
-    """Fixed-size, overwrite-on-collision hash table of :class:`ShareEntry`.
-
-    Attributes:
-        size: number of slots (paper: 256,000 — ~18 MiB in the kernel).
-        collisions: number of times an entry was overwritten by a different
-            region hashing to the same slot.
-    """
-
-    def __init__(self, size: int = DEFAULT_TABLE_SIZE) -> None:
-        if size <= 0:
-            raise ConfigurationError("table size must be positive")
-        self.size = size
-        self._slots: dict[int, ShareEntry] = {}
-        self.collisions = 0
-        self.lookups = 0
-        self.inserts = 0
-
-    def _slot_of(self, region: int) -> int:
-        return hash_64(region) % self.size
-
-    def lookup(self, region: int) -> ShareEntry | None:
-        """The entry for *region*, or ``None`` if absent / overwritten."""
-        self.lookups += 1
-        entry = self._slots.get(self._slot_of(region))
-        if entry is not None and entry.region == region:
-            return entry
-        return None
-
-    def get_or_create(self, region: int) -> ShareEntry:
-        """The entry for *region*, creating (and possibly evicting) one."""
-        slot = self._slot_of(region)
-        entry = self._slots.get(slot)
-        if entry is not None and entry.region == region:
-            return entry
-        if entry is not None:
-            self.collisions += 1
-        entry = ShareEntry(region=region)
-        self._slots[slot] = entry
-        self.inserts += 1
-        return entry
-
-    def clear(self) -> None:
-        """Drop every entry (e.g. when the application exits)."""
-        self._slots.clear()
-
-    def __len__(self) -> int:
-        return len(self._slots)
-
-    def occupancy(self) -> float:
-        """Fraction of slots in use."""
-        return len(self._slots) / self.size
-
-    def shared_region_count(self) -> int:
-        """Number of currently tracked regions with >= 2 sharers."""
-        return sum(1 for e in self._slots.values() if e.is_shared)
-
-    def entries(self) -> list[ShareEntry]:
-        """All live entries (inspection/testing)."""
-        return list(self._slots.values())
-
-
 #: sentinel region id for an empty ArrayShareTable slot (region ids are >= 0)
 _EMPTY_REGION = -1
 
 
 class ArrayShareTable:
-    """Array-backed, overwrite-on-collision sharing table (the fast engine).
+    """Array-backed, overwrite-on-collision sharing table.
 
     State is two NumPy arrays: a per-slot region id (``-1`` = empty) and a
     ``(size, n_threads)`` last-access matrix storing ``timestamp + 1`` with
@@ -157,10 +66,10 @@ class ArrayShareTable:
     slots are computed with a vectorised ``hash_64``, the members are grouped
     by slot, and each slot's runs of equal region are resolved at once (see
     :meth:`touch_batch_at`), however often a slot repeats within the batch.
-    ``collisions``, ``inserts`` and the live entries match the dict engine
-    replaying the batch in fault order, and the returned events are the
-    same multiset as its per-event ``matrix.add`` calls.  :meth:`touch` is
-    the scalar path for one fault.
+    ``collisions``, ``inserts`` and the live entries are those of a replay
+    of the batch in fault order, and the returned events are the same
+    multiset as that replay's.  :meth:`touch` is the scalar path for one
+    fault.
     """
 
     def __init__(self, size: int = DEFAULT_TABLE_SIZE, n_threads: int = 1) -> None:
@@ -174,7 +83,6 @@ class ArrayShareTable:
         #: biased timestamps: value v != 0 means last access at time v - 1
         self._last = np.zeros((size, n_threads), dtype=np.int64)
         self.collisions = 0
-        self.lookups = 0
         self.inserts = 0
 
     # -- hashing ------------------------------------------------------------
@@ -194,9 +102,9 @@ class ArrayShareTable:
 
         Returns ``(partners, windowed_out)``: one entry in *partners* per
         communication event (the other thread's id, possibly repeated —
-        exactly the events the reference engine would emit one
-        ``matrix.add`` at a time), and the count of sharer timestamps that
-        fell outside the temporal window.
+        exactly the events a fault-order replay emits one at a time), and
+        the count of sharer timestamps that fell outside the temporal
+        window.
         """
         regions = np.asarray(regions, dtype=np.int64)
         partners, windowed_out, _ = self.touch_batch_at(
@@ -285,15 +193,11 @@ class ArrayShareTable:
     ) -> tuple[list[int], int]:
         """Record one fault by *tid* on *region*; returns its comm events.
 
-        The scalar entry point (reference ``get_or_create`` + window-scan
-        semantics); the detector's small-batch path calls it per fault.
+        The scalar path for one fault, which the detector's small-batch pass
+        calls per fault; returns ``(partners, windowed_out)`` as
+        :meth:`touch_batch` does for a one-region batch.
         """
-        return self._touch_one(self._slot_of(region), region, tid, now_ns, window_ns)
-
-    def _touch_one(
-        self, slot: int, region: int, tid: int, now_ns: int, window_ns: int
-    ) -> tuple[list[int], int]:
-        """Scalar replay of one fault (reference ``get_or_create`` semantics)."""
+        slot = self._slot_of(region)
         biased = now_ns + 1
         if self._region[slot] != region:
             if self._region[slot] != _EMPTY_REGION:
@@ -315,38 +219,8 @@ class ArrayShareTable:
         self._last[slot, tid] = biased
         return partners, windowed_out
 
-    # -- dict-engine-compatible inspection API --------------------------------
-    def lookup(self, region: int) -> ShareEntry | None:
-        """Snapshot of the entry for *region*, or ``None`` (absent/overwritten).
-
-        Unlike the dict engine this returns a materialised copy, not a live
-        entry — mutate the table through :meth:`touch_batch`.
-        """
-        self.lookups += 1
-        slot = self._slot_of(region)
-        if self._region[slot] != region:
-            return None
-        return self._entry_at(slot)
-
-    def _entry_at(self, slot: int) -> ShareEntry:
-        row = self._last[slot]
-        touched = np.flatnonzero(row)
-        return ShareEntry(
-            region=int(self._region[slot]),
-            last_access={int(t): int(row[t]) - 1 for t in touched},
-        )
-
-    def clear(self) -> None:
-        """Drop every entry (e.g. when the application exits)."""
-        self._region[:] = _EMPTY_REGION
-        self._last[:] = 0
-
     def __len__(self) -> int:
         return int(np.count_nonzero(self._region != _EMPTY_REGION))
-
-    def occupancy(self) -> float:
-        """Fraction of slots in use."""
-        return len(self) / self.size
 
     def shared_region_count(self) -> int:
         """Number of currently tracked regions with >= 2 sharers."""
@@ -356,7 +230,3 @@ class ArrayShareTable:
         for column in self._last.T:
             sharers += column[occupied] != 0
         return int(np.count_nonzero(sharers >= 2))
-
-    def entries(self) -> list[ShareEntry]:
-        """All live entries as snapshots (inspection/testing)."""
-        return [self._entry_at(int(s)) for s in np.flatnonzero(self._region != _EMPTY_REGION)]

@@ -21,6 +21,7 @@ Two controller interpretations are provided:
 from __future__ import annotations
 
 import enum
+import math
 
 import numpy as np
 
@@ -49,7 +50,8 @@ class FaultInjector:
         floor_per_wake: minimum pages cleared per wake in ``STEADY`` mode.
         max_per_wake: safety cap on pages cleared in one wake.
         clear_cost_ns: virtual cost per cleared page (one page-table walk
-            plus TLB shootdown work) — feeds the overhead accounting.
+            plus TLB shootdown work) — feeds the overhead accounting.  Must
+            be finite and non-negative.
     """
 
     #: wake interval from the paper (Sec. III-B2)
@@ -75,6 +77,8 @@ class FaultInjector:
             raise ConfigurationError("invalid per-wake bounds")
         if sampling not in ("accessed", "uniform"):
             raise ConfigurationError("sampling must be 'accessed' or 'uniform'")
+        if not (math.isfinite(clear_cost_ns) and clear_cost_ns >= 0):
+            raise ConfigurationError("clear_cost_ns must be finite and non-negative")
         self.pipeline = pipeline
         self.rng = rng
         self.tlbs = tlbs

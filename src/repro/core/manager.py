@@ -111,6 +111,11 @@ class SpcdConfig:
         # so an out-of-range factor would otherwise run silently unaged
         if not 0.0 < self.matrix_decay <= 1.0:
             raise ConfigurationError("matrix_decay must be in (0, 1]")
+        # the detector and the injector check their own costs; this one
+        # feeds only the manager's mapping-overhead accounting
+        cost = self.mapping_cost_ns_per_n3
+        if not (math.isfinite(cost) and cost >= 0):
+            raise ConfigurationError("mapping_cost_ns_per_n3 must be finite and non-negative")
 
 
 @dataclass

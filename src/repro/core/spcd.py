@@ -16,28 +16,26 @@ The amount of communication between threads *i* and *j* is therefore the
 number of (windowed) fault pairs on shared regions, exactly the paper's
 metric.
 
-Two engines implement the hook.  The default ``"array"`` engine processes
-one :class:`~repro.mem.fault.FaultBatch` in a single vectorised pass over an
-:class:`~repro.core.hashtable.ArrayShareTable` and scatters the windowed
-communication events into the matrix with ``np.add.at``.  The ``"dict"``
-engine is the original per-fault implementation over the dict-backed
-:class:`~repro.core.hashtable.ShareTable`, fed each batch's faults one by
-one in resolution order; it is the differential-testing reference that
-``tests/test_spcd_parity.py`` and ``benchmarks/spcd_faultbench.py``
-construct explicitly — both engines produce bit-identical matrices, stats
-and table counters.
+The hook takes one :class:`~repro.mem.fault.FaultBatch` at a time over an
+:class:`~repro.core.hashtable.ArrayShareTable`, the paper's fixed-size,
+overwrite-on-collision table.  A batch of at most :data:`_SCALAR_DETECT_MAX`
+faults takes a per-fault scalar pass; a larger one takes one vectorised
+table pass and scatters the windowed communication events into the matrix
+with ``np.add.at``.  Either pass leaves the matrix, the stats and the table
+as replaying the batch's faults one by one, in resolution order, would:
+``tests/test_spcd_parity.py`` holds the detector to that replay over the
+dict-backed oracle table of ``tests/test_hashtable.py``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.core.commmatrix import CommunicationMatrix
-from repro.core.hashtable import DEFAULT_TABLE_SIZE, ArrayShareTable, ShareTable
+from repro.core.hashtable import DEFAULT_TABLE_SIZE, ArrayShareTable
 from repro.errors import ConfigurationError
-from repro.mem.fault import FaultBatch, FaultInfo, FaultPipeline
+from repro.mem.fault import FaultBatch, FaultPipeline
 from repro.units import MSEC, PAGE_SIZE
 
 #: fault batches at or below this size take the detector's scalar pass
@@ -73,9 +71,7 @@ class SpcdDetector:
             while suppressing cross-phase false communication.
         detect_cost_ns: virtual time charged per fault for the hash-table
             work (constant-time, Sec. III-C4) — feeds the Fig. 16 overhead
-            accounting.
-        engine: ``"array"`` (vectorised batch engine, the default) or
-            ``"dict"`` (per-fault reference engine, a test oracle).
+            accounting.  Must be finite and non-negative.
     """
 
     def __init__(
@@ -87,70 +83,22 @@ class SpcdDetector:
         table_size: int = DEFAULT_TABLE_SIZE,
         detect_cost_ns: float = 250.0,
         pipeline: FaultPipeline | None = None,
-        engine: str = "array",
     ) -> None:
         if granularity <= 0:
             raise ConfigurationError("granularity must be positive")
         if window_ns <= 0:
             raise ConfigurationError("temporal window must be positive")
-        if engine not in ("array", "dict"):
-            raise ConfigurationError("detector engine must be 'array' or 'dict'")
+        if not (math.isfinite(detect_cost_ns) and detect_cost_ns >= 0):
+            raise ConfigurationError("detect_cost_ns must be finite and non-negative")
         self.granularity = granularity
         self.window_ns = window_ns
         self.detect_cost_ns = detect_cost_ns
-        self.engine = engine
-        if engine == "array":
-            self.table: ArrayShareTable | ShareTable = ArrayShareTable(table_size, n_threads)
-        else:
-            self.table = ShareTable(table_size)
+        self.table = ArrayShareTable(table_size, n_threads)
         self.matrix = CommunicationMatrix(n_threads)
         self.stats = SpcdDetectorStats()
         self._pipeline = pipeline
-        self._hook = self.on_fault_batch if engine == "array" else self._replay_faults
         if pipeline is not None:
-            pipeline.add_batch_hook(self._hook)
-
-    def on_fault(self, info: FaultInfo) -> None:
-        """Per-fault hook: update sharing table and communication matrix."""
-        if self.engine == "array":
-            # Route through the batch engine so both entry points observe
-            # the same table (used by direct callers; the pipeline hands the
-            # array engine whole batches).
-            self.on_fault_batch(
-                FaultBatch(
-                    thread_id=info.thread_id,
-                    pu_id=info.pu_id,
-                    now_ns=info.now_ns,
-                    vaddrs=np.array([info.vaddr], dtype=np.int64),
-                    vpns=np.array([info.vpn], dtype=np.int64),
-                    is_write=np.array([info.is_write], dtype=bool),
-                    injected=np.array([True], dtype=bool),
-                    home_nodes=np.array([info.home_node], dtype=np.int64),
-                )
-            )
-            return
-        self.stats.faults_seen += 1
-        region = info.vaddr // self.granularity
-        entry = self.table.get_or_create(region)
-        tid = info.thread_id
-        now = info.now_ns
-        window = self.window_ns
-        for other_tid, last_ns in entry.last_access.items():
-            if other_tid == tid:
-                continue
-            if now - last_ns <= window:
-                self.matrix.add(tid, other_tid, 1.0)
-                self.stats.comm_events += 1
-            else:
-                self.stats.windowed_out += 1
-        entry.touch(tid, now)
-        if self._pipeline is not None:
-            self._pipeline.charge_hook_time(self.detect_cost_ns)
-
-    def _replay_faults(self, batch: FaultBatch) -> None:
-        """The dict engine's batch hook: :meth:`on_fault` per fault, in order."""
-        for info in batch.infos():
-            self.on_fault(info)
+            pipeline.add_batch_hook(self.on_fault_batch)
 
     def on_fault_batch(self, batch: FaultBatch) -> None:
         """Batch hook: one vectorised table pass for a whole fault batch.
@@ -196,7 +144,7 @@ class SpcdDetector:
     def detach(self) -> None:
         """Unregister from the fault pipeline."""
         if self._pipeline is not None:
-            self._pipeline.remove_batch_hook(self._hook)
+            self._pipeline.remove_batch_hook(self.on_fault_batch)
             self._pipeline = None
 
     def snapshot_matrix(self) -> CommunicationMatrix:

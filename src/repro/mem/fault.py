@@ -4,7 +4,9 @@ This is the simulation analogue of the paper's modified Linux page-fault
 handler (their Figure 2): resolve the fault — first-touch allocation or
 restoring a present bit SPCD cleared — and then run registered hooks with the
 full fault information (faulting thread, address, time, kind).  SPCD's
-communication detection registers exactly one such hook.
+communication detection registers exactly one such hook,
+:meth:`repro.core.spcd.SpcdDetector.on_fault_batch`; a hook takes whole
+batches.
 
 :meth:`FaultPipeline.handle_fault_batch` is the fault path: it resolves
 every unique faulting VPN of one thread batch in a single vectorised pass
@@ -13,8 +15,9 @@ refill) and hands the whole fault vector to the hooks as one
 :class:`FaultBatch` (:meth:`FaultBatch.infos` lists its faults one by one,
 in resolution order).  Batches of at most :data:`_SCALAR_RESOLVE_MAX` faults
 take a scalar resolver with the same contract and results;
-:meth:`FaultPipeline.handle_fault` is that resolver called on one fault,
-the per-fault reference ``tests/test_spcd_parity.py`` checks the
+:meth:`FaultPipeline.handle_fault` is that resolver called on one fault.
+Called once per faulting VPN, with a per-fault detector that the test
+itself builds, it is the reference ``tests/test_spcd_parity.py`` checks the
 vectorised pass against.
 """
 

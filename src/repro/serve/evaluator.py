@@ -248,7 +248,6 @@ def offline_reference(
         granularity=cfg.granularity,
         window_ns=cfg.window_ns,
         table_size=cfg.effective_table_size,
-        engine="array",
     )
     evaluator = MappingEvaluator(machine, cfg)
     cadence = EvalCadence(cfg.eval_every_events)

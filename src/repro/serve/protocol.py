@@ -42,7 +42,6 @@ __all__ = [
     "MsgType",
     "PROTOCOL_VERSION",
     "decode_events",
-    "decode_events_scalar",
     "encode",
     "encode_events",
     "events_body",
@@ -150,26 +149,6 @@ def decode_events(body: "bytes | memoryview") -> EventBatch:
     if len(payload) != 8 * n:
         raise ProtocolError(f"EVENTS frame declares {n} events, carries {len(payload)} bytes")
     vaddrs = np.frombuffer(payload, dtype=">i8").astype(np.int64)
-    return EventBatch(tid=tid, now_ns=now_ns, vaddrs=vaddrs)
-
-
-def decode_events_scalar(body: "bytes | memoryview") -> EventBatch:
-    """Reference decoder: one ``struct`` unpack per event.
-
-    Kept only as the differential-testing twin of :func:`decode_events` —
-    the parity test asserts both produce bit-identical batches for any
-    body.  Never on the hot path.
-    """
-    if len(body) < _EVENTS_HEADER.size:
-        raise ProtocolError("truncated EVENTS frame")
-    tid, now_ns, n = _EVENTS_HEADER.unpack_from(body)
-    payload = body[_EVENTS_HEADER.size :]
-    if len(payload) != 8 * n:
-        raise ProtocolError(f"EVENTS frame declares {n} events, carries {len(payload)} bytes")
-    one = struct.Struct("!q")
-    vaddrs = np.empty(n, dtype=np.int64)
-    for i in range(n):
-        vaddrs[i] = one.unpack_from(payload, 8 * i)[0]
     return EventBatch(tid=tid, now_ns=now_ns, vaddrs=vaddrs)
 
 

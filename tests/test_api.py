@@ -110,8 +110,6 @@ CORE_API = {
     "HierarchicalMapper",
     "InjectorMode",
     "MAPPER_ALGORITHMS",
-    "ShareEntry",
-    "ShareTable",
     "SpcdConfig",
     "SpcdDetector",
     "SpcdManager",
@@ -140,7 +138,7 @@ CHECK_API = {
 
 class TestTopLevel:
     def test_version(self):
-        assert repro.__version__ == "10.0.0"
+        assert repro.__version__ == "11.0.0"
 
     def test_api_surface_snapshot(self):
         assert set(repro.__all__) == TOP_LEVEL_API

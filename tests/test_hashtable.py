@@ -6,14 +6,56 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.hashtable import (
+    _EMPTY_REGION,
     DEFAULT_TABLE_SIZE,
     GOLDEN_RATIO_64,
     ArrayShareTable,
-    ShareEntry,
-    ShareTable,
     hash_64,
 )
 from repro.errors import ConfigurationError
+
+
+class DictShareTable:
+    """The oracle: the paper's table as ``{slot: (region, {tid: last_ns})}``.
+
+    A region hashing to an occupied slot overwrites its entry (a collision).
+    """
+
+    def __init__(self, size):
+        self.size = size
+        self.slots = {}
+        self.collisions = self.inserts = 0
+
+    def get_or_create(self, region):
+        """The sharers of *region*'s entry, inserted if the slot holds another."""
+        slot = hash_64(region) % self.size
+        held = self.slots.get(slot)
+        if held is None or held[0] != region:
+            self.collisions += held is not None
+            self.inserts += 1
+            held = self.slots[slot] = (region, {})
+        return held[1]
+
+    def live(self):
+        """``{region: {tid: last_ns}}`` of the live entries."""
+        return dict(self.slots.values())
+
+    def __len__(self):
+        return len(self.slots)
+
+    def shared_region_count(self):
+        return sum(len(sharers) >= 2 for _, sharers in self.slots.values())
+
+
+def live_entries(table):
+    """``{region: {tid: last_ns}}`` of an :class:`ArrayShareTable`, read from
+    its region vector and its biased last-access matrix."""
+    return {
+        int(table._region[slot]): {
+            int(t): int(table._last[slot, t]) - 1 for t in np.flatnonzero(table._last[slot])
+        }
+        for slot in np.flatnonzero(table._region != _EMPTY_REGION)
+    }
 
 
 def replay_in_fault_order(table, regions, tid, now_ns, window_ns):
@@ -24,15 +66,15 @@ def replay_in_fault_order(table, regions, tid, now_ns, window_ns):
     """
     events, windowed_out = [], 0
     for region in np.asarray(regions).tolist():
-        entry = table.get_or_create(region)
-        for other, last_ns in entry.last_access.items():
+        sharers = table.get_or_create(region)
+        for other, last_ns in sharers.items():
             if other == tid:
                 continue
             if now_ns - last_ns <= window_ns:
                 events.append((region, other))
             else:
                 windowed_out += 1
-        entry.touch(tid, now_ns)
+        sharers[tid] = now_ns
     return events, windowed_out
 
 
@@ -60,98 +102,74 @@ class TestHash64:
         assert len(slots) > 990
 
 
-class TestShareEntry:
+class TestShareTable:
+    """The sharing-table contract the paper states, on :class:`ArrayShareTable`."""
+
     def test_not_shared_with_one_toucher(self):
-        e = ShareEntry(region=1)
-        e.touch(0, 100)
-        assert not e.is_shared
-        assert e.sharers == [0]
+        t = ArrayShareTable(100, 2)
+        t.touch(1, 0, 100, 1000)
+        assert live_entries(t) == {1: {0: 100}}
+        assert t.shared_region_count() == 0
 
     def test_shared_with_two(self):
-        e = ShareEntry(region=1)
-        e.touch(0, 100)
-        e.touch(1, 200)
-        assert e.is_shared
-        assert e.last_access == {0: 100, 1: 200}
+        t = ArrayShareTable(100, 2)
+        t.touch(1, 0, 100, 1000)
+        t.touch(1, 1, 200, 1000)
+        assert live_entries(t) == {1: {0: 100, 1: 200}}
+        assert t.shared_region_count() == 1
 
     def test_touch_updates_timestamp(self):
-        e = ShareEntry(region=1)
-        e.touch(0, 100)
-        e.touch(0, 300)
-        assert e.last_access[0] == 300
-        assert not e.is_shared
-
-
-class TestShareTable:
-    def test_lookup_absent(self):
-        t = ShareTable(100)
-        assert t.lookup(5) is None
-
-    def test_get_or_create_then_lookup(self):
-        t = ShareTable(100)
-        e = t.get_or_create(5)
-        e.touch(0, 1)
-        assert t.lookup(5) is e
+        t = ArrayShareTable(100, 2)
+        t.touch(1, 0, 100, 1000)
+        assert t.touch(1, 0, 300, 1000) == ([], 0)
+        assert live_entries(t) == {1: {0: 300}}
+        assert t.shared_region_count() == 0
 
     def test_collision_overwrites(self):
         """Paper: on hash collision the previous entry is overwritten."""
-        t = ShareTable(1)  # everything collides
-        a = t.get_or_create(1)
-        a.touch(0, 1)
-        b = t.get_or_create(2)
-        assert t.lookup(1) is None
-        assert t.lookup(2) is b
-        assert t.collisions == 1
+        t = ArrayShareTable(1, 2)  # everything collides
+        t.touch(1, 0, 1, 10)
+        t.touch(2, 1, 2, 10)
+        assert live_entries(t) == {2: {1: 2}}
+        assert (t.collisions, t.inserts) == (1, 2)
+        assert t.touch(1, 1, 3, 10) == ([], 0)  # region 1 starts over
 
     def test_same_region_not_a_collision(self):
-        t = ShareTable(1)
-        a = t.get_or_create(1)
-        assert t.get_or_create(1) is a
-        assert t.collisions == 0
+        t = ArrayShareTable(1, 2)
+        t.touch(1, 0, 1, 10)
+        assert t.touch(1, 1, 2, 10) == ([0], 0)
+        assert (t.collisions, t.inserts) == (0, 1)
 
     def test_shared_region_count(self):
-        t = ShareTable(100)
-        t.get_or_create(1).touch(0, 1)
-        e = t.get_or_create(2)
-        e.touch(0, 1)
-        e.touch(1, 2)
+        t = ArrayShareTable(100, 2)
+        t.touch(1, 0, 1, 10)
+        t.touch(2, 0, 1, 10)
+        t.touch(2, 1, 2, 10)
         assert t.shared_region_count() == 1
-
-    def test_occupancy(self):
-        t = ShareTable(10)
-        t.get_or_create(1)
-        assert t.occupancy() == pytest.approx(0.1)
-
-    def test_clear(self):
-        t = ShareTable(10)
-        t.get_or_create(1)
-        t.clear()
-        assert len(t) == 0
+        assert len(t) == 2
 
     def test_default_size_matches_paper(self):
         assert DEFAULT_TABLE_SIZE == 256_000
+        assert ArrayShareTable().size == DEFAULT_TABLE_SIZE
 
     def test_rejects_zero_size(self):
         with pytest.raises(ConfigurationError):
-            ShareTable(0)
+            ArrayShareTable(0)
+        with pytest.raises(ConfigurationError):
+            ArrayShareTable(8, 0)
 
     def test_low_collision_rate_at_paper_scale(self):
         """256k slots covering 1 GiB of 4 KiB pages: few collisions."""
-        t = ShareTable(DEFAULT_TABLE_SIZE)
-        for region in range(50_000):
-            t.get_or_create(region)
+        t = ArrayShareTable(DEFAULT_TABLE_SIZE)
+        t.touch_batch(np.arange(50_000), 0, 0, 10)
         assert t.collisions / 50_000 < 0.12
 
 
 # ---------------------------------------------------------------------------
-# ArrayShareTable.touch_batch against a ShareTable replay in fault order
+# ArrayShareTable.touch_batch against a dict-table replay in fault order
 # ---------------------------------------------------------------------------
 N_THREADS = 4
 WINDOW_NS = 10
-
-
-def _live(table):
-    return {e.region: e.last_access for e in table.entries()}
 
 
 def _touch_both(fast, oracle, regions, tid, now_ns, window_ns=WINDOW_NS):
@@ -163,7 +181,7 @@ def _touch_both(fast, oracle, regions, tid, now_ns, window_ns=WINDOW_NS):
     assert sorted(partners.tolist()) == sorted(j for _, j in events)
     assert windowed_out == want_windowed_out
     assert (fast.collisions, fast.inserts) == (oracle.collisions, oracle.inserts)
-    assert _live(fast) == _live(oracle)
+    assert live_entries(fast) == oracle.live()
     return partners, windowed_out
 
 
@@ -190,7 +208,7 @@ def _same_slot_pair(size):
     ),
 )
 def test_touch_batch_matches_fault_order_replay(size, batches):
-    fast, oracle = ArrayShareTable(size, N_THREADS), ShareTable(size)
+    fast, oracle = ArrayShareTable(size, N_THREADS), DictShareTable(size)
     now_ns = 0
     for tid, step, regions in batches:
         now_ns += 5 * step
@@ -200,14 +218,14 @@ def test_touch_batch_matches_fault_order_replay(size, batches):
 class TestArrayShareTableBatch:
     def test_many_repeats_of_one_region(self):
         """Every repeat of a known region emits the slot's partners."""
-        fast, oracle = ArrayShareTable(7, N_THREADS), ShareTable(7)
+        fast, oracle = ArrayShareTable(7, N_THREADS), DictShareTable(7)
         _touch_both(fast, oracle, [5], 1, 0)
         _touch_both(fast, oracle, [5], 2, 0)
         partners, _ = _touch_both(fast, oracle, [5] * 200, 0, 1)
         assert sorted(partners.tolist()) == [1] * 200 + [2] * 200
 
     def test_repeats_of_a_new_region_emit_nothing(self):
-        fast, oracle = ArrayShareTable(7, N_THREADS), ShareTable(7)
+        fast, oracle = ArrayShareTable(7, N_THREADS), DictShareTable(7)
         _touch_both(fast, oracle, [5], 1, 0)
         partners, _ = _touch_both(fast, oracle, [6] * 50, 0, 1)
         assert partners.size == 0
@@ -216,7 +234,7 @@ class TestArrayShareTableBatch:
     def test_regions_alternating_on_one_slot(self, size):
         """A, B, A on one slot: A's partners, then two overwrites."""
         a, b = _same_slot_pair(size)
-        fast, oracle = ArrayShareTable(size, N_THREADS), ShareTable(size)
+        fast, oracle = ArrayShareTable(size, N_THREADS), DictShareTable(size)
         _touch_both(fast, oracle, [a], 1, 0)
         partners, _ = _touch_both(fast, oracle, [a, b, a], 0, 1)
         assert partners.tolist() == [1]
@@ -225,14 +243,14 @@ class TestArrayShareTableBatch:
         _touch_both(fast, oracle, [a, a, a], 3, 3)
 
     def test_empty_batch(self):
-        fast, oracle = ArrayShareTable(7, N_THREADS), ShareTable(7)
+        fast, oracle = ArrayShareTable(7, N_THREADS), DictShareTable(7)
         _touch_both(fast, oracle, [3], 1, 0)
         partners, windowed_out = _touch_both(fast, oracle, [], 0, 1)
         assert partners.size == 0 and windowed_out == 0
         assert (fast.collisions, fast.inserts) == (0, 1)
 
     def test_sharer_exactly_window_old_is_a_partner(self):
-        fast, oracle = ArrayShareTable(7, N_THREADS), ShareTable(7)
+        fast, oracle = ArrayShareTable(7, N_THREADS), DictShareTable(7)
         _touch_both(fast, oracle, [3, 4], 1, 0)
         partners, windowed_out = _touch_both(fast, oracle, [3, 3], 0, WINDOW_NS)
         assert partners.tolist() == [1, 1] and windowed_out == 0

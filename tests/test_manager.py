@@ -158,6 +158,20 @@ class TestConfig:
         with pytest.raises(ConfigurationError, match="matrix_decay"):
             SessionConfig(n_threads=4, matrix_decay=decay)
 
+    @pytest.mark.parametrize("field", ["detect_cost_ns", "clear_cost_ns", "mapping_cost_ns_per_n3"])
+    @pytest.mark.parametrize("cost", [float("nan"), float("inf"), -1.0])
+    def test_rejects_a_cost_that_is_not_finite_and_non_negative(self, env, field, cost):
+        """A NaN cost used to run to completion with a NaN overhead share
+        (and, for detection, a NaN-shortened execution time); a negative one
+        halved the detection share."""
+        from repro.errors import ConfigurationError
+
+        space, pipeline, sched, wheel, rng = env
+        with pytest.raises(ConfigurationError, match=field):
+            SpcdManager(
+                sched.machine, 8, pipeline, sched, rng, config=SpcdConfig(**{field: cost})
+            )
+
     def test_rejects_a_policy_that_maps_nothing(self, env):
         """A policy that does not map threads has nothing to evaluate."""
         from repro.errors import ConfigurationError

@@ -11,18 +11,22 @@ from repro.cachesim.cache import SetAssocCache
 from repro.cachesim.hierarchy import CoherentHierarchy
 from repro.core.commmatrix import CommunicationMatrix
 from repro.core.grouping import group_matrix
-from repro.core.hashtable import ShareTable, hash_64
+from repro.core.hashtable import ArrayShareTable, hash_64
 from repro.core.matching import (
     greedy_matching,
     matching_weight,
     max_weight_perfect_matching,
 )
+from repro.core.spcd import SpcdDetector
 from repro.machine.cache_params import CacheParams
 from repro.machine.topology import build_machine
 from repro.mem.addresspace import AddressSpace
+from repro.mem.fault import FaultPipeline
 from repro.mem.pagetable import PageTable
-from repro.units import KIB, PAGE_SIZE
+from repro.mem.physmem import FrameAllocator
+from repro.units import KIB, PAGE_SHIFT, PAGE_SIZE
 from repro.workloads.base import Workload
+from tests.test_hashtable import live_entries
 from tests.test_layer_pins import hierarchy_state
 
 
@@ -140,20 +144,73 @@ def test_group_matrix_conserves_cross_communication(data):
 @given(regions=st.lists(st.integers(0, 2**48), min_size=1, max_size=200))
 @settings(max_examples=30, deadline=None)
 def test_share_table_lookup_consistency(regions):
-    """After any insertion sequence, a lookup returns an entry for the region
-    itself or None — never an aliased entry of a different region."""
-    t = ShareTable(64)
+    """After any insertion sequence, each slot holds the last region hashed
+    to it, and a lookup of a live region finds its own entry — never an
+    aliased entry of a different region."""
+    t = ArrayShareTable(64, 2)
     for r in regions:
-        t.get_or_create(r).touch(0, 1)
-    for r in regions:
-        e = t.lookup(r)
-        assert e is None or e.region == r
+        t.touch(r, 0, 1, 10)
+    last_per_slot = {hash_64(r) % 64: r for r in regions}
+    assert set(live_entries(t)) == set(last_per_slot.values())
+    for r in last_per_slot.values():
+        assert t.touch(r, 1, 2, 10) == ([0], 0)  # a hit on r's entry
 
 
 @given(value=st.integers(0, 2**64 - 1), bits=st.integers(1, 64))
 @settings(max_examples=100, deadline=None)
 def test_hash64_range(value, bits):
     assert 0 <= hash_64(value, bits) < (1 << bits)
+
+
+# ---------------------------------------------------------------------------
+# SPCD detector
+# ---------------------------------------------------------------------------
+@given(
+    table_size=st.integers(1, 4096),
+    window_ns=st.integers(1, 2_000),
+    # quarter-nanosecond costs keep every sum of charges exact in float64
+    detect_cost_ns=st.integers(0, 4_000).map(lambda k: k / 4),
+    batches=st.lists(
+        st.tuples(
+            st.integers(0, 7),
+            st.integers(0, 1_000),
+            # 1-40 distinct pages: both sides of the scalar detection cutover
+            st.lists(st.integers(0, 63), min_size=1, max_size=40, unique=True),
+        ),
+        max_size=16,
+    ),
+)
+@settings(max_examples=100, deadline=None)
+def test_detector_invariants_for_any_fault_stream(
+    table_size, window_ns, detect_cost_ns, batches
+):
+    """Every detected event is one unit of a symmetric, zero-diagonal
+    matrix; the hook sees each fault once and charges each one its cost."""
+    space = AddressSpace(256)
+    first_vpn = space.mmap("data", 64 * PAGE_SIZE).first_vpn
+    pipeline = FaultPipeline(space, FrameAllocator(1, 1_000), node_of_pu=lambda pu: 0)
+    det = SpcdDetector(
+        8,
+        table_size=table_size,
+        window_ns=window_ns,
+        detect_cost_ns=detect_cost_ns,
+        pipeline=pipeline,
+    )
+    now = fed = 0
+    for tid, step, pages in batches:
+        now += step
+        vpns = first_vpn + np.asarray(pages, dtype=np.int64)
+        space.page_table.clear_present(vpns)  # every access faults
+        pipeline.handle_fault_batch(
+            tid, tid, vpns << PAGE_SHIFT, np.zeros(vpns.size, dtype=bool), now_ns=now
+        )
+        fed += vpns.size
+    m = det.matrix.matrix
+    assert det.matrix.total() == det.stats.comm_events
+    assert np.array_equal(m, m.T)
+    assert not m.diagonal().any()
+    assert det.stats.faults_seen == fed
+    assert pipeline.hook_time_ns == det.stats.faults_seen * detect_cost_ns
 
 
 # ---------------------------------------------------------------------------

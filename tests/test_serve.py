@@ -7,7 +7,7 @@ import asyncio
 import numpy as np
 import pytest
 
-from repro.core.hashtable import ShareTable, hash_64
+from repro.core.hashtable import hash_64
 from repro.errors import ConfigurationError, ProtocolError
 from repro.serve import (
     EvalCadence,
@@ -23,7 +23,7 @@ from repro.serve import (
 )
 from repro.serve import protocol
 from repro.units import MSEC, PAGE_SIZE
-from tests.test_hashtable import replay_in_fault_order
+from tests.test_hashtable import DictShareTable, replay_in_fault_order
 
 WINDOW = 250 * MSEC
 
@@ -169,26 +169,25 @@ class TestProtocol:
 
 
 # ---------------------------------------------------------------------------
-# vectorised vs scalar EVENTS decode (bit parity)
+# EVENTS decode (bit parity with the encoded vector)
 # ---------------------------------------------------------------------------
 class TestDecodeParity:
     @pytest.mark.parametrize("n", [0, 1, 7, 1024])
     def test_decoders_bit_identical(self, n, rng):
         vaddrs = rng.integers(-(2**62), 2**62, size=n, dtype=np.int64)
         body = protocol.events_body(5, 123456789, vaddrs)
-        fast = protocol.decode_events(body)
-        slow = protocol.decode_events_scalar(body)
-        assert fast.tid == slow.tid == 5
-        assert fast.now_ns == slow.now_ns == 123456789
-        assert fast.vaddrs.dtype == slow.vaddrs.dtype == np.int64
-        assert np.array_equal(fast.vaddrs, slow.vaddrs)
-        assert np.array_equal(fast.vaddrs, vaddrs)
+        batch = protocol.decode_events(body)
+        assert batch.tid == 5
+        assert batch.now_ns == 123456789
+        assert batch.vaddrs.dtype == np.int64
+        assert np.array_equal(batch.vaddrs, vaddrs)
 
     def test_decoders_accept_memoryview(self):
-        body = protocol.events_body(1, 2, np.array([4096, 8192], dtype=np.int64))
-        fast = protocol.decode_events(memoryview(body))
-        slow = protocol.decode_events_scalar(memoryview(body))
-        assert np.array_equal(fast.vaddrs, slow.vaddrs)
+        vaddrs = np.array([4096, 8192], dtype=np.int64)
+        body = protocol.events_body(1, 2, vaddrs)
+        batch = protocol.decode_events(memoryview(body))
+        assert (batch.tid, batch.now_ns) == (1, 2)
+        assert np.array_equal(batch.vaddrs, vaddrs)
 
 
 # ---------------------------------------------------------------------------
@@ -341,7 +340,7 @@ class TestShardedShareTable:
         """
         size, n_threads, n_shards = 160, 6, 4  # 192 pages on 160 slots
         sharded = ShardedShareTable(size, n_threads, n_shards=n_shards)
-        oracle = ShareTable(size)
+        oracle = DictShareTable(size)
         stream = synthetic_fault_stream(n_threads, 2048, seed=2, step_ns=300 * MSEC)
         n_events = n_windowed_out = 0
         for tid, now, vaddrs in stream:

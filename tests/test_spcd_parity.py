@@ -1,28 +1,26 @@
-"""Differential tests: batched fault/SPCD fast path vs the reference engine.
+"""Differential tests: batched fault/SPCD fast path vs the per-fault reference.
 
 The vectorised fault pipeline (``FaultPipeline.handle_fault_batch``) and the
-array-backed detector engine (:class:`ArrayShareTable`) must be *bit
-identical* to the per-fault reference path — ``FaultPipeline.handle_fault``
-once per unique faulting VPN, in ascending order, feeding the dict-backed
-detector (``SpcdDetector(engine="dict")``) — with the same page-table state,
-frame placement, TLB contents, communication matrices and counters.  These tests pin that equivalence
-at four levels: the bulk primitives, randomised fault streams through both
-complete stacks, intra-batch collision/duplicate handling, and full
-simulations of the producer/consumer phase-shift workload and a small NPB
-kernel.
+detector over :class:`ArrayShareTable` must be *bit identical* to the
+per-fault reference path — ``FaultPipeline.handle_fault`` once per unique
+faulting VPN, in ascending order, feeding :class:`PerFaultDetector`, which
+replays each fault in order over the dict oracle table of
+``tests/test_hashtable.py`` — with the same page-table state, frame
+placement, TLB contents, communication matrices and counters.  These tests
+pin that equivalence at four levels: the bulk primitives, randomised fault
+streams through both complete stacks, intra-batch collision/duplicate
+handling, and full simulations of the producer/consumer phase-shift
+workload and a small NPB kernel.
 """
 
 from __future__ import annotations
 
-from functools import partial
-
 import numpy as np
 import pytest
 
-from repro.core.hashtable import ArrayShareTable, ShareTable, hash_64, hash_64_batch
+from repro.core.hashtable import DEFAULT_TABLE_SIZE, ArrayShareTable, hash_64, hash_64_batch
 from repro.core.spcd import SpcdDetector
 from repro.engine.simulator import EngineConfig, Simulator
-from repro.errors import ConfigurationError
 from repro.mem.addresspace import AddressSpace
 from repro.mem.fault import FaultBatch, FaultPipeline
 from repro.mem.physmem import FrameAllocator
@@ -30,6 +28,29 @@ from repro.mem.tlb import Tlb, TlbArray
 from repro.units import PAGE_SHIFT, PAGE_SIZE
 from repro.workloads.npb import make_npb
 from repro.workloads.producer_consumer import ProducerConsumerWorkload
+from tests.test_hashtable import DictShareTable, live_entries, replay_in_fault_order
+
+
+class PerFaultDetector(SpcdDetector):
+    """The reference detector: a batch's faults replayed in order over the
+    dict oracle table, one ``matrix.add`` per event."""
+
+    def __init__(self, n_threads, *, table_size=DEFAULT_TABLE_SIZE, **kwargs):
+        super().__init__(n_threads, table_size=table_size, **kwargs)
+        self.table = DictShareTable(table_size)
+
+    def on_fault_batch(self, batch):
+        tid = batch.thread_id
+        events, windowed_out = replay_in_fault_order(
+            self.table, batch.vaddrs // self.granularity, tid, batch.now_ns, self.window_ns
+        )
+        self.stats.faults_seen += batch.n_faults
+        self.stats.windowed_out += windowed_out
+        self.stats.comm_events += len(events)
+        for _, partner in events:
+            self.matrix.add(tid, partner, 1.0)
+        if self._pipeline is not None:
+            self._pipeline.charge_hook_time(batch.n_faults * self.detect_cost_ns)
 
 
 # -- bulk primitives ----------------------------------------------------------
@@ -100,19 +121,20 @@ def test_bulk_shootdown_matches_scalar_invalidate():
 # -- stack-level randomized fault streams -------------------------------------
 
 
-def _build_stack(engine, *, n_threads=8, n_pages=192, table_size=251, granularity=PAGE_SIZE):
+def _build_stack(
+    detector_cls, *, n_threads=8, n_pages=192, table_size=251, granularity=PAGE_SIZE
+):
     space = AddressSpace(1 << 12)
     region = space.mmap("data", n_pages * PAGE_SIZE)
     frames = FrameAllocator(n_nodes=4, frames_per_node=n_pages)
     tlbs = TlbArray(n_threads, capacity=16)
     pipeline = FaultPipeline(space, frames, tlbs, node_of_pu=lambda pu: pu % 4)
-    detector = SpcdDetector(
+    detector = detector_cls(
         n_threads,
         table_size=table_size,
         granularity=granularity,
         window_ns=5_000,
         pipeline=pipeline,
-        engine=engine,
     )
     return space, region, pipeline, detector, tlbs
 
@@ -120,8 +142,8 @@ def _build_stack(engine, *, n_threads=8, n_pages=192, table_size=251, granularit
 def _drive_differential(seed, table_size, granularity=PAGE_SIZE, steps=300, max_batch=24):
     """Run one random fault stream through both stacks and compare everything."""
     rng = np.random.default_rng(seed)
-    fast = _build_stack("array", table_size=table_size, granularity=granularity)
-    slow = _build_stack("dict", table_size=table_size, granularity=granularity)
+    fast = _build_stack(SpcdDetector, table_size=table_size, granularity=granularity)
+    slow = _build_stack(PerFaultDetector, table_size=table_size, granularity=granularity)
     f_space, f_region, f_pipe, f_det, f_tlbs = fast
     s_space, s_region, s_pipe, s_det, s_tlbs = slow
     vpn_lo = int(f_region.vpns()[0])
@@ -151,15 +173,14 @@ def _drive_differential(seed, table_size, granularity=PAGE_SIZE, steps=300, max_
             s_pipe.handle_fault(tid, tid, int(va[k]), is_write=bool(wr[k]), now_ns=now)
 
     # detector: matrix, stats, table counters, live entries
+    assert isinstance(f_det.table, ArrayShareTable)
     assert np.array_equal(f_det.matrix.matrix, s_det.matrix.matrix)
     assert f_det.stats == s_det.stats
     assert f_det.table.collisions == s_det.table.collisions
     assert f_det.table.inserts == s_det.table.inserts
     assert len(f_det.table) == len(s_det.table)
     assert f_det.shared_region_count() == s_det.shared_region_count()
-    f_entries = {e.region: e.last_access for e in f_det.table.entries()}
-    s_entries = {e.region: e.last_access for e in s_det.table.entries()}
-    assert f_entries == s_entries
+    assert live_entries(f_det.table) == s_det.table.live()
     # pipeline counters and accounting
     assert f_pipe.first_touch_faults == s_pipe.first_touch_faults
     assert f_pipe.injected_faults == s_pipe.injected_faults
@@ -193,16 +214,6 @@ def test_coarse_granularity_duplicate_regions():
 def test_one_fault_batches_match_scalar_entry_point():
     """m=1 batches (the scalar cutover's smallest case) equal handle_fault."""
     _drive_differential(seed=5, table_size=251, steps=150, max_batch=2)
-
-
-# -- engine selection ---------------------------------------------------------
-
-
-def test_engine_selection_follows_env():
-    assert isinstance(SpcdDetector(4).table, ArrayShareTable)
-    assert isinstance(SpcdDetector(4, engine="dict").table, ShareTable)
-    with pytest.raises(ConfigurationError):
-        SpcdDetector(4, engine="bogus")
 
 
 # -- full simulations ---------------------------------------------------------
@@ -241,15 +252,13 @@ def _per_fault_batch(self, thread_id, pu_id, vaddrs, is_write, *, now_ns):
 )
 def test_full_simulation_parity(name, factory, monkeypatch):
     """End-to-end: the simulator's fault/SPCD path vs the per-fault reference
-    (the fault loop above plus the dict detection engine)."""
+    (the fault loop above plus :class:`PerFaultDetector`)."""
     cfg = EngineConfig(steps=30, batch_size=128)
     fast = Simulator(factory(), "spcd", seed=7, config=cfg).run()
     monkeypatch.setattr(FaultPipeline, "handle_fault_batch", _per_fault_batch)
-    monkeypatch.setattr(
-        "repro.core.manager.SpcdDetector", partial(SpcdDetector, engine="dict")
-    )
+    monkeypatch.setattr("repro.core.manager.SpcdDetector", PerFaultDetector)
     reference = Simulator(factory(), "spcd", seed=7, config=cfg)
-    assert isinstance(reference.manager.detector.table, ShareTable)
+    assert isinstance(reference.manager.detector.table, DictShareTable)
     slow = reference.run()
 
     assert np.array_equal(fast.detected_matrix.matrix, slow.detected_matrix.matrix)
