@@ -3,8 +3,8 @@
 Not a paper figure — these measure the simulator substrate itself so that
 regressions in the per-access and per-fault paths are caught: the MESI
 hierarchy's access path, stream generation, the fault pipeline with the SPCD
-hook attached, the injector wake, the hierarchical mapper, and the
-communication filter.
+hook attached, the share table's batch touch, the injector wake, the
+hierarchical mapper, and the communication filter.
 """
 
 from time import perf_counter
@@ -15,6 +15,7 @@ import pytest
 from repro.cachesim.hierarchy import CoherentHierarchy
 from repro.core.commmatrix import CommunicationMatrix
 from repro.core.filter import CommunicationFilter
+from repro.core.hashtable import ArrayShareTable
 from repro.core.injector import FaultInjector, InjectorMode
 from repro.core.mapping import HierarchicalMapper
 from repro.core.spcd import SpcdDetector
@@ -22,7 +23,8 @@ from repro.machine.topology import build_machine, dual_xeon_e5_2650
 from repro.mem.addresspace import AddressSpace
 from repro.mem.fault import FaultPipeline
 from repro.mem.physmem import FrameAllocator
-from repro.units import CACHE_LINE_SHIFT, PAGE_SHIFT, PAGE_SIZE
+from repro.serve import synthetic_fault_stream
+from repro.units import CACHE_LINE_SHIFT, MSEC, PAGE_SHIFT, PAGE_SIZE
 from repro.workloads.npb import make_npb
 from repro.workloads.patterns import chain_pattern, mixed_pattern
 
@@ -93,6 +95,30 @@ def test_bench_fault_path_with_detector(benchmark, machine):
         pipeline.handle_fault(state["i"] % 32, 0, vpn * PAGE_SIZE, is_write=False, now_ns=0)
 
     benchmark(one_fault)
+
+
+@pytest.mark.parametrize(
+    "size, n_threads", [(10_000, 8), (256_000, 32)], ids=["serve", "paper"]
+)
+def test_bench_share_table_touch_batch(benchmark, size, n_threads):
+    """One 256-event batch through ``ArrayShareTable.touch_batch`` on a
+    warm table, in serve's shape (the benchmark tenants' 10,000 slots and 8
+    threads) and in the paper's (256,000 slots, 32 threads)."""
+    batches = [
+        (tid, now, vaddrs // PAGE_SIZE)
+        for tid, now, vaddrs in synthetic_fault_stream(n_threads, 16 * 256, seed=0)
+    ]
+    table = ArrayShareTable(size, n_threads)
+    for tid, now, regions in batches:
+        table.touch_batch(regions, tid, now, 250 * MSEC)
+    state = {"i": 0}
+
+    def one_batch():
+        tid, now, regions = batches[state["i"] % len(batches)]
+        state["i"] += 1
+        table.touch_batch(regions, tid, now, 250 * MSEC)
+
+    benchmark(one_batch)
 
 
 def test_bench_injector_wake(benchmark, machine):

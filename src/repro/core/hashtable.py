@@ -10,16 +10,24 @@ access.  As in the paper:
 * on a collision the previous entry is **overwritten** — the paper accepts
   this accuracy loss to keep the fault-path cost constant.
 
-:class:`ArrayShareTable` holds the table in two NumPy arrays (a region-id
-vector plus a ``(size, n_threads)`` last-access timestamp matrix), with a
-batch touch that handles a whole fault batch in one exact sort-based pass
-and a scalar touch for single faults.  It is the one table the simulator
-and the service run.  Its emitted events, ``collisions``/``inserts``
-counters and live entries equal those of a per-fault replay over a plain
-dict table, the oracle that ``tests/test_hashtable.py`` holds it to.
+:class:`ArrayShareTable` holds the slot space in NumPy arrays (a per-slot
+region id and row index) and the last-access timestamps in a row store
+that holds one row per occupied slot, so its memory follows occupancy, not
+the slot count: a 200-step Fig. 8 SP cell occupies ~2,300 of the 256,000
+slots.  A dense ``(size, n_threads)`` matrix would not stay cheap by
+leaving rows untouched: numpy advises every allocation of at least 4 MiB
+for transparent huge pages, so on a host whose THP mode is ``madvise`` a
+few hundred scattered writes make most of it resident.  A batch touch
+handles a whole fault batch in one exact sort-based pass, and a scalar
+touch handles single faults.  It is the one table the simulator and the
+service run.  Its emitted events, ``collisions``/``inserts`` counters and
+live entries equal those of a per-fault replay over a plain dict table,
+the oracle that ``tests/test_hashtable.py`` holds it to.
 """
 
 from __future__ import annotations
+
+from numbers import Integral
 
 import numpy as np
 
@@ -52,15 +60,31 @@ def hash_64_batch(values: np.ndarray, bits: int = 64) -> np.ndarray:
 #: sentinel region id for an empty ArrayShareTable slot (region ids are >= 0)
 _EMPTY_REGION = -1
 
+#: timestamp rows an ArrayShareTable starts with; the row store doubles
+#: whenever a new slot finds it full, up to one row per slot
+_INITIAL_ROWS = 100
+
+
+def _check_count(value: object, what: str) -> int:
+    """*value* as a positive int; a float, a bool or a string is refused."""
+    if not isinstance(value, Integral) or isinstance(value, bool):
+        raise ConfigurationError(f"{what} must be an integer, not {value!r}")
+    if value <= 0:
+        raise ConfigurationError(f"{what} must be positive")
+    return int(value)
+
 
 class ArrayShareTable:
     """Array-backed, overwrite-on-collision sharing table.
 
-    State is two NumPy arrays: a per-slot region id (``-1`` = empty) and a
-    ``(size, n_threads)`` last-access matrix storing ``timestamp + 1`` with
-    ``0`` as the "never touched" sentinel — the bias keeps the matrix a
-    plain ``np.zeros`` allocation, so untouched slots of a paper-sized
-    256k-entry table never cost physical memory.
+    State is a per-slot region id (``-1`` = empty), a per-slot row index,
+    and a row store of last-access timestamps, one ``n_threads`` row per
+    occupied slot, storing ``timestamp + 1`` with ``0`` as the "never
+    touched" sentinel.  The first insert into an empty slot takes the next
+    unused row; the store starts at :data:`_INITIAL_ROWS` rows and doubles
+    when it runs out, never past ``size``.  A slot is never emptied, so its
+    row is never freed; a collision clears and reuses the slot's row.  The
+    number of used rows is therefore the number of occupied slots.
 
     :meth:`touch_batch` takes a whole fault batch in one sort-based pass:
     slots are computed with a vectorised ``hash_64``, the members are grouped
@@ -73,17 +97,30 @@ class ArrayShareTable:
     """
 
     def __init__(self, size: int = DEFAULT_TABLE_SIZE, n_threads: int = 1) -> None:
-        if size <= 0:
-            raise ConfigurationError("table size must be positive")
-        if n_threads <= 0:
-            raise ConfigurationError("need at least one thread")
-        self.size = size
-        self.n_threads = n_threads
-        self._region = np.full(size, _EMPTY_REGION, dtype=np.int64)
+        self.size = _check_count(size, "table size")
+        self.n_threads = _check_count(n_threads, "thread count")
+        self._region = np.full(self.size, _EMPTY_REGION, dtype=np.int64)
+        #: the row of each occupied slot (meaningless for an empty slot)
+        self._row = np.zeros(self.size, dtype=np.intp)
         #: biased timestamps: value v != 0 means last access at time v - 1
-        self._last = np.zeros((size, n_threads), dtype=np.int64)
+        self._last = np.zeros((min(_INITIAL_ROWS, self.size), self.n_threads), dtype=np.int64)
+        #: rows handed out so far: rows ``[0, _used)`` belong to occupied slots
+        self._used = 0
         self.collisions = 0
         self.inserts = 0
+
+    def _take_rows(self, n: int) -> int:
+        """Hand out *n* unused rows, growing the store; returns the first."""
+        first = self._used
+        self._used += n
+        capacity = self._last.shape[0]
+        if self._used > capacity:
+            while capacity < self._used:
+                capacity *= 2
+            grown = np.zeros((min(capacity, self.size), self.n_threads), dtype=np.int64)
+            grown[:first] = self._last[:first]
+            self._last = grown
+        return first
 
     # -- hashing ------------------------------------------------------------
     def slots_of(self, regions: np.ndarray) -> np.ndarray:
@@ -138,8 +175,9 @@ class ArrayShareTable:
           was occupied) and the run emits nothing;
         * each later run is one collision and one insert and emits nothing.
 
-        The slot ends holding the last run's region; its row is cleared if
-        anything was inserted, and column *tid* is set to ``now_ns + 1``.
+        A vacant slot takes the next unused row.  The slot ends holding the
+        last run's region; its row is cleared if anything was inserted, and
+        column *tid* is set to ``now_ns + 1``.
         """
         regions = np.asarray(regions, dtype=np.int64)
         slots = np.asarray(slots, dtype=np.int64)
@@ -164,9 +202,19 @@ class ArrayShareTable:
         current = self._region[batch_slots]
         hit = current == r[first]
         miss = ~hit
+        vacant = current == _EMPTY_REGION
+        n_new = int(np.count_nonzero(vacant))
+        n_miss = int(np.count_nonzero(miss))
         n_later = int(later_runs.sum())
-        self.collisions += int(np.count_nonzero(miss & (current != _EMPTY_REGION))) + n_later
-        self.inserts += int(np.count_nonzero(miss)) + n_later
+        self.collisions += n_miss - n_new + n_later
+        self.inserts += n_miss + n_later
+
+        rows = self._row[batch_slots]
+        if n_new:
+            # each vacant slot takes the next unused (all-zero) row
+            start = self._take_rows(n_new)
+            rows[vacant] = np.arange(start, start + n_new)
+            self._row[batch_slots] = rows
 
         partners = event_slots = np.empty(0, dtype=np.int64)
         windowed_out = 0
@@ -174,18 +222,18 @@ class ArrayShareTable:
             # each member of a hit slot's first run emits the slot's partners
             hit_slots = batch_slots[hit]
             repeats = np.bincount(run_no)[run_no[first[hit]]]
-            rows = self._last[hit_slots]
-            valid = rows != 0
+            stamps = self._last[rows[hit]]
+            valid = stamps != 0
             valid[:, tid] = False
-            in_window = valid & ((now_ns + 1 - rows) <= window_ns)
+            in_window = valid & ((now_ns + 1 - stamps) <= window_ns)
             windowed_out = int(repeats @ (valid & ~in_window).sum(axis=1))
             row, col = np.nonzero(in_window)
             partners = np.repeat(col, repeats[row])
             event_slots = np.repeat(hit_slots[row], repeats[row])
 
         self._region[batch_slots] = r[last]
-        self._last[batch_slots[miss | (later_runs > 0)]] = 0
-        self._last[batch_slots, tid] = now_ns + 1
+        self._last[rows[miss | (later_runs > 0)]] = 0
+        self._last[rows, tid] = now_ns + 1
         return partners, windowed_out, event_slots
 
     def touch(
@@ -199,34 +247,35 @@ class ArrayShareTable:
         """
         slot = self._slot_of(region)
         biased = now_ns + 1
-        if self._region[slot] != region:
-            if self._region[slot] != _EMPTY_REGION:
+        held = self._region[slot]
+        if held != region:
+            if held == _EMPTY_REGION:
+                row = self._row[slot] = self._take_rows(1)
+            else:
                 self.collisions += 1
+                row = self._row[slot]
+                self._last[row] = 0
             self._region[slot] = region
-            self._last[slot] = 0
             self.inserts += 1
-            self._last[slot, tid] = biased
+            self._last[row, tid] = biased
             return [], 0
+        row = self._row[slot]
         partners: list[int] = []
         windowed_out = 0
-        for j, stamp in enumerate(self._last[slot].tolist()):
+        for j, stamp in enumerate(self._last[row].tolist()):
             if stamp == 0 or j == tid:
                 continue
             if biased - stamp <= window_ns:
                 partners.append(j)
             else:
                 windowed_out += 1
-        self._last[slot, tid] = biased
+        self._last[row, tid] = biased
         return partners, windowed_out
 
     def __len__(self) -> int:
-        return int(np.count_nonzero(self._region != _EMPTY_REGION))
+        return self._used
 
     def shared_region_count(self) -> int:
         """Number of currently tracked regions with >= 2 sharers."""
-        occupied = np.flatnonzero(self._region != _EMPTY_REGION)
-        sharers = np.zeros(occupied.size, dtype=np.int64)
-        # one thread's column at a time: no copy of the occupied rows
-        for column in self._last.T:
-            sharers += column[occupied] != 0
+        sharers = np.count_nonzero(self._last[: self._used], axis=1)
         return int(np.count_nonzero(sharers >= 2))

@@ -25,11 +25,19 @@ with ``np.add.at``.  Either pass leaves the matrix, the stats and the table
 as replaying the batch's faults one by one, in resolution order, would:
 ``tests/test_spcd_parity.py`` holds the detector to that replay over the
 dict-backed oracle table of ``tests/test_hashtable.py``.
+
+The pipeline holds the detector strongly (its hook is the bound
+``on_fault_batch``), so the detector holds the pipeline only through a
+:func:`weakref.ref`.  A strong back-reference would close a reference
+cycle, and a dropped :class:`~repro.engine.simulator.Simulator` would keep
+its table, pipeline, page table and TLBs until the next full garbage
+collection.
 """
 
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 
 from repro.core.commmatrix import CommunicationMatrix
@@ -96,7 +104,8 @@ class SpcdDetector:
         self.table = ArrayShareTable(table_size, n_threads)
         self.matrix = CommunicationMatrix(n_threads)
         self.stats = SpcdDetectorStats()
-        self._pipeline = pipeline
+        #: weak: the pipeline's hook list already holds this detector
+        self._pipeline = None if pipeline is None else weakref.ref(pipeline)
         if pipeline is not None:
             pipeline.add_batch_hook(self.on_fault_batch)
 
@@ -138,14 +147,16 @@ class SpcdDetector:
             if partners.size:
                 self.stats.comm_events += int(partners.size)
                 self.matrix.add_events(tid, partners)
-        if self._pipeline is not None:
-            self._pipeline.charge_hook_time(m * self.detect_cost_ns)
+        pipeline = self._pipeline and self._pipeline()
+        if pipeline is not None:
+            pipeline.charge_hook_time(m * self.detect_cost_ns)
 
     def detach(self) -> None:
         """Unregister from the fault pipeline."""
-        if self._pipeline is not None:
-            self._pipeline.remove_batch_hook(self.on_fault_batch)
-            self._pipeline = None
+        pipeline = self._pipeline and self._pipeline()
+        if pipeline is not None:
+            pipeline.remove_batch_hook(self.on_fault_batch)
+        self._pipeline = None
 
     def snapshot_matrix(self) -> CommunicationMatrix:
         """A copy of the current communication matrix."""

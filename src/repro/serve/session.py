@@ -172,13 +172,19 @@ class SessionConfig:
         return -(-self.table_size // self.shards) * self.shards
 
     def memory_bytes(self) -> int:
-        """Estimated resident bytes of this session's detection state.
+        """Resident bytes of this session's detection state when its table
+        is full — the figure admission control charges against the
+        per-tenant memory cap.
 
-        Slot arrays (region id + per-thread timestamps) plus the per-shard
-        communication matrices — the figure admission control charges
-        against the per-tenant memory cap.
+        Per slot, a region id and a row index (8 bytes each) and, once
+        every slot is occupied, a row of ``n_threads`` 8-byte timestamps;
+        plus the per-shard communication matrices.  A table holds fewer
+        rows until it fills, so this is the worst case.  Not counted: the
+        copy made while the row store grows, which holds the previous
+        store (fewer rows than the full one) beside the new one only for
+        the length of the copy.
         """
-        table = self.effective_table_size * 8 * (1 + self.n_threads)
+        table = self.effective_table_size * 8 * (2 + self.n_threads)
         matrices = self.shards * self.n_threads * self.n_threads * 8
         return table + matrices
 

@@ -1,12 +1,16 @@
 """Tests for the SPCD sharing table and Linux hash function."""
 
+from unittest.mock import patch
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import hashtable
 from repro.core.hashtable import (
     _EMPTY_REGION,
+    _INITIAL_ROWS,
     DEFAULT_TABLE_SIZE,
     GOLDEN_RATIO_64,
     ArrayShareTable,
@@ -49,13 +53,14 @@ class DictShareTable:
 
 def live_entries(table):
     """``{region: {tid: last_ns}}`` of an :class:`ArrayShareTable`, read from
-    its region vector and its biased last-access matrix."""
-    return {
-        int(table._region[slot]): {
-            int(t): int(table._last[slot, t]) - 1 for t in np.flatnonzero(table._last[slot])
+    its region vector and, through its row index, its biased timestamp rows."""
+    entries = {}
+    for slot in np.flatnonzero(table._region != _EMPTY_REGION):
+        stamps = table._last[table._row[slot]]
+        entries[int(table._region[slot])] = {
+            int(t): int(stamps[t]) - 1 for t in np.flatnonzero(stamps)
         }
-        for slot in np.flatnonzero(table._region != _EMPTY_REGION)
-    }
+    return entries
 
 
 def replay_in_fault_order(table, regions, tid, now_ns, window_ns):
@@ -158,11 +163,35 @@ class TestShareTable:
         with pytest.raises(ConfigurationError):
             ArrayShareTable(8, 0)
 
+    @pytest.mark.parametrize(
+        "size, n_threads", [(2.5, 2), (True, 2), ("1000", 2), (100, 2.0), (100, True)]
+    )
+    def test_rejects_a_size_that_is_not_an_int(self, size, n_threads):
+        """Each used to escape as numpy's untyped TypeError."""
+        with pytest.raises(ConfigurationError, match="must be an integer"):
+            ArrayShareTable(size, n_threads)
+
     def test_low_collision_rate_at_paper_scale(self):
         """256k slots covering 1 GiB of 4 KiB pages: few collisions."""
         t = ArrayShareTable(DEFAULT_TABLE_SIZE)
         t.touch_batch(np.arange(50_000), 0, 0, 10)
         assert t.collisions / 50_000 < 0.12
+
+    @pytest.mark.parametrize("path", ["touch_batch", "touch"])
+    def test_rows_follow_occupancy_at_paper_scale(self, path):
+        """3,000 regions in a paper-sized 32-thread table hold rows for the
+        occupied slots only (a dense matrix of 256,000 rows is 62.5 MiB)."""
+        t = ArrayShareTable(DEFAULT_TABLE_SIZE, 32)
+        regions = np.arange(3_000, dtype=np.int64)
+        if path == "touch_batch":
+            t.touch_batch(regions, 0, 0, 10)
+        else:
+            for region in regions.tolist():
+                t.touch(region, 0, 0, 10)
+        occupied = int(np.count_nonzero(t._region != _EMPTY_REGION))
+        assert len(t) == occupied > 2_900
+        assert t._last.shape[0] <= max(_INITIAL_ROWS, 2 * occupied)
+        assert t._last.nbytes < 1 << 20
 
 
 # ---------------------------------------------------------------------------
@@ -170,6 +199,15 @@ class TestShareTable:
 # ---------------------------------------------------------------------------
 N_THREADS = 4
 WINDOW_NS = 10
+
+
+def _assert_same_state(fast, oracle):
+    assert (fast.collisions, fast.inserts) == (oracle.collisions, oracle.inserts)
+    assert live_entries(fast) == oracle.live()
+    # one row per occupied slot: an insert into an occupied slot reuses its row
+    occupied = fast._region != _EMPTY_REGION
+    assert sorted(fast._row[occupied].tolist()) == list(range(len(oracle)))
+    assert len(fast) == len(oracle)
 
 
 def _touch_both(fast, oracle, regions, tid, now_ns, window_ns=WINDOW_NS):
@@ -180,9 +218,20 @@ def _touch_both(fast, oracle, regions, tid, now_ns, window_ns=WINDOW_NS):
     events, want_windowed_out = replay_in_fault_order(oracle, regions, tid, now_ns, window_ns)
     assert sorted(partners.tolist()) == sorted(j for _, j in events)
     assert windowed_out == want_windowed_out
-    assert (fast.collisions, fast.inserts) == (oracle.collisions, oracle.inserts)
-    assert live_entries(fast) == oracle.live()
+    _assert_same_state(fast, oracle)
     return partners, windowed_out
+
+
+def _touch_each(fast, oracle, regions, tid, now_ns, window_ns=WINDOW_NS):
+    """Feed a batch to both tables one region at a time (the scalar path)."""
+    for region in regions:
+        partners, windowed_out = fast.touch(region, tid, now_ns, window_ns)
+        events, want_windowed_out = replay_in_fault_order(
+            oracle, [region], tid, now_ns, window_ns
+        )
+        assert sorted(partners) == sorted(j for _, j in events)
+        assert windowed_out == want_windowed_out
+    _assert_same_state(fast, oracle)
 
 
 def _same_slot_pair(size):
@@ -195,6 +244,9 @@ def _same_slot_pair(size):
 @settings(max_examples=150, deadline=None)
 @given(
     size=st.sampled_from([1, 3, 7, 61]),
+    # a row store starting at one or two rows grows inside vectorised
+    # batches and on scalar inserts
+    initial_rows=st.sampled_from([1, 2, _INITIAL_ROWS]),
     batches=st.lists(
         st.tuples(
             st.integers(0, N_THREADS - 1),
@@ -203,16 +255,21 @@ def _same_slot_pair(size):
             st.integers(0, 3),
             # a pool of 12 regions: batches repeat regions and slots
             st.lists(st.integers(0, 11), max_size=40),
+            # True: the batch goes through the scalar touch, one at a time
+            st.booleans(),
         ),
         max_size=12,
     ),
 )
-def test_touch_batch_matches_fault_order_replay(size, batches):
-    fast, oracle = ArrayShareTable(size, N_THREADS), DictShareTable(size)
+def test_touch_batch_matches_fault_order_replay(size, initial_rows, batches):
+    with patch.object(hashtable, "_INITIAL_ROWS", initial_rows):
+        fast = ArrayShareTable(size, N_THREADS)
+    oracle = DictShareTable(size)
     now_ns = 0
-    for tid, step, regions in batches:
+    for tid, step, regions, scalar in batches:
         now_ns += 5 * step
-        _touch_both(fast, oracle, regions, tid, now_ns)
+        (_touch_each if scalar else _touch_both)(fast, oracle, regions, tid, now_ns)
+        assert fast._last.shape[0] <= max(min(initial_rows, size), 2 * len(oracle))
 
 
 class TestArrayShareTableBatch:

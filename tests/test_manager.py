@@ -172,6 +172,16 @@ class TestConfig:
                 sched.machine, 8, pipeline, sched, rng, config=SpcdConfig(**{field: cost})
             )
 
+    @pytest.mark.parametrize("table_size", [2.5, True, "1000"])
+    def test_rejects_a_table_size_that_is_not_an_int(self, table_size):
+        """A float, bool or string size used to escape as numpy's TypeError."""
+        from repro.engine.simulator import Simulator
+        from repro.errors import ConfigurationError
+        from repro.workloads.npb import make_npb
+
+        with pytest.raises(ConfigurationError, match="table size"):
+            Simulator(make_npb("CG"), "spcd", spcd_config=SpcdConfig(table_size=table_size))
+
     def test_rejects_a_policy_that_maps_nothing(self, env):
         """A policy that does not map threads has nothing to evaluate."""
         from repro.errors import ConfigurationError

@@ -165,20 +165,44 @@ def test_hash64_range(value, bits):
 # ---------------------------------------------------------------------------
 # SPCD detector
 # ---------------------------------------------------------------------------
+#: fault streams of 8 threads on 64 pages: ``(tid, time step, pages)`` per
+#: batch, 1-40 distinct pages a batch (both sides of the scalar detection
+#: cutover)
+FAULT_STREAMS = st.lists(
+    st.tuples(
+        st.integers(0, 7),
+        st.integers(0, 1_000),
+        st.lists(st.integers(0, 63), min_size=1, max_size=40, unique=True),
+    ),
+    max_size=16,
+)
+
+
+def detect_stream(batches, thread_of=range(8), **detector_kwargs):
+    """Feed *batches* through a pipeline with a detector attached, thread
+    *tid* faulting as ``thread_of[tid]``; returns the detector and pipeline."""
+    space = AddressSpace(256)
+    first_vpn = space.mmap("data", 64 * PAGE_SIZE).first_vpn
+    pipeline = FaultPipeline(space, FrameAllocator(1, 1_000), node_of_pu=lambda pu: 0)
+    det = SpcdDetector(8, pipeline=pipeline, **detector_kwargs)
+    now = 0
+    for tid, step, pages in batches:
+        now += step
+        vpns = first_vpn + np.asarray(pages, dtype=np.int64)
+        space.page_table.clear_present(vpns)  # every access faults
+        tid = thread_of[tid]
+        pipeline.handle_fault_batch(
+            tid, tid, vpns << PAGE_SHIFT, np.zeros(vpns.size, dtype=bool), now_ns=now
+        )
+    return det, pipeline
+
+
 @given(
     table_size=st.integers(1, 4096),
     window_ns=st.integers(1, 2_000),
     # quarter-nanosecond costs keep every sum of charges exact in float64
     detect_cost_ns=st.integers(0, 4_000).map(lambda k: k / 4),
-    batches=st.lists(
-        st.tuples(
-            st.integers(0, 7),
-            st.integers(0, 1_000),
-            # 1-40 distinct pages: both sides of the scalar detection cutover
-            st.lists(st.integers(0, 63), min_size=1, max_size=40, unique=True),
-        ),
-        max_size=16,
-    ),
+    batches=FAULT_STREAMS,
 )
 @settings(max_examples=100, deadline=None)
 def test_detector_invariants_for_any_fault_stream(
@@ -186,31 +210,40 @@ def test_detector_invariants_for_any_fault_stream(
 ):
     """Every detected event is one unit of a symmetric, zero-diagonal
     matrix; the hook sees each fault once and charges each one its cost."""
-    space = AddressSpace(256)
-    first_vpn = space.mmap("data", 64 * PAGE_SIZE).first_vpn
-    pipeline = FaultPipeline(space, FrameAllocator(1, 1_000), node_of_pu=lambda pu: 0)
-    det = SpcdDetector(
-        8,
-        table_size=table_size,
-        window_ns=window_ns,
-        detect_cost_ns=detect_cost_ns,
-        pipeline=pipeline,
+    det, pipeline = detect_stream(
+        batches, table_size=table_size, window_ns=window_ns, detect_cost_ns=detect_cost_ns
     )
-    now = fed = 0
-    for tid, step, pages in batches:
-        now += step
-        vpns = first_vpn + np.asarray(pages, dtype=np.int64)
-        space.page_table.clear_present(vpns)  # every access faults
-        pipeline.handle_fault_batch(
-            tid, tid, vpns << PAGE_SHIFT, np.zeros(vpns.size, dtype=bool), now_ns=now
-        )
-        fed += vpns.size
     m = det.matrix.matrix
     assert det.matrix.total() == det.stats.comm_events
     assert np.array_equal(m, m.T)
     assert not m.diagonal().any()
-    assert det.stats.faults_seen == fed
+    assert det.stats.faults_seen == sum(len(pages) for _, _, pages in batches)
     assert pipeline.hook_time_ns == det.stats.faults_seen * detect_cost_ns
+
+
+@given(
+    table_size=st.integers(1, 4096),
+    window_ns=st.integers(1, 2_000),
+    perm=st.permutations(range(8)),
+    batches=FAULT_STREAMS,
+)
+@settings(max_examples=100, deadline=None)
+def test_relabelling_threads_permutes_the_detected_matrix(
+    table_size, window_ns, perm, batches
+):
+    """Thread ids are labels: a stream whose thread *t* faults as
+    ``perm[t]`` detects ``P M P^T`` with the same counters."""
+    kwargs = dict(table_size=table_size, window_ns=window_ns)
+    det, _ = detect_stream(batches, **kwargs)
+    relabelled, _ = detect_stream(batches, thread_of=perm, **kwargs)
+    p = np.zeros((8, 8))
+    p[perm, range(8)] = 1.0  # P e_t = e_perm[t]
+    assert np.array_equal(relabelled.matrix.matrix, p @ det.matrix.matrix @ p.T)
+    assert relabelled.stats == det.stats
+    assert (relabelled.table.collisions, relabelled.table.inserts) == (
+        det.table.collisions,
+        det.table.inserts,
+    )
 
 
 # ---------------------------------------------------------------------------

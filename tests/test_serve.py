@@ -286,6 +286,27 @@ class TestSessionConfig:
         large = SessionConfig(n_threads=4, table_size=100000)
         assert large.memory_bytes() > small.memory_bytes()
 
+    def test_memory_bytes_covers_a_full_table(self, machine):
+        """Admission charges at least what a session holds once every slot
+        of its table is occupied (256 slots: the row store grows to one row
+        per slot)."""
+        cfg = SessionConfig(n_threads=4, table_size=256)
+        session = TenantSession("t", cfg, machine)
+        table = session.table.table
+        size = cfg.effective_table_size
+        region_of_slot = {}
+        region = 0
+        while len(region_of_slot) < size:
+            region_of_slot.setdefault(hash_64(region) % size, region)
+            region += 1
+        vaddrs = np.array(sorted(region_of_slot.values()), dtype=np.int64) * cfg.granularity
+        for tid in range(cfg.n_threads):
+            session.ingest(EventBatch(tid=tid, now_ns=tid, vaddrs=vaddrs))
+        assert len(table) == size and table.inserts == size
+        held = table._region.nbytes + table._row.nbytes + table._last.nbytes
+        held += sum(m.matrix.nbytes for m in session.shard_matrices)
+        assert held <= cfg.memory_bytes()
+
 
 class TestServeConfig:
     @pytest.mark.parametrize(

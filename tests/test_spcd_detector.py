@@ -1,5 +1,8 @@
 """Tests for the SPCD detection hook."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.core.spcd import SpcdDetector
@@ -133,6 +136,30 @@ class TestAccounting:
         det.detach()
         fault(pipeline, space, 0, 0, 0)
         assert det.stats.faults_seen == 0
+
+    def test_a_dropped_simulator_frees_its_detector_without_a_collection(self):
+        """The detector holds its pipeline weakly, so no reference cycle
+        keeps a finished run's table and pipeline alive until a full
+        garbage collection."""
+        from repro.engine.simulator import EngineConfig, Simulator
+        from repro.workloads.npb import make_npb
+
+        gc.collect()
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            sim = Simulator(
+                make_npb("CG"), "spcd", seed=1, config=EngineConfig(steps=2, batch_size=64)
+            )
+            sim.run()
+            detector = weakref.ref(sim.manager.detector)
+            pipeline = weakref.ref(sim.pipeline)
+            del sim
+            assert detector() is None
+            assert pipeline() is None
+        finally:
+            if was_enabled:
+                gc.enable()
 
     def test_snapshot_is_copy(self, setup):
         space, pipeline, det = setup

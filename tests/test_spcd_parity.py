@@ -15,11 +15,14 @@ workload and a small NPB kernel.
 
 from __future__ import annotations
 
+from unittest.mock import patch
+
 import numpy as np
 import pytest
 
+from repro.core import hashtable
 from repro.core.hashtable import DEFAULT_TABLE_SIZE, ArrayShareTable, hash_64, hash_64_batch
-from repro.core.spcd import SpcdDetector
+from repro.core.spcd import _SCALAR_DETECT_MAX, SpcdDetector
 from repro.engine.simulator import EngineConfig, Simulator
 from repro.mem.addresspace import AddressSpace
 from repro.mem.fault import FaultBatch, FaultPipeline
@@ -49,8 +52,9 @@ class PerFaultDetector(SpcdDetector):
         self.stats.comm_events += len(events)
         for _, partner in events:
             self.matrix.add(tid, partner, 1.0)
-        if self._pipeline is not None:
-            self._pipeline.charge_hook_time(batch.n_faults * self.detect_cost_ns)
+        pipeline = self._pipeline and self._pipeline()
+        if pipeline is not None:
+            pipeline.charge_hook_time(batch.n_faults * self.detect_cost_ns)
 
 
 # -- bulk primitives ----------------------------------------------------------
@@ -122,33 +126,53 @@ def test_bulk_shootdown_matches_scalar_invalidate():
 
 
 def _build_stack(
-    detector_cls, *, n_threads=8, n_pages=192, table_size=251, granularity=PAGE_SIZE
+    detector_cls,
+    *,
+    n_threads=8,
+    n_pages=192,
+    table_size=251,
+    granularity=PAGE_SIZE,
+    initial_rows=hashtable._INITIAL_ROWS,
 ):
     space = AddressSpace(1 << 12)
     region = space.mmap("data", n_pages * PAGE_SIZE)
     frames = FrameAllocator(n_nodes=4, frames_per_node=n_pages)
     tlbs = TlbArray(n_threads, capacity=16)
     pipeline = FaultPipeline(space, frames, tlbs, node_of_pu=lambda pu: pu % 4)
-    detector = detector_cls(
-        n_threads,
-        table_size=table_size,
-        granularity=granularity,
-        window_ns=5_000,
-        pipeline=pipeline,
-    )
+    with patch.object(hashtable, "_INITIAL_ROWS", initial_rows):
+        detector = detector_cls(
+            n_threads,
+            table_size=table_size,
+            granularity=granularity,
+            window_ns=5_000,
+            pipeline=pipeline,
+        )
     return space, region, pipeline, detector, tlbs
 
 
-def _drive_differential(seed, table_size, granularity=PAGE_SIZE, steps=300, max_batch=24):
-    """Run one random fault stream through both stacks and compare everything."""
+def _drive_differential(
+    seed,
+    table_size,
+    granularity=PAGE_SIZE,
+    steps=300,
+    max_batch=24,
+    initial_rows=hashtable._INITIAL_ROWS,
+):
+    """Run one random fault stream through both stacks and compare everything.
+
+    Returns the detector passes (``"scalar"``, ``"vector"``) in which the
+    fast table's row store grew.
+    """
     rng = np.random.default_rng(seed)
-    fast = _build_stack(SpcdDetector, table_size=table_size, granularity=granularity)
-    slow = _build_stack(PerFaultDetector, table_size=table_size, granularity=granularity)
+    stack = dict(table_size=table_size, granularity=granularity, initial_rows=initial_rows)
+    fast = _build_stack(SpcdDetector, **stack)
+    slow = _build_stack(PerFaultDetector, **stack)
     f_space, f_region, f_pipe, f_det, f_tlbs = fast
     s_space, s_region, s_pipe, s_det, s_tlbs = slow
     vpn_lo = int(f_region.vpns()[0])
     vpn_hi = int(f_region.vpns()[-1])
 
+    grown_in = set()
     for step in range(steps):
         tid = int(rng.integers(0, 8))
         m = int(rng.integers(1, max_batch))
@@ -166,7 +190,11 @@ def _drive_differential(seed, table_size, granularity=PAGE_SIZE, steps=300, max_
             continue
         va, wr = vaddrs[mask], writes[mask]
         # fast stack: one batched call
+        rows = f_det.table._last.shape[0]
         f_pipe.handle_fault_batch(tid, tid, va, wr, now_ns=now)
+        if f_det.table._last.shape[0] > rows:
+            n_faults = np.unique(va >> PAGE_SHIFT).size
+            grown_in.add("scalar" if n_faults <= _SCALAR_DETECT_MAX else "vector")
         # slow stack: reference per-fault loop (ascending unique VPNs)
         _, first = np.unique(va >> PAGE_SHIFT, return_index=True)
         for k in first:
@@ -195,12 +223,22 @@ def _drive_differential(seed, table_size, granularity=PAGE_SIZE, steps=300, max_
     # TLBs: exact LRU order per PU
     for f_tlb, s_tlb in zip(f_tlbs.tlbs, s_tlbs.tlbs):
         assert list(f_tlb._entries.items()) == list(s_tlb._entries.items())
+    return grown_in
 
 
 @pytest.mark.parametrize("table_size", [7, 251, 4096])
 def test_random_fault_streams_are_bit_identical(table_size):
     """Random streams across table sizes; size 7 forces constant collisions."""
     _drive_differential(seed=100 + table_size, table_size=table_size)
+
+
+@pytest.mark.parametrize("table_size", [61, 4096])
+def test_row_store_growth_is_exact(table_size):
+    """From one row, the table's row store grows on scalar inserts and
+    inside vectorised batches; on 61 slots, collisions reuse rows (the
+    table length, its used rows, equals the oracle's occupied slots)."""
+    grown_in = _drive_differential(seed=1, table_size=table_size, initial_rows=1)
+    assert grown_in == {"scalar", "vector"}
 
 
 def test_coarse_granularity_duplicate_regions():
