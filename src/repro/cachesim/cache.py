@@ -2,14 +2,15 @@
 
 Stores only *presence* (plus a dirty flag for L3 write-back accounting);
 coherence state lives in the directory (:mod:`repro.cachesim.hierarchy`).
-Each set is an ``OrderedDict`` in LRU order (oldest first) whose values
-are the dirty flags: a hit is one ``move_to_end``, a victim one
-``popitem(last=False)``.
+Each set is a plain ``dict`` whose insertion order is the LRU order (oldest
+first) and whose values are the dirty flags: a hit pops the line and
+re-inserts it (``s[line] = s.pop(line)``), and the victim is the first key,
+``next(iter(s))``.  ``dict.popitem()`` is never used: it is LIFO and would
+evict the most recently used line.  Because every value is a bool, the
+cyclic garbage collector never tracks a set (DESIGN §7.1).
 """
 
 from __future__ import annotations
-
-from collections import OrderedDict
 
 from repro.machine.cache_params import CacheParams
 
@@ -33,7 +34,7 @@ class SetAssocCache:
         self.num_sets = params.num_sets
         self.ways = params.associativity
         self._set_mask = self.num_sets - 1
-        self._sets: list[OrderedDict[int, bool]] = [OrderedDict() for _ in range(self.num_sets)]
+        self._sets: list[dict[int, bool]] = [{} for _ in range(self.num_sets)]
         self.hits = 0
         self.misses = 0
         self.evictions = 0
@@ -46,7 +47,7 @@ class SetAssocCache:
         """Probe for *line*; refreshes LRU on hit.  Counts hit/miss."""
         s = self._sets[line & self._set_mask]
         if line in s:
-            s.move_to_end(line)
+            s[line] = s.pop(line)
             self.hits += 1
             return True
         self.misses += 1
@@ -62,12 +63,12 @@ class SetAssocCache:
         and ORs the dirty flag."""
         s = self._sets[line & self._set_mask]
         if line in s:
-            s[line] = s[line] or dirty
-            s.move_to_end(line)
+            s[line] = s.pop(line) or dirty
             return None
         victim: tuple[int, bool] | None = None
         if len(s) >= self.ways:
-            victim = s.popitem(last=False)
+            oldest = next(iter(s))
+            victim = (oldest, s.pop(oldest))
             self.evictions += 1
         s[line] = dirty
         return victim

@@ -23,7 +23,8 @@ Invariants (checked by :meth:`CoherentHierarchy.check_invariants`):
 2. ``c in sharers[l]``  iff  ``l in L2[c]``;
 3. a privately cached line is present in its socket's L3 (inclusion);
 4. a dirty-owned line has exactly one private sharer and lives in no other
-   socket's L3.
+   socket's L3;
+5. no cache set holds more lines than its cache's associativity.
 """
 
 from __future__ import annotations
@@ -130,17 +131,17 @@ class CoherentHierarchy:
         for line, w, home in zip(lines, _aslist(writes), _aslist(home_nodes)):
             s1 = l1_sets[line & l1_mask]
             if line in s1:
-                s1.move_to_end(line)
+                s1[line] = s1.pop(line)
                 if w and dirty_owner.get(line) != core:
                     acquire(core, line)
                 continue
             l1_misses += 1
             s2 = l2_sets[line & l2_mask]
             if line in s2:
-                s2.move_to_end(line)
+                s2[line] = s2.pop(line)
                 l2_hits += 1
                 if len(s1) >= l1_ways:
-                    s1.popitem(last=False)
+                    del s1[next(iter(s1))]
                     l1_evictions += 1
                 s1[line] = False
                 if w and dirty_owner.get(line) != core:
@@ -153,7 +154,7 @@ class CoherentHierarchy:
             owner = dirty_owner.get(line, NO_OWNER)
             s3 = l3_sets[line & l3_mask]
             if line in s3:
-                s3.move_to_end(line)
+                s3[line] = s3.pop(line)
                 if owner != NO_OWNER:
                     # Dirty in a same-socket private cache (inclusion
                     # guarantees the owner is on this socket).
@@ -184,7 +185,8 @@ class CoherentHierarchy:
                         else:
                             dram_remote += 1
                 if len(s3) >= l3_ways:
-                    victim, victim_dirty = s3.popitem(last=False)
+                    victim = next(iter(s3))
+                    victim_dirty = s3.pop(victim)
                     l3_evictions += 1
                     self._evict_from_l3(socket, victim, victim_dirty)
                 s3[line] = False
@@ -202,7 +204,8 @@ class CoherentHierarchy:
             # whose victims need no action: inclusion keeps their data in
             # L2 and the directory, not the L1 copy, tracks dirtiness.
             if len(s2) >= l2_ways:
-                victim = s2.popitem(last=False)[0]
+                victim = next(iter(s2))
+                del s2[victim]
                 l2_evictions += 1
                 l1_sets[victim & l1_mask].pop(victim, None)
                 mask = sharers.get(victim, 0) & others
@@ -215,7 +218,7 @@ class CoherentHierarchy:
                     l3.mark_dirty(victim)
             s2[line] = False
             if len(s1) >= l1_ways:
-                s1.popitem(last=False)
+                del s1[next(iter(s1))]
                 l1_evictions += 1
             s1[line] = False
             if w:
@@ -369,4 +372,10 @@ class CoherentHierarchy:
             for s, pres in enumerate(l3_presence):
                 if s != owner_socket and line in pres:
                     problems.append(f"dirty line {line} also present in L3 s{s}")
+        for cache in (*self.l1, *self.l2, *self.l3):
+            for index, lines in enumerate(cache._sets):
+                if len(lines) > cache.ways:
+                    problems.append(
+                        f"{cache.name} set {index} holds {len(lines)} lines in {cache.ways} ways"
+                    )
         return problems

@@ -66,11 +66,13 @@ _INITIAL_ROWS = 100
 
 
 def _check_count(value: object, what: str) -> int:
-    """*value* as a positive int; a float, a bool or a string is refused."""
+    """*value* as a positive int64; a float, a bool or a string is refused."""
     if not isinstance(value, Integral) or isinstance(value, bool):
         raise ConfigurationError(f"{what} must be an integer, not {value!r}")
     if value <= 0:
         raise ConfigurationError(f"{what} must be positive")
+    if value >= 1 << 63:
+        raise ConfigurationError(f"{what} must fit in a 64-bit integer, not {value}")
     return int(value)
 
 
@@ -99,11 +101,21 @@ class ArrayShareTable:
     def __init__(self, size: int = DEFAULT_TABLE_SIZE, n_threads: int = 1) -> None:
         self.size = _check_count(size, "table size")
         self.n_threads = _check_count(n_threads, "thread count")
-        self._region = np.full(self.size, _EMPTY_REGION, dtype=np.int64)
-        #: the row of each occupied slot (meaningless for an empty slot)
-        self._row = np.zeros(self.size, dtype=np.intp)
-        #: biased timestamps: value v != 0 means last access at time v - 1
-        self._last = np.zeros((min(_INITIAL_ROWS, self.size), self.n_threads), dtype=np.int64)
+        try:
+            self._region = np.full(self.size, _EMPTY_REGION, dtype=np.int64)
+            #: the row of each occupied slot (meaningless for an empty slot)
+            self._row = np.zeros(self.size, dtype=np.intp)
+            #: biased timestamps: value v != 0 means last access at time v - 1
+            self._last = np.zeros(
+                (min(_INITIAL_ROWS, self.size), self.n_threads), dtype=np.int64
+            )
+        except ValueError as exc:
+            # numpy refuses a byte count past the address space before it
+            # allocates; a table that is merely large raises MemoryError
+            raise ConfigurationError(
+                f"a table of {self.size} slots and {self.n_threads} threads is "
+                f"too large to allocate: {exc}"
+            ) from exc
         #: rows handed out so far: rows ``[0, _used)`` belong to occupied slots
         self._used = 0
         self.collisions = 0

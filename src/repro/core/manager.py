@@ -111,6 +111,20 @@ class SpcdConfig:
         # so an out-of-range factor would otherwise run silently unaged
         if not 0.0 < self.matrix_decay <= 1.0:
             raise ConfigurationError("matrix_decay must be in (0, 1]")
+        # SessionConfig refuses these too: a NaN compares false, so a NaN
+        # evidence quota, say, never blocks a remap
+        for name in (
+            "filter_hysteresis",
+            "filter_margin",
+            "filter_min_events",
+            "min_improvement",
+            "mapper_stickiness",
+        ):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ConfigurationError(f"{name} must be a finite number, not {value!r}")
+        if self.remap_cooldown_ns < 0:
+            raise ConfigurationError("remap_cooldown_ns must be non-negative")
         # the detector and the injector check their own costs; this one
         # feeds only the manager's mapping-overhead accounting
         cost = self.mapping_cost_ns_per_n3

@@ -152,6 +152,8 @@ class SessionConfig:
             raise ConfigurationError("shards must be positive")
         if self.eval_every_events <= 0:
             raise ConfigurationError("eval_every_events must be positive")
+        if self.remap_cooldown_ns < 0:
+            raise ConfigurationError("remap_cooldown_ns must be non-negative")
         # the ranges CommunicationFilter enforces
         if self.filter_threshold < 1:
             raise ConfigurationError("filter_threshold must be >= 1")

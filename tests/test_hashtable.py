@@ -171,6 +171,22 @@ class TestShareTable:
         with pytest.raises(ConfigurationError, match="must be an integer"):
             ArrayShareTable(size, n_threads)
 
+    @pytest.mark.parametrize(
+        "size, n_threads", [(2**63, 2), (2**64, 2), (100, 2**63), (100, 2**64)]
+    )
+    def test_rejects_a_count_that_does_not_fit_int64(self, size, n_threads):
+        """Each used to escape as numpy's untyped ``ValueError: Maximum
+        allowed dimension exceeded``."""
+        with pytest.raises(ConfigurationError, match="64-bit"):
+            ArrayShareTable(size, n_threads)
+
+    @pytest.mark.parametrize("size, n_threads", [(2**62, 2), (100, 2**62)])
+    def test_rejects_a_table_past_the_address_space(self, size, n_threads):
+        """numpy refuses these byte counts before allocating; its untyped
+        ``ValueError: array is too big`` used to escape."""
+        with pytest.raises(ConfigurationError, match="too large to allocate"):
+            ArrayShareTable(size, n_threads)
+
     def test_low_collision_rate_at_paper_scale(self):
         """256k slots covering 1 GiB of 4 KiB pages: few collisions."""
         t = ArrayShareTable(DEFAULT_TABLE_SIZE)

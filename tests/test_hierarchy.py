@@ -149,6 +149,18 @@ class TestInvariants:
         assert hier.check_invariants() == []
         assert hier.stats.back_invalidations > 0  # tiny L3 must back-invalidate
 
+    def test_reports_an_overfull_set(self, hier):
+        """Invariant 5: a set never holds more lines than its ways.  One
+        more clean line than the L3 has ways, written into one set by hand
+        (no private copy, so invariants 1-4 still hold), is the only
+        problem reported."""
+        l3 = hier.l3[0]
+        for k in range(l3.ways + 1):
+            l3._sets[0][k * l3.num_sets] = False
+        assert hier.check_invariants() == [
+            f"{l3.name} set 0 holds {l3.ways + 1} lines in {l3.ways} ways"
+        ]
+
 
 class TestBatch:
     def test_access_batch_equivalent_to_loop(self, small_machine):

@@ -158,6 +158,42 @@ class TestConfig:
         with pytest.raises(ConfigurationError, match="matrix_decay"):
             SessionConfig(n_threads=4, matrix_decay=decay)
 
+    @pytest.mark.parametrize(
+        "field",
+        [
+            "min_improvement",
+            "filter_hysteresis",
+            "filter_margin",
+            "filter_min_events",
+            "mapper_stickiness",
+        ],
+    )
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_gate_tunables_must_be_finite_as_in_session_config(self, field, value):
+        """Both configs refuse a NaN or infinite gate tunable.  SpcdConfig
+        used to take them: a NaN evidence quota let CG (20 steps, seed 1)
+        remap once where the default quota never does."""
+        from repro.errors import ConfigurationError
+        from repro.serve.session import SessionConfig
+
+        with pytest.raises(ConfigurationError, match=field):
+            SpcdConfig(**{field: value})
+        with pytest.raises(ConfigurationError, match=field):
+            SessionConfig(n_threads=4, **{field: value})
+
+    def test_both_configs_refuse_a_negative_cooldown(self):
+        """A negative cooldown used to pass both records; 0 (no cooldown)
+        stays valid."""
+        from repro.errors import ConfigurationError
+        from repro.serve.session import SessionConfig
+
+        with pytest.raises(ConfigurationError, match="remap_cooldown_ns"):
+            SpcdConfig(remap_cooldown_ns=-5)
+        with pytest.raises(ConfigurationError, match="remap_cooldown_ns"):
+            SessionConfig(n_threads=4, remap_cooldown_ns=-5)
+        assert SpcdConfig(remap_cooldown_ns=0).remap_cooldown_ns == 0
+        assert SessionConfig(n_threads=4, remap_cooldown_ns=0).remap_cooldown_ns == 0
+
     @pytest.mark.parametrize("field", ["detect_cost_ns", "clear_cost_ns", "mapping_cost_ns_per_n3"])
     @pytest.mark.parametrize("cost", [float("nan"), float("inf"), -1.0])
     def test_rejects_a_cost_that_is_not_finite_and_non_negative(self, env, field, cost):
@@ -180,6 +216,18 @@ class TestConfig:
         from repro.workloads.npb import make_npb
 
         with pytest.raises(ConfigurationError, match="table size"):
+            Simulator(make_npb("CG"), "spcd", spcd_config=SpcdConfig(table_size=table_size))
+
+    @pytest.mark.parametrize("table_size", [2**62, 2**63, 2**64])
+    def test_rejects_a_table_size_too_large_to_allocate(self, table_size):
+        """Each used to escape from numpy as an untyped ValueError ("array
+        is too big" at 2**62, "Maximum allowed dimension exceeded" from
+        2**63)."""
+        from repro.engine.simulator import Simulator
+        from repro.errors import ConfigurationError
+        from repro.workloads.npb import make_npb
+
+        with pytest.raises(ConfigurationError, match="64-bit|too large to allocate"):
             Simulator(make_npb("CG"), "spcd", spcd_config=SpcdConfig(table_size=table_size))
 
     def test_rejects_a_policy_that_maps_nothing(self, env):

@@ -1,5 +1,7 @@
 """Tests for the end-to-end simulator (small, fast configurations)."""
 
+import gc
+
 import pytest
 
 from repro.core.manager import SpcdConfig
@@ -66,6 +68,14 @@ class TestBasicRun:
         assert s.l1_hits + s.l1_misses == res.perf.accesses
         assert s.l1_misses == s.l2_hits + s.l2_misses
         assert s.l2_misses == s.l3_hits + s.l3_misses
+        # every set is a plain dict of bool dirty flags, which the cyclic
+        # collector leaves untracked (DESIGN §7.1)
+        hier = sim.hierarchy
+        for cache in (*hier.l1, *hier.l2, *hier.l3):
+            for lines in cache._sets:
+                assert type(lines) is dict, cache.name
+                assert all(type(dirty) is bool for dirty in lines.values()), cache.name
+                assert not gc.is_tracked(lines), cache.name
 
     def test_instruction_count_matches_config(self):
         wl = make_npb("BT")
