@@ -46,15 +46,15 @@ def test_bench_hierarchy_access_path(benchmark, machine):
     256-access thread batch of an SP stream, thread t on PU t (four rounds
     of the 32 threads, 32,768 accesses per call)."""
     workload = sp_workload()
-    rngs = [np.random.default_rng(t) for t in range(workload.n_threads)]
+    tids = np.arange(workload.n_threads)
+    rngs = [np.random.default_rng(t) for t in tids]
     batches = []
     for _ in range(4):
-        for t in range(workload.n_threads):
-            batch = workload.generate(t, 256, 0, rngs[t])
-            vaddrs = batch.vaddrs
+        step_vaddrs, step_writes = workload.generate_step(tids, 256, 0, rngs)
+        for t, (vaddrs, writes) in enumerate(zip(step_vaddrs, step_writes)):
             # pages are homed round-robin over the two NUMA nodes
             homes = (vaddrs >> PAGE_SHIFT) & 1
-            batches.append((t, vaddrs >> CACHE_LINE_SHIFT, batch.is_write, homes))
+            batches.append((t, vaddrs >> CACHE_LINE_SHIFT, writes, homes))
     hier = CoherentHierarchy(machine)
 
     def run():
@@ -66,15 +66,17 @@ def test_bench_hierarchy_access_path(benchmark, machine):
 
 
 def test_bench_npb_generate(benchmark):
-    """Stream generation: one 256-access SP batch for each of 32 threads."""
+    """Stream generation as ``Simulator._step`` makes it: one
+    ``generate_step`` call for a 256-access SP batch of each of 32 threads."""
     workload = sp_workload()
-    rngs = [np.random.default_rng(t) for t in range(workload.n_threads)]
+    tids = np.arange(workload.n_threads)
+    rngs = [np.random.default_rng(t) for t in tids]
 
     def run():
-        for t in range(workload.n_threads):
-            workload.generate(t, 256, 0, rngs[t])
+        return workload.generate_step(tids, 256, 0, rngs)
 
-    benchmark(run)
+    vaddrs, writes = benchmark(run)
+    assert vaddrs.shape == writes.shape == (workload.n_threads, 256)
 
 
 def test_bench_fault_path_with_detector(benchmark, machine):

@@ -8,6 +8,11 @@ re-inserts it (``s[line] = s.pop(line)``), and the victim is the first key,
 ``next(iter(s))``.  ``dict.popitem()`` is never used: it is LIFO and would
 evict the most recently used line.  Because every value is a bool, the
 cyclic garbage collector never tracks a set (DESIGN §7.1).
+
+Lookups, installs and victims happen only in
+:meth:`~repro.cachesim.hierarchy.CoherentHierarchy.access_batch_pu`, which
+works on the sets directly; this class holds them and offers the
+protocol's rare paths (presence, invalidation, dirty flags) and inspection.
 """
 
 from __future__ import annotations
@@ -21,7 +26,8 @@ class SetAssocCache:
     """One cache instance (an L1, L2 or L3).
 
     Lines are identified by their global line id; the set index is derived
-    from its low bits.
+    from its low bits.  ``hits``, ``misses`` and ``evictions`` are added by
+    the hierarchy's access loop once per batch.
     """
 
     __slots__ = (
@@ -39,39 +45,9 @@ class SetAssocCache:
         self.misses = 0
         self.evictions = 0
 
-    def set_index(self, line: int) -> int:
-        """Set holding *line*."""
-        return line & self._set_mask
-
-    def lookup(self, line: int) -> bool:
-        """Probe for *line*; refreshes LRU on hit.  Counts hit/miss."""
-        s = self._sets[line & self._set_mask]
-        if line in s:
-            s[line] = s.pop(line)
-            self.hits += 1
-            return True
-        self.misses += 1
-        return False
-
     def contains(self, line: int) -> bool:
         """Presence check without LRU update or hit/miss accounting."""
         return line in self._sets[line & self._set_mask]
-
-    def insert(self, line: int, dirty: bool = False) -> tuple[int, bool] | None:
-        """Install *line*; returns ``(victim_line, victim_dirty)`` if one was
-        evicted, else ``None``.  Re-inserting an existing line refreshes LRU
-        and ORs the dirty flag."""
-        s = self._sets[line & self._set_mask]
-        if line in s:
-            s[line] = s.pop(line) or dirty
-            return None
-        victim: tuple[int, bool] | None = None
-        if len(s) >= self.ways:
-            oldest = next(iter(s))
-            victim = (oldest, s.pop(oldest))
-            self.evictions += 1
-        s[line] = dirty
-        return victim
 
     def remove(self, line: int) -> bool:
         """Invalidate *line* if present; returns its dirty flag (False if absent)."""
@@ -87,28 +63,10 @@ class SetAssocCache:
         """Dirty flag of a resident line (False if absent)."""
         return self._sets[line & self._set_mask].get(line, False)
 
-    def flush(self) -> int:
-        """Drop all contents; returns the number of lines dropped."""
-        n = len(self)
-        for s in self._sets:
-            s.clear()
-        return n
-
     def resident_lines(self) -> list[int]:
-        """All resident line ids (test/inspection helper)."""
+        """All resident line ids, set by set in index order and each set in
+        LRU order, oldest first (test/inspection helper)."""
         out: list[int] = []
         for s in self._sets:
             out.extend(s.keys())
         return out
-
-    def __len__(self) -> int:
-        return sum(len(s) for s in self._sets)
-
-    @property
-    def accesses(self) -> int:
-        """Total probes."""
-        return self.hits + self.misses
-
-    def miss_rate(self) -> float:
-        """Miss ratio over all probes (0 if never probed)."""
-        return self.misses / self.accesses if self.accesses else 0.0

@@ -2,7 +2,8 @@
 
 One :class:`Simulator` instance runs one workload under one mapping policy.
 Per simulation step it lets every thread issue a batch of memory accesses
-(threads run concurrently, so the step's duration is the slowest batch),
+(generated for all threads in one call; threads run concurrently, so the
+step's duration is the slowest batch),
 resolves page faults through the fault pipeline (where SPCD's detector is
 hooked), feeds every access to the MESI hierarchy, advances the virtual
 clock, and fires due kernel threads (SPCD's injector and evaluator, the
@@ -193,6 +194,7 @@ class Simulator:
                 placement=self.placement,
             )
         self.trace = TraceCollector() if self.config.collect_trace else None
+        self._tids = np.arange(n)
         self._thread_rngs = [self.rngs.rng("workload", t) for t in range(n)]
         self._sched_rng = self.rngs.rng("scheduler")
         self._order_rng = self.rngs.rng("step-order")
@@ -274,21 +276,27 @@ class Simulator:
         placement = self.scheduler.placement()
         perf = self.perf
         step_time_ns = 0.0
+        # Every thread's batch for the step at once: each thread draws from
+        # its own generator, so generating ahead of the fault and MESI
+        # loop changes no address.
+        t_gen = perf_counter()
+        step_vaddrs, step_writes = workload.generate_step(
+            self._tids, batch, now, self._thread_rngs
+        )
+        perf.workload_s += perf_counter() - t_gen
+        step_vpns = step_vaddrs >> PAGE_SHIFT
+        step_lines = step_vaddrs >> CACHE_LINE_SHIFT
         # Randomised thread order: with a fixed order the same thread would
         # always be first to re-fault on a cleared shared page, so its
         # partners would never be recorded in the sharing table.  Real
         # hardware interleaves threads arbitrarily.
-        for tid in self._order_rng.permutation(workload.n_threads):
-            tid = int(tid)
+        for tid in self._order_rng.permutation(workload.n_threads).tolist():
             pu = int(placement[tid])
-            t_gen = perf_counter()
-            ab = workload.generate(tid, batch, now, self._thread_rngs[tid])
-            perf.workload_s += perf_counter() - t_gen
-            vaddrs = ab.vaddrs
-            writes = ab.is_write
+            vaddrs = step_vaddrs[tid]
+            writes = step_writes[tid]
             if self.trace is not None:
                 self.trace.record(tid, now, vaddrs, writes)
-            vpns = vaddrs >> PAGE_SHIFT
+            vpns = step_vpns[tid]
 
             t_fault = perf_counter()
             fault_ns_0 = pipeline.fault_time_ns + pipeline.hook_time_ns
@@ -325,10 +333,9 @@ class Simulator:
 
             homes = table.home_nodes(vpns)
             table.mark_accessed_batch(vpns)
-            lines = vaddrs >> CACHE_LINE_SHIFT
             stats_before = hierarchy.stats.snapshot()
             t_hier = perf_counter()
-            hierarchy.access_batch_pu(pu, lines, writes, homes)
+            hierarchy.access_batch_pu(pu, step_lines[tid], writes, homes)
             perf.hierarchy_s += perf_counter() - t_hier
             perf.accesses += batch
             delta = hierarchy.stats.delta_since(stats_before)

@@ -26,6 +26,8 @@ applies unchanged.
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
 
 from repro.core.commmatrix import CommunicationMatrix
@@ -39,7 +41,7 @@ from repro.graphs.graph import (
 )
 from repro.mem.addresspace import AddressSpace, Region
 from repro.units import MSEC, PAGE_SIZE
-from repro.workloads.base import AccessBatch, SharedPairSpec, Workload
+from repro.workloads.base import SharedPairSpec, Workload
 
 __all__ = [
     "PartitionPageRankWorkload",
@@ -111,23 +113,37 @@ class _GraphPartitionedWorkload(Workload):
     def setup(self, address_space: AddressSpace) -> None:
         self._mark_setup()
         self._setup_hot(address_space)
-        self._private = [
-            address_space.mmap(f"{self.name}.block{t}", self.private_pages * PAGE_SIZE)
-            for t in range(self.n_threads)
-        ]
+        self._set_private(
+            [
+                address_space.mmap(f"{self.name}.block{t}", self.private_pages * PAGE_SIZE)
+                for t in range(self.n_threads)
+            ]
+        )
         self._setup_pairs(address_space)
         self._set_channels([self._channels_for(t) for t in range(self.n_threads)])
 
-    def _cold_addresses(self, tid: int, n: int, rng: np.random.Generator) -> np.ndarray:
-        """Shared-halo + private-block addresses (the detectable stream)."""
-        return self._mixed_cold(tid, n, rng, self.shared_fraction, self.locality)
+    def _write_fraction_at(self, now_ns: int) -> float:
+        """Fraction of accesses that are writes at virtual time *now_ns*."""
+        return self.write_fraction
 
-    def generate(
-        self, tid: int, n: int, now_ns: int, rng: np.random.Generator
-    ) -> AccessBatch:
-        self._require_setup()
-        vaddrs = self._mix_hot(tid, n, rng, lambda m: self._cold_addresses(tid, m, rng))
-        return AccessBatch(tid=tid, vaddrs=vaddrs, is_write=self._write_flags(n, rng))
+    def generate_step(
+        self,
+        tids: Sequence[int],
+        n: int,
+        now_ns: int,
+        rngs: Sequence[np.random.Generator],
+    ) -> tuple[np.ndarray, np.ndarray]:
+        tids = self._check_step(tids, n, rngs)
+        # shared-halo + private-block addresses carry the detectable stream
+        vaddrs = self._mix_hot(
+            tids,
+            n,
+            rngs,
+            lambda counts: self._mixed_cold(
+                tids, counts, rngs, self.shared_fraction, self.locality
+            ),
+        )
+        return vaddrs, self._write_flags(n, rngs, self._write_fraction_at(now_ns))
 
     def ground_truth(self, now_ns: int | None = None) -> CommunicationMatrix:
         return CommunicationMatrix(self.n_threads, self._ground)
@@ -178,17 +194,12 @@ class PartitionPageRankWorkload(_GraphPartitionedWorkload):
         """0 = scatter, 1 = gather."""
         return (now_ns // self.phase_period_ns) % 2
 
-    def generate(
-        self, tid: int, n: int, now_ns: int, rng: np.random.Generator
-    ) -> AccessBatch:
-        self._require_setup()
-        vaddrs = self._mix_hot(tid, n, rng, lambda m: self._cold_addresses(tid, m, rng))
-        write_prob = (
+    def _write_fraction_at(self, now_ns: int) -> float:
+        return (
             self.scatter_write_fraction
             if self.phase_at(now_ns) == 0
             else self.gather_write_fraction
         )
-        return AccessBatch(tid=tid, vaddrs=vaddrs, is_write=rng.random(n) < write_prob)
 
 
 def _build_graph(

@@ -20,6 +20,7 @@ paper reports about each benchmark (Sec. V-C, Fig. 7, Table II):
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -27,7 +28,7 @@ from repro.core.commmatrix import CommunicationMatrix
 from repro.errors import WorkloadError
 from repro.mem.addresspace import AddressSpace, Region
 from repro.units import CACHE_LINE_SIZE, PAGE_SIZE
-from repro.workloads.base import AccessBatch, SharedPairSpec, Workload
+from repro.workloads.base import SharedPairSpec, Workload
 from repro.workloads.patterns import (
     chain_pattern,
     mixed_pattern,
@@ -129,17 +130,23 @@ class SyntheticNpbWorkload(Workload):
         spec = self.spec
         n = self.n_threads
         self._setup_hot(address_space)
-        self._private = [
-            address_space.mmap(f"{spec.name}.priv{t}", spec.private_pages * PAGE_SIZE)
-            for t in range(n)
-        ]
-        self._streams = []
-        self._stream_pos = [0] * n
+        self._set_private(
+            [
+                address_space.mmap(f"{spec.name}.priv{t}", spec.private_pages * PAGE_SIZE)
+                for t in range(n)
+            ]
+        )
         if spec.stream_fraction > 0:
-            self._streams = [
+            streams = [
                 address_space.mmap(f"{spec.name}.stream{t}", spec.stream_pages * PAGE_SIZE)
                 for t in range(n)
             ]
+            self._stream_bases = np.array([r.base for r in streams], dtype=np.int64)
+            self._stream_lines = np.array(
+                [r.size // CACHE_LINE_SIZE for r in streams], dtype=np.int64
+            )
+            #: each thread's next line in its stream buffer
+            self._stream_pos = np.zeros(n, dtype=np.int64)
         # All-to-all communication flows through one global shared region.
         uses_global = spec.pattern in ("uniform", "mixed", "none")
         if uses_global:
@@ -193,38 +200,50 @@ class SyntheticNpbWorkload(Workload):
         self._set_channels(channels)
 
     # -- generation ------------------------------------------------------------
-    def _stream_addresses(self, tid: int, n: int) -> np.ndarray:
-        """Sequential line-granular scan through the thread's stream buffer."""
-        region = self._streams[tid]
-        total_lines = region.size // CACHE_LINE_SIZE
-        pos = self._stream_pos[tid]
-        idx = (pos + np.arange(n, dtype=np.int64)) % total_lines
-        self._stream_pos[tid] = int((pos + n) % total_lines)
-        return region.base + idx * CACHE_LINE_SIZE
+    def _stream_addresses(self, tids: np.ndarray, counts: list[int]) -> np.ndarray:
+        """Sequential line-granular scans: ``counts[i]`` lines onward from
+        thread ``tids[i]``'s position in its stream buffer, concatenated."""
+        counts = np.asarray(counts, dtype=np.int64)
+        pos = self._stream_pos[tids]
+        lines = self._stream_lines[tids]
+        starts = np.cumsum(counts) - counts
+        idx = np.arange(counts.sum()) + np.repeat(pos - starts, counts)
+        idx %= np.repeat(lines, counts)
+        self._stream_pos[tids] = (pos + counts) % lines
+        return np.repeat(self._stream_bases[tids], counts) + idx * CACHE_LINE_SIZE
 
-    def _cold_addresses(self, tid: int, n: int, rng: np.random.Generator) -> np.ndarray:
-        """Cold-stream addresses: shared channels + scan + private set."""
+    def _cold_addresses(
+        self, tids: np.ndarray, counts: list[int], rngs: Sequence[np.random.Generator]
+    ) -> np.ndarray:
+        """Cold-stream addresses: scan + shared channels + private set."""
         spec = self.spec
-        if spec.stream_fraction > 0 and n:
-            stream_mask = rng.random(n) < spec.stream_fraction
-            n_stream = int(stream_mask.sum())
-            if n_stream:
-                out = np.empty(n, dtype=np.int64)
-                out[stream_mask] = self._stream_addresses(tid, n_stream)
-                out[~stream_mask] = self._mixed_cold(
-                    tid, n - n_stream, rng, spec.shared_fraction, spec.locality
-                )
-                return out
-        return self._mixed_cold(tid, n, rng, spec.shared_fraction, spec.locality)
-
-    def generate(
-        self, tid: int, n: int, now_ns: int, rng: np.random.Generator
-    ) -> AccessBatch:
-        self._require_setup()
-        vaddrs = self._mix_hot(
-            tid, n, rng, lambda m: self._cold_addresses(tid, m, rng)
+        if spec.stream_fraction <= 0:
+            return self._mixed_cold(tids, counts, rngs, spec.shared_fraction, spec.locality)
+        stream_mask = self._uniforms(rngs, counts) < spec.stream_fraction
+        n_stream = self._counts_per_thread(stream_mask, counts)
+        out = np.empty(stream_mask.size, dtype=np.int64)
+        out[stream_mask] = self._stream_addresses(tids, n_stream)
+        out[~stream_mask] = self._mixed_cold(
+            tids,
+            [c - s for c, s in zip(counts, n_stream)],
+            rngs,
+            spec.shared_fraction,
+            spec.locality,
         )
-        return AccessBatch(tid=tid, vaddrs=vaddrs, is_write=self._write_flags(n, rng))
+        return out
+
+    def generate_step(
+        self,
+        tids: Sequence[int],
+        n: int,
+        now_ns: int,
+        rngs: Sequence[np.random.Generator],
+    ) -> tuple[np.ndarray, np.ndarray]:
+        tids = self._check_step(tids, n, rngs)
+        vaddrs = self._mix_hot(
+            tids, n, rngs, lambda counts: self._cold_addresses(tids, counts, rngs)
+        )
+        return vaddrs, self._write_flags(n, rngs)
 
     # -- ground truth -------------------------------------------------------------
     def ground_truth(self, now_ns: int | None = None) -> CommunicationMatrix:

@@ -14,13 +14,15 @@ paper uses to demonstrate SPCD's *dynamic* detection (Fig. 6).
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
 
 from repro.core.commmatrix import CommunicationMatrix
 from repro.errors import WorkloadError
 from repro.mem.addresspace import AddressSpace, Region
 from repro.units import MSEC, PAGE_SIZE
-from repro.workloads.base import AccessBatch, Workload
+from repro.workloads.base import Workload, region_table
 from repro.workloads.patterns import distant_pairs_pattern, neighbor_pairs_pattern
 
 
@@ -71,11 +73,16 @@ class ProducerConsumerWorkload(Workload):
         self._mark_setup()
         n = self.n_threads
         self._setup_hot(address_space)
-        self._private = [
-            address_space.mmap(f"pc.priv{t}", self.private_pages * PAGE_SIZE)
-            for t in range(n)
-        ]
+        self._set_private(
+            [
+                address_space.mmap(f"pc.priv{t}", self.private_pages * PAGE_SIZE)
+                for t in range(n)
+            ]
+        )
+        #: per phase, each thread's shared vector
+        self._phase_vectors: list[list[Region]] = []
         for phase in (0, 1):
+            vectors = []
             for tid in range(n):
                 partner = self.partner_of(tid, phase)
                 key = (min(tid, partner), max(tid, partner))
@@ -83,36 +90,51 @@ class ProducerConsumerWorkload(Workload):
                     self._vectors[key] = address_space.mmap(
                         f"pc.vec{key[0]}_{key[1]}", self.vector_pages * PAGE_SIZE
                     )
+                vectors.append(self._vectors[key])
+            self._phase_vectors.append(vectors)
 
     # -- generation -------------------------------------------------------------
-    def generate(
-        self, tid: int, n: int, now_ns: int, rng: np.random.Generator
-    ) -> AccessBatch:
-        self._require_setup()
+    def generate_step(
+        self,
+        tids: Sequence[int],
+        n: int,
+        now_ns: int,
+        rngs: Sequence[np.random.Generator],
+    ) -> tuple[np.ndarray, np.ndarray]:
+        tids = self._check_step(tids, n, rngs)
         phase = self.phase_at(now_ns)
-        partner = self.partner_of(tid, phase)
-        key = (min(tid, partner), max(tid, partner))
-        vector = self._vectors[key]
+        vectors = [self._phase_vectors[phase][t] for t in tids.tolist()]
+        vec_bases, vec_pages = region_table(vectors)
+        priv_bases, priv_pages = self._private_table
 
-        def cold(m: int) -> np.ndarray:
-            shared_mask = rng.random(m) < self.shared_fraction
-            n_shared = int(shared_mask.sum())
-            out = np.empty(m, dtype=np.int64)
-            out[shared_mask] = self._addresses_in_region(vector, n_shared, rng, locality=1.2)
+        def cold(counts: list[int]) -> np.ndarray:
+            shared_mask = self._uniforms(rngs, counts) < self.shared_fraction
+            n_shared = self._counts_per_thread(shared_mask, counts)
+            out = np.empty(shared_mask.size, dtype=np.int64)
+            out[shared_mask] = self._addresses_in_region(
+                vec_bases, vec_pages, n_shared, rngs, locality=1.2
+            )
             out[~shared_mask] = self._addresses_in_region(
-                self._private[tid], m - n_shared, rng, locality=2.0
+                priv_bases[tids],
+                priv_pages[tids],
+                [c - s for c, s in zip(counts, n_shared)],
+                rngs,
+                locality=2.0,
             )
             return out
 
-        vaddrs = self._mix_hot(tid, n, rng, cold)
+        vaddrs = self._mix_hot(tids, n, rngs, cold)
         # Producers write the shared vector, consumers read it; everything
         # else keeps the workload-level write fraction.
-        writes = self._write_flags(n, rng)
-        in_vector = (vaddrs >= vector.base) & (vaddrs < vector.end)
-        n_vec = int(in_vector.sum())
-        write_prob = 0.8 if self.is_producer(tid, phase) else 0.1
-        writes[in_vector] = rng.random(n_vec) < write_prob
-        return AccessBatch(tid=tid, vaddrs=vaddrs, is_write=writes)
+        writes = self._write_flags(n, rngs)
+        vec_ends = np.array([v.end for v in vectors], dtype=np.int64)
+        in_vector = (vaddrs >= vec_bases[:, None]) & (vaddrs < vec_ends[:, None])
+        n_vec = np.count_nonzero(in_vector, axis=1).tolist()
+        write_prob = [
+            0.8 if self.is_producer(t, phase) else 0.1 for t in tids.tolist()
+        ]
+        writes[in_vector] = self._uniforms(rngs, n_vec) < np.repeat(write_prob, n_vec)
+        return vaddrs, writes
 
     # -- ground truth ---------------------------------------------------------------
     def ground_truth(self, now_ns: int | None = None) -> CommunicationMatrix:

@@ -11,8 +11,10 @@ digests the whole resulting cache and directory state.  The paper's
 on the same topology with small caches, where every level evicts and L3
 victims back-invalidate (the first five rounds suffice).
 
-Both pins use no simulated time and no float reductions, so they hold
-wherever numpy's ``Generator`` streams do.  The values were recorded
+The generation pin is checked twice: with one ``generate`` call per thread
+batch, and with one ``generate_step`` call over all 32 threads per round,
+as the simulator makes it.  Both pins use no simulated time and no float
+reductions, so they hold wherever numpy's ``Generator`` streams do.  The values were recorded
 before the generator and the hierarchy loop were rewritten for speed; a
 rewrite that changes one draw, one LRU order or one counter fails here.
 """
@@ -95,9 +97,11 @@ def small_cache_machine():
 
 
 @functools.cache
-def streams(name: str) -> list[tuple[int, np.ndarray, np.ndarray]]:
-    """``(tid, vaddrs, is_write)`` of every batch, round by round (cached:
-    both pins of a workload read the same streams)."""
+def per_thread_generation(name: str) -> tuple[list, list[float]]:
+    """``(tid, vaddrs, is_write)`` of every batch, round by round, made by
+    one ``generate`` call per thread batch, and each thread's next uniform
+    draw after them (cached: every pin of a workload reads the same
+    streams)."""
     wl = WORKLOADS[name]()
     wl.setup(AddressSpace(1 << 17))
     rngs = [np.random.default_rng(t) for t in range(N_THREADS)]
@@ -106,12 +110,17 @@ def streams(name: str) -> list[tuple[int, np.ndarray, np.ndarray]]:
         for t in range(N_THREADS):
             batch = wl.generate(t, BATCH, b * ROUND_NS, rngs[t])
             out.append((t, batch.vaddrs, batch.is_write))
-    return out
+    return out, [rng.random() for rng in rngs]
 
 
-def generation_digest(name: str) -> str:
+def streams(name: str) -> list[tuple[int, np.ndarray, np.ndarray]]:
+    """``(tid, vaddrs, is_write)`` of every batch, round by round."""
+    return per_thread_generation(name)[0]
+
+
+def generation_digest(name: str, batches=None) -> str:
     h = hashlib.sha256()
-    for _, vaddrs, writes in streams(name):
+    for _, vaddrs, writes in streams(name) if batches is None else batches:
         h.update(np.ascontiguousarray(vaddrs, dtype="<i8").tobytes())
         h.update(np.ascontiguousarray(writes, dtype=np.uint8).tobytes())
     return h.hexdigest()
@@ -150,6 +159,24 @@ def hierarchy_digest(hier: CoherentHierarchy) -> str:
 @pytest.mark.parametrize("name", sorted(WORKLOADS))
 def test_generation_pin(name):
     assert generation_digest(name) == GENERATION_PINS[name]
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOADS))
+def test_step_generation_pin(name):
+    """One ``generate_step`` call over all 32 threads per round makes the
+    pinned streams, and leaves every generator where the per-thread calls
+    leave it."""
+    wl = WORKLOADS[name]()
+    wl.setup(AddressSpace(1 << 17))
+    rngs = [np.random.default_rng(t) for t in range(N_THREADS)]
+    batches = []
+    for b in range(N_BATCHES):
+        vaddrs, writes = wl.generate_step(range(N_THREADS), BATCH, b * ROUND_NS, rngs)
+        assert vaddrs.shape == writes.shape == (N_THREADS, BATCH)
+        assert vaddrs.dtype == np.int64 and writes.dtype == bool
+        batches.extend((t, vaddrs[t], writes[t]) for t in range(N_THREADS))
+    assert generation_digest(name, batches) == GENERATION_PINS[name]
+    assert [rng.random() for rng in rngs] == per_thread_generation(name)[1]
 
 
 def check_conservation(hier: CoherentHierarchy, rounds: int = N_BATCHES) -> None:

@@ -7,7 +7,6 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cachesim.cache import SetAssocCache
 from repro.cachesim.hierarchy import CoherentHierarchy
 from repro.core.commmatrix import CommunicationMatrix
 from repro.core.grouping import group_matrix
@@ -24,10 +23,10 @@ from repro.mem.addresspace import AddressSpace
 from repro.mem.fault import FaultPipeline
 from repro.mem.pagetable import PageTable
 from repro.mem.physmem import FrameAllocator
-from repro.units import KIB, PAGE_SHIFT, PAGE_SIZE
+from repro.units import CACHE_LINE_SIZE, KIB, PAGE_SHIFT, PAGE_SIZE
 from repro.workloads.base import Workload
 from tests.test_hashtable import live_entries
-from tests.test_layer_pins import hierarchy_state
+from tests.test_layer_pins import hierarchy_state, small_cache_machine
 
 
 # ---------------------------------------------------------------------------
@@ -280,13 +279,15 @@ def test_page_table_consistency_under_any_op_sequence(ops):
 @given(lines=st.lists(st.integers(0, 500), min_size=1, max_size=300))
 @settings(max_examples=30, deadline=None)
 def test_cache_capacity_never_exceeded(lines):
-    cache = SetAssocCache(CacheParams("t", 1 * KIB, 2, 64))
-    for line in lines:
-        cache.insert(line)
-    per_set = Counter(cache.set_index(line) for line in cache.resident_lines())
-    assert all(count <= cache.ways for count in per_set.values())
-    # most recently inserted line of each set is resident
-    assert cache.contains(lines[-1])
+    """One PU's accesses through the MESI loop on the small-cache machine
+    never overfill a set of its L1, L2 or L3."""
+    hier = CoherentHierarchy(small_cache_machine())
+    hier.access_batch_pu(0, lines, [False] * len(lines), [0] * len(lines))
+    for cache in (hier.l1[0], hier.l2[0], hier.l3[0]):
+        per_set = Counter(line % cache.num_sets for line in cache.resident_lines())
+        assert all(count <= cache.ways for count in per_set.values())
+        # the most recently accessed line is resident at every level
+        assert cache.contains(lines[-1])
 
 
 @given(
@@ -370,22 +371,31 @@ def test_hierarchy_state_independent_of_batch_split(runs, data):
 # ---------------------------------------------------------------------------
 # workloads
 # ---------------------------------------------------------------------------
-class _TwoThreadChannels(Workload):
-    """A bare two-thread workload with given channels and private region."""
+class _ChannelWorkload(Workload):
+    """A bare workload with given per-thread channels and private regions."""
 
-    def __init__(self, regions, probs, private):
-        super().__init__("channels", 2)
-        self._private = [private, private]
-        self._set_channels([(regions, probs), (regions, probs)])
+    def __init__(self, channels, privates):
+        super().__init__("channels", max(2, len(channels)))
+        self._set_private(privates)
+        self._set_channels(channels)
 
     def setup(self, address_space):
         raise NotImplementedError
 
-    def generate(self, tid, n, now_ns, rng):
+    def generate_step(self, tids, n, now_ns, rngs):
         raise NotImplementedError
 
     def ground_truth(self, now_ns=None):
         raise NotImplementedError
+
+
+def reference_addresses_in_region(region, n, rng, locality):
+    """One thread's cold addresses in *region*, as the per-thread sampler drew
+    them: ``n`` uniforms for the pages, then ``n`` line indices."""
+    pages = max(1, region.size // PAGE_SIZE)
+    page_idx = np.floor(pages * rng.random(n) ** locality).astype(np.int64)
+    line_idx = rng.integers(0, 8, size=n)
+    return region.base + page_idx * PAGE_SIZE + line_idx * CACHE_LINE_SIZE
 
 
 def reference_mixed_cold(regions, probs, private, n, rng, shared_fraction, locality):
@@ -394,46 +404,73 @@ def reference_mixed_cold(regions, probs, private, n, rng, shared_fraction, local
     shared_mask = rng.random(n) < shared_fraction
     n_shared = int(shared_mask.sum())
     vaddrs = np.empty(n, dtype=np.int64)
-    vaddrs[~shared_mask] = Workload._addresses_in_region(
-        private, n - n_shared, rng, locality=locality
+    vaddrs[~shared_mask] = reference_addresses_in_region(
+        private, n - n_shared, rng, locality
     )
     if n_shared:
         choice = rng.choice(len(regions), size=n_shared, p=probs)
         shared = np.empty(n_shared, dtype=np.int64)
         for r_idx in np.unique(choice):
             sel = choice == r_idx
-            shared[sel] = Workload._addresses_in_region(
-                regions[r_idx], int(sel.sum()), rng, locality=locality
+            shared[sel] = reference_addresses_in_region(
+                regions[r_idx], int(sel.sum()), rng, locality
             )
         vaddrs[shared_mask] = shared
     return vaddrs
 
 
 @given(
-    channels=st.lists(
-        st.tuples(st.floats(0.01, 10.0), st.integers(1, 24)), min_size=1, max_size=12
+    threads=st.lists(
+        st.tuples(
+            st.lists(
+                st.tuples(st.floats(0.01, 10.0), st.integers(1, 24)),
+                min_size=1,
+                max_size=12,
+            ),
+            st.integers(0, 300),
+            st.integers(0, 2**32 - 1),
+        ),
+        min_size=1,
+        max_size=4,
     ),
-    n=st.integers(0, 300),
+    reverse=st.booleans(),
     shared_fraction=st.sampled_from([0.0, 0.3, 1.0]),
     locality=st.sampled_from([1.0, 1.2, 2.0]),
-    seed=st.integers(0, 2**32 - 1),
 )
 @settings(max_examples=60, deadline=None)
 def test_channel_sampler_draws_as_the_choice_loop(
-    channels, n, shared_fraction, locality, seed
+    threads, reverse, shared_fraction, locality
 ):
-    """The table-driven sampler returns the loop's addresses and leaves the
-    generator in the loop's state, for any channel weights and sizes."""
+    """The table-driven sampler, over a step of several threads (each with
+    its own channel table, batch size and generator, in either thread
+    order), returns each thread's loop addresses and leaves each generator
+    in the loop's state, for any channel weights and sizes."""
     space = AddressSpace(1 << 12)
-    regions = [space.mmap(f"c{i}", pages * PAGE_SIZE) for i, (_, pages) in enumerate(channels)]
-    private = space.mmap("private", 16 * PAGE_SIZE)
-    weights = np.array([w for w, _ in channels])
-    probs = weights / weights.sum()
-    workload = _TwoThreadChannels(regions, probs, private)
-    rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    got = workload._mixed_cold(1, n, rng, shared_fraction, locality)
-    want = reference_mixed_cold(
-        regions, probs, private, n, reference_rng, shared_fraction, locality
-    )
-    assert np.array_equal(got, want)
-    assert rng.bit_generator.state == reference_rng.bit_generator.state
+    tables, privates = [], []
+    for t, (channels, _, _) in enumerate(threads):
+        regions = [
+            space.mmap(f"t{t}c{i}", pages * PAGE_SIZE)
+            for i, (_, pages) in enumerate(channels)
+        ]
+        weights = np.array([w for w, _ in channels])
+        tables.append((regions, weights / weights.sum()))
+        privates.append(space.mmap(f"t{t}private", 16 * PAGE_SIZE))
+    while len(privates) < 2:  # a workload has at least two threads
+        tables.append(tables[0])
+        privates.append(privates[0])
+    workload = _ChannelWorkload(tables, privates)
+    tids = np.arange(len(threads))[:: -1 if reverse else 1]
+    counts = [threads[t][1] for t in tids]
+    rngs = [np.random.default_rng(threads[t][2]) for t in tids]
+    got = workload._mixed_cold(tids, counts, rngs, shared_fraction, locality)
+    start = 0
+    for tid, count, rng in zip(tids, counts, rngs):
+        reference_rng = np.random.default_rng(threads[tid][2])
+        regions, probs = tables[tid]
+        want = reference_mixed_cold(
+            regions, probs, privates[tid], count, reference_rng, shared_fraction, locality
+        )
+        assert np.array_equal(got[start : start + count], want)
+        assert rng.bit_generator.state == reference_rng.bit_generator.state
+        start += count
+    assert start == got.size

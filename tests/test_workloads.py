@@ -5,7 +5,7 @@ import pytest
 
 from repro import CommunicationMatrix, EngineConfig, Simulator
 from repro.errors import WorkloadError
-from repro.graphs.workloads import make_spmv
+from repro.graphs.workloads import make_pagerank, make_spmv
 from repro.mem.addresspace import AddressSpace
 from repro.units import MSEC, PAGE_SIZE
 from repro.workloads.npb import NPB_SPECS, make_npb
@@ -250,3 +250,100 @@ class TestOneSetupPerInstance:
         Simulator(wl, "os", seed=1, config=config)
         with pytest.raises(WorkloadError, match=wl.name):
             Simulator(wl, "os", seed=1, config=config)
+
+
+STEPPED = {
+    "SP": lambda: make_npb("SP"),
+    "EP": lambda: make_npb("EP"),
+    "producer_consumer": ProducerConsumerWorkload,
+    "spmv": make_spmv,
+    "pagerank": make_pagerank,
+}
+
+
+class TestGenerateStep:
+    """``generate_step`` makes every thread's batch of a step in one call;
+    ``generate`` is its one-thread call."""
+
+    @pytest.mark.parametrize("name", sorted(STEPPED))
+    def test_rows_equal_per_thread_calls_in_any_order(self, name):
+        """Each row is the thread's own stream, whichever threads the call
+        holds and in whatever order (PageRank's and producer/consumer's
+        second phase included)."""
+        tids = [7, 30, 2, 19]
+        for now in (0, 160 * MSEC):
+            stepped, single = STEPPED[name](), STEPPED[name]()
+            prepared(stepped)
+            prepared(single)
+            rngs = [np.random.default_rng(100 + t) for t in tids]
+            vaddrs, writes = stepped.generate_step(tids, 300, now, rngs)
+            for row, tid in enumerate(tids):
+                batch = single.generate(tid, 300, now, np.random.default_rng(100 + tid))
+                assert np.array_equal(vaddrs[row], batch.vaddrs)
+                assert np.array_equal(writes[row], batch.is_write)
+
+    @pytest.mark.parametrize("name", sorted(STEPPED))
+    def test_empty_step_and_empty_batches(self, name):
+        wl = STEPPED[name]()
+        prepared(wl)
+        vaddrs, writes = wl.generate_step([], 16, 0, [])
+        assert vaddrs.shape == writes.shape == (0, 16)
+        rng = np.random.default_rng(1)
+        state = rng.bit_generator.state
+        batch = wl.generate(3, 0, 0, rng)
+        assert len(batch) == 0 and batch.tid == 3
+        assert rng.bit_generator.state == state
+
+
+class TestGenerationArguments:
+    """Bad generation arguments raise ``WorkloadError`` in every workload.
+    ``generate(-1, ...)`` used to return thread 31's stream, thread 32 an
+    ``IndexError``, and ``n=-3`` and ``n=2.5`` numpy's ``ValueError`` and
+    ``TypeError``."""
+
+    @pytest.fixture(params=sorted(STEPPED))
+    def workload(self, request):
+        wl = STEPPED[request.param]()
+        prepared(wl)
+        return wl
+
+    @pytest.mark.parametrize("tid", [-1, 32, 1000])
+    def test_thread_id_out_of_range(self, workload, tid, rng):
+        with pytest.raises(WorkloadError, match="thread ids"):
+            workload.generate(tid, 10, 0, rng)
+        with pytest.raises(WorkloadError, match="thread ids"):
+            workload.generate_step([0, tid], 10, 0, [rng, np.random.default_rng(2)])
+
+    @pytest.mark.parametrize("tid", [1.0, "1", True])
+    def test_thread_id_not_an_integer(self, workload, tid, rng):
+        with pytest.raises(WorkloadError, match="thread ids"):
+            workload.generate(tid, 10, 0, rng)
+
+    def test_thread_id_repeated(self, workload):
+        rngs = [np.random.default_rng(t) for t in range(3)]
+        with pytest.raises(WorkloadError, match="repeated"):
+            workload.generate_step([4, 5, 4], 10, 0, rngs)
+
+    @pytest.mark.parametrize("n_rngs", [0, 2, 4])
+    def test_generator_count_differs(self, workload, n_rngs):
+        rngs = [np.random.default_rng(t) for t in range(n_rngs)]
+        with pytest.raises(WorkloadError, match="generators"):
+            workload.generate_step([0, 1, 2], 10, 0, rngs)
+
+    def test_generator_shared_by_two_threads(self, workload, rng):
+        with pytest.raises(WorkloadError, match="shared"):
+            workload.generate_step([0, 1], 10, 0, [rng, rng])
+
+    @pytest.mark.parametrize("n", [-3, 2.5, "8", True, None])
+    def test_batch_size_not_a_non_negative_integer(self, workload, n, rng):
+        with pytest.raises(WorkloadError, match="batch size"):
+            workload.generate(0, n, 0, rng)
+        with pytest.raises(WorkloadError, match="batch size"):
+            workload.generate_step([0], n, 0, [rng])
+
+    def test_numpy_integers_are_accepted(self, workload, rng):
+        batch = workload.generate(np.int64(3), np.int32(8), 0, rng)
+        assert len(batch) == 8
+        vaddrs, _ = workload.generate_step(np.array([1, 0]), np.int64(5), 0,
+                                           [rng, np.random.default_rng(9)])
+        assert vaddrs.shape == (2, 5)
