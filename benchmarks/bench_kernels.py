@@ -3,8 +3,8 @@
 Not a paper figure — these measure the simulator substrate itself so that
 regressions in the per-access and per-fault paths are caught: the MESI
 hierarchy's access path, stream generation, the fault pipeline with the SPCD
-hook attached, the share table's batch touch, the injector wake, the
-hierarchical mapper, and the communication filter.
+hook attached, the share table's batch touch, a serve session's ingest, the
+injector wake, the hierarchical mapper, and the communication filter.
 """
 
 from time import perf_counter
@@ -23,7 +23,7 @@ from repro.machine.topology import build_machine, dual_xeon_e5_2650
 from repro.mem.addresspace import AddressSpace
 from repro.mem.fault import FaultPipeline
 from repro.mem.physmem import FrameAllocator
-from repro.serve import synthetic_fault_stream
+from repro.serve import EventBatch, SessionConfig, TenantSession, synthetic_fault_stream
 from repro.units import CACHE_LINE_SHIFT, MSEC, PAGE_SHIFT, PAGE_SIZE
 from repro.workloads.npb import make_npb
 from repro.workloads.patterns import chain_pattern, mixed_pattern
@@ -121,6 +121,30 @@ def test_bench_share_table_touch_batch(benchmark, size, n_threads):
         table.touch_batch(regions, tid, now, 250 * MSEC)
 
     benchmark(one_batch)
+
+
+def test_bench_session_ingest(benchmark, machine):
+    """One 256-event batch through ``TenantSession.ingest`` on a warm
+    session, in the shape of the ``serve-narrow`` benchmark's tenants: 8
+    threads, 10,000 slots, 4 shards, the far-pair stream, an evaluation
+    every 8,192 events."""
+    config = SessionConfig(n_threads=8, table_size=10_000, shards=4, eval_every_events=8192)
+    batches = [
+        EventBatch(tid=tid, now_ns=now, vaddrs=vaddrs)
+        for tid, now, vaddrs in synthetic_fault_stream(8, 16 * 256, seed=0)
+    ]
+    session = TenantSession("bench", config, machine)
+    for batch in batches:
+        session.ingest(batch)
+    state = {"i": 0}
+
+    def one_batch():
+        batch = batches[state["i"] % len(batches)]
+        state["i"] += 1
+        session.ingest(batch)
+
+    benchmark(one_batch)
+    assert session.comm_events > 0
 
 
 def test_bench_injector_wake(benchmark, machine):

@@ -65,7 +65,7 @@ from repro.obs import JsonlRecorder, TraceRecorder
 from repro.placement import PlacementPolicy, canonical_policies, resolve_policy
 from repro.workloads import ProducerConsumerWorkload, SyntheticNpbWorkload, make_npb
 
-__version__ = "12.0.0"
+__version__ = "13.0.0"
 
 __all__ = [
     "CellFailure",

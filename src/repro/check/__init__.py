@@ -10,7 +10,7 @@ and their models:
 * serve admission / credit-window / drain
   (:class:`~repro.serve.server.MappingServer`) vs :class:`ServeModel` — an
   explicit transition table;
-* shard-count invariance (:class:`~repro.serve.session.ShardedShareTable`)
+* shard-count invariance (``SessionConfig.shards`` changes no result)
   via :func:`session_shard_trace` digest sweeps, and TLB-shootdown ×
   fault-injection interleavings via :func:`check_tlb_fault_interleavings`.
 

@@ -1,10 +1,11 @@
-"""Shard-count invariance sweeps: digests must not depend on parallelism.
+"""Shard-count invariance sweeps: ``shards`` must not change a result.
 
-:class:`~repro.serve.session.ShardedShareTable` keeps one table over the
-logical slot space and routes each detected event to a shard matrix by its
-slot, so a :class:`~repro.serve.session.TenantSession` must emit identical
-matrices, digests and mapping updates for every legal shard count (the
-module docstring's bit-identity argument).
+A :class:`~repro.serve.session.TenantSession` touches one share table and
+adds every event to one matrix, whatever its ``shards``; the count only
+rounds the table size up to a multiple of itself
+(:attr:`~repro.serve.session.SessionConfig.effective_table_size`).  So at a
+table size that every swept count divides, a session must emit identical
+matrices, digests and mapping updates for every legal shard count.
 
 :func:`session_shard_trace` reduces one run to a canonical trace so the
 sweep tests can assert plain equality across every shard count — when the
@@ -39,8 +40,8 @@ def session_shard_trace(
 
     *table_size* should be divisible by every shard count under sweep
     (e.g. ``840 = lcm(1..8)``) so ``effective_table_size`` — and with it
-    the slot space — is identical across counts and any digest difference
-    is the partition's fault, not the rounding's.
+    the slot space — is identical across counts, and any digest difference
+    is the shard count's doing, not the rounding's.
     """
     config = SessionConfig(
         n_threads=n_threads,

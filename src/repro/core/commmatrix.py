@@ -73,13 +73,10 @@ class CommunicationMatrix:
     def merge(self, other: "CommunicationMatrix", scale: float = 1.0) -> "CommunicationMatrix":
         """Accumulate *other* into this matrix in place; returns ``self``.
 
-        ``self[i, j] += scale * other[i, j]`` for every cell.  This is the
-        shard-reduction primitive: a detection pipeline split across shards
-        (each owning a disjoint slice of the sharing table, as in
-        :mod:`repro.serve.session`) folds its per-shard matrices into one
-        aggregate with repeated merges.  For integer-valued matrices the
-        result is exact and therefore independent of merge order — merging
-        shards in any order produces bit-identical aggregates (pinned by
+        ``self[i, j] += scale * other[i, j]`` for every cell.  For
+        integer-valued matrices the result is exact and therefore
+        independent of merge order — folding partial matrices in any order
+        produces bit-identical aggregates (pinned by
         ``tests/test_commmatrix.py``).
         """
         if other.n != self.n:

@@ -156,10 +156,7 @@ class ArrayShareTable:
         window.
         """
         regions = np.asarray(regions, dtype=np.int64)
-        partners, windowed_out, _ = self.touch_batch_at(
-            self.slots_of(regions), regions, tid, now_ns, window_ns
-        )
-        return partners, windowed_out
+        return self.touch_batch_at(self.slots_of(regions), regions, tid, now_ns, window_ns)
 
     def touch_batch_at(
         self,
@@ -168,12 +165,11 @@ class ArrayShareTable:
         tid: int,
         now_ns: int,
         window_ns: int,
-    ) -> tuple[np.ndarray, int, np.ndarray]:
+    ) -> tuple[np.ndarray, int]:
         """:meth:`touch_batch` with the slot of each region precomputed.
 
-        Returns ``(partners, windowed_out, event_slots)``, where
-        *event_slots* holds the slot of each emitted event, so a caller can
-        route events by slot (:class:`repro.serve.session.ShardedShareTable`).
+        *slots* is ``slots_of(regions)``; returns ``(partners,
+        windowed_out)`` as :meth:`touch_batch` does.
 
         One sort-based pass, exact against a fault-order replay.  The
         members are grouped by slot (stably, so fault order holds within a
@@ -194,8 +190,7 @@ class ArrayShareTable:
         regions = np.asarray(regions, dtype=np.int64)
         slots = np.asarray(slots, dtype=np.int64)
         if slots.size == 0:
-            empty = np.empty(0, dtype=np.int64)
-            return empty, 0, empty
+            return np.empty(0, dtype=np.int64), 0
         # Group the members by slot (a stable sort keeps fault order within
         # a slot); a run is a maximal stretch of one region within a slot.
         order = np.argsort(slots, kind="stable")
@@ -228,11 +223,10 @@ class ArrayShareTable:
             rows[vacant] = np.arange(start, start + n_new)
             self._row[batch_slots] = rows
 
-        partners = event_slots = np.empty(0, dtype=np.int64)
+        partners = np.empty(0, dtype=np.int64)
         windowed_out = 0
         if hit.any():
             # each member of a hit slot's first run emits the slot's partners
-            hit_slots = batch_slots[hit]
             repeats = np.bincount(run_no)[run_no[first[hit]]]
             stamps = self._last[rows[hit]]
             valid = stamps != 0
@@ -241,12 +235,11 @@ class ArrayShareTable:
             windowed_out = int(repeats @ (valid & ~in_window).sum(axis=1))
             row, col = np.nonzero(in_window)
             partners = np.repeat(col, repeats[row])
-            event_slots = np.repeat(hit_slots[row], repeats[row])
 
         self._region[batch_slots] = r[last]
         self._last[rows[miss | (later_runs > 0)]] = 0
         self._last[rows, tid] = now_ns + 1
-        return partners, windowed_out, event_slots
+        return partners, windowed_out
 
     def touch(
         self, region: int, tid: int, now_ns: int, window_ns: int

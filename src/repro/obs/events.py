@@ -268,7 +268,7 @@ class ServeEvaluation(TraceEvent):
     """One session evaluation tick: the serve twin of :class:`SpcdEvaluation`.
 
     ``verdict`` uses the same vocabulary; ``matrix_digest`` is the digest of
-    the shard-merged matrix the decision was computed from, which must match
+    the session matrix the decision was computed from, which must match
     the offline replay of the same stream bit for bit.  ``mapping`` is only
     present for ``migrated`` verdicts.
     """

@@ -3,8 +3,8 @@
 An asyncio daemon that turns the offline SPCD pipeline into a
 multi-tenant service, in one process on one event loop: clients stream
 page-fault event batches over a length-prefixed framed protocol, each
-session runs the detection pipeline (one sharing table + communication
-matrix shards) and a periodic filter + hierarchical-mapper
+session runs the detection pipeline (one sharing table + one
+communication matrix) and a periodic filter + hierarchical-mapper
 evaluation, and accepted remaps are pushed back as MAPPING frames.  The
 numeric path is engineered to stay **bit-identical** to the offline
 engine — see :func:`repro.serve.evaluator.offline_reference` for the

@@ -52,7 +52,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="per-tenant detection-state memory cap (MiB)",
     )
     parser.add_argument(
-        "--shards", type=int, help="communication-matrix shards per session"
+        "--shards", type=int, help="round each session's table size up to a multiple of this"
     )
     parser.add_argument(
         "--eval-every",

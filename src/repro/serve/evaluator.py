@@ -12,13 +12,13 @@ stream carries its own virtual clock, so an event-count cadence makes every
 decision a pure function of the stream and therefore replayable.
 
 :func:`offline_reference` is that replay: it pushes the same event batches
-through an **unsharded** :class:`~repro.core.spcd.SpcdDetector` — the exact
-detection engine :class:`~repro.core.manager.SpcdManager` embeds — and a
-fresh evaluator at the same cadence.  With the service's default
-``matrix_decay = 1.0`` every matrix cell is an exact integer, so the
-sharded online pipeline and this offline reference produce **bit-identical
-matrix digests and identical mapping decisions** (pinned by
-``tests/test_serve.py`` and asserted by the load benchmark).
+through a :class:`~repro.core.spcd.SpcdDetector` — the exact detection
+engine :class:`~repro.core.manager.SpcdManager` embeds — and a fresh
+evaluator at the same cadence.  A session adds every event to one matrix
+with the same ``+1.0`` additions and decays it at the same points, so the
+online pipeline and this offline reference produce **bit-identical matrix
+digests and identical mapping decisions** at any ``matrix_decay`` (pinned
+by ``tests/test_serve.py`` and asserted by the load benchmark).
 """
 
 from __future__ import annotations
@@ -226,20 +226,20 @@ def offline_reference(
     *,
     flush_after: "Sequence[int]" = (),
 ) -> ReplayResult:
-    """Replay an event stream through the unsharded offline pipeline.
+    """Replay an event stream through the simulator's detector.
 
     Feeds every batch to a single :class:`~repro.core.spcd.SpcdDetector`
     (the engine :class:`~repro.core.manager.SpcdManager` hooks into the
     fault pipeline) sized to the session's *effective* (shard-rounded)
     table, and evaluates with a fresh :class:`MappingEvaluator` at the same
-    event-count cadence the live session uses.  ``flush_after`` lists batch
-    indices after which the live side issued a FLUSH, so forced evaluations
-    replay at the same points.
+    event-count cadence the live session uses, decaying the matrix by
+    ``matrix_decay`` after each evaluation as the session does.
+    ``flush_after`` lists batch indices after which the live side issued a
+    FLUSH, so forced evaluations replay at the same points.
 
     This is the acceptance reference: for any stream the service ingests,
-    the digests and mappings here must equal the served ones bit for bit
-    (``config.matrix_decay`` must be 1.0 for exactness; the service
-    default).
+    the digests and mappings here must equal the served ones bit for bit,
+    at any ``matrix_decay``.
     """
     machine = machine or dual_xeon_e5_2650()
     cfg = config

@@ -1,8 +1,8 @@
 """The asyncio mapping daemon: multi-tenant SPCD detection as a service.
 
 One event loop multiplexes every tenant connection.  Each accepted session
-gets a dedicated :class:`~repro.serve.session.TenantSession` (sharded
-table, shard matrices, evaluator) plus two tasks: a *reader* that only
+gets a dedicated :class:`~repro.serve.session.TenantSession` (share
+table, matrix, evaluator) plus two tasks: a *reader* that only
 decodes frames into the session's ingest queue, and a *processor* that
 owns all detection work and all writes on that connection.  The split
 keeps the wire protocol responsive while a large batch is being scattered,
@@ -68,7 +68,8 @@ class ServeConfig:
     max_sessions: int = 64
     #: per-tenant detection-state memory cap in MiB (``--max-table-mb``)
     max_table_mb: float = 64.0
-    #: communication-matrix shards per session (``--shards``)
+    #: each session's table size is rounded up to a multiple of this
+    #: (``--shards``)
     shards: int = 4
     #: events between two mapping evaluations of a session (``--eval-every``)
     eval_every_events: int = 8192

@@ -1,20 +1,20 @@
-"""Per-tenant detection state: one share table, shard matrices, evaluator.
+"""Per-tenant detection state: one share table, one matrix, one evaluator.
 
-Each session owns the full SPCD pipeline for one tenant.  Its sharing table
-is one :class:`~repro.core.hashtable.ArrayShareTable` over the *logical*
-slot space (``hash_64(region) % logical_size``, the slot an unsharded table
-computes), so every collision, overwrite and emitted communication event is
-that of a single table of the logical size.  The shards partition only the
-emitted events and the matrices: an event goes to shard ``slot % n_shards``
-of the slot it was detected on.
+Each session owns the full SPCD pipeline for one tenant, as the paper's
+detector does: every batch touches one
+:class:`~repro.core.hashtable.ArrayShareTable` once, and its communication
+events go to one :class:`~repro.core.commmatrix.CommunicationMatrix` in one
+:meth:`~repro.core.commmatrix.CommunicationMatrix.add_events` call.  Each
+cell receives the same ``+1.0`` additions, batch by batch, as the
+:class:`~repro.core.spcd.SpcdDetector` that
+:func:`repro.serve.evaluator.offline_reference` replays, and evaluation
+decays that one matrix in place, so every digest and mapping equals the
+replay's bit for bit at any ``matrix_decay``.
 
-Per-shard :class:`~repro.core.commmatrix.CommunicationMatrix` accumulators
-take the detected events; the evaluation path reduces them with
-:meth:`~repro.core.commmatrix.CommunicationMatrix.merge`.  Event counts are
-added as exact float64 integers (< 2^53), so the merged matrix is
-**bit-identical** to the unsharded matrix regardless of shard count or
-merge order — the property the acceptance test pins against
-:func:`repro.serve.evaluator.offline_reference`.
+``shards`` partitions nothing: it only rounds the table size up to a
+multiple of the shard count (:attr:`SessionConfig.effective_table_size`),
+which keeps the slot space, and with it every recorded digest, that of
+earlier releases.
 """
 
 from __future__ import annotations
@@ -39,6 +39,7 @@ if TYPE_CHECKING:  # pragma: no cover - annotations only
     from repro.obs.recorder import JsonlRecorder
 
 __all__ = [
+    "MAX_NOW_NS",
     "SESSION_OVERRIDE_KEYS",
     "SessionConfig",
     "ShardedShareTable",
@@ -88,6 +89,12 @@ _REAL_FIELDS = (
 )
 _BOOL_FIELDS = ("filter_enabled",)
 
+#: the latest EVENTS ``now_ns`` a session accepts.  The share table stores
+#: ``now_ns + 1`` in an int64, with 0 meaning "never touched", so the range
+#: is ``[0, MAX_NOW_NS]``: at -1 a batch's touches would vanish, and at
+#: ``2**63 - 1`` the stamp would overflow.
+MAX_NOW_NS = (1 << 63) - 2
+
 
 def _is_int64(value: object) -> bool:
     """An integer (not a bool) that fits in 64 bits."""
@@ -103,10 +110,8 @@ class SessionConfig:
     """Detection/evaluation tunables of one tenant session.
 
     Defaults mirror :class:`repro.core.manager.SpcdConfig` except
-    ``matrix_decay`` (1.0 here: exact integer matrices keep the sharded
-    pipeline bit-identical to the offline reference; decay is opt-in) and
-    the trigger, which is event-count based (``eval_every_events``) instead
-    of timer based.
+    ``matrix_decay`` (1.0 here: decay is opt-in) and the trigger, which is
+    event-count based (``eval_every_events``) instead of timer based.
     """
 
     n_threads: int
@@ -180,15 +185,14 @@ class SessionConfig:
 
         Per slot, a region id and a row index (8 bytes each) and, once
         every slot is occupied, a row of ``n_threads`` 8-byte timestamps;
-        plus the per-shard communication matrices.  A table holds fewer
+        plus the communication matrix.  A table holds fewer
         rows until it fills, so this is the worst case.  Not counted: the
         copy made while the row store grows, which holds the previous
         store (fewer rows than the full one) beside the new one only for
         the length of the copy.
         """
         table = self.effective_table_size * 8 * (2 + self.n_threads)
-        matrices = self.shards * self.n_threads * self.n_threads * 8
-        return table + matrices
+        return table + self.n_threads * self.n_threads * 8
 
     @classmethod
     def from_overrides(
@@ -210,13 +214,14 @@ class SessionConfig:
 
 
 class ShardedShareTable:
-    """One :class:`ArrayShareTable` whose events are routed to shards.
+    """One :class:`ArrayShareTable` whose size is a multiple of *n_shards*.
 
-    The table covers the whole logical slot space; :meth:`touch_batch`
-    touches it once per batch and hands each emitted event to shard
-    ``slot % n_shards`` of the slot it was detected on.  *size* must be a
-    multiple of *n_shards* (use :attr:`SessionConfig.effective_table_size`),
-    so the slot space is the one the offline reference sizes its table to.
+    :meth:`touch_batch` is the table's own: one touch per batch, its events
+    unsplit.  *size* must be a multiple of *n_shards* (use
+    :attr:`SessionConfig.effective_table_size`), the slot space the offline
+    reference sizes its table to.  The class stays apart from the table
+    because ``perfbench/layers.py`` traces its :meth:`touch_batch` as the
+    ``serve.touch_batch`` span.
     """
 
     def __init__(self, size: int, n_threads: int, n_shards: int = 4) -> None:
@@ -229,27 +234,14 @@ class ShardedShareTable:
 
     def touch_batch(
         self, regions: np.ndarray, tid: int, now_ns: int, window_ns: int
-    ) -> "tuple[list[tuple[int, np.ndarray]], int]":
-        """Touch a batch of regions; returns per-shard partner vectors.
-
-        The result is ``([(shard_id, partners), ...], windowed_out)``, one
-        entry per shard that received events.  The concatenation over
-        shards is a permutation of what the table emitted for the batch;
-        matrix accumulation is order-insensitive.
-        """
-        regions = np.asarray(regions, dtype=np.int64)
-        partners, windowed_out, event_slots = self.table.touch_batch_at(
-            self.table.slots_of(regions), regions, tid, now_ns, window_ns
-        )
-        shard_ids = event_slots % self.n_shards
-        order = np.argsort(shard_ids, kind="stable")
-        bounds = np.cumsum(np.bincount(shard_ids, minlength=self.n_shards))[:-1]
-        per_shard = np.split(partners[order], bounds)
-        return [(k, p) for k, p in enumerate(per_shard) if p.size], windowed_out
+    ) -> "tuple[np.ndarray, int]":
+        """Touch a batch of regions; ``(partners, windowed_out)`` as
+        :meth:`ArrayShareTable.touch_batch` returns them."""
+        return self.table.touch_batch(regions, tid, now_ns, window_ns)
 
 
 class TenantSession:
-    """One tenant's full pipeline: share table, shard matrices, evaluator.
+    """One tenant's full pipeline: share table, matrix, evaluator.
 
     Synchronous and asyncio-agnostic — the server feeds it decoded
     :class:`~repro.serve.protocol.EventBatch` objects from the session's
@@ -271,7 +263,7 @@ class TenantSession:
         self.session_id = session_id
         self.recorder = recorder
         self.table = ShardedShareTable(cfg.effective_table_size, cfg.n_threads, cfg.shards)
-        self.shard_matrices = [CommunicationMatrix(cfg.n_threads) for _ in range(cfg.shards)]
+        self.matrix = CommunicationMatrix(cfg.n_threads)
         self.evaluator = MappingEvaluator(machine, cfg)
         self._cadence = EvalCadence(cfg.eval_every_events)
         self.events_seen = 0
@@ -284,15 +276,17 @@ class TenantSession:
     def ingest(self, batch: EventBatch) -> "list[MappingUpdate]":
         """Feed one event batch; returns any mapping updates it triggered.
 
-        Detection first (one table touch + per-shard matrix scatter), then as
-        many evaluation ticks as the event-count cadence owes — the same
-        order :func:`~repro.serve.evaluator.offline_reference` replays.
+        Detection first (one table touch, one matrix update), then as many
+        evaluation ticks as the event-count cadence owes — the same order
+        :func:`~repro.serve.evaluator.offline_reference` replays.
         """
         cfg = self.config
         if not 0 <= batch.tid < cfg.n_threads:
             raise ProtocolError(
                 f"thread id {batch.tid} outside the session's {cfg.n_threads} threads"
             )
+        if not 0 <= batch.now_ns <= MAX_NOW_NS:
+            raise ProtocolError(f"now_ns {batch.now_ns} outside [0, {MAX_NOW_NS}]")
         n = batch.n_events
         if n:
             # A negative address gives a negative region id, and region -1
@@ -300,12 +294,11 @@ class TenantSession:
             if int(batch.vaddrs.min()) < 0:
                 raise ProtocolError("negative address in an EVENTS batch")
             regions = batch.vaddrs // cfg.granularity
-            per_shard, windowed = self.table.touch_batch(
+            partners, windowed = self.table.touch_batch(
                 regions, batch.tid, batch.now_ns, cfg.window_ns
             )
-            for shard_id, partners in per_shard:
-                self.shard_matrices[shard_id].add_events(batch.tid, partners)
-                self.comm_events += int(partners.size)
+            self.matrix.add_events(batch.tid, partners)
+            self.comm_events += int(partners.size)
             self.windowed_out += windowed
             self.events_seen += n
             self.batches_seen += 1
@@ -317,25 +310,17 @@ class TenantSession:
                 updates.append(update)
         return updates
 
-    def merged_matrix(self) -> CommunicationMatrix:
-        """Reduce the shard matrices into one (exact; order-insensitive)."""
-        merged = CommunicationMatrix(self.config.n_threads)
-        for shard_matrix in self.shard_matrices:
-            merged.merge(shard_matrix)
-        return merged
-
     def evaluate(self, force: bool = False) -> "MappingUpdate | None":
-        """Run one evaluation over the merged matrix.
+        """Run one evaluation over the session's matrix.
 
         Emits a :class:`~repro.obs.events.ServeEvaluation` trace event when
-        a recorder is attached; applies ``matrix_decay`` afterwards (a
-        no-op at the service default of 1.0).
+        a recorder is attached; then decays the matrix in place by
+        ``matrix_decay`` (a no-op at the service default of 1.0).
         """
         cfg = self.config
-        merged = self.merged_matrix()
-        digest = matrix_digest(merged)
+        digest = matrix_digest(self.matrix)
         verdict, update = self.evaluator.decide(
-            merged,
+            self.matrix,
             comm_events=self.comm_events,
             events_seen=self.events_seen,
             now_ns=self.last_now_ns,
@@ -360,13 +345,12 @@ class TenantSession:
                 )
             )
         if cfg.matrix_decay < 1.0:
-            for shard_matrix in self.shard_matrices:
-                shard_matrix.decay(cfg.matrix_decay)
+            self.matrix.decay(cfg.matrix_decay)
         return update
 
     def final_digest(self) -> str:
-        """Digest of the current merged matrix (the drain-flush digest)."""
-        return matrix_digest(self.merged_matrix())
+        """Digest of the current matrix (the drain-flush digest)."""
+        return matrix_digest(self.matrix)
 
     def summary(self) -> "dict[str, object]":
         """Session summary — the SUMMARY frame payload and trace-event body."""

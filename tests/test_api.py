@@ -138,7 +138,7 @@ CHECK_API = {
 
 class TestTopLevel:
     def test_version(self):
-        assert repro.__version__ == "12.0.0"
+        assert repro.__version__ == "13.0.0"
 
     def test_api_surface_snapshot(self):
         assert set(repro.__all__) == TOP_LEVEL_API

@@ -182,7 +182,7 @@ class TestMerge:
         for m in reversed(shards):
             backward.merge(m)
         # integer event counts are exact in float64: any merge order is
-        # bit-identical (the property shard reduction in repro.serve relies on)
+        # bit-identical
         assert np.array_equal(forward.matrix, backward.matrix)
         assert forward.matrix.tobytes() == backward.matrix.tobytes()
 

@@ -329,13 +329,3 @@ class TestArrayShareTableBatch:
         assert partners.tolist() == [1, 1] and windowed_out == 0
         partners, windowed_out = _touch_both(fast, oracle, [4, 4], 0, WINDOW_NS + 1)
         assert partners.size == 0 and windowed_out == 2
-
-    def test_touch_batch_at_reports_the_slot_of_each_event(self):
-        table = ArrayShareTable(61, N_THREADS)
-        regions = np.array([3, 9, 3], dtype=np.int64)
-        slots = table.slots_of(regions)
-        table.touch_batch_at(slots, regions, 1, 0, WINDOW_NS)
-        partners, _, event_slots = table.touch_batch_at(slots, regions, 0, 1, WINDOW_NS)
-        assert sorted(zip(event_slots.tolist(), partners.tolist())) == sorted(
-            [(int(slots[0]), 1), (int(slots[0]), 1), (int(slots[1]), 1)]
-        )

@@ -7,7 +7,7 @@ import asyncio
 import numpy as np
 import pytest
 
-from repro.core.hashtable import hash_64
+from repro.core.hashtable import ArrayShareTable, hash_64
 from repro.errors import ConfigurationError, ProtocolError
 from repro.serve import (
     EvalCadence,
@@ -22,6 +22,7 @@ from repro.serve import (
     synthetic_fault_stream,
 )
 from repro.serve import protocol
+from repro.serve.session import MAX_NOW_NS
 from repro.units import MSEC, PAGE_SIZE
 from tests.test_hashtable import DictShareTable, replay_in_fault_order
 
@@ -287,9 +288,9 @@ class TestSessionConfig:
         assert large.memory_bytes() > small.memory_bytes()
 
     def test_memory_bytes_covers_a_full_table(self, machine):
-        """Admission charges at least what a session holds once every slot
-        of its table is occupied (256 slots: the row store grows to one row
-        per slot)."""
+        """Admission charges what a session holds once every slot of its
+        table is occupied (256 slots: the row store grows to one row per
+        slot): the table and one matrix."""
         cfg = SessionConfig(n_threads=4, table_size=256)
         session = TenantSession("t", cfg, machine)
         table = session.table.table
@@ -304,8 +305,9 @@ class TestSessionConfig:
             session.ingest(EventBatch(tid=tid, now_ns=tid, vaddrs=vaddrs))
         assert len(table) == size and table.inserts == size
         held = table._region.nbytes + table._row.nbytes + table._last.nbytes
-        held += sum(m.matrix.nbytes for m in session.shard_matrices)
-        assert held <= cfg.memory_bytes()
+        held += session.matrix.matrix.nbytes
+        n = cfg.n_threads
+        assert held == cfg.memory_bytes() == size * 8 * (2 + n) + n * n * 8
 
 
 class TestServeConfig:
@@ -353,7 +355,8 @@ class TestShardedShareTable:
             ShardedShareTable(10, 4, n_shards=4)
 
     def test_partner_events_match_unsharded(self):
-        """Each shard gets the oracle's events on its slots, batch by batch.
+        """``touch_batch`` returns the plain table's partners, in the same
+        order, and its windowed count; both equal the oracle's events.
 
         Serve-shaped batches (256 events on 64 pages per thread pair) repeat
         almost every slot within a batch.  A 300 ms round against the 250 ms
@@ -361,21 +364,21 @@ class TestShardedShareTable:
         """
         size, n_threads, n_shards = 160, 6, 4  # 192 pages on 160 slots
         sharded = ShardedShareTable(size, n_threads, n_shards=n_shards)
+        plain = ArrayShareTable(size, n_threads)
         oracle = DictShareTable(size)
         stream = synthetic_fault_stream(n_threads, 2048, seed=2, step_ns=300 * MSEC)
         n_events = n_windowed_out = 0
         for tid, now, vaddrs in stream:
             regions = vaddrs // PAGE_SIZE
-            per_shard, windowed_out = sharded.touch_batch(regions, tid, now, WINDOW)
-            events, want_windowed_out = replay_in_fault_order(
+            partners, windowed_out = sharded.touch_batch(regions, tid, now, WINDOW)
+            want, want_windowed_out = plain.touch_batch(regions, tid, now, WINDOW)
+            assert partners.tolist() == want.tolist()
+            assert windowed_out == want_windowed_out
+            events, oracle_windowed_out = replay_in_fault_order(
                 oracle, regions, tid, now, WINDOW
             )
-            want: "dict[int, list[int]]" = {}
-            for region, partner in events:
-                want.setdefault(hash_64(region) % size % n_shards, []).append(partner)
-            got = {shard_id: sorted(p.tolist()) for shard_id, p in per_shard}
-            assert got == {shard_id: sorted(p) for shard_id, p in want.items()}
-            assert windowed_out == want_windowed_out
+            assert sorted(partners.tolist()) == sorted(p for _, p in events)
+            assert windowed_out == oracle_windowed_out
             n_events += len(events)
             n_windowed_out += windowed_out
         table = sharded.table
@@ -513,6 +516,43 @@ class TestShardedParity:
             assert ev["verdict"] == ref.verdict
             assert ev["matrix_digest"] == ref.matrix_digest
 
+    @pytest.mark.parametrize("shards", [1, 4])
+    @pytest.mark.parametrize("decay", [0.92, 0.5])
+    def test_every_evaluation_matches_replay_under_decay(
+        self, machine, tmp_path, decay, shards
+    ):
+        """The session decays its one matrix exactly as the replay decays
+        the detector's, so every evaluation's digest and mapping match at
+        ``matrix_decay < 1`` too (decay 0.92 on four shard matrices once
+        ended on a different final digest)."""
+        import json
+
+        from repro.obs.recorder import JsonlRecorder
+
+        cfg = SessionConfig(
+            n_threads=8,
+            table_size=840,
+            shards=shards,
+            eval_every_events=2048,
+            matrix_decay=decay,
+        )
+        stream = list(synthetic_fault_stream(8, 10_240, seed=3))
+        path = tmp_path / "serve.jsonl"
+        recorder = JsonlRecorder(path)
+        session = TenantSession("t", cfg, machine, recorder=recorder)
+        for tid, now_ns, vaddrs in stream:
+            session.ingest(EventBatch(tid=tid, now_ns=now_ns, vaddrs=vaddrs))
+        session.evaluate(force=True)
+        recorder.close()
+        reference = offline_reference(stream, cfg, machine, flush_after=[len(stream) - 1])
+        events = [json.loads(line) for line in path.read_text().splitlines()]
+        got = [(ev["matrix_digest"], ev["mapping"]) for ev in events]
+        want = [(ref.matrix_digest, ref.mapping) for ref in reference.evaluations]
+        assert got == want
+        assert any(mapping is not None for _, mapping in want)
+        assert session.final_digest() == reference.final_digest
+        assert session.comm_events == reference.comm_events
+
     def test_ingest_rejects_out_of_range_tid(self, machine):
         cfg = SessionConfig(n_threads=4)
         session = TenantSession("t", cfg, machine)
@@ -534,6 +574,29 @@ class TestShardedParity:
                 )
         assert (session.events_seen, session.batches_seen, session.comm_events) == (20, 1, 0)
         assert (session.table.table.inserts, session.table.table.collisions) == (1, 0)
+
+    @pytest.mark.parametrize("now_ns", [-1, MAX_NOW_NS + 1], ids=["below", "above"])
+    def test_ingest_rejects_now_ns_outside_the_stamp_range(self, machine, now_ns):
+        """The table stores ``now_ns + 1``, 0 meaning "never touched": two
+        threads sharing two pages at -1 once counted no event, and at
+        ``2**63 - 1`` the stamp overflowed out of the table."""
+        pages = np.array([PAGE_SIZE, 2 * PAGE_SIZE], dtype=np.int64)
+        session = TenantSession("t", SessionConfig(n_threads=4, table_size=64), machine)
+        for tid in (0, 1):
+            with pytest.raises(ProtocolError, match="now_ns"):
+                session.ingest(EventBatch(tid=tid, now_ns=now_ns, vaddrs=pages))
+        assert (session.events_seen, session.batches_seen, session.comm_events) == (0, 0, 0)
+        assert (len(session.table.table), session.table.table.inserts) == (0, 0)
+        assert not session.matrix.matrix.any()
+
+    @pytest.mark.parametrize("now_ns", [0, MAX_NOW_NS], ids=["lowest", "highest"])
+    def test_ingest_counts_now_ns_at_the_bounds(self, machine, now_ns):
+        pages = np.array([PAGE_SIZE, 2 * PAGE_SIZE], dtype=np.int64)
+        session = TenantSession("t", SessionConfig(n_threads=4, table_size=64), machine)
+        for tid in (0, 1):
+            session.ingest(EventBatch(tid=tid, now_ns=now_ns, vaddrs=pages))
+        assert (session.events_seen, session.comm_events) == (4, 2)
+        assert session.last_now_ns == now_ns
 
 
 class TestSyntheticStream:
@@ -890,24 +953,24 @@ class TestServerE2E:
 
         asyncio.run(scenario())
 
-    def test_negative_address_draws_error_then_eof(self, machine):
-        """An EVENTS batch with a negative address is answered with ERROR
-        ``protocol``, the connection is closed and the session released."""
+    def _events_draw_error_then_eof(self, machine, now_ns, vaddrs, message):
+        """Send one EVENTS batch on a fresh session; expect ERROR
+        ``protocol`` naming *message*, then EOF, the session released and
+        no event counted."""
         from repro.serve import MappingServer
 
         async def scenario():
             async with MappingServer(self._config(), machine=machine) as server:
                 reader, writer = await asyncio.open_connection("127.0.0.1", server.port)
-                hello = {"tenant": "neg", "n_threads": 4, "config": {"table_size": 4096}}
+                hello = {"tenant": "bad", "n_threads": 4, "config": {"table_size": 4096}}
                 await protocol.write_frame(writer, protocol.encode(MsgType.HELLO, hello))
                 welcome = await protocol.read_frame(reader)
                 assert welcome.type is MsgType.WELCOME
-                vaddrs = np.array([PAGE_SIZE, -1], dtype=np.int64)
-                await protocol.write_frame(writer, protocol.encode_events(1, 0, vaddrs))
+                await protocol.write_frame(writer, protocol.encode_events(1, now_ns, vaddrs))
                 error = await asyncio.wait_for(protocol.read_frame(reader), 5.0)
                 assert error.type is MsgType.ERROR
                 assert error.payload["code"] == "protocol"
-                assert "negative address" in error.payload["message"]
+                assert message in error.payload["message"]
                 assert await asyncio.wait_for(protocol.read_frame(reader), 5.0) is None
                 writer.close()
                 for _ in range(50):
@@ -918,6 +981,20 @@ class TestServerE2E:
                 assert server.events_total == 0
 
         asyncio.run(scenario())
+
+    def test_negative_address_draws_error_then_eof(self, machine):
+        """An EVENTS batch with a negative address is answered with ERROR
+        ``protocol``, the connection is closed and the session released."""
+        vaddrs = np.array([PAGE_SIZE, -1], dtype=np.int64)
+        self._events_draw_error_then_eof(machine, 0, vaddrs, "negative address")
+
+    @pytest.mark.parametrize("now_ns", [-1, MAX_NOW_NS + 1], ids=["below", "above"])
+    def test_now_ns_out_of_range_draws_error_then_eof(self, machine, now_ns):
+        """An EVENTS batch whose ``now_ns`` the table cannot stamp is
+        answered with ERROR ``protocol``; ``2**63 - 1`` once raised an
+        untyped OverflowError that closed the connection without one."""
+        vaddrs = np.array([PAGE_SIZE, 2 * PAGE_SIZE], dtype=np.int64)
+        self._events_draw_error_then_eof(machine, now_ns, vaddrs, "now_ns")
 
     def test_malformed_events_json_draws_error_then_eof(self, machine):
         """An unparseable EVENTS_JSON frame is answered with ERROR, the
