@@ -100,12 +100,16 @@ def test_bench_fault_path_with_detector(benchmark, machine):
 
 
 @pytest.mark.parametrize(
-    "size, n_threads", [(10_000, 8), (256_000, 32)], ids=["serve", "paper"]
+    "size, n_threads",
+    [(10_000, 8), (256_000, 32), (61, 8)],
+    ids=["serve", "paper", "collide"],
 )
 def test_bench_share_table_touch_batch(benchmark, size, n_threads):
     """One 256-event batch through ``ArrayShareTable.touch_batch`` on a
     warm table, in serve's shape (the benchmark tenants' 10,000 slots and 8
-    threads) and in the paper's (256,000 slots, 32 threads)."""
+    threads), in the paper's (256,000 slots, 32 threads), and on 61 slots,
+    where each batch's ~63 regions share slots, so the per-slot step for
+    slots that see several regions is timed too."""
     batches = [
         (tid, now, vaddrs // PAGE_SIZE)
         for tid, now, vaddrs in synthetic_fault_stream(n_threads, 16 * 256, seed=0)

@@ -18,7 +18,7 @@ slots.  A dense ``(size, n_threads)`` matrix would not stay cheap by
 leaving rows untouched: numpy advises every allocation of at least 4 MiB
 for transparent huge pages, so on a host whose THP mode is ``madvise`` a
 few hundred scattered writes make most of it resident.  A batch touch
-handles a whole fault batch in one exact sort-based pass, and a scalar
+handles a whole fault batch in one exact run-based pass, and a scalar
 touch handles single faults.  It is the one table the simulator and the
 service run.  Its emitted events, ``collisions``/``inserts`` counters and
 live entries equal those of a per-fault replay over a plain dict table,
@@ -53,8 +53,11 @@ def hash_64_batch(values: np.ndarray, bits: int = 64) -> np.ndarray:
     """Vectorised :func:`hash_64` over a non-negative int vector (uint64 out)."""
     if not 0 < bits <= 64:
         raise ConfigurationError("bits must be in (0, 64]")
-    hashed = np.asarray(values).astype(np.uint64) * np.uint64(GOLDEN_RATIO_64)  # mod 2^64
-    return hashed >> np.uint64(64 - bits)
+    hashed = np.asarray(values).astype(np.uint64)
+    hashed *= np.uint64(GOLDEN_RATIO_64)  # mod 2^64
+    if bits < 64:
+        hashed >>= np.uint64(64 - bits)
+    return hashed
 
 
 #: sentinel region id for an empty ArrayShareTable slot (region ids are >= 0)
@@ -76,6 +79,16 @@ def _check_count(value: object, what: str) -> int:
     return int(value)
 
 
+def _changes(values: np.ndarray) -> np.ndarray:
+    """The bounds of *values*' runs of equal elements: run ``k`` is
+    ``values[bounds[k]:bounds[k + 1]]``, and the last bound is
+    ``values.size``."""
+    change = np.empty(values.size + 1, dtype=bool)
+    change[0] = change[-1] = True
+    np.not_equal(values[1:], values[:-1], out=change[1:-1])
+    return change.nonzero()[0]
+
+
 class ArrayShareTable:
     """Array-backed, overwrite-on-collision sharing table.
 
@@ -88,7 +101,7 @@ class ArrayShareTable:
     row is never freed; a collision clears and reuses the slot's row.  The
     number of used rows is therefore the number of occupied slots.
 
-    :meth:`touch_batch` takes a whole fault batch in one sort-based pass:
+    :meth:`touch_batch` takes a whole fault batch in one run-based pass:
     slots are computed with a vectorised ``hash_64``, the members are grouped
     by slot, and each slot's runs of equal region are resolved at once (see
     :meth:`touch_batch_at`), however often a slot repeats within the batch.
@@ -118,6 +131,8 @@ class ArrayShareTable:
             ) from exc
         #: rows handed out so far: rows ``[0, _used)`` belong to occupied slots
         self._used = 0
+        #: every thread id, the partner of each column
+        self._threads = np.arange(self.n_threads)
         self.collisions = 0
         self.inserts = 0
 
@@ -137,7 +152,9 @@ class ArrayShareTable:
     # -- hashing ------------------------------------------------------------
     def slots_of(self, regions: np.ndarray) -> np.ndarray:
         """Vectorised slot computation (``hash_64(region) % size``)."""
-        return (hash_64_batch(regions) % np.uint64(self.size)).astype(np.int64)
+        slots = hash_64_batch(regions)
+        slots %= np.uint64(self.size)
+        return slots.view(np.int64)  # every slot is below size < 2**63
 
     def _slot_of(self, region: int) -> int:
         # hash_64(region) inlined (bits=64): called once per fault.
@@ -171,9 +188,10 @@ class ArrayShareTable:
         *slots* is ``slots_of(regions)``; returns ``(partners,
         windowed_out)`` as :meth:`touch_batch` does.
 
-        One sort-based pass, exact against a fault-order replay.  The
-        members are grouped by slot (stably, so fault order holds within a
-        slot) and each slot's members split into runs of equal region:
+        One run-based pass, exact against a fault-order replay.  The
+        members are grouped by slot and split into runs of equal region.
+        Two slots never share a region, so one region change marks every
+        run, slot changes included.  Each slot's runs then resolve at once:
 
         * if the slot already holds the first run's region, every member of
           that run emits the slot's in-window partners and its windowed-out
@@ -183,61 +201,85 @@ class ArrayShareTable:
           was occupied) and the run emits nothing;
         * each later run is one collision and one insert and emits nothing.
 
-        A vacant slot takes the next unused row.  The slot ends holding the
-        last run's region; its row is cleared if anything was inserted, and
-        column *tid* is set to ``now_ns + 1``.
+        Fault order within a slot matters only when the slot sees two
+        regions.  So the grouping sort need not be stable, and only a batch
+        in which some slot holds two or more runs is grouped again with a
+        stable sort and takes the per-slot step (first run, last run, later
+        runs); in every other batch the runs are the slots.  A vacant slot
+        takes the next unused row.  The slot ends holding the last run's
+        region; its row is cleared if anything was inserted, and column
+        *tid* is set to ``now_ns + 1``.
         """
         regions = np.asarray(regions, dtype=np.int64)
         slots = np.asarray(slots, dtype=np.int64)
         if slots.size == 0:
             return np.empty(0, dtype=np.int64), 0
-        # Group the members by slot (a stable sort keeps fault order within
-        # a slot); a run is a maximal stretch of one region within a slot.
-        order = np.argsort(slots, kind="stable")
+        # unstable: a slot's members keep fault order only if needed below
+        order = slots.argsort()
         s, r = slots[order], regions[order]
-        slot_start = np.empty(s.size, dtype=bool)
-        slot_start[0] = True
-        np.not_equal(s[1:], s[:-1], out=slot_start[1:])
-        run_start = slot_start.copy()
-        run_start[1:] |= r[1:] != r[:-1]
-        first = np.flatnonzero(slot_start)
-        last = np.append(first[1:], s.size) - 1
-        run_no = np.cumsum(run_start) - 1
-        later_runs = run_no[last] - run_no[first]
-        batch_slots = s[first]
+        bounds = _changes(r)
+        starts = bounds[:-1]
+        run_slot = s[starts]
+        n_runs = run_slot.size
+        if np.count_nonzero(run_slot[1:] != run_slot[:-1]) < n_runs - 1:
+            # some slot sees two regions, so group again in fault order;
+            # a slot meets its first run's region and keeps its last run's,
+            # and each later run overwrites
+            order = slots.argsort(kind="stable")
+            s, r = slots[order], regions[order]
+            bounds = _changes(r)
+            starts = bounds[:-1]
+            run_slot = s[starts]
+            n_runs = run_slot.size
+            slot_bounds = _changes(run_slot)
+            first, last = slot_bounds[:-1], slot_bounds[1:] - 1
+            batch_slots = run_slot[first]
+            met, kept = r[starts[first]], r[starts[last]]
+            repeats = bounds[first + 1] - starts[first]
+            overwritten = last > first
+        else:
+            batch_slots = run_slot
+            met = kept = r[starts]
+            repeats = bounds[1:] - starts
+        n_later = n_runs - batch_slots.size
 
         current = self._region[batch_slots]
-        hit = current == r[first]
-        miss = ~hit
-        vacant = current == _EMPTY_REGION
-        n_new = int(np.count_nonzero(vacant))
+        miss = current != met
         n_miss = int(np.count_nonzero(miss))
-        n_later = int(later_runs.sum())
+        rows = self._row[batch_slots]
+        n_new = 0
+        if n_miss:
+            # region -1 matches no run, so every vacant slot is a miss
+            vacant = current == _EMPTY_REGION
+            n_new = int(np.count_nonzero(vacant))
+            if n_new:
+                # each vacant slot takes the next unused (all-zero) row
+                start = self._take_rows(n_new)
+                rows[vacant] = np.arange(start, start + n_new)
+                self._row[batch_slots] = rows
         self.collisions += n_miss - n_new + n_later
         self.inserts += n_miss + n_later
 
-        rows = self._row[batch_slots]
-        if n_new:
-            # each vacant slot takes the next unused (all-zero) row
-            start = self._take_rows(n_new)
-            rows[vacant] = np.arange(start, start + n_new)
-            self._row[batch_slots] = rows
-
         partners = np.empty(0, dtype=np.int64)
         windowed_out = 0
-        if hit.any():
+        if n_miss < batch_slots.size:
             # each member of a hit slot's first run emits the slot's partners
-            repeats = np.bincount(run_no)[run_no[first[hit]]]
-            stamps = self._last[rows[hit]]
-            valid = stamps != 0
-            valid[:, tid] = False
-            in_window = valid & ((now_ns + 1 - stamps) <= window_ns)
-            windowed_out = int(repeats @ (valid & ~in_window).sum(axis=1))
-            row, col = np.nonzero(in_window)
-            partners = np.repeat(col, repeats[row])
+            hit = ~miss
+            repeats = repeats[hit]
+            stamps = self._last.take(rows[hit], axis=0)
+            stamps[:, tid] = 0
+            # a stored stamp is >= 1, so the bound also drops untouched columns
+            in_window = stamps >= max(now_ns + 1 - window_ns, 1)
+            partners = self._threads.repeat(repeats @ in_window)
+            if np.count_nonzero(stamps) > np.count_nonzero(in_window):
+                # some sharer was last seen before the window
+                windowed_out = int((repeats @ (stamps != 0)).sum()) - partners.size
 
-        self._region[batch_slots] = r[last]
-        self._last[rows[miss | (later_runs > 0)]] = 0
+        if n_miss or n_later:
+            if n_later:
+                miss |= overwritten
+            self._region[batch_slots] = kept
+            self._last[rows[miss]] = 0
         self._last[rows, tid] = now_ns + 1
         return partners, windowed_out
 

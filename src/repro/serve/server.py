@@ -4,10 +4,12 @@ One event loop multiplexes every tenant connection.  Each accepted session
 gets a dedicated :class:`~repro.serve.session.TenantSession` (share
 table, matrix, evaluator) plus two tasks: a *reader* that only
 decodes frames into the session's ingest queue, and a *processor* that
-owns all detection work and all writes on that connection.  The split
-keeps the wire protocol responsive while a large batch is being scattered,
-and gives every frame a total order per session — which is what makes the
-served decisions replayable offline.
+owns all detection work and all writes on that connection.  Both run on
+the one event loop, so the reader runs between the processor's bursts; the
+split gives every frame a total order per session — which is what makes
+the served decisions replayable offline — and lets the processor answer a
+whole burst of batches with one socket write (one CREDIT frame per batch,
+all sent together).
 
 Backpressure is layered: admission control refuses sessions past
 ``max_sessions`` or the per-tenant memory cap; the credit window bounds
@@ -42,6 +44,16 @@ from repro.serve.session import SessionConfig, TenantSession, _is_int64
 
 __all__ = ["MappingServer", "ServeConfig"]
 
+#: the :class:`ServeConfig` fields that must be integers (not bools)
+_INT_FIELDS = (
+    "port",
+    "metrics_port",
+    "max_sessions",
+    "shards",
+    "eval_every_events",
+    "credit_window",
+)
+
 #: slack multiplier on the enforced credit window — absorbs the race where
 #: a client sends a batch an instant before our CREDIT frame reaches it
 _WINDOW_SLACK = 2
@@ -52,9 +64,10 @@ class ServeConfig:
     """The daemon's deployment settings, one ``python -m repro.serve``
     flag per field.
 
-    Out-of-range values raise :class:`~repro.errors.ConfigurationError`
-    at construction: a zero credit window or session cap would start a
-    daemon that refuses every tenant.
+    Ill-typed or out-of-range values raise
+    :class:`~repro.errors.ConfigurationError` at construction: a zero
+    credit window or session cap would start a daemon that refuses every
+    tenant, and a fractional shard count would fail each tenant's HELLO.
     """
 
     #: bind address (``--host``)
@@ -80,6 +93,10 @@ class ServeConfig:
     drain_grace_s: float = 5.0
 
     def __post_init__(self) -> None:
+        for name in _INT_FIELDS:
+            value = getattr(self, name)
+            if not (_is_int64(value) or value is None and name == "metrics_port"):
+                raise ConfigurationError(f"{name} must be an integer, not {value!r}")
         if not 0 <= self.port <= 65535:
             raise ConfigurationError("port must be in [0, 65535]")
         if self.metrics_port is not None and not 0 <= self.metrics_port <= 65535:
@@ -115,6 +132,10 @@ class _Connection:
         #: FIFO of work items; unbounded, but its content is bounded by the
         #: enforced credit window (plus control sentinels)
         self.queue: "asyncio.Queue[tuple[str, Any]]" = asyncio.Queue()
+        #: frames of the burst being processed, written together by the
+        #: next :meth:`flush`; the processor flushes before it waits on an
+        #: empty queue, so this holds at most one burst
+        self.pending: list[bytes] = []
         self.write_lock = asyncio.Lock()
         self.finished = asyncio.Event()
         self.ended = False
@@ -122,9 +143,19 @@ class _Connection:
         self.processor_task: "asyncio.Task | None" = None
 
     async def send(self, data: bytes) -> None:
-        """Write one frame, serialised against concurrent writers."""
+        """Write the buffered frames, then *data*, in one transport write."""
+        self.pending.append(data)
+        await self.flush()
+
+    async def flush(self) -> None:
+        """Write every buffered frame in one transport write, serialised
+        against concurrent writers."""
         async with self.write_lock:
-            await protocol.write_frame(self.writer, data)
+            if self.pending:
+                data = b"".join(self.pending)
+                self.pending.clear()
+                self.writer.write(data)
+                await self.writer.drain()
 
 
 class MappingServer:
@@ -432,8 +463,9 @@ class MappingServer:
                 )
                 return
 
-    async def _ingest_batch(self, conn: _Connection, batch: EventBatch) -> None:
-        """Detect + evaluate one batch inline, then credit the client."""
+    def _ingest_batch(self, conn: _Connection, batch: EventBatch) -> None:
+        """Detect + evaluate one batch inline, then buffer its frames: any
+        MAPPING it triggered, then its own CREDIT."""
         loop = asyncio.get_event_loop()
         started = loop.time()
         updates = conn.session.ingest(batch)
@@ -447,8 +479,8 @@ class MappingServer:
         for update in updates:
             self.remaps_total += 1
             self._m_remaps.inc()
-            await conn.send(protocol.encode(MsgType.MAPPING, update.to_payload()))
-        await conn.send(protocol.encode(MsgType.CREDIT, {"events": n}))
+            conn.pending.append(protocol.encode(MsgType.MAPPING, update.to_payload()))
+        conn.pending.append(protocol.encode(MsgType.CREDIT, {"events": n}))
 
     async def _flush_session(self, conn: _Connection) -> None:
         """Force one evaluation now and acknowledge the FLUSH."""
@@ -462,12 +494,20 @@ class MappingServer:
         )
 
     async def _process_loop(self, conn: _Connection) -> None:
-        """Own all detection work and all writes for one connection."""
+        """Own all detection work and all writes for one connection.
+
+        The batches queued when the processor wakes (a burst) are ingested
+        with no await between them, and their MAPPING and CREDIT frames
+        leave together: the buffer is flushed before the processor waits
+        on an empty queue, and ahead of any other frame it sends.
+        """
         while True:
-            kind, payload = await conn.queue.get()
             try:
+                if conn.queue.empty():
+                    await conn.flush()
+                kind, payload = await conn.queue.get()
                 if kind == "batch":
-                    await self._ingest_batch(conn, payload)
+                    self._ingest_batch(conn, payload)
                 elif kind == "flush":
                     await self._flush_session(conn)
                 elif kind == "metrics":
@@ -483,6 +523,7 @@ class MappingServer:
                     await self._end_session(conn, reason="drain", notify=True)
                     return
                 elif kind == "eof":
+                    await conn.flush()  # credit what was processed
                     await self._end_session(conn, reason="disconnect", notify=False)
                     return
                 elif kind == "error":

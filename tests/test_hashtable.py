@@ -329,3 +329,75 @@ class TestArrayShareTableBatch:
         assert partners.tolist() == [1, 1] and windowed_out == 0
         partners, windowed_out = _touch_both(fast, oracle, [4, 4], 0, WINDOW_NS + 1)
         assert partners.size == 0 and windowed_out == 2
+
+
+def _regions_per_slot(size, per_slot):
+    """``{slot: [region, ...]}``: the first *per_slot* regions that hash
+    to each slot of a *size*-slot table."""
+    found = {}
+    region = 0
+    while len(found) < size or min(map(len, found.values())) < per_slot:
+        regions = found.setdefault(hash_64(region) % size, [])
+        if len(regions) < per_slot:
+            regions.append(region)
+        region += 1
+    return found
+
+
+class TestRunSplit:
+    """``touch_batch_at`` takes a shortcut when every slot of a batch
+    holds one run of one region; a slot that sees two regions sends the
+    batch down the per-slot step.  Each case is checked against the
+    fault-order replay, on a 61-slot table primed by thread 1."""
+
+    SIZE = 61
+
+    def _primed(self):
+        """Thread 1 stores a region in slots 0-4 and 10; the others stay
+        vacant.  Returns the tables and ``{slot: [region, other]}``."""
+        by_slot = _regions_per_slot(self.SIZE, 2)
+        fast, oracle = ArrayShareTable(self.SIZE, N_THREADS), DictShareTable(self.SIZE)
+        _touch_both(fast, oracle, [by_slot[s][0] for s in (0, 1, 2, 3, 4, 10)], 1, 0)
+        return fast, oracle, by_slot
+
+    @staticmethod
+    def _one_run_batch(by_slot):
+        """Hits in slots 0-2 (3, 2 and 1 members), inserts into vacant
+        slots 5, 6 and 20, and colliders in slots 3 and 4, interleaved."""
+        h0, h1, h2 = (by_slot[s][0] for s in (0, 1, 2))
+        v5, v6, v20 = (by_slot[s][0] for s in (5, 6, 20))
+        c3, c4 = by_slot[3][1], by_slot[4][1]
+        return [h0, v5, c3, h0, v20, h1, v6, c4, h0, v5, c3, h1, h2, v6, v20]
+
+    def test_every_slot_one_run(self):
+        fast, oracle, by_slot = self._primed()
+        partners, windowed_out = _touch_both(fast, oracle, self._one_run_batch(by_slot), 0, 1)
+        assert sorted(partners.tolist()) == [1] * 6 and windowed_out == 0
+        assert (fast.collisions, fast.inserts) == (2, 6 + 5)
+
+    def test_one_slot_sees_a_b_a(self):
+        """Slot 10, between slots 6 and 20 in sort order, holds A; the
+        batch brings A, A, B, A: A's first run emits, then two overwrites,
+        and slot 10 ends holding A for thread 0 only."""
+        fast, oracle, by_slot = self._primed()
+        a, b = by_slot[10]
+        batch = self._one_run_batch(by_slot)
+        batch[1:1] = [a, a]
+        batch[7:7] = [b]
+        batch.append(a)
+        partners, _ = _touch_both(fast, oracle, batch, 0, 1)
+        assert sorted(partners.tolist()) == [1] * 8
+        assert (fast.collisions, fast.inserts) == (4, 6 + 7)
+        assert live_entries(fast)[a] == {0: 1}
+
+    def test_last_slot_alone_sees_two_regions(self):
+        """The one slot that sees two regions, vacant slot 60, is the last
+        in sort order: B inserts, then A overwrites."""
+        fast, oracle, by_slot = self._primed()
+        a, b = by_slot[self.SIZE - 1]
+        batch = self._one_run_batch(by_slot)
+        batch[3:3] = [b, a]
+        partners, _ = _touch_both(fast, oracle, batch, 0, 1)
+        assert sorted(partners.tolist()) == [1] * 6
+        assert (fast.collisions, fast.inserts) == (3, 6 + 7)
+        assert live_entries(fast)[a] == {0: 1}

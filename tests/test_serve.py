@@ -45,16 +45,26 @@ BAD_HELLO_CONFIGS = {
 
 #: ``ServeConfig`` values that would start a daemon refusing every tenant
 #: (or unable to bind); each constructed without error before the
-#: dataclass checked its own fields
+#: dataclass checked its own fields.  The fractional and bool ones once
+#: passed the range checks: ``shards=2.5`` or ``eval_every_events=100.5``
+#: made every HELLO end in EOF with no ERROR frame, and
+#: ``credit_window=10.5`` was advertised in WELCOME
 BAD_SERVE_CONFIGS = {
     "port": {"port": 70000},
+    "port-float": {"port": 1.5},
     "metrics-port": {"metrics_port": -1},
+    "metrics-port-float": {"metrics_port": 9100.5},
     "max-sessions": {"max_sessions": 0},
+    "max-sessions-float": {"max_sessions": 2.5},
+    "max-sessions-bool": {"max_sessions": True},
     "max-table-mb": {"max_table_mb": -1.0},
     "max-table-mb-nan": {"max_table_mb": float("nan")},
     "shards": {"shards": 0},
+    "shards-float": {"shards": 2.5},
     "eval-every": {"eval_every_events": 0},
+    "eval-every-float": {"eval_every_events": 100.5},
     "credit-window": {"credit_window": 0},
+    "credit-window-float": {"credit_window": 10.5},
     "drain-grace": {"drain_grace_s": -5.0},
     "drain-grace-nan": {"drain_grace_s": float("nan")},
 }
@@ -953,6 +963,29 @@ class TestServerE2E:
 
         asyncio.run(scenario())
 
+    @staticmethod
+    async def _raw_session(server, n_threads=4, config=None):
+        """Open a session with hand-written frames; returns its streams."""
+        reader, writer = await asyncio.open_connection("127.0.0.1", server.port)
+        hello = {
+            "tenant": "raw",
+            "n_threads": n_threads,
+            "config": config or {"table_size": 4096},
+        }
+        await protocol.write_frame(writer, protocol.encode(MsgType.HELLO, hello))
+        welcome = await protocol.read_frame(reader)
+        assert welcome.type is MsgType.WELCOME
+        return reader, writer
+
+    @staticmethod
+    async def _released(server):
+        """Wait for every session's teardown; True once none is left."""
+        for _ in range(50):
+            if not server._connections:
+                return True
+            await asyncio.sleep(0.02)
+        return not server._connections
+
     def _events_draw_error_then_eof(self, machine, now_ns, vaddrs, message):
         """Send one EVENTS batch on a fresh session; expect ERROR
         ``protocol`` naming *message*, then EOF, the session released and
@@ -961,11 +994,7 @@ class TestServerE2E:
 
         async def scenario():
             async with MappingServer(self._config(), machine=machine) as server:
-                reader, writer = await asyncio.open_connection("127.0.0.1", server.port)
-                hello = {"tenant": "bad", "n_threads": 4, "config": {"table_size": 4096}}
-                await protocol.write_frame(writer, protocol.encode(MsgType.HELLO, hello))
-                welcome = await protocol.read_frame(reader)
-                assert welcome.type is MsgType.WELCOME
+                reader, writer = await self._raw_session(server)
                 await protocol.write_frame(writer, protocol.encode_events(1, now_ns, vaddrs))
                 error = await asyncio.wait_for(protocol.read_frame(reader), 5.0)
                 assert error.type is MsgType.ERROR
@@ -973,11 +1002,7 @@ class TestServerE2E:
                 assert message in error.payload["message"]
                 assert await asyncio.wait_for(protocol.read_frame(reader), 5.0) is None
                 writer.close()
-                for _ in range(50):
-                    if not server._connections:
-                        break
-                    await asyncio.sleep(0.02)
-                assert not server._connections
+                assert await self._released(server)
                 assert server.events_total == 0
 
         asyncio.run(scenario())
@@ -1003,11 +1028,7 @@ class TestServerE2E:
 
         async def scenario():
             async with MappingServer(self._config(), machine=machine) as server:
-                reader, writer = await asyncio.open_connection("127.0.0.1", server.port)
-                hello = {"tenant": "bad", "n_threads": 4, "config": {"table_size": 4096}}
-                await protocol.write_frame(writer, protocol.encode(MsgType.HELLO, hello))
-                welcome = await protocol.read_frame(reader)
-                assert welcome.type is MsgType.WELCOME
+                reader, writer = await self._raw_session(server)
                 body = b'{"tid": 1e400, "now_ns": 0, "vaddrs": [4096]}'
                 await protocol.write_frame(
                     writer, protocol._HEADER.pack(len(body), MsgType.EVENTS_JSON) + body
@@ -1017,10 +1038,123 @@ class TestServerE2E:
                 assert error.payload["code"] == "protocol"
                 assert await asyncio.wait_for(protocol.read_frame(reader), 5.0) is None
                 writer.close()
-                for _ in range(50):
-                    if not server._connections:
-                        break
-                    await asyncio.sleep(0.02)
-                assert not server._connections
+                assert await self._released(server)
+
+        asyncio.run(scenario())
+
+    # -- a burst: several EVENTS frames in one client write ------------------
+    @staticmethod
+    def _burst(sizes, bad=None):
+        """One write's worth of EVENTS frames, batch *i* of ``sizes[i]``
+        events from thread ``i % 4``; batch *bad* carries a negative
+        address."""
+        frames = []
+        for i, n in enumerate(sizes):
+            vaddrs = (np.arange(n, dtype=np.int64) % 16 + 1) * PAGE_SIZE
+            if i == bad:
+                vaddrs[-1] = -PAGE_SIZE
+            frames.append(protocol.encode_events(i % 4, i, vaddrs))
+        return b"".join(frames)
+
+    @staticmethod
+    async def _read_frames(reader, n):
+        return [await asyncio.wait_for(protocol.read_frame(reader), 5.0) for _ in range(n)]
+
+    def test_burst_is_credited_batch_by_batch_in_order(self, machine):
+        """Every batch of a burst gets its own CREDIT, in batch order."""
+        from repro.serve import MappingServer
+
+        sizes = [16, 32, 48, 64, 80, 96]
+
+        async def scenario():
+            async with MappingServer(self._config(), machine=machine) as server:
+                reader, writer = await self._raw_session(server)
+                writer.write(self._burst(sizes))
+                frames = await self._read_frames(reader, len(sizes))
+                assert [f.type for f in frames] == [MsgType.CREDIT] * len(sizes)
+                assert [f.payload["events"] for f in frames] == sizes
+                await protocol.write_frame(writer, protocol.encode(MsgType.BYE, {}))
+                summary = await asyncio.wait_for(protocol.read_frame(reader), 5.0)
+                if summary.type is MsgType.MAPPING:  # the final evaluation's
+                    summary = await asyncio.wait_for(protocol.read_frame(reader), 5.0)
+                assert summary.type is MsgType.SUMMARY
+                assert summary.payload["events"] == sum(sizes)
+                writer.close()
+
+        asyncio.run(scenario())
+
+    def test_bad_batch_mid_burst_follows_the_credits_before_it(self, machine):
+        """Batch 3 of 6 carries a negative address: the three batches
+        before it are credited, then ERROR ``protocol``, then EOF."""
+        from repro.serve import MappingServer
+
+        sizes = [16, 32, 48, 64, 80, 96]
+
+        async def scenario():
+            async with MappingServer(self._config(), machine=machine) as server:
+                reader, writer = await self._raw_session(server)
+                writer.write(self._burst(sizes, bad=3))
+                frames = await self._read_frames(reader, 4)
+                assert [f.type for f in frames[:3]] == [MsgType.CREDIT] * 3
+                assert [f.payload["events"] for f in frames[:3]] == sizes[:3]
+                assert frames[3].type is MsgType.ERROR
+                assert frames[3].payload["code"] == "protocol"
+                assert "negative address" in frames[3].payload["message"]
+                assert await asyncio.wait_for(protocol.read_frame(reader), 5.0) is None
+                writer.close()
+                assert await self._released(server)
+                assert server.events_total == sum(sizes[:3])
+
+        asyncio.run(scenario())
+
+    def test_remap_mid_burst_precedes_its_batch_credit(self, machine):
+        """A burst of 12 far-pair batches with an evaluation every 2,048
+        events remaps after batch 7: that MAPPING arrives after 7 CREDITs
+        and before the 8th, the one of the batch that triggered it."""
+        from repro.serve import MappingServer
+
+        stream = list(synthetic_fault_stream(8, 512, seed=8))[:12]
+        config = {"table_size": 10_000, "eval_every_events": 2048}
+
+        async def scenario():
+            async with MappingServer(self._config(), machine=machine) as server:
+                reader, writer = await self._raw_session(server, 8, config)
+                writer.write(b"".join(protocol.encode_events(*b) for b in stream))
+                frames = []
+                while sum(f.type is MsgType.CREDIT for f in frames) < len(stream):
+                    frames.append(await asyncio.wait_for(protocol.read_frame(reader), 5.0))
+                writer.close()
+                return frames
+
+        frames = asyncio.run(scenario())
+        kinds = [f.type for f in frames]
+        assert kinds == [MsgType.CREDIT] * 7 + [MsgType.MAPPING] + [MsgType.CREDIT] * 5
+        assert frames[7].payload["events_seen"] == 8 * 256
+
+    def test_queued_burst_leaves_in_one_write(self, machine):
+        """Eight batches that reach the server in one read are queued
+        before the processor runs; their eight CREDIT frames leave in one
+        transport write (they once took one write each)."""
+        from repro.serve import MappingServer
+
+        sizes = [64] * 8
+
+        async def scenario():
+            async with MappingServer(self._config(), machine=machine) as server:
+                reader, writer = await self._raw_session(server)
+                (conn,) = server._connections.values()
+                writes = []
+                write = conn.writer.write
+
+                def counted(data):
+                    writes.append(data)
+                    write(data)
+
+                conn.writer.write = counted
+                writer.write(self._burst(sizes))
+                frames = await self._read_frames(reader, len(sizes))
+                assert [f.payload["events"] for f in frames] == sizes
+                assert len(writes) == 1
+                writer.close()
 
         asyncio.run(scenario())
