@@ -3,10 +3,12 @@
 Not a paper figure — these measure the simulator substrate itself so that
 regressions in the per-access and per-fault paths are caught: the MESI
 hierarchy's access path, stream generation, the fault pipeline with the SPCD
-hook attached, the share table's batch touch, a serve session's ingest, the
+hook attached, the share table's batch touch, the matrix's event add, a serve
+session's ingest, the server's reader and processor over a burst, the
 injector wake, the hierarchical mapper, and the communication filter.
 """
 
+import asyncio
 from time import perf_counter
 
 import numpy as np
@@ -23,7 +25,16 @@ from repro.machine.topology import build_machine, dual_xeon_e5_2650
 from repro.mem.addresspace import AddressSpace
 from repro.mem.fault import FaultPipeline
 from repro.mem.physmem import FrameAllocator
-from repro.serve import EventBatch, SessionConfig, TenantSession, synthetic_fault_stream
+from repro.serve import (
+    EventBatch,
+    MappingServer,
+    ServeConfig,
+    SessionConfig,
+    TenantSession,
+    protocol,
+    synthetic_fault_stream,
+)
+from repro.serve.server import _Connection
 from repro.units import CACHE_LINE_SHIFT, MSEC, PAGE_SHIFT, PAGE_SIZE
 from repro.workloads.npb import make_npb
 from repro.workloads.patterns import chain_pattern, mixed_pattern
@@ -127,6 +138,29 @@ def test_bench_share_table_touch_batch(benchmark, size, n_threads):
     benchmark(one_batch)
 
 
+@pytest.mark.parametrize("decayed", [False, True], ids=["integral", "decayed"])
+def test_bench_matrix_add_events(benchmark, decayed):
+    """One ``add_events`` of 256 partners into an 8-thread matrix: with
+    integer cells, as serve's default decay of 1.0 keeps them, and after a
+    decay left fractions, as the simulator's matrix is after its first
+    evaluation."""
+    partners = np.random.default_rng(0).integers(0, 8, size=(64, 256))
+    matrix = CommunicationMatrix(8)
+    for i, row in enumerate(partners):
+        matrix.add_events(i % 8, row)
+    if decayed:
+        matrix.decay(0.92)
+    state = {"i": 0}
+
+    def one_batch():
+        i = state["i"] % len(partners)
+        state["i"] += 1
+        matrix.add_events(i % 8, partners[i])
+
+    benchmark(one_batch)
+    assert matrix.total() > 0
+
+
 def test_bench_session_ingest(benchmark, machine):
     """One 256-event batch through ``TenantSession.ingest`` on a warm
     session, in the shape of the ``serve-narrow`` benchmark's tenants: 8
@@ -149,6 +183,57 @@ def test_bench_session_ingest(benchmark, machine):
 
     benchmark(one_batch)
     assert session.comm_events > 0
+
+
+class _NullWriter:
+    """The server's view of a socket, minus the socket: counts writes."""
+
+    def __init__(self):
+        self.writes = 0
+
+    def write(self, data):
+        self.writes += 1
+
+    async def drain(self):
+        pass
+
+    def close(self):
+        pass
+
+
+def test_bench_server_burst(benchmark, machine):
+    """A burst of 64 pre-encoded 256-event EVENTS frames through the
+    server's own reader and processor, in process: the frames wait in a
+    ``StreamReader`` ahead of its EOF, the reader queues them, and the
+    processor ingests every batch into a warm ``serve-narrow``-shaped
+    session and writes the CREDIT frames to a stub transport."""
+    config = SessionConfig(n_threads=8, table_size=10_000, shards=4, eval_every_events=8192)
+    batches = list(synthetic_fault_stream(8, 16 * 256, seed=0))
+    session = TenantSession("bench", config, machine)
+    for batch in batches:
+        session.ingest(EventBatch(*batch))
+    burst = b"".join(protocol.encode_events(*batch) for batch in batches[:64])
+    server = MappingServer(ServeConfig(shards=4, eval_every_events=8192), machine=machine)
+    writer = _NullWriter()
+    loop = asyncio.new_event_loop()
+
+    async def serve_burst():
+        reader = asyncio.StreamReader()
+        reader.feed_data(burst)
+        reader.feed_eof()
+        conn = _Connection(session, writer, credit_window=65536)
+        await asyncio.gather(server._read_loop(reader, conn), server._process_loop(conn))
+        return conn
+
+    def one_burst():
+        return loop.run_until_complete(serve_burst())
+
+    try:
+        conn = benchmark(one_burst)
+    finally:
+        loop.close()
+    assert conn.outstanding == 0 and conn.ended
+    assert server.batches_total % 64 == 0 and writer.writes > 0
 
 
 def test_bench_injector_wake(benchmark, machine):

@@ -7,6 +7,7 @@ of everything here is at most Theta(N^2) as the paper requires.
 
 from __future__ import annotations
 
+import math
 import os
 import tempfile
 from pathlib import Path
@@ -16,6 +17,18 @@ import numpy as np
 from repro.errors import ConfigurationError
 
 __all__ = ["CommunicationMatrix"]
+
+#: float64 holds every integer up to this exactly; past it ``x + 1.0``
+#: rounds, so adding a count at once stops agreeing with adding 1.0 n times
+_EXACT_LIMIT = float(2**53)
+
+
+def _exact_bound(m: np.ndarray) -> float:
+    """The largest ``|cell|`` of *m* if every cell is an integer and none
+    is ``-0.0``; ``inf`` otherwise."""
+    if np.array_equal(m, np.trunc(m)) and not np.signbit(m[m == 0.0]).any():
+        return float(np.abs(m).max())
+    return math.inf
 
 
 class CommunicationMatrix:
@@ -27,6 +40,10 @@ class CommunicationMatrix:
         self.n = n_threads
         if data is None:
             self._m = np.zeros((n_threads, n_threads), dtype=np.float64)
+            #: an upper bound on every ``|cell|`` while each cell is an
+            #: integer (no ``-0.0``), ``inf`` once one may not be; it picks
+            #: :meth:`add_events`' path and nothing else
+            self._bound = 0.0
         else:
             data = np.asarray(data, dtype=np.float64)
             if data.shape != (n_threads, n_threads):
@@ -37,36 +54,78 @@ class CommunicationMatrix:
                 raise ConfigurationError("communication matrix must be symmetric")
             self._m = data.copy()
             np.fill_diagonal(self._m, 0.0)
+            self._bound = _exact_bound(self._m)
 
     # -- mutation -----------------------------------------------------------
     def add(self, i: int, j: int, amount: float = 1.0) -> None:
-        """Record *amount* of communication between threads *i* and *j*."""
+        """Record *amount* of communication between threads *i* and *j*.
+
+        A thread id outside ``[0, n)`` raises
+        :class:`~repro.errors.ConfigurationError`.
+        """
+        if not (0 <= i < self.n and 0 <= j < self.n):
+            raise ConfigurationError(f"thread ids ({i}, {j}) outside [0, {self.n})")
         if i == j:
             return  # a thread does not communicate with itself
-        self._m[i, j] += amount
-        self._m[j, i] += amount
+        m = self._m
+        m[i, j] += amount
+        m[j, i] += amount
+        self._bound += abs(amount) if float(amount).is_integer() else math.inf
 
     def add_events(self, i: int, partners: np.ndarray) -> None:
         """Record one unit event between *i* and every thread in *partners*.
 
-        *partners* may repeat ids; each occurrence is one event.  Uses
-        ``np.add.at``, which applies the additions one by one — bit-identical
-        to the equivalent sequence of :meth:`add` calls even where repeated
-        float rounding matters (e.g. after :meth:`decay` left fractions).
-        Small event lists take a plain loop of the same additions instead
-        (cheaper than two ``np.add.at`` dispatches).
+        *partners* may repeat ids; each occurrence is one event, and events
+        with *i* itself are ignored.  The result is bit-identical to the
+        equivalent sequence of ``add(i, j, 1.0)`` calls, however the
+        matrix got its values.  A thread id outside ``[0, n)``, in *i* or
+        in *partners*, raises :class:`~repro.errors.ConfigurationError`
+        before any cell changes.
+
+        Three paths give those bits:
+
+        * up to 8 partners, a plain loop of the additions;
+        * while every cell is an integer and no cell can reach 2**53 (the
+          *count add*), one ``np.bincount`` of the partners added to row
+          and column *i*: an exact integer sum is the one rounding-free
+          result that adding 1.0 count times also gives;
+        * otherwise ``np.add.at``, which applies the additions one by one,
+          so repeated float rounding (after :meth:`decay` left fractions)
+          happens as it would call by call.
+
+        The count add holds from construction (with integer data) or
+        :meth:`reset` until a :meth:`decay` below 1, a non-integer
+        :meth:`add` amount or :meth:`merge` scale, or a running bound on the
+        cells that reaches 2**53; then ``np.add.at`` serves until the next
+        :meth:`reset`.
         """
-        if len(partners) <= 8:
+        n = self.n
+        if not 0 <= i < n:
+            raise ConfigurationError(f"thread id {i} outside [0, {n})")
+        k = len(partners)
+        if k <= 8:
+            ids = partners.tolist() if hasattr(partners, "tolist") else list(partners)
+            if ids and not (0 <= min(ids) and max(ids) < n):
+                raise ConfigurationError(f"partner ids {ids} outside [0, {n})")
             m = self._m
-            for j in partners.tolist() if hasattr(partners, "tolist") else partners:
+            for j in ids:
                 if j != i:
                     m[i, j] += 1.0
                     m[j, i] += 1.0
+            self._bound += k
             return
         partners = np.asarray(partners, dtype=np.int64)
-        partners = partners[partners != i]
-        if partners.size == 0:
+        # one pass refuses both ends: a negative id is huge as unsigned
+        if partners.view(np.uint64).max() >= n:
+            raise ConfigurationError(f"a partner id is outside [0, {n})")
+        if self._bound + k < _EXACT_LIMIT:
+            counts = np.bincount(partners, minlength=n)
+            counts[i] = 0
+            self._m[i] += counts
+            self._m[:, i] += counts
+            self._bound += k
             return
+        partners = partners[partners != i]
         np.add.at(self._m, (i, partners), 1.0)
         np.add.at(self._m, (partners, i), 1.0)
 
@@ -85,6 +144,10 @@ class CommunicationMatrix:
             self._m += other._m
         else:
             self._m += scale * other._m
+        if float(scale).is_integer() and other._bound < math.inf:
+            self._bound += abs(scale) * other._bound
+        else:
+            self._bound = math.inf
         return self
 
     def decay(self, factor: float) -> None:
@@ -92,10 +155,13 @@ class CommunicationMatrix:
         if not 0.0 <= factor <= 1.0:
             raise ConfigurationError("decay factor must be in [0, 1]")
         self._m *= factor
+        if factor < 1.0:
+            self._bound = math.inf
 
     def reset(self) -> None:
         """Zero the matrix."""
         self._m[:] = 0.0
+        self._bound = 0.0
 
     # -- views ---------------------------------------------------------------
     @property

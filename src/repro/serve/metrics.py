@@ -15,7 +15,9 @@ values, so two registries holding the same values render byte-identically.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Any, Iterable
 
 from repro.errors import ConfigurationError
@@ -89,17 +91,21 @@ class Histogram:
     """Cumulative-bucket histogram (Prometheus semantics).
 
     ``buckets`` are upper bounds; an implicit ``+Inf`` bucket catches the
-    rest.  ``observe`` is O(buckets) — fine for the per-batch call rate.
+    rest, NaN included.  ``observe`` finds a value's one bucket by
+    bisection and bumps that bucket's own count; :attr:`counts` sums them
+    into the cumulative counts that :meth:`quantile`, the exposition and
+    the snapshot read.
     """
 
-    __slots__ = ("buckets", "counts", "sum", "count")
+    __slots__ = ("buckets", "_hits", "sum", "count")
 
     def __init__(self, buckets: Iterable[float] = DEFAULT_BUCKETS) -> None:
         bounds = tuple(float(b) for b in buckets)
         if not bounds or any(b <= a for a, b in zip(bounds, bounds[1:])):
             raise ConfigurationError("histogram buckets must be strictly increasing")
         self.buckets = bounds
-        self.counts = [0] * len(bounds)
+        #: observations in ``(bounds[i - 1], bounds[i]]``, per bound
+        self._hits = [0] * len(bounds)
         self.sum = 0.0
         self.count = 0
 
@@ -107,9 +113,13 @@ class Histogram:
         """Record one observation."""
         self.sum += value
         self.count += 1
-        for i, bound in enumerate(self.buckets):
-            if value <= bound:
-                self.counts[i] += 1
+        if value <= self.buckets[-1]:  # False past the last bound and for NaN
+            self._hits[bisect_left(self.buckets, value)] += 1
+
+    @property
+    def counts(self) -> "list[int]":
+        """Cumulative count per bound: the observations ``<= bound``."""
+        return list(accumulate(self._hits))
 
     def quantile(self, q: float) -> float:
         """Approximate quantile from the cumulative buckets (upper bound).

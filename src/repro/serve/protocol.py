@@ -38,11 +38,13 @@ from repro.errors import ProtocolError
 __all__ = [
     "EventBatch",
     "Frame",
+    "FrameSplitter",
     "MAX_FRAME_BYTES",
     "MsgType",
     "PROTOCOL_VERSION",
     "decode_events",
     "encode",
+    "encode_credit",
     "encode_events",
     "events_body",
     "parse_body",
@@ -82,6 +84,9 @@ class MsgType(IntEnum):
     METRICS_TEXT = 13  # server -> client: plaintext metrics exposition (JSON)
 
 
+_CREDIT, _EVENTS = int(MsgType.CREDIT), int(MsgType.EVENTS)
+
+
 @dataclass(frozen=True)
 class EventBatch:
     """One tenant thread's fault events at one point in virtual time.
@@ -116,6 +121,17 @@ def encode(msg_type: MsgType, payload: "dict[str, Any] | None" = None) -> bytes:
     return _frame(msg_type, body)
 
 
+def encode_credit(n: int) -> bytes:
+    """The CREDIT frame returning *n* events to the window.
+
+    The bytes of ``encode(MsgType.CREDIT, {"events": n})`` for an integer
+    *n*, filled into a byte template instead of going through the JSON
+    encoder: the server sends one per ingested batch.
+    """
+    body = b'{"events":%d}' % n
+    return _HEADER.pack(len(body), _CREDIT) + body
+
+
 def events_body(tid: int, now_ns: int, vaddrs: np.ndarray) -> bytes:
     """The struct-packed body of an EVENTS frame (header + big-endian i64s)."""
     vaddrs = np.ascontiguousarray(np.asarray(vaddrs, dtype=np.int64))
@@ -145,21 +161,21 @@ def decode_events(body: "bytes | memoryview") -> EventBatch:
     if len(body) < _EVENTS_HEADER.size:
         raise ProtocolError("truncated EVENTS frame")
     tid, now_ns, n = _EVENTS_HEADER.unpack_from(body)
-    payload = body[_EVENTS_HEADER.size :]
-    if len(payload) != 8 * n:
-        raise ProtocolError(f"EVENTS frame declares {n} events, carries {len(payload)} bytes")
-    vaddrs = np.frombuffer(payload, dtype=">i8").astype(np.int64)
+    carried = len(body) - _EVENTS_HEADER.size
+    if carried != 8 * n:
+        raise ProtocolError(f"EVENTS frame declares {n} events, carries {carried} bytes")
+    vaddrs = np.frombuffer(body, dtype=">i8", offset=_EVENTS_HEADER.size).astype(np.int64)
     return EventBatch(tid=tid, now_ns=now_ns, vaddrs=vaddrs)
 
 
-def parse_body(type_byte: int, body: bytes) -> Frame:
+def parse_body(type_byte: int, body: "bytes | bytearray") -> Frame:
     """Parse a raw ``(type, body)`` pair into a typed :class:`Frame`."""
+    if type_byte == _EVENTS:
+        return Frame(MsgType.EVENTS, decode_events(body))
     try:
         msg_type = MsgType(type_byte)
     except ValueError as exc:
         raise ProtocolError(f"unknown frame type {type_byte}") from exc
-    if msg_type is MsgType.EVENTS:
-        return Frame(msg_type, decode_events(body))
     try:
         payload = json.loads(body.decode("utf-8")) if body else {}
     except (ValueError, RecursionError) as exc:
@@ -194,6 +210,62 @@ def _events_from_json(payload: "dict[str, Any]") -> EventBatch:
 def _check_length(length: int) -> None:
     if length > MAX_FRAME_BYTES:
         raise ProtocolError(f"frame of {length} bytes exceeds the {MAX_FRAME_BYTES} cap")
+
+
+class FrameSplitter:
+    """Frames out of a byte stream that arrives in pieces of any size.
+
+    :meth:`feed` takes what one socket read returned and parses every frame
+    it completes, in stream order, through :func:`parse_body`; the bytes of
+    an unfinished frame wait in a ``bytearray`` that later pieces extend,
+    so a frame that spans many reads costs time in proportion to its size.
+    A frame's declared length is checked against :data:`MAX_FRAME_BYTES`
+    as soon as its 5-byte header is present.  :meth:`close` marks the end
+    of the stream.  Fed the same bytes cut anywhere, it yields the frames,
+    and the :class:`~repro.errors.ProtocolError`, that :func:`read_frame`
+    calls would.
+    """
+
+    def __init__(self) -> None:
+        self._buffer = bytearray()
+
+    def feed(self, data: bytes) -> "tuple[list[Frame], ProtocolError | None]":
+        """The frames *data* completes, and the error that stopped the
+        split (``None`` if none did).
+
+        The frames come before the error in the stream; after an error the
+        splitter must not be fed again.
+        """
+        buffer = self._buffer
+        if buffer:
+            buffer += data
+            data = buffer
+        frames: list[Frame] = []
+        start, end = 0, len(data)
+        while end - start >= _HEADER.size:
+            length, type_byte = _HEADER.unpack_from(data, start)
+            stop = start + _HEADER.size + length
+            try:
+                _check_length(length)
+                if stop > end:
+                    break
+                frames.append(parse_body(type_byte, data[start + _HEADER.size : stop]))
+            except ProtocolError as exc:
+                return frames, exc
+            start = stop
+        if data is buffer:
+            del buffer[:start]
+        else:  # whole frames were parsed straight from *data*; keep the rest
+            buffer += memoryview(data)[start:]
+        return frames, None
+
+    def close(self) -> None:
+        """End of stream: raise :class:`~repro.errors.ProtocolError` if it
+        fell inside a frame."""
+        if len(self._buffer) >= _HEADER.size:
+            raise ProtocolError("connection closed before frame body")
+        if self._buffer:
+            raise ProtocolError("connection closed mid-header")
 
 
 # -- blocking-socket I/O ----------------------------------------------------

@@ -6,7 +6,10 @@ Every byte string a client can send must decode to a
 from :func:`read_frame` over a fed ``StreamReader`` — because any other
 exception escapes the server's read loop and leaks the session.  Inputs
 are any type byte with any body, plus near-valid JSON bodies whose
-fields stray just outside the protocol's domain.
+fields stray just outside the protocol's domain.  The server's
+:class:`~repro.serve.protocol.FrameSplitter`, fed the same bytes cut at
+arbitrary points, must give the frames and the error that successive
+:func:`read_frame` calls give.
 
 The HELLO gets the same treatment one layer up: any ``n_threads`` and
 ``config`` override dict is refused at admission with ERROR ``bad-hello``
@@ -88,6 +91,54 @@ def _read_frame_from(data: bytes):
     return asyncio.run(read())
 
 
+def _key(frame: Frame):
+    """A comparable spelling of a frame (NaN-safe, arrays as bytes)."""
+    payload = frame.payload
+    if isinstance(payload, EventBatch):
+        return frame.type, payload.tid, payload.now_ns, payload.vaddrs.tobytes()
+    return frame.type, repr(payload)
+
+
+def _read_all(data: bytes):
+    """``read_frame`` until EOF or a ProtocolError: frame keys, error text."""
+
+    async def read():
+        reader = asyncio.StreamReader()
+        reader.feed_data(data)
+        reader.feed_eof()
+        frames = []
+        while True:
+            try:
+                frame = await protocol.read_frame(reader)
+            except ProtocolError as exc:
+                return frames, str(exc)
+            if frame is None:
+                return frames, None
+            frames.append(_key(frame))
+
+    return asyncio.run(read())
+
+
+def _split_all(data: bytes, cuts: "list[int]"):
+    """The server's splitter over *data* cut at *cuts*, then EOF."""
+    splitter = protocol.FrameSplitter()
+    frames = []
+    bounds = [0, *sorted(cut % (len(data) + 1) for cut in cuts), len(data)]
+    for start, stop in zip(bounds, bounds[1:]):
+        got, error = splitter.feed(data[start:stop])
+        frames += [_key(frame) for frame in got]
+        if error is not None:
+            return frames, str(error)
+    try:
+        splitter.close()
+    except ProtocolError as exc:
+        return frames, str(exc)
+    return frames, None
+
+
+_CUTS = st.lists(st.integers(0, 1 << 16), max_size=8)
+
+
 @given(_INPUTS)
 def test_parse_body_yields_frame_or_protocol_error(case):
     type_byte, body = case
@@ -98,13 +149,15 @@ def test_parse_body_yields_frame_or_protocol_error(case):
     assert isinstance(frame, Frame)
 
 
-@given(_INPUTS, st.booleans())
-def test_read_frame_yields_frame_or_protocol_error(case, truncate):
-    """A framed input, or the same bytes cut short before the body ends."""
+@given(_INPUTS, st.booleans(), _CUTS)
+def test_read_frame_yields_frame_or_protocol_error(case, truncate, cuts):
+    """A framed input, or the same bytes cut short before the body ends;
+    the splitter, fed them in pieces, agrees."""
     type_byte, body = case
     data = protocol._HEADER.pack(len(body), type_byte) + body
     if truncate:
         data = data[: len(data) // 2]
+    assert _split_all(data, cuts) == _read_all(data)
     try:
         frame = _read_frame_from(data)
     except ProtocolError:
@@ -115,13 +168,23 @@ def test_read_frame_yields_frame_or_protocol_error(case, truncate):
         assert isinstance(frame, Frame)
 
 
-@given(st.binary(max_size=64))
-def test_read_frame_on_arbitrary_bytes(data):
+@given(st.binary(max_size=64), _CUTS)
+def test_read_frame_on_arbitrary_bytes(data, cuts):
+    assert _split_all(data, cuts) == _read_all(data)
     try:
         frame = _read_frame_from(data)
     except ProtocolError:
         return
     assert frame is None if not data else isinstance(frame, Frame)
+
+
+@given(st.lists(_INPUTS, max_size=4), st.integers(0, 64), _CUTS)
+def test_splitter_agrees_with_read_frame_on_a_stream(cases, cut_tail, cuts):
+    """Several frames back to back, the last perhaps cut short, fed to the
+    splitter in pieces: the frames, and the error, of ``read_frame``."""
+    data = b"".join(protocol._HEADER.pack(len(body), t) + body for t, body in cases)
+    data = data[: max(0, len(data) - cut_tail)]
+    assert _split_all(data, cuts) == _read_all(data)
 
 
 #: an in-domain value for every HELLO config override

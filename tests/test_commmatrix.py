@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.commmatrix import CommunicationMatrix
 from repro.errors import ConfigurationError
@@ -213,3 +215,186 @@ class TestMerge:
     def test_merge_size_mismatch(self):
         with pytest.raises(ConfigurationError):
             CommunicationMatrix(3).merge(CommunicationMatrix(4))
+
+
+class TestThreadIds:
+    """A thread id outside ``[0, n)`` is refused before any cell changes;
+    ``-1`` once wrapped round to the last thread, and ``n`` or more raised
+    numpy's untyped ``IndexError``."""
+
+    @pytest.mark.parametrize(
+        "partners",
+        [[-1] * 9, [-1] * 3, [7] * 9, [7], [0, 1, 2, 3, 4, 1, 2, 3, 0]],
+        ids=["negative-array", "negative-loop", "past-n-array", "past-n-loop", "n-mixed"],
+    )
+    def test_add_events_refuses_a_partner_outside_the_matrix(self, partners):
+        m = CommunicationMatrix(4)
+        with pytest.raises(ConfigurationError, match="outside"):
+            m.add_events(0, np.array(partners))
+        assert not m.matrix.any()
+
+    @pytest.mark.parametrize("i", [-1, 4])
+    @pytest.mark.parametrize("size", [3, 9])
+    def test_add_events_refuses_its_own_id_outside_the_matrix(self, i, size):
+        m = CommunicationMatrix(4)
+        with pytest.raises(ConfigurationError, match="outside"):
+            m.add_events(i, np.ones(size, dtype=np.int64))
+        assert not m.matrix.any()
+
+    @pytest.mark.parametrize("i, j", [(-1, 0), (0, -1), (4, 0), (0, 7), (-2, -2)])
+    def test_add_refuses_an_id_outside_the_matrix(self, i, j):
+        m = CommunicationMatrix(4)
+        with pytest.raises(ConfigurationError, match="outside"):
+            m.add(i, j)
+        assert not m.matrix.any()
+
+
+def _symmetric(n, seed, integral):
+    rng = np.random.default_rng(seed)
+    # fractions below 1 carry a full mantissa into every binade a count
+    # crosses, so most crossings round
+    half = rng.integers(0, 50, (n, n)) if integral else rng.random((n, n))
+    return (half + half.T).astype(np.float64)
+
+
+def _start(n, kind, seed):
+    if kind == "zero":
+        return CommunicationMatrix(n)
+    if kind == "edge":  # one cell a step below float64's last exact integer
+        data = np.zeros((n, n))
+        data[0, 1] = data[1, 0] = 2.0**53 - 1
+        return CommunicationMatrix(n, data)
+    if kind == "negative-zero":  # 0.0 + 0 would turn an untouched -0.0 into 0.0
+        return CommunicationMatrix(n, np.full((n, n), -0.0))
+    return CommunicationMatrix(n, _symmetric(n, seed, kind == "integral"))
+
+
+_AMOUNTS = st.one_of(st.integers(-3, 5), st.floats(-3.0, 5.0, allow_nan=False))
+
+
+@st.composite
+def _histories(draw):
+    """A start matrix and a sequence of operations on it."""
+    n = draw(st.integers(2, 6))
+    ids = st.integers(0, n - 1)
+    events = st.tuples(
+        st.just("events"),
+        ids,
+        st.one_of(st.lists(ids, max_size=8), st.lists(ids, min_size=9, max_size=300)),
+    )
+    op = st.one_of(
+        events,
+        events,
+        st.tuples(st.just("add"), ids, ids, _AMOUNTS),
+        st.tuples(st.just("decay"), st.one_of(st.sampled_from([1.0, 0.92, 0.5]), st.floats(0, 1))),
+        st.tuples(
+            st.just("merge"),
+            st.sampled_from(["integral", "fractional", "edge"]),
+            st.integers(0, 3),
+            st.one_of(st.integers(-2, 3), st.floats(-2.0, 3.0, allow_nan=False)),
+        ),
+        st.tuples(st.just("reset")),
+    )
+    kind = draw(st.sampled_from(["zero", "integral", "fractional", "edge", "negative-zero"]))
+    return n, kind, draw(st.integers(0, 3)), draw(st.lists(op, max_size=12))
+
+
+class TestAddEvents:
+    @settings(max_examples=100, deadline=None)
+    @given(_histories())
+    def test_equals_scalar_adds_after_any_history(self, history):
+        """``add_events`` leaves the bytes that one ``add(i, j, 1.0)`` per
+        event leaves, whichever path it takes: integer counts, decayed
+        fractions, a cell at 2**53 - 1, ``-0.0`` cells, merges and resets
+        in between."""
+        n, kind, seed, ops = history
+        fast, scalar = _start(n, kind, seed), _start(n, kind, seed)
+        for op in ops:
+            if op[0] == "events":
+                _, i, partners = op
+                fast.add_events(i, np.array(partners, dtype=np.int64))
+                for j in partners:
+                    scalar.add(i, j, 1.0)
+            elif op[0] == "merge":
+                _, other_kind, other_seed, scale = op
+                fast.merge(_start(n, other_kind, other_seed), scale)
+                scalar.merge(_start(n, other_kind, other_seed), scale)
+            else:
+                getattr(fast, op[0])(*op[1:])
+                getattr(scalar, op[0])(*op[1:])
+            assert fast.matrix.tobytes() == scalar.matrix.tobytes(), op
+
+    @staticmethod
+    def _agree_with_scalar_adds(prepare, sizes=range(9, 301)):
+        """For each batch size, a batch of that many events between threads
+        0 and 1 after ``prepare(matrix)`` leaves scalar adds' bytes.  From
+        the cells the cases below start at (2.76, 1/3, 2/3), adding the
+        count at once rounds differently for 80 to 167 of these sizes."""
+        for size in sizes:
+            fast, scalar = CommunicationMatrix(4), CommunicationMatrix(4)
+            prepare(fast)
+            prepare(scalar)
+            fast.add_events(0, np.ones(size, dtype=np.int64))
+            for _ in range(size):
+                scalar.add(0, 1, 1.0)
+            assert fast.matrix.tobytes() == scalar.matrix.tobytes(), size
+
+    @pytest.mark.parametrize(
+        "prepare",
+        [
+            lambda m: (m.add(0, 1, 3), m.decay(0.92)),
+            lambda m: m.add(0, 1, 1 / 3),
+            lambda m: m.merge(CommunicationMatrix(4, 3 * uniform_pattern(4)), 0.92),
+            lambda m: m.merge(CommunicationMatrix(4, 3 * 0.92 * uniform_pattern(4))),
+            lambda m: m.merge(
+                CommunicationMatrix(4).merge(CommunicationMatrix(4, 1 / 3 * uniform_pattern(4))),
+                2,
+            ),
+        ],
+        ids=["decay", "add-fraction", "merge-scale", "merge-fractions", "merge-inexact"],
+    )
+    def test_each_fraction_source_leaves_the_count_add(self, prepare):
+        """A fraction from a decay, an ``add`` amount or a ``merge`` makes
+        later batches round as one-by-one additions do."""
+        self._agree_with_scalar_adds(prepare)
+
+    def test_loop_events_count_toward_the_bound(self):
+        """Eight events through the small-batch loop take a cell from
+        2**53 - 10 to 2**53 - 2; a count add of the next 9 would then read
+        2**53 + 8 where one-by-one additions stop at 2**53."""
+        data = np.zeros((4, 4))
+        data[0, 1] = data[1, 0] = 2.0**53 - 10
+
+        def prepare(m):
+            m.merge(CommunicationMatrix(4, data))
+            m.add_events(0, np.ones(8, dtype=np.int64))
+
+        self._agree_with_scalar_adds(prepare, sizes=[9])
+
+    def test_negative_zero_cells_stay_negative(self):
+        """Adding a zero count would turn an untouched ``-0.0`` into
+        ``0.0``; one-by-one additions leave it alone."""
+        m = CommunicationMatrix(4, np.full((4, 4), -0.0))
+        m.add_events(0, np.ones(9, dtype=np.int64))
+        assert m.matrix[0, 1] == 9.0
+        assert np.signbit(m.matrix[0, 2]) and np.signbit(m.matrix[3, 0])
+
+    def test_no_count_add_past_the_last_exact_integer(self):
+        """From 2**53 - 1, each further 1.0 rounds back to 2**53; adding
+        the batch's count of 9 at once would read 2**53 + 8."""
+        data = np.zeros((4, 4))
+        data[0, 1] = data[1, 0] = 2.0**53 - 1
+        m = CommunicationMatrix(4, data)
+        m.add_events(0, np.ones(9, dtype=np.int64))
+        assert m.matrix[0, 1] == m.matrix[1, 0] == 2.0**53
+
+    @pytest.mark.parametrize("size", [0, 5, 256])
+    def test_counts_every_partner_but_itself(self, size):
+        partners = np.arange(size, dtype=np.int64) % 4
+        m = CommunicationMatrix(4)
+        m.add_events(2, partners)
+        expected = np.bincount(partners, minlength=4).astype(np.float64)
+        expected[2] = 0.0
+        assert np.array_equal(m.matrix[2], expected)
+        assert np.array_equal(m.matrix[:, 2], expected)
+        assert m.total() == expected.sum()

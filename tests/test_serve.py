@@ -158,6 +158,10 @@ class TestProtocol:
         with pytest.raises(ProtocolError):
             protocol.parse_body(int(MsgType.HELLO), b"[" * 200_000)
 
+    @pytest.mark.parametrize("n", [0, 1, 256, 2**31, 2**62])
+    def test_credit_template_is_the_json_frame(self, n):
+        assert protocol.encode_credit(n) == protocol.encode(MsgType.CREDIT, {"events": n})
+
     def test_oversized_frame_rejected_at_encode(self):
         with pytest.raises(ProtocolError):
             protocol.encode_events(
@@ -236,6 +240,35 @@ class TestMetrics:
         assert 'lat_bucket{le="0.01"} 1' in text
         assert 'lat_bucket{le="+Inf"} 4' in text
         assert "lat_count 4" in text
+
+    def test_histogram_value_on_a_bound_lands_in_that_bucket(self):
+        reg = MetricsRegistry()
+        h = reg.histogram("lat", buckets=(0.01, 0.1, 1.0))
+        h.observe(0.1)
+        assert h.counts == [0, 1, 1]
+        assert 'lat_bucket{le="0.01"} 0' in reg.render()
+        assert 'lat_bucket{le="0.1"} 1' in reg.render()
+
+    def test_histogram_nan_lands_only_in_inf(self):
+        reg = MetricsRegistry()
+        h = reg.histogram("lat", buckets=(0.01, 0.1, 1.0))
+        h.observe(float("nan"))
+        h.observe(0.05)
+        assert h.counts == [0, 1, 1] and h.count == 2
+        text = reg.render()
+        assert 'lat_bucket{le="1.0"} 1' in text
+        assert 'lat_bucket{le="+Inf"} 2' in text
+
+    def test_snapshot_histogram_buckets(self):
+        reg = MetricsRegistry()
+        h = reg.histogram("lat", "latency", buckets=(0.01, 0.1, 1.0), tenant="a")
+        for value in (0.005, 0.01, 0.05, 0.1, 0.5, 2.0, float("-inf")):
+            h.observe(value)
+        (entry,) = reg.snapshot()["lat"]["values"]
+        assert entry["labels"] == {"tenant": "a"}
+        assert entry["count"] == 7
+        assert entry["buckets"] == {"0.01": 3, "0.1": 5, "1.0": 6, "+Inf": 7}
+        assert list(entry["buckets"]) == ["0.01", "0.1", "1.0", "+Inf"]
 
     def test_render_is_deterministic(self):
         def build():
@@ -1155,6 +1188,98 @@ class TestServerE2E:
                 frames = await self._read_frames(reader, len(sizes))
                 assert [f.payload["events"] for f in frames] == sizes
                 assert len(writes) == 1
+                writer.close()
+
+        asyncio.run(scenario())
+
+    # -- frames cut anywhere: the reader splits each socket read -------------
+    def test_oversized_header_draws_error_with_no_body_sent(self, machine):
+        """A header declaring more than ``MAX_FRAME_BYTES`` is refused as
+        soon as its 5 bytes arrive: ERROR ``protocol``, then EOF."""
+        from repro.serve import MappingServer
+
+        async def scenario():
+            async with MappingServer(self._config(), machine=machine) as server:
+                reader, writer = await self._raw_session(server)
+                writer.write(protocol._HEADER.pack(protocol.MAX_FRAME_BYTES + 1, MsgType.EVENTS))
+                error = await asyncio.wait_for(protocol.read_frame(reader), 5.0)
+                assert error.type is MsgType.ERROR
+                assert error.payload["code"] == "protocol"
+                assert "exceeds" in error.payload["message"]
+                assert await asyncio.wait_for(protocol.read_frame(reader), 5.0) is None
+                writer.close()
+                assert await self._released(server)
+
+        asyncio.run(scenario())
+
+    def test_eof_mid_frame_draws_error_after_the_credit_before_it(self, machine):
+        """One batch, then half a frame, then EOF: the batch's CREDIT,
+        then ERROR ``protocol``, then EOF."""
+        from repro.serve import MappingServer
+
+        async def scenario():
+            async with MappingServer(self._config(), machine=machine) as server:
+                reader, writer = await self._raw_session(server)
+                half = self._burst([64])
+                writer.write(self._burst([32]) + half[: len(half) // 2])
+                writer.write_eof()
+                credit, error = await self._read_frames(reader, 2)
+                assert credit.type is MsgType.CREDIT and credit.payload["events"] == 32
+                assert error.type is MsgType.ERROR
+                assert error.payload["code"] == "protocol"
+                assert await asyncio.wait_for(protocol.read_frame(reader), 5.0) is None
+                writer.close()
+                assert await self._released(server)
+                assert server.events_total == 32
+
+        asyncio.run(scenario())
+
+    def test_burst_sent_byte_by_byte_is_credited_in_order(self, machine):
+        """Six batches written one byte per write, yielding between writes
+        so the server reads pieces of frames: one CREDIT per batch, in
+        batch order."""
+        from repro.serve import MappingServer
+
+        sizes = [16, 32, 48, 64, 80, 96]
+
+        async def scenario():
+            async with MappingServer(self._config(), machine=machine) as server:
+                reader, writer = await self._raw_session(server)
+                for byte in self._burst(sizes):
+                    writer.write(bytes([byte]))
+                    await writer.drain()
+                    await asyncio.sleep(0)
+                frames = await self._read_frames(reader, len(sizes))
+                assert [f.type for f in frames] == [MsgType.CREDIT] * len(sizes)
+                assert [f.payload["events"] for f in frames] == sizes
+                writer.close()
+
+        asyncio.run(scenario())
+
+    def test_large_frame_in_small_writes_is_credited_once(self, machine):
+        """One 100,000-event EVENTS frame (800,025 bytes) written 4 KiB at
+        a time is one batch: one CREDIT for all its events."""
+        from repro.serve import MappingServer
+
+        n = 100_000
+        vaddrs = (np.arange(n, dtype=np.int64) % 16 + 1) * PAGE_SIZE
+        data = protocol.encode_events(1, 0, vaddrs)
+
+        async def scenario():
+            async with MappingServer(self._config(), machine=machine) as server:
+                reader, writer = await self._raw_session(server)
+                for start in range(0, len(data), 4096):
+                    writer.write(data[start : start + 4096])
+                    await writer.drain()
+                    await asyncio.sleep(0)
+                credit = await asyncio.wait_for(protocol.read_frame(reader), 5.0)
+                assert credit.type is MsgType.CREDIT and credit.payload["events"] == n
+                await protocol.write_frame(writer, protocol.encode(MsgType.BYE, {}))
+                summary = await asyncio.wait_for(protocol.read_frame(reader), 5.0)
+                if summary.type is MsgType.MAPPING:  # the final evaluation's
+                    summary = await asyncio.wait_for(protocol.read_frame(reader), 5.0)
+                assert summary.type is MsgType.SUMMARY
+                assert (summary.payload["events"], summary.payload["batches"]) == (n, 1)
                 writer.close()
 
         asyncio.run(scenario())
