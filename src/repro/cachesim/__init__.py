@@ -10,6 +10,6 @@ local and remote NUMA accesses for the energy model.
 from repro.cachesim.cache import SetAssocCache
 from repro.cachesim.hierarchy import CoherentHierarchy
 from repro.cachesim.line import MesiState
-from repro.cachesim.stats import CacheStats
+from repro.cachesim.stats import BatchCounts, CacheStats
 
-__all__ = ["CacheStats", "CoherentHierarchy", "MesiState", "SetAssocCache"]
+__all__ = ["BatchCounts", "CacheStats", "CoherentHierarchy", "MesiState", "SetAssocCache"]

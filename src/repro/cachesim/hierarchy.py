@@ -33,7 +33,7 @@ from itertools import groupby
 
 from repro.cachesim.cache import SetAssocCache
 from repro.cachesim.line import iter_set_bits
-from repro.cachesim.stats import CacheStats
+from repro.cachesim.stats import BatchCounts, CacheStats
 from repro.machine.topology import Machine
 
 NO_OWNER = -1
@@ -98,7 +98,7 @@ class CoherentHierarchy:
             )
             start = stop
 
-    def access_batch_pu(self, pu: int, lines, writes, home_nodes) -> None:
+    def access_batch_pu(self, pu: int, lines, writes, home_nodes) -> BatchCounts:
         """Run one PU's accesses through the MESI protocol, in order.
 
         This loop is the protocol: the L1-hit, L2-hit and L2-miss paths
@@ -107,7 +107,8 @@ class CoherentHierarchy:
         dicts.  Only ownership transfers, invalidations and L3 victims call
         helpers.  Level counters are summed in locals and added to
         ``stats`` and to each cache's ``hits``/``misses``/``evictions``
-        once per batch.
+        once per batch.  Returns the batch's counts that the time model
+        reads.
         """
         core = self._core_of_pu[pu]
         socket = self._socket_of_core[core]
@@ -150,11 +151,14 @@ class CoherentHierarchy:
 
             # L2 miss (for a write, an RFO): the socket's L3, then another
             # socket or DRAM.  A dirty owner is never this core, since the
-            # owner holds the line in its L2.
+            # owner holds the line in its L2.  ``remote`` says whether
+            # another socket's L3 holds the line (None: not probed), so a
+            # write probes the remote L3s at most once.
             owner = dirty_owner.get(line, NO_OWNER)
             s3 = l3_sets[line & l3_mask]
             if line in s3:
                 s3[line] = s3.pop(line)
+                remote = None
                 if owner != NO_OWNER:
                     # Dirty in a same-socket private cache (inclusion
                     # guarantees the owner is on this socket).
@@ -168,22 +172,27 @@ class CoherentHierarchy:
                 l3_misses += 1
                 if owner != NO_OWNER:
                     # Dirty on the other socket: off-chip cache-to-cache.
+                    # The owner's L3 holds the line (inclusion), and an
+                    # invalidation that finds no copy changes nothing.
                     c2c_inter += 1
+                    remote = True
                     if w:
                         self._drop_owner_copies(owner, line)
                     else:
                         del dirty_owner[line]
                         self.l3[self._socket_of_core[owner]].mark_dirty(line)
                 else:
+                    remote = False
                     for sets in remote_l3:
                         if line in sets[line & l3_mask]:
-                            c2c_inter += 1
+                            remote = True
                             break
+                    if remote:
+                        c2c_inter += 1
+                    elif home == socket:
+                        dram_local += 1
                     else:
-                        if home == socket:
-                            dram_local += 1
-                        else:
-                            dram_remote += 1
+                        dram_remote += 1
                 if len(s3) >= l3_ways:
                     victim = next(iter(s3))
                     victim_dirty = s3.pop(victim)
@@ -191,9 +200,9 @@ class CoherentHierarchy:
                     self._evict_from_l3(socket, victim, victim_dirty)
                 s3[line] = False
             if w:
-                if sharers.get(line, 0) & others:
+                if remote or sharers.get(line, 0) & others:
                     self._invalidate_other_copies(core, line)
-                else:
+                elif remote is None:
                     for sets in remote_l3:
                         if line in sets[line & l3_mask]:
                             self._invalidate_other_copies(core, line)
@@ -251,6 +260,7 @@ class CoherentHierarchy:
         l3.hits += l3_hits
         l3.misses += l3_misses
         l3.evictions += l3_evictions
+        return BatchCounts(l2_hits, l3_hits, c2c_intra, c2c_inter, dram_local, dram_remote)
 
     # ------------------------------------------------------------------
     # rare protocol paths (core ids)
@@ -278,12 +288,16 @@ class CoherentHierarchy:
         """Upgrade a resident clean/shared copy to M (hit path of a write)."""
         socket = self._socket_of_core[core]
         l3 = self.l3[socket]
-        if self._sharers.get(line, 0) & ~(1 << core) or any(
-            line in sets[line & l3._set_mask] for sets in self._remote_l3_sets[socket]
-        ):
+        if self._sharers.get(line, 0) & ~(1 << core):
             self._invalidate_other_copies(core, line)
         else:
-            self.stats.silent_upgrades += 1
+            index = line & l3._set_mask
+            for sets in self._remote_l3_sets[socket]:
+                if line in sets[index]:
+                    self._invalidate_other_copies(core, line)
+                    break
+            else:
+                self.stats.silent_upgrades += 1
         self._sharers[line] = 1 << core
         self._dirty_owner[line] = core
         l3.mark_dirty(line)
@@ -301,26 +315,29 @@ class CoherentHierarchy:
         self.stats.invalidations += 1
 
     def _invalidate_other_copies(self, core: int, line: int) -> None:
-        """Invalidate all other private copies and remote L3 copies."""
+        """Invalidate all other private copies and remote L3 copies, for a
+        write by *core*.  The directory entry is left to the caller, which
+        makes *core* the line's only sharer."""
         stats = self.stats
         mask = self._sharers.get(line, 0) & ~(1 << core)
-        for c in iter_set_bits(mask):
-            self.l1[c].remove(line)
-            self.l2[c].remove(line)
-            stats.invalidations += 1
-        remaining = self._sharers.get(line, 0) & ~mask
-        if remaining:
-            self._sharers[line] = remaining
-        else:
-            self._sharers.pop(line, None)
-        my_socket = self._socket_of_core[core]
-        for s in range(self.machine.n_sockets):
-            if s == my_socket:
-                continue
-            if self.l3[s].contains(line):
-                dirty = self.l3[s].remove(line)
+        if mask:
+            stats.invalidations += mask.bit_count()
+            # every core's L1 (and L2) has one geometry, so one set index
+            l1, l2 = self.l1, self.l2
+            i1 = line & l1[core]._set_mask
+            i2 = line & l2[core]._set_mask
+            while mask:
+                low = mask & -mask
+                c = low.bit_length() - 1
+                l1[c]._sets[i1].pop(line, None)
+                l2[c]._sets[i2].pop(line, None)
+                mask ^= low
+        index = line & self.l3[0]._set_mask
+        for sets in self._remote_l3_sets[self._socket_of_core[core]]:
+            s3 = sets[index]
+            if line in s3:
                 stats.invalidations += 1
-                if dirty:
+                if s3.pop(line):
                     stats.dram_writebacks += 1
 
     # ------------------------------------------------------------------

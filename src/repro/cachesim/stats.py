@@ -9,6 +9,7 @@ traffic.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 
 @dataclass
@@ -36,11 +37,7 @@ class CacheStats:
     back_invalidations: int = 0
 
     def snapshot(self) -> tuple[int, ...]:
-        """Cheap value snapshot (field order of the dataclass).
-
-        With :meth:`delta_since` this replaces ``dataclasses.replace`` +
-        field-wise diffing on the simulator's per-thread per-step hot path.
-        """
+        """Value snapshot, in the dataclass's field order."""
         return (
             self.l1_hits,
             self.l1_misses,
@@ -57,11 +54,6 @@ class CacheStats:
             self.dram_writebacks,
             self.back_invalidations,
         )
-
-    def delta_since(self, snap: tuple[int, ...]) -> "CacheStats":
-        """Counters accrued since *snap* (a :meth:`snapshot` value)."""
-        cur = self.snapshot()
-        return CacheStats(*(a - b for a, b in zip(cur, snap)))
 
     @property
     def c2c_total(self) -> int:
@@ -86,3 +78,17 @@ class CacheStats:
     def as_dict(self) -> dict[str, int]:
         """Plain-dict view for reports."""
         return {f.name: getattr(self, f.name) for f in fields(CacheStats)}
+
+
+class BatchCounts(NamedTuple):
+    """One batch's counts that the time model reads, as
+    :meth:`~repro.cachesim.hierarchy.CoherentHierarchy.access_batch_pu`
+    returns them: what the batch added to the :class:`CacheStats` fields of
+    the same names."""
+
+    l2_hits: int = 0
+    l3_hits: int = 0
+    c2c_intra: int = 0
+    c2c_inter: int = 0
+    dram_reads_local: int = 0
+    dram_reads_remote: int = 0

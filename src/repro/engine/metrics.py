@@ -1,7 +1,7 @@
 """Execution-time model.
 
 Time per batch = compute time (instructions x base CPI) plus exposed memory
-stall time derived from the cache-event deltas of that batch.  L1 hits are
+stall time derived from the cache-event counts of that batch.  L1 hits are
 considered pipelined into the base CPI (as on real out-of-order cores);
 deeper events pay their level's latency, cache-to-cache transfers pay the
 interconnect, and DRAM accesses pay NUMA-dependent latency.  A memory-level-
@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.cachesim.stats import CacheStats
+from repro.cachesim.stats import BatchCounts
 from repro.machine.interconnect import InterconnectModel
 from repro.machine.numa import NumaModel
 from repro.machine.topology import CommDistance, Machine
@@ -30,7 +30,7 @@ class TimeParams:
 
 
 class TimeModel:
-    """Computes batch durations from instruction counts and cache deltas."""
+    """Computes batch durations from instruction counts and cache-event counts."""
 
     def __init__(
         self,
@@ -65,24 +65,26 @@ class TimeModel:
         """Pure compute time of *instructions* at the base CPI."""
         return instructions * self.params.cpi_base * self.cycle_ns
 
-    def stall_time_ns(self, delta: CacheStats) -> float:
-        """Exposed memory stall time for one batch's cache-event delta.
+    def stall_time_ns(self, counts: BatchCounts) -> float:
+        """Exposed memory stall time for one batch's cache-event counts
+        (as ``CoherentHierarchy.access_batch_pu`` returns them).
 
         Hits counted at a level already exclude deeper events (an L2 hit is
         not also an L3 hit), so the sum is not double counted.  DRAM reads
         and cache-to-cache transfers replace the plain L3-hit latency for
         those accesses.
         """
+        l2_hits, l3_hits, c2c_intra, c2c_inter, dram_local, dram_remote = counts
         stall = (
-            delta.l2_hits * self._lat_l2
-            + (delta.l3_hits - delta.c2c_intra) * self._lat_l3
-            + delta.c2c_intra * self._lat_c2c_intra
-            + delta.c2c_inter * self._lat_c2c_inter
-            + delta.dram_reads_local * self._lat_dram_local
-            + delta.dram_reads_remote * self._lat_dram_remote
+            l2_hits * self._lat_l2
+            + (l3_hits - c2c_intra) * self._lat_l3
+            + c2c_intra * self._lat_c2c_intra
+            + c2c_inter * self._lat_c2c_inter
+            + dram_local * self._lat_dram_local
+            + dram_remote * self._lat_dram_remote
         )
         return max(0.0, stall) * self.params.stall_exposure
 
-    def batch_time_ns(self, instructions: float, delta: CacheStats) -> float:
+    def batch_time_ns(self, instructions: float, counts: BatchCounts) -> float:
         """Total modelled time of one batch."""
-        return self.compute_time_ns(instructions) + self.stall_time_ns(delta)
+        return self.compute_time_ns(instructions) + self.stall_time_ns(counts)

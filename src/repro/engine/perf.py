@@ -60,10 +60,6 @@ class PerfCounters:
         """
         return self.wall_s - self.tracked_s
 
-    def accesses_per_s(self) -> float:
-        """Hierarchy throughput (accesses per second of hierarchy time)."""
-        return self.accesses / self.hierarchy_s if self.hierarchy_s > 0 else 0.0
-
     def as_dict(self) -> dict[str, float]:
         """Plain-dict view for reports/JSON snapshots."""
         return {f.name: getattr(self, f.name) for f in fields(PerfCounters)}

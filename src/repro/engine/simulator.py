@@ -19,6 +19,8 @@ units require it (energy).  Ratios such as MPKI are scale-free.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 from time import perf_counter
@@ -75,8 +77,21 @@ class EngineConfig:
     pretouch: str = "serial"
 
     def __post_init__(self) -> None:
-        if self.batch_size <= 0 or self.steps <= 0 or self.time_scale <= 0:
-            raise ConfigurationError("batch_size, steps and time_scale must be positive")
+        # refused here, since a float count fails only mid-run, True runs
+        # one step, and a NaN or infinite scale breaks the clock
+        for name in ("batch_size", "steps"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value <= 0:
+                raise ConfigurationError(f"{name} must be a positive integer, not {value!r}")
+        scale = self.time_scale
+        if (
+            isinstance(scale, bool)
+            or not isinstance(scale, numbers.Real)
+            or not (math.isfinite(scale) and scale > 0)
+        ):
+            raise ConfigurationError(
+                f"time_scale must be a finite positive number, not {scale!r}"
+            )
         if self.pretouch not in ("serial", "parallel"):
             raise ConfigurationError("pretouch must be 'serial' or 'parallel'")
 
@@ -333,17 +348,15 @@ class Simulator:
 
             homes = table.home_nodes(vpns)
             table.mark_accessed_batch(vpns)
-            stats_before = hierarchy.stats.snapshot()
             t_hier = perf_counter()
-            hierarchy.access_batch_pu(pu, step_lines[tid], writes, homes)
+            counts = hierarchy.access_batch_pu(pu, step_lines[tid], writes, homes)
             perf.hierarchy_s += perf_counter() - t_hier
             perf.accesses += batch
-            delta = hierarchy.stats.delta_since(stats_before)
 
             instructions = batch * workload.instructions_per_access
             self.instructions += instructions
             self.scheduler.tasks[tid].instructions += int(instructions)
-            batch_ns = scale * self.time_model.batch_time_ns(instructions, delta)
+            batch_ns = scale * self.time_model.batch_time_ns(instructions, counts)
             batch_ns += fault_ns
             step_time_ns = max(step_time_ns, batch_ns)
 

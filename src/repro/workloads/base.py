@@ -227,6 +227,15 @@ class Workload(abc.ABC):
         caches behave realistically.  ``locality=1`` is uniform.  Each
         thread draws its ``counts[i]`` uniforms, then as many line indices.
 
+        A line index is ``floor(span * v)`` for a float32 uniform ``v``: the
+        value, and the generator state after it, of
+        ``rng.integers(0, span, size=k)``.  Both take one 32-bit word per
+        value; for a power-of-two span numpy's bounded-integer method never
+        rejects and returns the word's top ``log2(span)`` bits, and a
+        float32 uniform is the word's top 24 bits over ``2**24``.  So the
+        span must be a power of two of at least 2 (``integers(0, 1)``
+        draws nothing), or :class:`WorkloadError` is raised.
+
         Only the first *line_span* lines of each page are used: the paper's
         codes stride through arrays with strong spatial reuse, so the number
         of distinct lines per resident page is far below 64; sampling all 64
@@ -234,17 +243,20 @@ class Workload(abc.ABC):
         drown every placement effect in DRAM traffic.
         """
         span = min(line_span, PAGE_SIZE // CACHE_LINE_SIZE)
+        if span < 2 or span & (span - 1):
+            raise WorkloadError(f"line span must be a power of two of at least 2, got {span}")
         u = np.empty(sum(counts))
-        line_idx = np.empty(u.size, dtype=np.int64)
+        v = np.empty(u.size, dtype=np.float32)
         start = 0
         for rng, count in zip(rngs, counts):
             if count:
                 stop = start + count
                 rng.random(out=u[start:stop])
-                line_idx[start:stop] = rng.integers(0, span, size=count)
+                rng.random(dtype=np.float32, out=v[start:stop])
                 start = stop
-        # u**locality is at least 0, so the cast floors
+        # u**locality and span * v are at least 0, so the casts floor
         page_idx = (np.repeat(pages, counts) * u**locality).astype(np.int64)
+        line_idx = (span * v).astype(np.int64)
         return np.repeat(bases, counts) + page_idx * PAGE_SIZE + line_idx * CACHE_LINE_SIZE
 
     def _set_channels(self, channels: list[tuple[list[Region], np.ndarray]]) -> None:

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.cachesim.stats import CacheStats
+from repro.cachesim.hierarchy import CoherentHierarchy
+from repro.cachesim.stats import BatchCounts, CacheStats
 from repro.engine.energy import EnergyModel
 from repro.engine.metrics import TimeModel, TimeParams
 from repro.errors import ConfigurationError
@@ -30,13 +31,17 @@ class TestTimeModel:
         expected = 1000 * tm.params.cpi_base / machine.frequency_ghz
         assert tm.compute_time_ns(1000) == pytest.approx(expected)
 
-    def test_l1_hits_are_free(self, tm):
-        s = CacheStats(l1_hits=1000)
-        assert tm.stall_time_ns(s) == 0.0
+    def test_l1_hits_are_free(self, tm, machine):
+        hier = CoherentHierarchy(machine)
+        hier.access_batch_pu(0, [5], [False], [0])
+        counts = hier.access_batch_pu(0, [5] * 1000, [False] * 1000, [0] * 1000)
+        assert hier.stats.l1_hits == 1000
+        assert counts == BatchCounts()
+        assert tm.stall_time_ns(counts) == 0.0
 
     def test_stall_ordering_by_event_depth(self, tm):
         def stall(**kw):
-            return tm.stall_time_ns(CacheStats(**kw))
+            return tm.stall_time_ns(BatchCounts(**kw))
 
         l2 = stall(l2_hits=1)
         l3 = stall(l3_hits=1)
@@ -45,23 +50,23 @@ class TestTimeModel:
         assert l2 < l3 < c2c_x < dram_r
 
     def test_remote_dram_slower_than_local(self, tm):
-        local = tm.stall_time_ns(CacheStats(dram_reads_local=1))
-        remote = tm.stall_time_ns(CacheStats(dram_reads_remote=1))
+        local = tm.stall_time_ns(BatchCounts(dram_reads_local=1))
+        remote = tm.stall_time_ns(BatchCounts(dram_reads_remote=1))
         assert remote > local
 
     def test_c2c_intra_cheaper_than_inter(self, tm):
-        intra = tm.stall_time_ns(CacheStats(l3_hits=1, c2c_intra=1))
-        inter = tm.stall_time_ns(CacheStats(c2c_inter=1))
+        intra = tm.stall_time_ns(BatchCounts(l3_hits=1, c2c_intra=1))
+        inter = tm.stall_time_ns(BatchCounts(c2c_inter=1))
         assert intra < inter
 
     def test_exposure_scales_stalls(self, machine):
         full = TimeModel(machine, params=TimeParams(stall_exposure=1.0))
         half = TimeModel(machine, params=TimeParams(stall_exposure=0.5))
-        s = CacheStats(dram_reads_local=10)
+        s = BatchCounts(dram_reads_local=10)
         assert half.stall_time_ns(s) == pytest.approx(0.5 * full.stall_time_ns(s))
 
     def test_batch_time_is_compute_plus_stall(self, tm):
-        s = CacheStats(l2_hits=5)
+        s = BatchCounts(l2_hits=5)
         assert tm.batch_time_ns(100, s) == pytest.approx(
             tm.compute_time_ns(100) + tm.stall_time_ns(s)
         )

@@ -4,10 +4,12 @@ from collections import Counter
 from itertools import groupby
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cachesim.hierarchy import CoherentHierarchy
+from repro.cachesim.stats import BatchCounts
 from repro.core.commmatrix import CommunicationMatrix
 from repro.core.grouping import group_matrix
 from repro.core.hashtable import ArrayShareTable, hash_64
@@ -17,6 +19,7 @@ from repro.core.matching import (
     max_weight_perfect_matching,
 )
 from repro.core.spcd import SpcdDetector
+from repro.errors import WorkloadError
 from repro.machine.cache_params import CacheParams
 from repro.machine.topology import build_machine
 from repro.mem.addresspace import AddressSpace
@@ -368,9 +371,86 @@ def test_hierarchy_state_independent_of_batch_split(runs, data):
         assert hierarchy_state(hier) == expected
 
 
+@given(
+    runs=st.lists(
+        st.tuples(
+            st.integers(0, 31),
+            st.lists(
+                st.tuples(st.integers(0, 700), st.booleans(), st.integers(0, 1)),
+                max_size=40,
+            ),
+        ),
+        min_size=1,
+        max_size=30,
+    )
+)
+@settings(max_examples=40, deadline=None)
+def test_batch_counts_are_the_batch_stats_delta(runs):
+    """What ``access_batch_pu`` returns for a batch is what the batch added
+    to the six ``CacheStats`` counters that the time model reads, for any
+    stream of batches over the 32 PUs of the small-cache machine."""
+    hier = CoherentHierarchy(small_cache_machine())
+    for pu, accesses in runs:
+        lines, writes, homes = ([a[i] for a in accesses] for i in range(3))
+        before = hier.stats.as_dict()
+        counts = hier.access_batch_pu(pu, lines, writes, homes)
+        after = hier.stats.as_dict()
+        assert counts._asdict() == {f: after[f] - before[f] for f in BatchCounts._fields}
+    assert hier.check_invariants() == []
+
+
 # ---------------------------------------------------------------------------
 # workloads
 # ---------------------------------------------------------------------------
+@given(
+    span=st.sampled_from([2, 4, 8, 16, 32, 64]),
+    seeds=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=3),
+    calls=st.lists(
+        st.tuples(st.integers(0, 298), st.integers(0, 3), st.integers(0, 3)),
+        min_size=1,
+        max_size=4,
+    ),
+)
+@settings(max_examples=100, deadline=None)
+def test_line_draws_are_rng_integers(span, seeds, calls):
+    """A line index drawn as ``floor(span * float32 uniform)`` is the value
+    of ``rng.integers(0, span, size=k)``, and leaves the generator in its
+    state, 32-bit carry (``has_uint32``, ``uinteger``) included: over
+    several threads, odd and even sizes, and float64 draws before and
+    after each call."""
+    got = [np.random.default_rng(seed) for seed in seeds]
+    want = [np.random.default_rng(seed) for seed in seeds]
+    n = len(seeds)
+    bases = np.arange(1, n + 1, dtype=np.int64) << 20
+    for k, before, after in calls:
+        counts = [k + t for t in range(n)]
+        for rng in (*got, *want):
+            rng.random(before)
+        vaddrs = Workload._addresses_in_region(
+            bases, np.ones(n, dtype=np.int64), counts, got, line_span=span
+        )
+        expected = []
+        for rng, count in zip(want, counts):
+            rng.random(count)  # the page uniforms
+            expected.append(rng.integers(0, span, size=count))
+        lines = (vaddrs - np.repeat(bases, counts)) // CACHE_LINE_SIZE
+        assert np.array_equal(lines, np.concatenate(expected))
+        for rng in (*got, *want):
+            rng.random(after)
+        for a, b in zip(got, want):
+            assert a.bit_generator.state == b.bit_generator.state
+
+
+@pytest.mark.parametrize("span", [1, 3, 6, 48])
+def test_line_draws_refuse_a_span_without_the_identity(span):
+    """Only a power-of-two span of at least 2 draws as ``rng.integers``:
+    ``integers(0, 1)`` draws nothing, and other spans reject words."""
+    with pytest.raises(WorkloadError, match="power of two"):
+        Workload._addresses_in_region(
+            np.array([0]), np.array([1]), [4], [np.random.default_rng(0)], line_span=span
+        )
+
+
 class _ChannelWorkload(Workload):
     """A bare workload with given per-thread channels and private regions."""
 

@@ -25,6 +25,22 @@ class TestEngineConfig:
         with pytest.raises(ConfigurationError):
             EngineConfig(pretouch="lazy")
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("steps", 2.5),
+            ("steps", True),
+            ("time_scale", float("nan")),
+            ("time_scale", float("inf")),
+            ("batch_size", 256.0),
+            ("batch_size", True),
+        ],
+    )
+    def test_rejects_malformed_value(self, field, value):
+        """Each value used to construct, then fail mid-run or run wrongly."""
+        with pytest.raises(ConfigurationError, match=field):
+            EngineConfig(**{field: value})
+
 
 class TestBasicRun:
     def test_produces_metrics(self):
